@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -38,8 +37,6 @@ METHOD_ALIASES = {
     "cp": "cp", "tt": "tt", "svd": "svd", "qr": "qr", "t3f": "t3f",
     "tt-matrix": "t3f",
 }
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _method(name: str) -> str:
@@ -460,19 +457,23 @@ def cmd_breakdown(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for every randomized choice")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker thread cap (default: LRF_THREADS)")
-    parser.add_argument("--limit", type=int, default=None,
-                        help="cap on exported rows")
-    parser.add_argument("--tol", type=float, default=explore.DEFAULT_TOL,
-                        help="relative tolerance for ratio buckets")
+_FLAGS = {
+    "--seed": dict(type=int, default=0,
+                   help="seed for every randomized choice"),
+    "--limit": dict(type=int, default=None, help="cap on exported rows"),
+    "--tol": dict(type=float, default=explore.DEFAULT_TOL,
+                  help="relative tolerance for ratio buckets"),
+    "--timings": dict(action="store_true",
+                      help="include wall-clock timings (not reproducible)"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """``--out`` plus the named ``_FLAGS`` the subcommand reads."""
     parser.add_argument("--out", default=None,
                         help="write machine-readable output here")
-    parser.add_argument("--timings", action="store_true",
-                        help="include wall-clock timings (not reproducible)")
+    for flag in flags:
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def _add_layer_flags(parser: argparse.ArgumentParser) -> None:
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="export valid solutions as CSV")
     _add_layer_flags(p)
     p.add_argument("--method", type=_method, action="append", default=None)
-    _add_common(p)
+    _add_common(p, "--limit")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("census", help="bucket solutions at target ratios")
@@ -510,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratios", type=_int_tuple, default=(25, 60, 85),
                    help="compression percentages, e.g. 25,60,85")
     p.add_argument("--objective", choices=OBJECTIVES, default="params")
-    _add_common(p)
+    _add_common(p, "--tol", "--timings")
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("decompose", help="factorize one layer")
@@ -530,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reshape plan index for tt-matrix layers")
     p.add_argument("--out-model", default=None)
     p.add_argument("--out-weights", default=None)
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(fn=cmd_decompose)
 
     for name, fn in (("dse", cmd_dse), ("hybrid", cmd_hybrid)):
@@ -560,13 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-model", default=None)
         p.add_argument("--out-weights", default=None)
         p.add_argument("--out-audit", default=None)
-        _add_common(p)
+        _add_common(p, "--seed", "--tol")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("score", help="qualitative method scorecard")
     _add_layer_flags(p)
     p.add_argument("--method", type=_method, action="append", default=None)
-    _add_common(p)
+    _add_common(p, "--seed", "--timings")
     p.set_defaults(fn=cmd_score)
 
     p = sub.add_parser("breakdown", help="model-level cost report")
@@ -578,23 +579,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_threads(args) -> None:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("LRF_THREADS")
-        threads = int(env) if env else None
-    if threads is not None:
-        if threads < 1:
-            raise LowRankError("thread count must be positive")
-        for var in _THREAD_VARS:
-            os.environ[var] = str(threads)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_threads(args)
         return args.fn(args)
     except (LowRankError, ValueError, KeyError, OSError) as exc:
         detail = exc.args[0] if exc.args else exc

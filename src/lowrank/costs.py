@@ -7,10 +7,15 @@ reshape and flatten views contribute nothing.  All three quantities
 are exact integers, which lets enumeration and census code compare
 configurations without floating-point noise.
 
-``cost_factorized`` gives closed-form costs for each factorization
-method; they agree exactly, integer for integer, with summing
+The closed forms per factorization method are the only cost formulas
+of the package.  ``cost_factorized`` checks its ranks and evaluates
+them; they agree exactly, integer for integer, with summing
 ``cost_original`` over the factorized sub-layer chain that
-``decompose.chain_descs`` constructs.
+``decompose.chain_descs`` constructs.  ``closed_form`` evaluates them
+unchecked on integer rank arrays that broadcast, which is how
+``explore`` derives the affine rank families it counts on.  Integer
+factors are multiplied before rank arrays and sums are rebound, so an
+array evaluation costs few array operations and broadcasts freely.
 """
 
 from __future__ import annotations
@@ -163,9 +168,10 @@ def _stagewise_conv_cost(channel_pairs, kernels, positions):
     """
     params = flops = fm = 0
     for (cin, cout), window, pos in zip(channel_pairs, kernels, positions):
-        params += window * cin * cout
-        flops += 2 * pos * cout * window * cin
-        fm += pos * cout
+        links = cin * cout
+        params = params + window * links
+        flops = flops + 2 * pos * window * links
+        fm = fm + pos * cout
     return CostReport(params, flops, fm)
 
 
@@ -250,12 +256,11 @@ def cost_t3f(layer: LayerDesc, ranks: tuple, input_shape: tuple = None,
     full = (1,) + tuple(ranks) + (1,)
     params = flops = fm = 0
     for t in range(1, d + 1):
-        m_rest = math.prod(ms[t:])
-        n_done = math.prod(ns[:t])
-        z_elems = m_rest * n_done * full[t]
-        params += full[t - 1] * ms[t - 1] * ns[t - 1] * full[t]
-        flops += 2 * full[t - 1] * ms[t - 1] * z_elems
-        fm += z_elems
+        z_cols = math.prod(ms[t:]) * math.prod(ns[:t])  # z elements per rank
+        links = full[t - 1] * full[t]
+        params = params + ms[t - 1] * ns[t - 1] * links
+        flops = flops + 2 * ms[t - 1] * z_cols * links
+        fm = fm + z_cols * full[t]
     return CostReport(params, flops, fm)
 
 
@@ -282,6 +287,22 @@ def _expected_rank_count(layer: LayerDesc, method: str, plan) -> int:
     raise RankError(f"unknown method {method!r}")
 
 
+def closed_form(layer: LayerDesc, method: str, ranks: tuple,
+                input_shape: tuple = None, plan: tuple = None) -> CostReport:
+    """Closed-form cost of ``method`` at ``ranks``, without rank checks.
+
+    The ranks may be integer numpy arrays that broadcast against each
+    other; every field of the report then has their broadcast shape.
+    """
+    if method == "t3f":
+        return cost_t3f(layer, ranks, input_shape, plan)
+    try:
+        func = _COST_FUNCS[method]
+    except KeyError:
+        raise RankError(f"unknown method {method!r}") from None
+    return func(layer, ranks, input_shape)
+
+
 def cost_factorized(layer: LayerDesc, method: str, ranks: tuple,
                     input_shape: tuple = None, plan: tuple = None) -> CostReport:
     """Closed-form cost of ``layer`` factorized by ``method`` at ``ranks``."""
@@ -292,13 +313,7 @@ def cost_factorized(layer: LayerDesc, method: str, ranks: tuple,
                         f"got {len(ranks)}")
     if any(r < 1 for r in ranks):
         raise RankError(f"ranks must be positive, got {ranks}")
-    if method == "t3f":
-        return cost_t3f(layer, ranks, input_shape, plan)
-    try:
-        func = _COST_FUNCS[method]
-    except KeyError:
-        raise RankError(f"unknown method {method!r}") from None
-    return func(layer, ranks, input_shape)
+    return closed_form(layer, method, ranks, input_shape, plan)
 
 
 def method_kind(method: str) -> str:

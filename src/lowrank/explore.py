@@ -9,6 +9,11 @@ counting and nearest-target queries into integer range arithmetic per
 grid cell.  Nothing is materialized unless a caller asks for concrete
 solutions.
 
+The affine coefficients are not written down here: each family
+evaluates the closed forms of ``costs`` once over its outer rank grid,
+with the innermost rank at 0 and at 1, so those closed forms remain the
+only cost formulas.
+
 A census fixes a target reduction of the objective (say 60% fewer
 parameters), finds the closest achievable objective value among valid
 solutions, and reports the solutions achieving exactly that value.
@@ -24,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import (CONV_METHODS, FC_METHODS, CostReport, cost_factorized,
-                    cost_original, default_input_shape)
-from .errors import RankError, ShapeError
+from .costs import (CONV_METHODS, FC_METHODS, CostReport, closed_form,
+                    cost_factorized, cost_original, default_input_shape)
+from .errors import RankError
 from .ir import CONV_KINDS, LayerDesc
 
 DEFAULT_TOL = 0.005
@@ -179,187 +184,76 @@ def method_applies(layer: LayerDesc, method: str) -> bool:
 class _AffineFamily:
     """Costs of one rank family, affine in the innermost rank.
 
-    ``outer`` lists the bounds of every rank but the last; the six
-    coefficient arrays are broadcast over the outer grid so that
-    params = ap + bp * r, flops = af + bf * r, fm = am + bm * r.
+    ``outer_bounds`` lists the bounds of every rank but the last.  The
+    closed forms are evaluated once on the open grid of the outer ranks
+    with the innermost rank at 0 and 1 on a leading axis, so that
+    ``base`` (the costs at rank 0) and ``slope`` (their increase per
+    rank) are CostReports of int64 arrays over the outer grid, and a
+    metric at innermost rank r is ``base + slope * r``.  Every rank
+    enters every metric of every method, so each array spans the whole
+    outer grid and a flat cell index addresses all of them.
+    ``valid_hi`` is the largest innermost rank keeping params and flops
+    strictly below ``original``, per outer cell; zero or less means none.
     """
 
-    def __init__(self, outer_bounds, last_bound, coeffs, plan=None):
-        self.outer_bounds = outer_bounds
-        self.last_bound = last_bound
-        self.ap, self.bp, self.af, self.bf, self.am, self.bm = (
-            np.asarray(c, dtype=np.int64) for c in coeffs)
+    def __init__(self, layer, method, input_shape, plan, original):
+        bounds = rank_bounds(layer, method, plan)
+        self.outer_bounds = bounds[:-1]
+        self.last_bound = bounds[-1][1]
         self.plan = plan
+        inner, *outer = np.ix_(
+            np.arange(2, dtype=np.int64),
+            *(np.arange(lo, hi + 1, dtype=np.int64)
+              for lo, hi in self.outer_bounds))
+        cost = closed_form(layer, method, (*outer, inner), input_shape, plan)
+        values = (cost.params, cost.flops, cost.fm)
+        self.base = CostReport(*(v[0] for v in values))
+        self.slope = CostReport(*(v[1] - v[0] for v in values))
+        hi_p = ((original.params - 1 - self.base.params)
+                // np.maximum(self.slope.params, 1))
+        hi_f = ((original.flops - 1 - self.base.flops)
+                // np.maximum(self.slope.flops, 1))
+        self.valid_hi = np.minimum(np.minimum(hi_p, hi_f), self.last_bound)
 
     def outer_ranks(self, flat_index: int) -> tuple:
-        sizes = [hi for _, hi in self.outer_bounds]
-        if not sizes:
+        if not self.outer_bounds:
             return ()
-        idx = np.unravel_index(flat_index, sizes)
+        idx = np.unravel_index(flat_index, np.shape(self.valid_hi))
         return tuple(int(i) + lo for i, (lo, _) in zip(idx, self.outer_bounds))
 
-    def count_all(self) -> int:
-        total = self.last_bound
-        for lo, hi in self.outer_bounds:
-            total *= hi - lo + 1
-        return total
 
-
-def _grids(bounds):
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in bounds]
-    if not axes:
-        return []
-    return np.meshgrid(*axes, indexing="ij")
-
-
-def _conv_positions(layer: LayerDesc, input_shape):
-    """Output-position count after each stage of the per-axis chain."""
-    if input_shape is None:
-        input_shape = default_input_shape(layer)
-    spatial_in = tuple(input_shape[:-1])
-    if len(spatial_in) != len(layer.kernel) or input_shape[-1] != layer.in_channels:
-        raise ShapeError(f"{layer.name}: input {input_shape} does not match layer")
-    extents = list(spatial_in)
-    positions = [math.prod(extents)]
-    from .ir import conv_out_length
-    for axis in range(len(layer.kernel)):
-        extents[axis] = conv_out_length(extents[axis], layer.kernel[axis],
-                                        layer.stride[axis], layer.padding)
-        positions.append(math.prod(extents))
-    return positions  # input positions, then after axis 0, 1, ...
+def _plans(layer: LayerDesc, method: str) -> list:
+    return t3f_plans(layer) if method == "t3f" else [None]
 
 
 def _families(layer: LayerDesc, method: str, input_shape=None):
-    """Affine families covering the whole space of ``method``."""
+    """Lazily yield the affine families covering the whole space of
+    ``method``: one per t3f plan, one for every other method."""
     if not method_applies(layer, method):
         raise RankError(f"method {method!r} does not apply to {layer.kind}")
-    if method == "tucker2":
-        c, f = layer.in_channels, layer.out_channels
-        window = math.prod(layer.kernel)
-        pos = _conv_positions(layer, input_shape)
-        pos_in, pos_out = pos[0], pos[-1]
-        (r1,) = _grids([(1, c)])
-        coeffs = (c * r1, window * r1 + f,
-                  2 * pos_in * c * r1, 2 * pos_out * (window * r1 + f),
-                  pos_in * r1 + pos_out * f, np.full_like(r1, pos_out))
-        return [_AffineFamily([(1, c)], f, coeffs)]
-    if method == "cp":
-        c, f = layer.in_channels, layer.out_channels
-        pos = _conv_positions(layer, input_shape)
-        r_max = cp_max_rank(layer)
-        bp = c + sum(layer.kernel) + f
-        bf = 2 * (pos[0] * c
-                  + sum(pos[i + 1] * layer.kernel[i]
-                        for i in range(len(layer.kernel)))
-                  + pos[-1] * f)
-        bm = sum(pos[:-1]) + pos[-1]
-        coeffs = (0, bp, 0, bf, pos[-1] * f, bm)
-        return [_AffineFamily([], r_max, coeffs)]
-    if method == "tt":
-        c, f = layer.in_channels, layer.out_channels
-        kernel = layer.kernel
-        dim = len(kernel)
-        pos = _conv_positions(layer, input_shape)
-        bounds = rank_bounds(layer, "tt")
-        grids = _grids(bounds[:-1])
-        r = {i + 1: grids[i] for i in range(dim)}  # r1..rd on the outer grid
-        ap = c * r[1]
-        af = 2 * pos[0] * c * r[1]
-        am = pos[0] * r[1] + pos[-1] * f
-        for i in range(1, dim):
-            ap = ap + kernel[i - 1] * r[i] * r[i + 1]
-            af = af + 2 * pos[i] * kernel[i - 1] * r[i] * r[i + 1]
-            am = am + pos[i] * r[i + 1]
-        bp = kernel[dim - 1] * r[dim] + f
-        bf = 2 * (pos[dim] * kernel[dim - 1] * r[dim] + pos[-1] * f)
-        bm = np.full_like(r[1], pos[dim])
-        return [_AffineFamily(bounds[:-1], bounds[-1][1],
-                              (ap, bp, af, bf, am, bm))]
-    if method in ("svd", "qr"):
-        m, n = layer.in_channels, layer.out_channels
-        bound = min(m, n)
-        coeffs = (0, m + n, 0, 2 * (m + n), n, 1)
-        return [_AffineFamily([], bound, coeffs)]
-    if method == "t3f":
-        families = []
-        for plan in t3f_plans(layer):
-            ms, ns = plan
-            d = len(ms)
-            bounds = rank_bounds(layer, "t3f", plan)
-            if d == 2:
-                m1, m2 = ms
-                n1, n2 = ns
-                coeffs = (0, m1 * n1 + m2 * n2,
-                          0, 2 * m2 * n1 * (m1 + n2),
-                          n1 * n2, m2 * n1)
-                families.append(_AffineFamily([], bounds[0][1], coeffs,
-                                              plan=plan))
-            elif d == 3:
-                m1, m2, m3 = ms
-                n1, n2, n3 = ns
-                (r1,) = _grids(bounds[:1])
-                n_total = n1 * n2 * n3
-                coeffs = (m1 * n1 * r1, m2 * n2 * r1 + m3 * n3,
-                          2 * m1 * m2 * m3 * n1 * r1,
-                          2 * m2 * m3 * n1 * n2 * r1 + 2 * m3 * n_total,
-                          m2 * m3 * n1 * r1 + n_total,
-                          np.full_like(r1, m3 * n1 * n2))
-                families.append(_AffineFamily(bounds[:1], bounds[1][1], coeffs,
-                                              plan=plan))
-            else:
-                raise RankError(f"unsupported plan depth {d}")
-        return families
-    raise RankError(f"unknown method {method!r}")
+    original = cost_original(layer, input_shape or default_input_shape(layer))
+    for plan in _plans(layer, method):
+        yield _AffineFamily(layer, method, input_shape, plan, original)
 
 
-def _objective_coeffs(fam: _AffineFamily, objective: str):
-    if objective == "params":
-        return fam.ap, fam.bp
-    if objective == "flops":
-        return fam.af, fam.bf
-    if objective == "overall_mem":
-        return fam.ap + fam.am, fam.bp + fam.bm
-    raise RankError(f"unknown objective {objective!r}")
-
-
-def _valid_hi(fam: _AffineFamily, original: CostReport):
-    """Largest innermost rank keeping params and flops strictly below
-    the original, per outer cell; negative/zero means none."""
-    hi_p = (original.params - 1 - fam.ap) // np.maximum(fam.bp, 1)
-    hi_f = (original.flops - 1 - fam.af) // np.maximum(fam.bf, 1)
-    return np.minimum(np.minimum(hi_p, hi_f), fam.last_bound)
+def _valid_total(families) -> int:
+    return sum(int(np.maximum(fam.valid_hi, 0).sum()) for fam in families)
 
 
 # -- public counting API ------------------------------------------------------
 
 
 def count_all(layer: LayerDesc, method: str) -> int:
-    """Exploration-space size, computed in closed form."""
-    if method == "tucker2":
-        return layer.in_channels * layer.out_channels
-    if method == "cp":
-        return cp_max_rank(layer)
-    if method == "tt":
-        return math.prod(hi for _, hi in rank_bounds(layer, "tt"))
-    if method in ("svd", "qr"):
-        return min(layer.in_channels, layer.out_channels)
-    if method == "t3f":
-        total = 0
-        for plan in t3f_plans(layer):
-            total += math.prod(hi for _, hi in rank_bounds(layer, "t3f", plan))
-        return total
-    raise RankError(f"unknown method {method!r}")
+    """Exploration-space size: the rank-box volume summed over plans."""
+    return sum(math.prod(hi - lo + 1
+                         for lo, hi in rank_bounds(layer, method, plan))
+               for plan in _plans(layer, method))
 
 
 def count_valid(layer: LayerDesc, method: str, input_shape=None) -> int:
     """Solutions with strictly fewer params and fewer flops than the
     original layer."""
-    original = cost_original(layer, input_shape or default_input_shape(layer))
-    total = 0
-    for fam in _families(layer, method, input_shape):
-        hi = _valid_hi(fam, original)
-        total += int(np.maximum(hi, 0).sum())
-    return total
+    return _valid_total(_families(layer, method, input_shape))
 
 
 def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
@@ -368,19 +262,16 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     Returns ``{"params": (lo, hi), "flops": ..., "overall_mem": ...,
     "valid_count": n}``; raises RankError when nothing is valid.
     """
-    original = cost_original(layer, input_shape or default_input_shape(layer))
     spans = {m: None for m in ("params", "flops", "overall_mem")}
     total = 0
     for fam in _families(layer, method, input_shape):
-        hi = np.atleast_1d(_valid_hi(fam, original))
+        hi = fam.valid_hi
         ok = hi >= 1
         if not np.any(ok):
             continue
         total += int(hi[ok].sum())
         for metric in spans:
-            a, b = _objective_coeffs(fam, metric)
-            a = np.broadcast_to(np.atleast_1d(a), hi.shape)
-            b = np.broadcast_to(np.atleast_1d(b), hi.shape)
+            a, b = fam.base.get(metric), fam.slope.get(metric)
             lo_val = int((a + b)[ok].min())
             hi_val = int((a + b * hi)[ok].max())
             old = spans[metric]
@@ -392,25 +283,14 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     return spans
 
 
-def _at(arr: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Values of a (possibly 0-d) coefficient array at flat cell indices."""
-    raveled = np.ravel(arr)
-    if raveled.size == 1:
-        return np.repeat(raveled, len(flat))
-    return raveled[flat]
-
-
-def _bucket_members(fam: _AffineFamily, objective: str, value: int,
-                    original: CostReport):
+def _bucket_members(fam: _AffineFamily, objective: str, value: int):
     """(flat outer index, innermost rank) pairs achieving ``value``."""
-    a, b = _objective_coeffs(fam, objective)
-    hi = _valid_hi(fam, original)
-    num = value - a
-    b_safe = np.maximum(b, 1)
+    num = value - fam.base.get(objective)
+    b_safe = np.maximum(fam.slope.get(objective), 1)
     r = num // b_safe
-    ok = (num > 0) & (num % b_safe == 0) & (r >= 1) & (r <= hi)
+    ok = (num > 0) & (num % b_safe == 0) & (r >= 1) & (r <= fam.valid_hi)
     flat = np.flatnonzero(ok)
-    return flat, _at(r, flat).astype(np.int64)
+    return flat, np.ravel(r)[flat]
 
 
 def _solution(layer, method, fam, flat_index, last_rank, input_shape):
@@ -431,18 +311,26 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
     tol * original.
     """
     t0 = time.perf_counter()
-    original = cost_original(layer, input_shape or default_input_shape(layer))
-    families = _families(layer, method, input_shape)
-    report = SpaceCensus(method, count_all(layer, method), 0, original)
-    report.valid_count = count_valid(layer, method, input_shape)
+    families = list(_families(layer, method, input_shape))
+    report = _census(layer, method, families, percents, objective, tol,
+                     input_shape)
+    report.generation_time = time.perf_counter() - t0
+    return report
 
+
+def _census(layer, method, families, percents, objective, tol,
+            input_shape) -> SpaceCensus:
+    """``census`` over families already built."""
+    original = cost_original(layer, input_shape or default_input_shape(layer))
+    report = SpaceCensus(method, count_all(layer, method),
+                         _valid_total(families), original)
     orig_value = original.get(objective)
     for percent in percents:
         target = (1.0 - percent / 100.0) * orig_value
         best = None  # (distance, value)
         for fam in families:
-            a, b = _objective_coeffs(fam, objective)
-            hi = _valid_hi(fam, original)
+            a, b = fam.base.get(objective), fam.slope.get(objective)
+            hi = fam.valid_hi
             cell_ok = hi >= 1
             if not np.any(cell_ok):
                 continue
@@ -469,11 +357,12 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
             members_best = None
             fred_lo, fred_hi = np.inf, -np.inf
             for fam in families:
-                flat, ranks = _bucket_members(fam, objective, value, original)
+                flat, ranks = _bucket_members(fam, objective, value)
                 if not len(flat):
                     continue
                 bucket.count += len(flat)
-                flops = _at(fam.af, flat) + _at(fam.bf, flat) * ranks
+                flops = (np.ravel(fam.base.flops)[flat]
+                         + np.ravel(fam.slope.flops)[flat] * ranks)
                 fred_lo = min(fred_lo, float(flops.min()))
                 fred_hi = max(fred_hi, float(flops.max()))
                 pick = int(np.argmin(flops))
@@ -487,7 +376,6 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
                 bucket.flops_reduction_min = 1.0 - fred_hi / original.flops
                 bucket.flops_reduction_max = 1.0 - fred_lo / original.flops
         report.buckets.append(bucket)
-    report.generation_time = time.perf_counter() - t0
     return report
 
 
@@ -495,14 +383,14 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
                        objective: str = "params", tol: float = DEFAULT_TOL,
                        input_shape=None) -> list:
     """Materialize the census bucket at one target reduction."""
-    original = cost_original(layer, input_shape or default_input_shape(layer))
-    result = census(layer, method, [percent], objective, tol, input_shape)
-    bucket = result.buckets[0]
+    families = list(_families(layer, method, input_shape))
+    bucket = _census(layer, method, families, [percent], objective, tol,
+                     input_shape).buckets[0]
     if bucket.value is None:
         return []
     out = []
-    for fam in _families(layer, method, input_shape):
-        flat, ranks = _bucket_members(fam, objective, bucket.value, original)
+    for fam in families:
+        flat, ranks = _bucket_members(fam, objective, bucket.value)
         for i in range(len(flat)):
             out.append(_solution(layer, method, fam, flat[i], ranks[i],
                                  input_shape))
@@ -528,15 +416,11 @@ def constrained_query(layer: LayerDesc, method: str, percent: float,
 def iter_solutions(layer: LayerDesc, method: str, input_shape=None,
                    valid_only: bool = False, limit: int = None):
     """Lazily yield solutions in deterministic rank order."""
-    original = cost_original(layer, input_shape or default_input_shape(layer))
     yielded = 0
     for fam in _families(layer, method, input_shape):
-        sizes = [hi - lo + 1 for lo, hi in fam.outer_bounds]
-        cells = int(np.prod(sizes)) if sizes else 1
-        hi_arr = np.ravel(_valid_hi(fam, original))
-        for flat in range(cells):
-            hi_valid = int(hi_arr[flat]) if hi_arr.size > 1 else int(hi_arr[0])
-            top = hi_valid if valid_only else fam.last_bound
+        hi_arr = np.ravel(fam.valid_hi)
+        for flat in range(hi_arr.size):
+            top = int(hi_arr[flat]) if valid_only else fam.last_bound
             for r in range(1, max(top, 0) + 1):
                 yield _solution(layer, method, fam, flat, r, input_shape)
                 yielded += 1

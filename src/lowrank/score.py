@@ -143,18 +143,16 @@ def qualitative_score(measurements: dict) -> dict:
 
 
 def rank_slot_count(layer: LayerDesc, method: str) -> int:
-    """Independently tunable rank choices the method exposes."""
-    if method == "tucker2":
-        return 2
-    if method in ("cp", "svd", "qr"):
-        return 1
-    if method == "tt":
-        return len(explore.rank_bounds(layer, "tt"))
+    """Independently tunable rank choices the method exposes.
+
+    A t3f layer also counts the choice of shape plan when it has
+    several, on top of the ranks of its deepest plan.
+    """
     if method == "t3f":
         plans = explore.t3f_plans(layer)
         slots = max(len(plan[0]) - 1 for plan in plans)
         return slots + (1 if len(plans) > 1 else 0)
-    raise RankError(f"unknown method {method!r}")
+    return len(explore.rank_bounds(layer, method))
 
 
 def _representative_ranks(layer: LayerDesc, method: str):

@@ -531,8 +531,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     out_w = tmp_path / "dse.lrfw"
     out_a = tmp_path / "dse-audit.json"
     commands = [
-        (["census", "--layer", "3,3,64,64", "--method", "tucker",
-          "--seed", "1"], []),
+        (["census", "--layer", "3,3,64,64", "--method", "tucker"], []),
         (["enumerate", "--layer", "400,120", "--method", "svd",
           "--out", str(out_csv)], [out_csv]),
         (["analyze", "--layer", "18,15"], []),

@@ -50,6 +50,14 @@ class TestParsing:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+        # flags belong only to the subcommands that read them
+        for argv in (["analyze", "--layer", "18,15", "--limit", "5"],
+                     ["breakdown", "--model", "m.json", "--seed", "3"],
+                     ["census", "--layer", "18,15", "--seed", "1"],
+                     ["enumerate", "--layer", "18,15", "--threads", "1"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
 
     def test_bad_values_exit_one(self, capsys):
         code, _, errtext = run_cli(capsys, "census", "--layer", "3,3,256",

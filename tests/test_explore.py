@@ -12,10 +12,10 @@ from lowrank.explore import (census, count_all, count_valid, cp_max_rank,
 from lowrank.ir import LayerDesc
 
 
-def conv(kernel, cin, cout, stride=None, kind=None):
+def conv(kernel, cin, cout, stride=None, kind=None, padding="same"):
     kind = kind or f"conv{len(kernel)}d"
     return LayerDesc(name="L", kind=kind, kernel=kernel, in_channels=cin,
-                     out_channels=cout, stride=stride, padding="same")
+                     out_channels=cout, stride=stride, padding=padding)
 
 
 def fc(m, n):
@@ -72,6 +72,30 @@ CENSUS_COUNTS = {  # bucket sizes at 85 / 60 / 25 percent parameter cuts
 }
 
 
+# small conv geometries for brute-force checks: (layer, input shape)
+SMALL_CONVS = {
+    "conv2d": (conv((3, 3), 4, 6), None),
+    "conv2d-valid-s2": (conv((3, 3), 4, 6, stride=(2, 2), padding="valid"),
+                        (9, 9, 4)),
+    "conv1d": (conv((5,), 6, 10), None),
+    "conv3d": (conv((3, 2, 3), 3, 5), None),
+}
+
+
+def brute_force_valid(layer, method, shape):
+    """Costs of every valid point of the rank box, and the box size."""
+    shape = shape or default_input_shape(layer)
+    orig = cost_original(layer, shape)
+    valid, total = [], 0
+    for ranks in itertools.product(
+            *(range(lo, hi + 1) for lo, hi in rank_bounds(layer, method))):
+        total += 1
+        got = cost_factorized(layer, method, ranks, shape)
+        if got.params < orig.params and got.flops < orig.flops:
+            valid.append(got)
+    return valid, total
+
+
 class TestCounts:
     @pytest.mark.parametrize("method", sorted(ALL_COUNTS))
     def test_all_counts_frozen(self, method):
@@ -83,19 +107,16 @@ class TestCounts:
         for key, expect in VALID_COUNTS[method].items():
             assert count_valid(BENCH[key], method) == expect, key
 
-    def test_brute_force_valid_small_conv(self):
-        layer = conv((3, 3), 4, 6)
-        shape = default_input_shape(layer)
-        orig = cost_original(layer, shape)
-        expect = 0
-        for r1 in range(1, 5):
-            for r2 in range(1, 7):
-                got = cost_factorized(layer, "tucker2", (r1, r2), shape)
-                expect += got.params < orig.params and got.flops < orig.flops
-        assert count_valid(layer, "tucker2") == expect
+    @pytest.mark.parametrize("geometry", sorted(SMALL_CONVS))
+    @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
+    def test_brute_force_valid_small_conv(self, method, geometry):
+        layer, shape = SMALL_CONVS[geometry]
+        valid, total = brute_force_valid(layer, method, shape)
+        assert count_all(layer, method) == total
+        assert count_valid(layer, method, shape) == len(valid)
 
     def test_brute_force_valid_small_t3f(self):
-        layer = fc(12, 10)
+        layer = fc(12, 8)  # depth-2 and depth-3 plans
         shape = (12,)
         orig = cost_original(layer, shape)
         expect = total = 0
@@ -258,21 +279,16 @@ class TestSelectCandidates:
 
 
 class TestValidExtremes:
-    def test_against_brute_force(self):
-        layer = conv((3, 3), 4, 6)
-        shape = default_input_shape(layer)
-        orig = cost_original(layer, shape)
-        metrics = {"params": [], "flops": [], "overall_mem": []}
-        for r1 in range(1, 5):
-            for r2 in range(1, 7):
-                got = cost_factorized(layer, "tucker2", (r1, r2), shape)
-                if got.params < orig.params and got.flops < orig.flops:
-                    for m in metrics:
-                        metrics[m].append(got.get(m))
-        spans = valid_extremes(layer, "tucker2", shape)
-        for m, values in metrics.items():
+    @pytest.mark.parametrize("geometry", sorted(SMALL_CONVS))
+    @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
+    def test_against_brute_force(self, method, geometry):
+        layer, shape = SMALL_CONVS[geometry]
+        valid, _ = brute_force_valid(layer, method, shape)
+        spans = valid_extremes(layer, method, shape)
+        for m in ("params", "flops", "overall_mem"):
+            values = [c.get(m) for c in valid]
             assert spans[m] == (min(values), max(values))
-        assert spans["valid_count"] == len(metrics["params"])
+        assert spans["valid_count"] == len(valid)
 
     def test_raises_when_nothing_valid(self):
         # a 1x1 conv mapping 1->1 channel cannot be beaten by two factors
