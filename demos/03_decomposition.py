@@ -28,10 +28,10 @@ cases = [
     (conv, w_conv, "tucker2", [(2, 4), (6, 12), (12, 24), (16, 32)], None),
     (conv, w_conv, "cp", [(4,), (16,), (64,), (128,)], None),
     (conv, w_conv, "tt", [(2, 4, 4), (6, 18, 12), (12, 36, 24),
-                          (16, 144, 32)], None),
+                          (16, 48, 32)], None),
     (fc, w_fc, "svd", [(2,), (6,), (12,), (36,)], None),
     (fc, w_fc, "qr", [(2,), (6,), (12,), (36,)], None),
-    (fc, w_fc, "t3f", [(2,), (4,), (8,)], t3f_plans(fc)[0]),
+    (fc, w_fc, "t3f", [(2,), (4,)], t3f_plans(fc)[0]),
 ]
 
 for layer, w, method, ladder, plan in cases:

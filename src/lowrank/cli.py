@@ -24,8 +24,9 @@ import sys
 import numpy as np
 
 from . import explore, score as score_mod
-from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, compression_ratio,
-                    cost_original, default_input_shape, model_breakdown)
+from .costs import (CONV_METHODS, FC_METHODS, METHODS, OBJECTIVES,
+                    compression_ratio, cost_original, default_input_shape,
+                    method_applies, model_breakdown)
 from .decompose import decompose_layer
 from .dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                   hybrid_combine, install_solutions, run_dse)
@@ -105,7 +106,7 @@ def _input_shape(args, layer: LayerDesc):
 
 
 def _methods_for(layer: LayerDesc, requested) -> list:
-    applicable = list(FC_METHODS if layer.kind == "fc" else CONV_METHODS)
+    applicable = [m for m in METHODS if method_applies(layer, m)]
     if not requested:
         return applicable
     for m in requested:

@@ -7,15 +7,17 @@ reshape and flatten views contribute nothing.  All three quantities
 are exact integers, which lets enumeration and census code compare
 configurations without floating-point noise.
 
-The closed forms per factorization method are the only cost formulas
-of the package.  ``cost_factorized`` checks its ranks and evaluates
-them; they agree exactly, integer for integer, with summing
-``cost_original`` over the factorized sub-layer chain that
-``decompose.chain_descs`` constructs.  ``closed_form`` evaluates them
-unchecked on integer rank arrays that broadcast, which is how
-``explore`` derives the affine rank families it counts on.  Integer
-factors are multiplied before rank arrays and sums are rebound, so an
-array evaluation costs few array operations and broadcasts freely.
+The rank box of ``rank_bounds`` decides which ranks a method admits
+on a layer.  The closed forms per factorization method are the only
+cost formulas of the package.  ``cost_factorized`` checks its ranks
+against the box and evaluates them; they agree exactly, integer for
+integer, with summing ``cost_original`` over the factorized sub-layer
+chain that ``decompose.chain_descs`` constructs.  ``closed_form``
+evaluates them unchecked on integer rank arrays that broadcast, which
+is how ``explore`` derives the affine rank families it counts on.
+Integer factors are multiplied before rank arrays and sums are
+rebound, so an array evaluation costs few array operations and
+broadcasts freely.
 """
 
 from __future__ import annotations
@@ -142,6 +144,103 @@ def cost_chain(layers: list, input_shape: tuple) -> CostReport:
     return total
 
 
+# -- admissible ranks ---------------------------------------------------------
+
+
+def method_applies(layer: LayerDesc, method: str) -> bool:
+    if method in CONV_METHODS:
+        return layer.kind in CONV_KINDS
+    if method in FC_METHODS:
+        return layer.kind == "fc"
+    raise RankError(f"unknown method {method!r}")
+
+
+def tt_link_bounds(dims: tuple) -> list:
+    """Box bound per internal link of a tensor train over ``dims``."""
+    bounds = []
+    for cut in range(1, len(dims)):
+        left = math.prod(dims[:cut])
+        right = math.prod(dims[cut:])
+        bounds.append(min(left, right))
+    return bounds
+
+
+def cp_max_rank(layer: LayerDesc) -> int:
+    dims = tuple(layer.kernel) + (layer.in_channels, layer.out_channels)
+    return math.prod(dims) // max(dims)
+
+
+def rank_bounds(layer: LayerDesc, method: str, plan: tuple = None) -> list:
+    """Inclusive (1, hi) bound per rank slot of ``method`` on ``layer``.
+
+    This rank box is the admissibility rule of the package: counting,
+    costing and decomposing accept exactly its points.  Raises
+    RankError when the method does not apply to the layer, or when a
+    t3f plan is missing or does not factor the layer.
+    """
+    if not method_applies(layer, method):
+        raise RankError(f"method {method!r} does not apply to "
+                        f"{layer.kind} layers")
+    if method == "tucker2":
+        return [(1, layer.in_channels), (1, layer.out_channels)]
+    if method == "cp":
+        return [(1, cp_max_rank(layer))]
+    if method == "tt":
+        dims = (layer.in_channels,) + tuple(layer.kernel) + (layer.out_channels,)
+        return [(1, b) for b in tt_link_bounds(dims)]
+    if method == "t3f":
+        if plan is None:
+            raise RankError("t3f rank bounds need a plan")
+        ms, ns = plan
+        if (len(ms) != len(ns) or math.prod(ms) != layer.in_channels
+                or math.prod(ns) != layer.out_channels):
+            raise RankError(f"plan {plan} does not factor layer {layer.name}")
+        return [(1, b) for b in tt_link_bounds(
+            tuple(m * n for m, n in zip(ms, ns)))]
+    return [(1, min(layer.in_channels, layer.out_channels))]
+
+
+def check_ranks(layer: LayerDesc, method: str, ranks: tuple,
+                plan: tuple = None) -> tuple:
+    """``ranks`` as ints; RankError unless they are a point of the box."""
+    bounds = rank_bounds(layer, method, plan)
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != len(bounds) or not all(
+            lo <= r <= hi for r, (lo, hi) in zip(ranks, bounds)):
+        raise RankError(f"{method} ranks {ranks} outside the rank box "
+                        f"{bounds} of {layer.name}")
+    return ranks
+
+
+def _ordered_factorizations(value: int, length: int, smallest: int = 2):
+    """Ordered tuples of ``length`` factors >= smallest with given product."""
+    if length == 1:
+        return [(value,)] if value >= smallest else []
+    out = []
+    for head in range(smallest, value // smallest + 1):
+        if value % head == 0:
+            for tail in _ordered_factorizations(value // head, length - 1,
+                                                smallest):
+                out.append((head,) + tail)
+    return out
+
+
+def t3f_plans(layer: LayerDesc, depths: tuple = (2, 3)) -> list:
+    """Shape plans: paired ordered factorizations of both dimensions.
+
+    Each plan splits the input width into d factors and the output
+    width into d factors, every factor at least 2, for d in ``depths``.
+    """
+    plans = []
+    for d in depths:
+        ms_options = _ordered_factorizations(layer.in_channels, d)
+        ns_options = _ordered_factorizations(layer.out_channels, d)
+        for ms in ms_options:
+            for ns in ns_options:
+                plans.append((ms, ns))
+    return plans
+
+
 # -- closed forms per method -----------------------------------------------
 
 
@@ -211,8 +310,6 @@ def cost_tt_conv(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> C
     """Pointwise reduce, one dense single-axis stage per spatial axis,
     pointwise expand; ranks has one entry per internal link."""
     dim = len(layer.kernel)
-    if len(ranks) != dim + 1:
-        raise RankError(f"tt on a {dim}-d conv needs {dim + 1} ranks")
     spatial_in, spatial_out = _conv_geometry(layer, input_shape)
     c, f = layer.in_channels, layer.out_channels
     extents = list(spatial_in)
@@ -245,14 +342,8 @@ def cost_t3f(layer: LayerDesc, ranks: tuple, input_shape: tuple = None,
     N``; ``ranks`` are the d-1 internal link ranks (the outer two are
     fixed to 1).
     """
-    if plan is None:
-        raise RankError("t3f cost requires a factorization plan")
     ms, ns = plan
-    if math.prod(ms) != layer.in_channels or math.prod(ns) != layer.out_channels:
-        raise RankError(f"plan {plan} does not factor layer {layer.name}")
     d = len(ms)
-    if len(ns) != d or len(ranks) != d - 1:
-        raise RankError("plan arity and rank count do not agree")
     full = (1,) + tuple(ranks) + (1,)
     params = flops = fm = 0
     for t in range(1, d + 1):
@@ -273,20 +364,6 @@ _COST_FUNCS = {
 }
 
 
-def _expected_rank_count(layer: LayerDesc, method: str, plan) -> int:
-    if method == "tucker2":
-        return 2
-    if method in ("cp", "svd", "qr"):
-        return 1
-    if method == "tt":
-        return len(layer.kernel) + 1
-    if method == "t3f":
-        if plan is None:
-            raise RankError("t3f costs need a reshape plan")
-        return len(plan[0]) - 1
-    raise RankError(f"unknown method {method!r}")
-
-
 def closed_form(layer: LayerDesc, method: str, ranks: tuple,
                 input_shape: tuple = None, plan: tuple = None) -> CostReport:
     """Closed-form cost of ``method`` at ``ranks``, without rank checks.
@@ -296,33 +373,15 @@ def closed_form(layer: LayerDesc, method: str, ranks: tuple,
     """
     if method == "t3f":
         return cost_t3f(layer, ranks, input_shape, plan)
-    try:
-        func = _COST_FUNCS[method]
-    except KeyError:
-        raise RankError(f"unknown method {method!r}") from None
-    return func(layer, ranks, input_shape)
+    return _COST_FUNCS[method](layer, ranks, input_shape)
 
 
 def cost_factorized(layer: LayerDesc, method: str, ranks: tuple,
                     input_shape: tuple = None, plan: tuple = None) -> CostReport:
-    """Closed-form cost of ``layer`` factorized by ``method`` at ``ranks``."""
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != _expected_rank_count(layer, method, plan):
-        raise RankError(f"{method} expects "
-                        f"{_expected_rank_count(layer, method, plan)} ranks, "
-                        f"got {len(ranks)}")
-    if any(r < 1 for r in ranks):
-        raise RankError(f"ranks must be positive, got {ranks}")
+    """Closed-form cost of ``layer`` factorized by ``method`` at ``ranks``,
+    which must lie in the rank box."""
+    ranks = check_ranks(layer, method, ranks, plan)
     return closed_form(layer, method, ranks, input_shape, plan)
-
-
-def method_kind(method: str) -> str:
-    """Which layer family a method applies to: 'conv' or 'fc'."""
-    if method in CONV_METHODS:
-        return "conv"
-    if method in FC_METHODS:
-        return "fc"
-    raise RankError(f"unknown method {method!r}")
 
 
 # -- whole-model accounting -------------------------------------------------

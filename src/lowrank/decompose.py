@@ -23,7 +23,8 @@ import numpy as np
 from scipy.linalg import khatri_rao
 
 from . import linalg
-from .costs import CostReport, cost_chain, default_input_shape
+from .costs import (CostReport, check_ranks, cost_chain, cp_max_rank,
+                    default_input_shape)
 from .errors import DecompositionError, RankError, ShapeError
 from .ir import CONV_KINDS, LayerDesc
 
@@ -88,8 +89,9 @@ def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
                 plan: tuple = None) -> list:
     """Sub-layer descriptions replacing ``layer`` under ``method``.
 
-    Pure topology: weights are attached by the decomposers.  Sub-layer
-    names extend the source name so they stay unique in a model.
+    Pure topology for ranks that passed ``costs.check_ranks``: weights
+    are attached by the decomposers.  Sub-layer names extend the source
+    name so they stay unique in a model.
     """
     name = layer.name
     if method == "tucker2":
@@ -114,8 +116,6 @@ def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
         return subs
     if method == "tt":
         dim = len(layer.kernel)
-        if len(ranks) != dim + 1:
-            raise RankError(f"tt on a {dim}-d conv needs {dim + 1} ranks")
         subs = [_pointwise(f"{name}.lrf0", layer.kind, layer.in_channels, ranks[0])]
         for axis in range(dim):
             subs.append(LayerDesc(
@@ -134,8 +134,6 @@ def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
                 LayerDesc(name=f"{name}.lrf1", kind="fc",
                           in_channels=r, out_channels=layer.out_channels)]
     if method == "t3f":
-        if plan is None:
-            raise RankError("t3f requires a factorization plan")
         ms, ns = plan
         d = len(ms)
         full = (1,) + tuple(ranks) + (1,)
@@ -159,27 +157,44 @@ def _conv_tensor_modes(layer: LayerDesc):
     return dim, dim + 1  # channel mode, filter mode of the (K.., C, F) tensor
 
 
+def _leading(mat: np.ndarray, rank: int):
+    """Leading ``rank`` singular triplets of ``mat`` as ``(U, S, V)``.
+
+    A rank above what ``mat`` can supply is met by zero columns, which
+    add nothing to any product of the factors, so every rank of the
+    rank box is constructible.
+    """
+    keep = min(rank, min(mat.shape))
+    u, s, v = linalg.svd(mat, keep)
+    if keep < rank:
+        u = np.pad(u, ((0, 0), (0, rank - keep)))
+        s = np.pad(s, (0, rank - keep))
+        v = np.pad(v, ((0, 0), (0, rank - keep)))
+    return u, s, v
+
+
 def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
     """Tucker restricted to the channel and filter modes.
 
     Initializes factors from the truncated SVDs of the two unfoldings,
     then refines them by alternating orthogonal iteration until the
-    fit stops improving.
+    fit stops improving.  A rank above what the other rank times the
+    kernel size can feed gets zero factor columns.
     """
-    r1, r2 = ranks
+    r1, r2 = ranks = check_ranks(layer, "tucker2", ranks)
     w = np.asarray(weight, dtype=np.float64)
     c_mode, f_mode = _conv_tensor_modes(layer)
     norm_w = np.linalg.norm(w)
 
-    a_c, _, _ = linalg.svd(linalg.unfold(w, c_mode), r1)
-    a_f, _, _ = linalg.svd(linalg.unfold(w, f_mode), r2)
+    a_c, _, _ = _leading(linalg.unfold(w, c_mode), r1)
+    a_f, _, _ = _leading(linalg.unfold(w, f_mode), r2)
     last_fit = -np.inf
     core = None
     for _ in range(TUCKER_MAX_ITER):
         partial = linalg.mode_n_product(w, a_f.T, f_mode)
-        a_c, _, _ = linalg.svd(linalg.unfold(partial, c_mode), r1)
+        a_c, _, _ = _leading(linalg.unfold(partial, c_mode), r1)
         partial = linalg.mode_n_product(w, a_c.T, c_mode)
-        a_f, _, _ = linalg.svd(linalg.unfold(partial, f_mode), r2)
+        a_f, _, _ = _leading(linalg.unfold(partial, f_mode), r2)
         core = linalg.mode_n_product(partial, a_f.T, f_mode)
         # Orthonormal factors: residual^2 = |W|^2 - |core|^2.
         gap = max(norm_w**2 - np.linalg.norm(core)**2, 0.0)
@@ -278,15 +293,12 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     best fit stops improving; raises DecompositionError after five
     consecutive meaningful fit regressions.
     """
-    (rank,) = ranks
+    (rank,) = ranks = check_ranks(layer, "cp", ranks)
     w = np.asarray(weight, dtype=np.float64)
-    max_rank = int(np.prod(w.shape)) // max(w.shape)
-    if not 1 <= rank <= max_rank:
-        raise RankError(f"cp rank {rank} outside [1, {max_rank}]")
     norm_w = np.linalg.norm(w)
     rng = np.random.default_rng(seed)
 
-    if rank == max_rank:
+    if rank == cp_max_rank(layer):
         factors = _cp_init_exact(w, rank)
     else:
         factors = _cp_init(w, rank, rng)
@@ -343,8 +355,8 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
 def _tt_svd(tensor: np.ndarray, ranks: tuple):
     """Sequential-SVD tensor train with prescribed internal ranks.
 
-    A requested rank above what the running unfolding can supply is
-    met by zero-padding the core, so any rank vector inside the
+    A requested rank above what the running unfolding can supply gets
+    zero core slices (see ``_leading``), so any rank vector inside the
     per-link box bounds min(prod(left), prod(right)) is constructible
     without changing the reconstruction.
     """
@@ -354,16 +366,8 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple):
     rest = np.asarray(tensor, dtype=np.float64).reshape(shape[0], -1)
     for i in range(len(shape) - 1):
         mat = rest.reshape(full[i] * shape[i], -1)
-        want = full[i + 1]
-        if want < 1:
-            raise RankError(f"tt rank {want} below 1 at link {i}")
-        keep = min(want, min(mat.shape))
-        u, s, v = linalg.svd(mat, keep)
-        if keep < want:
-            u = np.pad(u, ((0, 0), (0, want - keep)))
-            s = np.pad(s, (0, want - keep))
-            v = np.pad(v, ((0, 0), (0, want - keep)))
-        cores.append(u.reshape(full[i], shape[i], want))
+        u, s, v = _leading(mat, full[i + 1])
+        cores.append(u.reshape(full[i], shape[i], full[i + 1]))
         rest = (s[:, None] * v.T)
     cores.append(rest.reshape(full[-2], shape[-1], 1))
     return cores
@@ -371,6 +375,7 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple):
 
 def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
     """Tensor train of the conv tensor in (C, K1..Kd, F) mode order."""
+    ranks = check_ranks(layer, "tt", ranks)
     w = np.asarray(weight, dtype=np.float64)
     dim = len(layer.kernel)
     tensor = np.moveaxis(w, dim, 0)  # (C, K1..Kd, F)
@@ -394,7 +399,7 @@ def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
 
 def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
     """Truncated SVD split symmetrically: A = U sqrt(S), B = sqrt(S) V'."""
-    (rank,) = ranks
+    (rank,) = ranks = check_ranks(layer, "svd", ranks)
     w = np.asarray(weight, dtype=np.float64)
     u, s, v = linalg.svd(w, rank)
     root = np.sqrt(s)
@@ -405,7 +410,7 @@ def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
 
 def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
     """Column-pivoted QR keeping the leading pivots."""
-    (rank,) = ranks
+    (rank,) = ranks = check_ranks(layer, "qr", ranks)
     w = np.asarray(weight, dtype=np.float64)
     q, r = linalg.qr_pivoted(w, rank)
     subs = chain_descs(layer, "qr", ranks)
@@ -421,10 +426,9 @@ def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     (m1 n1, .., md nd), and tensor-trains over those paired modes; the
     cores then reshape to (r_in, m_t, n_t, r_out).
     """
+    ranks = check_ranks(layer, "t3f", ranks, plan)
     ms, ns = plan
     d = len(ms)
-    if len(ranks) != d - 1:
-        raise RankError(f"t3f with {d} cores needs {d - 1} internal ranks")
     w = np.asarray(weight, dtype=np.float64)
     if w.shape != (math.prod(ms), math.prod(ns)):
         raise ShapeError(f"plan {plan} does not factor weight {w.shape}")
@@ -510,34 +514,25 @@ _RECONSTRUCT = {
 
 def decompose_layer(layer: LayerDesc, weight: np.ndarray, method: str,
                     ranks: tuple, plan: tuple = None, seed: int = 0):
-    """Factorize one layer's weight with the named method."""
-    conv = layer.kind in CONV_KINDS
-    if method in ("tucker2", "cp", "tt") and not conv:
-        raise RankError(f"method {method!r} applies to conv layers only")
-    if method in ("svd", "qr", "t3f") and layer.kind != "fc":
-        raise RankError(f"method {method!r} applies to fc layers only")
+    """Factorize one layer's weight with the named method.
+
+    Each decomposer checks its ranks against the rank box of
+    ``costs.rank_bounds``, which also rejects a method that does not
+    apply to the layer.
+    """
     if tuple(weight.shape) != layer.weight_shape():
         raise ShapeError(
             f"{layer.name}: weight {weight.shape} != {layer.weight_shape()}")
     if method == "tucker2":
-        r1, r2 = ranks
-        if not (1 <= r1 <= layer.in_channels and 1 <= r2 <= layer.out_channels):
-            raise RankError(f"tucker2 ranks {ranks} outside bounds")
         return tucker2_decompose(layer, weight, ranks)
     if method == "cp":
         return cp_decompose(layer, weight, ranks, seed=seed)
     if method == "tt":
         return tt_conv_decompose(layer, weight, ranks)
-    if method in ("svd", "qr"):
-        (r,) = ranks
-        bound = min(layer.in_channels, layer.out_channels)
-        if not 1 <= r <= bound:
-            raise RankError(f"{method} rank {r} outside [1, {bound}]")
-        if method == "svd":
-            return svd_decompose(layer, weight, ranks)
+    if method == "svd":
+        return svd_decompose(layer, weight, ranks)
+    if method == "qr":
         return qr_decompose(layer, weight, ranks)
     if method == "t3f":
-        if plan is None:
-            raise RankError("t3f requires a factorization plan")
         return t3f_decompose(layer, weight, ranks, plan)
     raise RankError(f"unknown method {method!r}")

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import (CONV_METHODS, FC_METHODS, CostReport, closed_form,
-                    cost_factorized, cost_original, default_input_shape)
+from .costs import (CostReport, closed_form, cost_factorized, cost_original,
+                    cp_max_rank, default_input_shape, method_applies,
+                    rank_bounds, t3f_plans, tt_link_bounds)
 from .errors import RankError
-from .ir import CONV_KINDS, LayerDesc
+from .ir import LayerDesc
 
 DEFAULT_TOL = 0.005
 
@@ -96,86 +97,13 @@ class SpaceCensus:
 
 
 # -- admissible ranks ---------------------------------------------------------
-
-
-def _conv_dims(layer: LayerDesc) -> tuple:
-    return tuple(layer.kernel) + (layer.in_channels, layer.out_channels)
-
-
-def tt_link_bounds(dims: tuple) -> list:
-    """Box bound per internal link of a tensor train over ``dims``."""
-    bounds = []
-    for cut in range(1, len(dims)):
-        left = math.prod(dims[:cut])
-        right = math.prod(dims[cut:])
-        bounds.append(min(left, right))
-    return bounds
-
-
-def cp_max_rank(layer: LayerDesc) -> int:
-    dims = _conv_dims(layer)
-    return math.prod(dims) // max(dims)
-
-
-def rank_bounds(layer: LayerDesc, method: str, plan: tuple = None) -> list:
-    """Inclusive (1, hi) bound per rank slot of ``method`` on ``layer``."""
-    if method == "tucker2":
-        return [(1, layer.in_channels), (1, layer.out_channels)]
-    if method == "cp":
-        return [(1, cp_max_rank(layer))]
-    if method == "tt":
-        dims = (layer.in_channels,) + tuple(layer.kernel) + (layer.out_channels,)
-        return [(1, b) for b in tt_link_bounds(dims)]
-    if method in ("svd", "qr"):
-        return [(1, min(layer.in_channels, layer.out_channels))]
-    if method == "t3f":
-        if plan is None:
-            raise RankError("t3f rank bounds need a plan")
-        ms, ns = plan
-        dims = tuple(m * n for m, n in zip(ms, ns))
-        return [(1, b) for b in tt_link_bounds(dims)]
-    raise RankError(f"unknown method {method!r}")
+# The rank box (``rank_bounds``, ``t3f_plans`` and their helpers) lives in
+# ``costs``, which checks every costed and decomposed point against it;
+# it is imported here for the explorer and its callers.
 
 
 def min_ranks(layer: LayerDesc, method: str, plan: tuple = None) -> tuple:
     return tuple(1 for _ in rank_bounds(layer, method, plan))
-
-
-def _ordered_factorizations(value: int, length: int, smallest: int = 2):
-    """Ordered tuples of ``length`` factors >= smallest with given product."""
-    if length == 1:
-        return [(value,)] if value >= smallest else []
-    out = []
-    for head in range(smallest, value // smallest + 1):
-        if value % head == 0:
-            for tail in _ordered_factorizations(value // head, length - 1,
-                                                smallest):
-                out.append((head,) + tail)
-    return out
-
-
-def t3f_plans(layer: LayerDesc, depths: tuple = (2, 3)) -> list:
-    """Shape plans: paired ordered factorizations of both dimensions.
-
-    Each plan splits the input width into d factors and the output
-    width into d factors, every factor at least 2, for d in ``depths``.
-    """
-    plans = []
-    for d in depths:
-        ms_options = _ordered_factorizations(layer.in_channels, d)
-        ns_options = _ordered_factorizations(layer.out_channels, d)
-        for ms in ms_options:
-            for ns in ns_options:
-                plans.append((ms, ns))
-    return plans
-
-
-def method_applies(layer: LayerDesc, method: str) -> bool:
-    if method in CONV_METHODS:
-        return layer.kind in CONV_KINDS
-    if method in FC_METHODS:
-        return layer.kind == "fc"
-    raise RankError(f"unknown method {method!r}")
 
 
 # -- affine cost grids --------------------------------------------------------
@@ -223,14 +151,16 @@ class _AffineFamily:
 
 
 def _plans(layer: LayerDesc, method: str) -> list:
+    """The t3f shape plans, or [None]; RankError if ``method`` does
+    not apply to the layer, even when the layer has no t3f plan."""
+    if not method_applies(layer, method):
+        raise RankError(f"method {method!r} does not apply to {layer.kind}")
     return t3f_plans(layer) if method == "t3f" else [None]
 
 
 def _families(layer: LayerDesc, method: str, input_shape=None):
     """Lazily yield the affine families covering the whole space of
     ``method``: one per t3f plan, one for every other method."""
-    if not method_applies(layer, method):
-        raise RankError(f"method {method!r} does not apply to {layer.kind}")
     original = cost_original(layer, input_shape or default_input_shape(layer))
     for plan in _plans(layer, method):
         yield _AffineFamily(layer, method, input_shape, plan, original)
@@ -293,11 +223,9 @@ def _bucket_members(fam: _AffineFamily, objective: str, value: int):
     return flat, np.ravel(r)[flat]
 
 
-def _solution(layer, method, fam, flat_index, last_rank, input_shape):
-    outer = fam.outer_ranks(int(flat_index))
-    ranks = outer + (int(last_rank),)
-    cost = cost_factorized(layer, method, ranks, input_shape, plan=fam.plan)
-    return Solution(method, ranks, cost, plan=fam.plan)
+def _solution(layer, method, plan, ranks, input_shape):
+    cost = cost_factorized(layer, method, ranks, input_shape, plan=plan)
+    return Solution(method, ranks, cost, plan=plan)
 
 
 def census(layer: LayerDesc, method: str, percents, objective: str = "params",
@@ -371,8 +299,9 @@ def _census(layer, method, families, percents, objective, tol,
                     members_best = cand
             if members_best is not None:
                 _, fam, flat_index, last = members_best
-                bucket.best = _solution(layer, method, fam, flat_index, last,
-                                        input_shape)
+                bucket.best = _solution(
+                    layer, method, fam.plan,
+                    fam.outer_ranks(flat_index) + (last,), input_shape)
                 bucket.flops_reduction_min = 1.0 - fred_hi / original.flops
                 bucket.flops_reduction_max = 1.0 - fred_lo / original.flops
         report.buckets.append(bucket)
@@ -392,8 +321,9 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     for fam in families:
         flat, ranks = _bucket_members(fam, objective, bucket.value)
         for i in range(len(flat)):
-            out.append(_solution(layer, method, fam, flat[i], ranks[i],
-                                 input_shape))
+            out.append(_solution(
+                layer, method, fam.plan,
+                fam.outer_ranks(int(flat[i])) + (int(ranks[i]),), input_shape))
     out.sort(key=lambda s: s.key())
     return out
 
@@ -421,8 +351,12 @@ def iter_solutions(layer: LayerDesc, method: str, input_shape=None,
         hi_arr = np.ravel(fam.valid_hi)
         for flat in range(hi_arr.size):
             top = int(hi_arr[flat]) if valid_only else fam.last_bound
-            for r in range(1, max(top, 0) + 1):
-                yield _solution(layer, method, fam, flat, r, input_shape)
+            if top < 1:
+                continue
+            outer = fam.outer_ranks(flat)
+            for r in range(1, top + 1):
+                yield _solution(layer, method, fam.plan, outer + (r,),
+                                input_shape)
                 yielded += 1
                 if limit is not None and yielded >= limit:
                     return

@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from . import explore
-from .costs import (CONV_METHODS, FC_METHODS, cost_original,
-                    default_input_shape)
+from .costs import (METHODS, cost_original, default_input_shape,
+                    method_applies)
 from .decompose import decompose_layer
 from .errors import RankError
 from .ir import LayerDesc
@@ -209,7 +209,7 @@ def method_table(layer: LayerDesc, methods=None, input_shape=None,
                  seed: int = 0, time_decomposition: bool = True) -> dict:
     """Scorecards for every applicable method on one layer."""
     if methods is None:
-        methods = FC_METHODS if layer.kind == "fc" else CONV_METHODS
+        methods = [m for m in METHODS if method_applies(layer, m)]
     out = {}
     for method in methods:
         raw = measure_method(layer, method, input_shape, seed,

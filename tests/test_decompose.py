@@ -1,11 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lowrank.costs import (CONV_METHODS, METHODS, cost_chain, cost_factorized,
+                           rank_bounds, t3f_plans)
 from lowrank.decompose import (_DivergenceGuard, chain_descs, cp_decompose,
                                decompose_layer, qr_decompose, svd_decompose,
                                t3f_decompose, tt_conv_decompose,
                                tucker2_decompose)
 from lowrank.errors import DecompositionError, RankError
+from lowrank.explore import min_ranks
 from lowrank.ir import LayerDesc
 from lowrank.linalg import relative_error, svd
 from lowrank.similarity import forward_factorized, forward_layer
@@ -32,13 +39,35 @@ FULL_RANK = {
     "tt": (CONV, conv_weight, (8, 24, 12)),
     "svd": (FC, fc_weight, (15,)),
     "qr": (FC, fc_weight, (15,)),
-    "t3f": (FC, fc_weight, (18,)),
+    "t3f": (FC, fc_weight, (9,)),
 }
 
 
+T3F_PLAN = ((3, 6), (3, 5))
+
+
 def factorize(method, layer, weight, ranks, seed=0):
-    plan = ((3, 6), (3, 5)) if method == "t3f" else None
+    plan = T3F_PLAN if method == "t3f" else None
     return decompose_layer(layer, weight, method, ranks, plan=plan, seed=seed)
+
+
+def check_point(layer, weight, method, ranks, plan=None):
+    """The chain of one rank point costs what ``cost_factorized`` says
+    and computes what its dense reconstruction computes."""
+    fact = decompose_layer(layer, weight, method, ranks, plan=plan)
+    if layer.kind == "fc":
+        shape = (layer.in_channels,)
+    else:
+        shape = tuple(k + 2 for k in layer.kernel) + (layer.in_channels,)
+    assert cost_chain(fact.sub_layers, shape) == \
+        cost_factorized(layer, method, ranks, shape, plan=plan)
+    x = rng.standard_normal((2,) + shape).astype(np.float32)
+    dense = forward_layer(
+        layer, WeightStore({layer.name: fact.reconstruct()
+                            .astype(np.float32)}), [x])
+    chained = forward_factorized(fact, [x])
+    scale = max(float(np.abs(dense).max()), 1e-12)
+    assert float(np.abs(dense - chained).max()) / scale <= 1e-4, ranks
 
 
 class TestFullRankExactness:
@@ -53,19 +82,8 @@ class TestFullRankExactness:
     def test_forward_equivalence(self, method):
         # the factorized chain must behave like the dense reconstruction
         layer, make, ranks = FULL_RANK[method]
-        weight = make()
-        fact = factorize(method, layer, weight, ranks)
-        if layer.kind == "fc":
-            x = rng.standard_normal((4, layer.in_channels)).astype(np.float32)
-        else:
-            x = rng.standard_normal((4, 6, 6, layer.in_channels)) \
-                .astype(np.float32)
-        dense = forward_layer(
-            layer, WeightStore({layer.name: fact.reconstruct()
-                                .astype(np.float32)}), [x])
-        chained = forward_factorized(fact, [x])
-        scale = max(float(np.abs(dense).max()), 1e-12)
-        assert float(np.abs(dense - chained).max()) / scale <= 1e-4
+        check_point(layer, make(), method, ranks,
+                    T3F_PLAN if method == "t3f" else None)
 
 
 class TestSvdTruncation:
@@ -125,12 +143,6 @@ class TestCp:
                           in_channels=8, out_channels=12)
         fact = cp_decompose(layer, weight, (9,), seed=0)
         assert relative_error(fact.reconstruct(), weight) <= 1e-3
-
-    def test_rank_bounds_enforced(self):
-        with pytest.raises(RankError):
-            cp_decompose(CONV, conv_weight(), (0,))
-        with pytest.raises(RankError):
-            cp_decompose(CONV, conv_weight(), (73,))
 
 
 class TestTt:
@@ -206,12 +218,44 @@ class TestDivergenceGuard:
             guard.update(0.43, "e")  # drop 2
 
 
+# ranks just outside a rank box, built from the box
+OUT_OF_BOX = {
+    "zero": lambda box: (0,) + tuple(hi for _, hi in box[1:]),
+    "above": lambda box: tuple(lo for lo, _ in box[:-1]) + (box[-1][1] + 1,),
+    "count": lambda box: tuple(lo for lo, _ in box) + (1,),
+}
+
+
 class TestDispatcher:
-    def test_method_layer_kind_guard(self):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_method_layer_kind_guard(self, method):
+        own, other, make = ((CONV, FC, fc_weight) if method in CONV_METHODS
+                            else (FC, CONV, conv_weight))
+        plan = T3F_PLAN if method == "t3f" else None
+        ranks = min_ranks(own, method, plan)
         with pytest.raises(RankError):
-            decompose_layer(FC, fc_weight(), "tucker2", (2, 2))
+            cost_factorized(other, method, ranks, plan=plan)
         with pytest.raises(RankError):
-            decompose_layer(CONV, conv_weight(), "svd", (4,))
+            decompose_layer(other, make(), method, ranks, plan=plan)
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_BOX))
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rank_bounds_enforced(self, method, case):
+        layer, make = ((CONV, conv_weight) if method in CONV_METHODS
+                       else (FC, fc_weight))
+        plan = T3F_PLAN if method == "t3f" else None
+        ranks = OUT_OF_BOX[case](rank_bounds(layer, method, plan))
+        with pytest.raises(RankError):
+            cost_factorized(layer, method, ranks, plan=plan)
+        with pytest.raises(RankError):
+            decompose_layer(layer, make(), method, ranks, plan=plan)
+
+    def test_t3f_plan_must_factor_the_layer(self):
+        for plan in (None, ((2, 8), (3, 5)), ((3, 6), (15,))):
+            with pytest.raises(RankError):
+                cost_factorized(FC, "t3f", (2,), plan=plan)
+            with pytest.raises(RankError):
+                decompose_layer(FC, fc_weight(), "t3f", (2,), plan=plan)
 
     def test_weight_shape_guard(self):
         from lowrank.errors import ShapeError
@@ -222,3 +266,64 @@ class TestDispatcher:
         fact = decompose_layer(CONV, conv_weight(), "tucker2", (2, 3))
         names = [d.name for d in fact.sub_layers]
         assert names == ["c.lrf0", "c.lrf1", "c.lrf2"]
+
+
+TINY_CONV = LayerDesc(name="t", kind="conv2d", kernel=(1, 2), in_channels=3,
+                      out_channels=5)
+TINY_FC = LayerDesc(name="u", kind="fc", in_channels=8, out_channels=12)
+
+
+class TestWholeBox:
+    """Every point of every rank box decomposes; its chain costs what
+    ``cost_factorized`` says and computes what ``reconstruct`` gives."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_point_of_a_tiny_box(self, method):
+        layer = TINY_CONV if method in CONV_METHODS else TINY_FC
+        weight = rng.standard_normal(layer.weight_shape())
+        points = 0
+        for plan in t3f_plans(layer) if method == "t3f" else [None]:
+            box = rank_bounds(layer, method, plan)
+            for ranks in itertools.product(
+                    *(range(lo, hi + 1) for lo, hi in box)):
+                check_point(layer, weight, method, ranks, plan)
+                points += 1
+        assert points > 0
+
+    def test_tucker2_ranks_beyond_the_other_times_the_kernel(self):
+        # r1 > r2 * prod(kernel) and r2 > r1 * prod(kernel): the core's
+        # unfoldings cannot hold them, so factor columns are zero-padded
+        layer = LayerDesc(name="p", kind="conv2d", kernel=(1, 1),
+                          in_channels=9, out_channels=7)
+        weight = rng.standard_normal(layer.weight_shape())
+        for ranks in ((9, 1), (1, 7), (9, 4), (3, 7)):
+            check_point(layer, weight, "tucker2", ranks)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_points_of_random_boxes(self, data):
+        method = data.draw(st.sampled_from(METHODS))
+        if method in CONV_METHODS:
+            dim = data.draw(st.integers(1, 3))
+            layer = LayerDesc(
+                name="c", kind=f"conv{dim}d",
+                kernel=tuple(data.draw(st.integers(1, 3)) for _ in range(dim)),
+                in_channels=data.draw(st.integers(1, 6)),
+                out_channels=data.draw(st.integers(1, 6)),
+                stride=tuple(data.draw(st.integers(1, 2)) for _ in range(dim)),
+                padding=data.draw(st.sampled_from(["same", "valid"])))
+            plan = None
+        else:
+            layer = LayerDesc(name="f", kind="fc",
+                              in_channels=data.draw(st.integers(1, 24)),
+                              out_channels=data.draw(st.integers(1, 24)))
+            plan = None
+            if method == "t3f":
+                plans = t3f_plans(layer)
+                if not plans:
+                    return
+                plan = data.draw(st.sampled_from(plans))
+        ranks = tuple(data.draw(st.integers(lo, hi))
+                      for lo, hi in rank_bounds(layer, method, plan))
+        weight = rng.standard_normal(layer.weight_shape())
+        check_point(layer, weight, method, ranks, plan)

@@ -159,6 +159,17 @@ class TestBounds:
         depths = {len(ms) for ms, _ in plans}
         assert depths == {2, 3}
 
+    def test_inapplicable_method_raises(self):
+        conv2d, dense = conv((3, 3), 4, 6), fc(12, 8)
+        for layer, method in ((conv2d, "svd"), (conv2d, "t3f"),
+                              (dense, "tt"), (dense, "tucker2")):
+            with pytest.raises(RankError):
+                rank_bounds(layer, method, ((3, 4), (2, 4)))
+            with pytest.raises(RankError):
+                count_all(layer, method)
+            with pytest.raises(RankError):
+                count_valid(layer, method)
+
     def test_min_ranks(self):
         assert min_ranks(BENCH["L2"], "tucker2") == (1, 1)
         assert min_ranks(BENCH["L2"], "tt") == (1, 1, 1)

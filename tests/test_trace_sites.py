@@ -1,0 +1,48 @@
+"""The benchmark's trace sites still name library functions.
+
+``perfbench/spans.py`` wraps library functions at the module attributes
+where the library looks them up at call time.  A site whose attribute
+is renamed away, or that the library stops calling through, drops out
+of the traced per-layer metrics without any error.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from lowrank import explore
+from lowrank.ir import LayerDesc
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _sites():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(module, attribute) for module, attribute, _ in spans.SITES]
+
+
+@pytest.mark.parametrize("module, attribute", _sites())
+def test_site_resolves_to_a_callable(module, attribute):
+    assert callable(getattr(importlib.import_module(module), attribute, None))
+
+
+def test_explore_costs_every_solution_through_its_site(monkeypatch):
+    calls = []
+    original = explore.cost_factorized
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(explore, "cost_factorized", counted)
+    layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3), in_channels=4,
+                      out_channels=6)
+    assert len(list(explore.iter_solutions(layer, "tt", limit=5))) == 5
+    assert len(calls) == 5
+    # the census costs its best member, then every member of the bucket
+    members = explore.solutions_at_ratio(layer, "tt", 60)
+    assert len(calls) == 5 + 1 + len(members) and members
