@@ -32,6 +32,7 @@ from .dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                   hybrid_combine, install_solutions, run_dse)
 from .errors import ConstraintUnreachableError, LowRankError
 from .ir import CONV_KINDS, LayerDesc, ModelDesc, WeightStore, check_weights
+from .linalg import relative_error
 
 METHOD_ALIASES = {
     "tucker": "tucker2", "tucker-2": "tucker2", "tucker2": "tucker2",
@@ -283,8 +284,7 @@ def cmd_decompose(args) -> int:
     shape = _input_shape(args, layer)
     new_cost = fact.cost(shape)
     original = cost_original(layer, shape)
-    err = float(np.linalg.norm(fact.reconstruct() - weight)
-                / max(np.linalg.norm(weight), 1e-30))
+    err = relative_error(fact.reconstruct(), weight)
     report = {"layer": layer.name, "method": method,
               "ranks": list(fact.ranks),
               "plan": [list(p) for p in plan] if plan else None,

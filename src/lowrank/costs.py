@@ -286,43 +286,36 @@ def cost_tucker2(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> C
         [pos_in, pos_out, pos_out])
 
 
+def _axiswise_conv_cost(layer: LayerDesc, channel_pairs,
+                        input_shape: tuple = None) -> CostReport:
+    """Pointwise reduce, one single-axis stage per spatial axis, pointwise
+    expand; ``channel_pairs`` gives the (c_in, c_out) of each stage."""
+    spatial_in, spatial_out = _conv_geometry(layer, input_shape)
+    # Spatial extents shrink axis by axis as the single-axis stages apply;
+    # the expand stage runs at the output positions.
+    extents = list(spatial_in)
+    positions = [math.prod(extents)]
+    for axis, extent in enumerate(spatial_out):
+        extents[axis] = extent
+        positions.append(math.prod(extents))
+    positions.append(positions[-1])
+    return _stagewise_conv_cost(channel_pairs, (1, *layer.kernel, 1),
+                                positions)
+
+
 def cost_cp(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> CostReport:
     """Pointwise reduce, one depthwise stage per spatial axis, expand."""
     (r,) = ranks
-    spatial_in, spatial_out = _conv_geometry(layer, input_shape)
-    c, f = layer.in_channels, layer.out_channels
-    dim = len(layer.kernel)
-    # Spatial extents shrink axis by axis as the depthwise stages apply.
-    extents = list(spatial_in)
-    positions, kernels, channels = [math.prod(extents)], [1], [(c, r)]
-    for axis in range(dim):
-        extents[axis] = spatial_out[axis]
-        positions.append(math.prod(extents))
-        kernels.append(layer.kernel[axis])
-        channels.append((1, r))
-    positions.append(math.prod(spatial_out))
-    kernels.append(1)
-    channels.append((r, f))
-    return _stagewise_conv_cost(channels, kernels, positions)
+    pairs = [(layer.in_channels, r), *[(1, r)] * len(layer.kernel),
+             (r, layer.out_channels)]
+    return _axiswise_conv_cost(layer, pairs, input_shape)
 
 
 def cost_tt_conv(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> CostReport:
     """Pointwise reduce, one dense single-axis stage per spatial axis,
     pointwise expand; ranks has one entry per internal link."""
-    dim = len(layer.kernel)
-    spatial_in, spatial_out = _conv_geometry(layer, input_shape)
-    c, f = layer.in_channels, layer.out_channels
-    extents = list(spatial_in)
-    positions, kernels, channels = [math.prod(extents)], [1], [(c, ranks[0])]
-    for axis in range(dim):
-        extents[axis] = spatial_out[axis]
-        positions.append(math.prod(extents))
-        kernels.append(layer.kernel[axis])
-        channels.append((ranks[axis], ranks[axis + 1]))
-    positions.append(math.prod(spatial_out))
-    kernels.append(1)
-    channels.append((ranks[dim], f))
-    return _stagewise_conv_cost(channels, kernels, positions)
+    links = (layer.in_channels, *ranks, layer.out_channels)
+    return _axiswise_conv_cost(layer, zip(links, links[1:]), input_shape)
 
 
 def cost_svd(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> CostReport:
@@ -394,15 +387,12 @@ def model_breakdown(model: ModelDesc, input_shape: tuple) -> dict:
     map, using one sample of the given input shape.
     """
     shapes = model.infer_shapes(input_shape)
+    in_shapes = model.input_shapes(input_shape)
     per_layer = {}
     buckets = {"conv": ZERO_COST, "fc": ZERO_COST, "other": ZERO_COST}
     for layer in model.layers:
-        if layer.name == model.input:
-            shape_in = tuple(input_shape)
-        else:
-            preds = model.predecessors(layer.name)
-            shape_in = shapes[preds[0]]
-        cost = cost_original(layer, shape_in, out_shape=shapes[layer.name])
+        cost = cost_original(layer, in_shapes[layer.name],
+                             out_shape=shapes[layer.name])
         per_layer[layer.name] = cost
         if layer.kind in CONV_KINDS or layer.kind == "depthwise_conv":
             buckets["conv"] = buckets["conv"] + cost

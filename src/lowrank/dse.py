@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explore
-from .costs import cost_original
+from .costs import CostReport, cost_original
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
@@ -64,12 +64,20 @@ class DseConfig:
 
 @dataclass
 class LayerSearchState:
+    """A target layer's current solution, that solution's similarity and
+    its cost, set together whenever the solution is chosen.  A reverted
+    layer has no solution, no similarity and its original cost."""
+
     name: str
     solution: FactorizedLayer | None
+    similarity: float | None
+    cost: CostReport
     step: float
     frozen: bool = False
-    exhausted: bool = False
-    similarity: float | None = None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.solution is None
 
 
 @dataclass
@@ -211,13 +219,9 @@ def select_target_layers(model: ModelDesc, input_shape: tuple,
     names = decomposable_layers(model)
     if not names:
         raise GraphError("model has no decomposable layer")
-    shapes = model.infer_shapes(input_shape)
-    sized = []
-    for idx, name in enumerate(names):
-        layer = model.layer(name)
-        preds = model.predecessors(name)
-        shape_in = tuple(input_shape) if name == model.input else shapes[preds[0]]
-        sized.append((cost_original(layer, shape_in).get(objective), idx, name))
+    in_shapes = model.input_shapes(input_shape)
+    sized = [(cost_original(model.layer(name), in_shapes[name]).get(objective),
+              idx, name) for idx, name in enumerate(names)]
     keep = math.ceil(fraction * len(names))
     ranked = sorted(sized, key=lambda t: (-t[0], t[1]))
     chosen = {name for _, _, name in ranked[:keep]}
@@ -280,101 +284,69 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
     bound still is not met.
     """
     input_shape = tuple(dataset[DATASET_INPUTS].shape[1:])
-    shapes = model.infer_shapes(input_shape)
+    in_shapes = model.input_shapes(input_shape)
     targets = select_target_layers(model, input_shape, config.objective,
                                    config.target_fraction)
-
-    def layer_input_shape(name):
-        if name == model.input:
-            return input_shape
-        return shapes[model.predecessors(name)[0]]
-
-    original_costs = {
-        name: cost_original(model.layer(name), layer_input_shape(name))
-        for name in targets}
-
     samples, _ = sample_dataset(dataset, config.sample_count, config.seed)
     capture = capture_feature_maps(model, weights, samples, targets)
     baseline = evaluator(model, weights)
 
-    solutions = init_rank_one(model, weights, targets, conv_method, fc_method,
-                              seed=config.seed)
     states = {}
-    for name in targets:
-        orig_val = original_costs[name].get(config.objective)
-        fact_val = solutions[name].cost(layer_input_shape(name)) \
-            .get(config.objective)
-        step = 100.0 * (1.0 - fact_val / orig_val)
-        states[name] = LayerSearchState(name, solutions[name], step)
+    for name, fact in init_rank_one(model, weights, targets, conv_method,
+                                    fc_method, seed=config.seed).items():
+        cost = fact.cost(in_shapes[name])
+        original = cost_original(model.layer(name), in_shapes[name])
+        step = 100.0 * (1.0 - cost.get(config.objective)
+                        / original.get(config.objective))
+        states[name] = LayerSearchState(
+            name, fact, layer_similarity(fact, capture), cost, step)
 
     audit = []
     best = None  # (accuracy, model, weights)
-    bound = iteration_bound(config.step_size, len(targets))
-    success = False
-    accuracy = 0.0
-    for iteration in range(bound):
-        current = {name: states[name].solution for name in targets}
+    for iteration in range(iteration_bound(config.step_size, len(targets))):
+        current = {name: state.solution for name, state in states.items()}
         built_model, built_weights = install_solutions(model, weights, current)
         accuracy = evaluator(built_model, built_weights)
         if best is None or accuracy > best[0]:
             best = (accuracy, built_model, built_weights)
-
-        active = [n for n in targets
-                  if not states[n].frozen and not states[n].exhausted]
-        for name in active:
-            state = states[name]
-            if state.solution is None:
-                continue
-            state.similarity = layer_similarity(state.solution, capture)
-
         audit.append({
             "iteration": iteration,
             "accuracy": accuracy,
             "layers": {
                 name: {
-                    "step": states[name].step,
-                    "frozen": states[name].frozen,
-                    "exhausted": states[name].exhausted,
-                    "similarity": states[name].similarity,
-                    "method": (states[name].solution.method
-                               if states[name].solution else None),
-                    "ranks": (list(states[name].solution.ranks)
-                              if states[name].solution else None),
-                    "objective_value": (
-                        states[name].solution.cost(layer_input_shape(name))
-                        .get(config.objective)
-                        if states[name].solution
-                        else original_costs[name].get(config.objective)),
-                } for name in targets},
+                    "step": state.step,
+                    "frozen": state.frozen,
+                    "exhausted": state.exhausted,
+                    "similarity": state.similarity,
+                    "method": (state.solution.method
+                               if state.solution else None),
+                    "ranks": (list(state.solution.ranks)
+                              if state.solution else None),
+                    "objective_value": state.cost.get(config.objective),
+                } for name, state in states.items()},
         })
 
         if accuracy >= baseline - config.accuracy_drop_limit:
-            success = True
             break
 
-        for name in active:
-            state = states[name]
-            if state.similarity is not None and \
-                    state.similarity >= _threshold(model, name, config):
-                state.frozen = True
-
         advanced = False
-        for name in targets:
-            state = states[name]
-            if state.frozen or state.exhausted:
+        for name, state in states.items():
+            if state.exhausted or state.frozen:
+                continue
+            if state.similarity >= _threshold(model, name, config):
+                state.frozen = True
                 continue
             state.step -= config.step_size
             advanced = True
-            if state.step <= 0:
-                state.solution = None
-                state.exhausted = True
-                state.similarity = None
-                continue
             layer = model.layer(name)
+            if state.step <= 0:
+                state.solution, state.similarity = None, None
+                state.cost = cost_original(layer, in_shapes[name])
+                continue
             method = method_for_layer(layer, conv_method, fc_method)
             bucket = explore.solutions_at_ratio(
                 layer, method, state.step, config.objective, config.tol,
-                layer_input_shape(name))
+                in_shapes[name])
             candidates = explore.select_candidates(bucket, config.max_sol,
                                                    seed=config.seed)
             if not candidates:
@@ -385,10 +357,10 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
                                        method, cand.ranks, plan=cand.plan,
                                        seed=config.seed)
                 sim = layer_similarity(fact, capture)
-                scored.append((-sim, cand.cost.flops, cand.key(), fact))
-            scored.sort(key=lambda t: t[:3])
-            state.solution = scored[0][3]
-            state.similarity = -scored[0][0]
+                scored.append((-sim, cand.cost.flops, cand.key(), fact,
+                               cand.cost))
+            neg_sim, _, _, fact, cost = min(scored, key=lambda t: t[:3])
+            state.solution, state.similarity, state.cost = fact, -neg_sim, cost
         if not advanced:
             raise ConstraintUnreachableError(
                 f"accuracy {accuracy:.4f} never reached baseline "
@@ -397,19 +369,13 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
     else:
         raise AssertionError("iteration bound exceeded; step bookkeeping broken")
 
-    final_model, final_weights = best[1], best[2]
-    if success:
-        final_model, final_weights = built_model, built_weights
-    layer_costs = {
-        name: (states[name].solution.cost(layer_input_shape(name))
-               if states[name].solution else original_costs[name])
-        for name in targets}
-    return DseResult(model=final_model, weights=final_weights, audit=audit,
+    return DseResult(model=built_model, weights=built_weights, audit=audit,
                      baseline_accuracy=baseline, final_accuracy=accuracy,
-                     success=success,
-                     solutions={n: states[n].solution for n in targets},
+                     success=True,
+                     solutions={n: s.solution for n, s in states.items()},
                      targets=list(targets), original_model=model,
-                     original_weights=weights, layer_costs=layer_costs)
+                     original_weights=weights,
+                     layer_costs={n: s.cost for n, s in states.items()})
 
 
 # -- hybrid combination --------------------------------------------------------

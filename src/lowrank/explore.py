@@ -328,21 +328,6 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     return out
 
 
-def constrained_query(layer: LayerDesc, method: str, percent: float,
-                      objective: str = "params", tol: float = DEFAULT_TOL,
-                      input_shape=None) -> Solution | None:
-    """Bucket member minimizing the complementary metric, if any.
-
-    With a params objective the query minimizes flops and vice versa.
-    """
-    members = solutions_at_ratio(layer, method, percent, objective, tol,
-                                 input_shape)
-    if not members:
-        return None
-    other = "flops" if objective != "flops" else "params"
-    return min(members, key=lambda s: (s.cost.get(other), s.key()))
-
-
 def iter_solutions(layer: LayerDesc, method: str, input_shape=None,
                    valid_only: bool = False, limit: int = None):
     """Lazily yield solutions in deterministic rank order."""

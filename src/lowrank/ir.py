@@ -32,13 +32,6 @@ DECOMPOSABLE_KINDS = CONV_KINDS + ("fc",)
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "softmax")
 POOL_MODES = ("max", "avg")
 
-# JSON-serialized attributes, in the order they are written.
-_LAYER_FIELDS = (
-    "name", "kind", "kernel", "stride", "padding", "in_channels",
-    "out_channels", "groups", "fn", "mode", "shape", "eps",
-    "m", "n", "rank_in", "rank_out", "post_ops",
-)
-
 LRFW_MAGIC = b"LRFW"
 LRFW_VERSION = 1
 
@@ -324,6 +317,15 @@ class ModelDesc:
                 ins = [shapes[p] for p in self.predecessors(layer.name)]
             shapes[layer.name] = layer.out_shape(ins)
         return shapes
+
+    def input_shapes(self, input_shape: tuple) -> dict:
+        """Per-sample shape entering every layer, keyed by name: the
+        model input for the entry layer, else its first predecessor's
+        output."""
+        shapes = self.infer_shapes(input_shape)
+        return {l.name: (tuple(input_shape) if l.name == self.input
+                         else shapes[self.predecessors(l.name)[0]])
+                for l in self.layers}
 
     # -- serialization ------------------------------------------------
 

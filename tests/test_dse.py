@@ -1,8 +1,11 @@
+import itertools
 import sys
 
 import numpy as np
 import pytest
 
+from lowrank import dse
+from lowrank.costs import CONV_METHODS, FC_METHODS, cost_original
 from lowrank.dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                          hybrid_combine, init_rank_one, install_solutions,
                          iteration_bound, run_dse, select_target_layers)
@@ -204,7 +207,8 @@ class TestSearchLoop:
         names = [l.name for l in result.model.layers]
         assert "c1.lrf0" in names and "f1.lrf1" in names
 
-    def test_freeze_then_revert(self):
+    @staticmethod
+    def _freeze_then_revert():
         # c1 is exactly recoverable at rank (1, 1): it must freeze there
         # while c2 and f1 walk their budgets down, run out, and revert.
         model, weights = conv_chain_net(rank_one_first=True)
@@ -215,7 +219,10 @@ class TestSearchLoop:
                            sim_threshold_nonsequential=0.9999)
         evaluator = RevertDetector({"c2": weights["c2"], "f1": weights["f1"]})
         result = run_dse(model, weights, dataset, config, evaluator)
+        return model, weights, config, result
 
+    def test_freeze_then_revert(self):
+        model, weights, config, result = self._freeze_then_revert()
         assert result.success
         assert result.final_accuracy == result.baseline_accuracy == 1.0
         bound = iteration_bound(config.step_size, 3)
@@ -242,6 +249,28 @@ class TestSearchLoop:
             assert np.array_equal(np.asarray(result.weights[name]),
                                   np.asarray(weights[name]))
 
+    def test_each_solution_scored_once(self, monkeypatch):
+        scores = {}  # id -> [solution, calls]; holding it keeps ids unique
+        measure = dse.layer_similarity
+
+        def counting(fact, capture):
+            scores.setdefault(id(fact), [fact, 0])[1] += 1
+            return measure(fact, capture)
+
+        monkeypatch.setattr(dse, "layer_similarity", counting)
+        model, _, _, result = self._freeze_then_revert()
+        assert scores
+        assert all(calls == 1 for _, calls in scores.values())
+
+        shapes = model.input_shapes((6, 6, 3))
+        assert result.solutions["c1"] is not None
+        assert result.solutions["c2"] is result.solutions["f1"] is None
+        for name in result.targets:
+            fact = result.solutions[name]
+            expect = (fact.cost(shapes[name]) if fact is not None else
+                      cost_original(model.layer(name), shapes[name]))
+            assert result.layer_costs[name] == expect
+
     def test_unreachable_when_all_frozen(self):
         layers = [LayerDesc(name="c1", kind="conv2d", kernel=(3, 3),
                             in_channels=3, out_channels=8,
@@ -263,7 +292,9 @@ class TestSearchLoop:
         assert any(l.name == "c1.lrf0" for l in best_model.layers)
         assert "c1.lrf0" in best_weights
 
-    def test_deterministic_audit(self):
+    @pytest.mark.parametrize("conv_method,fc_method",
+                             itertools.product(CONV_METHODS, FC_METHODS))
+    def test_deterministic_audit(self, conv_method, fc_method):
         model, weights = conv_chain_net(rank_one_first=True)
         dataset = make_dataset()
         config = DseConfig(target_fraction=1.0, sample_count=4, seed=9,
@@ -273,7 +304,8 @@ class TestSearchLoop:
         runs = []
         for _ in range(2):
             ev = RevertDetector({"c2": weights["c2"], "f1": weights["f1"]})
-            runs.append(run_dse(model, weights, dataset, config, ev))
+            runs.append(run_dse(model, weights, dataset, config, ev,
+                                conv_method=conv_method, fc_method=fc_method))
         assert runs[0].audit == runs[1].audit
         assert runs[0].weights.to_bytes() == runs[1].weights.to_bytes()
 

@@ -138,6 +138,14 @@ class TestModelDesc:
         model.validate()
         assert model.infer_shapes((6, 6, 3))["s"] == (6, 6, 4)
 
+    def test_input_shapes(self):
+        model, _ = small_conv_net()
+        ins = model.input_shapes([8, 8, 3])
+        assert ins["c1"] == (8, 8, 3)  # the model input, as a tuple
+        assert ins["c2"] == (4, 4, 8)
+        assert ins["f1"] == (192,)
+        assert list(ins) == [l.name for l in model.layers]
+
 
 class TestWeightStore:
     def test_arrays_float32_readonly(self):
