@@ -56,6 +56,13 @@ def _int_tuple(text: str) -> tuple:
             from None
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"negative count: {text!r}")
+    return value
+
+
 def parse_layer_spec(dims: tuple, kind: str | None = None,
                      stride: tuple | None = None,
                      padding: str | None = None) -> LayerDesc:
@@ -170,10 +177,9 @@ def export_solution_space(layer: LayerDesc, methods, out, limit=None,
     original = cost_original(layer, input_shape)
     rows = 0
     for method in methods:
-        for sol in explore.iter_solutions(layer, method, input_shape,
-                                          valid_only=True):
-            if limit is not None and rows >= limit:
-                return rows
+        for sol in explore.iter_solutions(
+                layer, method, input_shape, valid_only=True,
+                limit=None if limit is None else limit - rows):
             cost = sol.cost
             writer.writerow((
                 method, _ranks_text(sol), cost.params, cost.fm,
@@ -461,7 +467,7 @@ def cmd_breakdown(args) -> int:
 _FLAGS = {
     "--seed": dict(type=int, default=0,
                    help="seed for every randomized choice"),
-    "--limit": dict(type=int, default=None, help="cap on exported rows"),
+    "--limit": dict(type=_count, default=None, help="cap on exported rows"),
     "--tol": dict(type=float, default=explore.DEFAULT_TOL,
                   help="relative tolerance for ratio buckets"),
     "--timings": dict(action="store_true",

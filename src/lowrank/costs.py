@@ -15,6 +15,9 @@ integer, with summing ``cost_original`` over the factorized sub-layer
 chain that ``decompose.chain_descs`` constructs.  ``closed_form``
 evaluates them unchecked on integer rank arrays that broadcast, which
 is how ``explore`` derives the affine rank families it counts on.
+The t3f closed form also broadcasts over per-cell plan mode sizes:
+the entries of ``ms`` and ``ns`` may be int64 arrays, one value per
+cell, so one evaluation covers many plans of the same depth.
 Integer factors are multiplied before rank arrays and sums are
 rebound, so an array evaluation costs few array operations and
 broadcasts freely.
@@ -333,7 +336,8 @@ def cost_t3f(layer: LayerDesc, ranks: tuple, input_shape: tuple = None,
 
     ``plan`` is ``(ms, ns)`` with ``prod(ms) == M`` and ``prod(ns) ==
     N``; ``ranks`` are the d-1 internal link ranks (the outer two are
-    fixed to 1).
+    fixed to 1).  Mode sizes may be int64 arrays that broadcast with
+    the ranks.
     """
     ms, ns = plan
     d = len(ms)

@@ -9,10 +9,13 @@ counting and nearest-target queries into integer range arithmetic per
 grid cell.  Nothing is materialized unless a caller asks for concrete
 solutions.
 
-The affine coefficients are not written down here: each family
-evaluates the closed forms of ``costs`` once over its outer rank grid,
-with the innermost rank at 0 and at 1, so those closed forms remain the
-only cost formulas.
+A method's cells form one family; t3f has one family per depth, whose
+flat cells run through all plans of that depth, each cell with its own
+plan and innermost bound, so thousands of plans cost a few array
+operations rather than one family each.  The affine coefficients are
+not written down here: each family evaluates the closed forms of
+``costs`` once over its cells, with the innermost rank at 0 and at 1,
+so those closed forms remain the only cost formulas.
 
 A census fixes a target reduction of the objective (say 60% fewer
 parameters), finds the closest achievable objective value among valid
@@ -23,6 +26,7 @@ target by more than ``tol`` of the original.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -112,27 +116,38 @@ def min_ranks(layer: LayerDesc, method: str, plan: tuple = None) -> tuple:
 class _AffineFamily:
     """Costs of one rank family, affine in the innermost rank.
 
-    ``outer_bounds`` lists the bounds of every rank but the last.  The
-    closed forms are evaluated once on the open grid of the outer ranks
-    with the innermost rank at 0 and 1 on a leading axis, so that
-    ``base`` (the costs at rank 0) and ``slope`` (their increase per
-    rank) are CostReports of int64 arrays over the outer grid, and a
-    metric at innermost rank r is ``base + slope * r``.  Every rank
-    enters every metric of every method, so each array spans the whole
-    outer grid and a flat cell index addresses all of them.
-    ``valid_hi`` is the largest innermost rank keeping params and flops
-    strictly below ``original``, per outer cell; zero or less means none.
+    A cell fixes every rank but the innermost one.  A method without
+    shape plans has one family over the open grid of its outer ranks;
+    t3f has one family per depth whose cells are flat and plan-major
+    (``_plan_cells``), with ``plan_index`` naming each cell's plan in
+    ``plans``.  The closed forms are evaluated once over all cells with
+    the innermost rank at 0 and 1 on a leading axis, so that ``base``
+    (the costs at rank 0) and ``slope`` (their increase per rank) are
+    CostReports of int64 arrays over the cells, and a metric at
+    innermost rank r is ``base + slope * r``.  Every rank and every plan
+    mode size enters every metric, so each array spans all cells and a
+    flat cell index addresses all of them.  ``last_bound`` is each
+    cell's innermost rank bound and ``valid_hi`` the largest innermost
+    rank keeping params and flops strictly below ``original``; zero or
+    less means none.
     """
 
-    def __init__(self, layer, method, input_shape, plan, original):
-        bounds = rank_bounds(layer, method, plan)
-        self.outer_bounds = bounds[:-1]
-        self.last_bound = bounds[-1][1]
-        self.plan = plan
-        inner, *outer = np.ix_(
-            np.arange(2, dtype=np.int64),
-            *(np.arange(lo, hi + 1, dtype=np.int64)
-              for lo, hi in self.outer_bounds))
+    def __init__(self, layer, method, input_shape, original, plans):
+        self.plans = plans
+        if method == "t3f":
+            index, outer, last_bound, plan = _plan_cells(layer, plans)
+            self.shape = index.shape
+        else:
+            *outer_bounds, (_, last_bound) = rank_bounds(layer, method)
+            index, plan = 0, None
+            self.shape = tuple(hi - lo + 1 for lo, hi in outer_bounds)
+            outer = np.ix_(*(np.arange(lo, hi + 1, dtype=np.int64)
+                             for lo, hi in outer_bounds))
+        self.plan_index = np.broadcast_to(index, self.shape)
+        self.outer = [np.broadcast_to(ranks, self.shape) for ranks in outer]
+        self.last_bound = np.broadcast_to(last_bound, self.shape)
+        inner = np.arange(2, dtype=np.int64).reshape(
+            (2,) + (1,) * len(self.shape))
         cost = closed_form(layer, method, (*outer, inner), input_shape, plan)
         values = (cost.params, cost.flops, cost.fm)
         self.base = CostReport(*(v[0] for v in values))
@@ -143,11 +158,34 @@ class _AffineFamily:
                 // np.maximum(self.slope.flops, 1))
         self.valid_hi = np.minimum(np.minimum(hi_p, hi_f), self.last_bound)
 
-    def outer_ranks(self, flat_index: int) -> tuple:
-        if not self.outer_bounds:
-            return ()
-        idx = np.unravel_index(flat_index, np.shape(self.valid_hi))
-        return tuple(int(i) + lo for i, (lo, _) in zip(idx, self.outer_bounds))
+    def cell(self, flat_index: int) -> tuple:
+        """The plan and the outer ranks of one cell."""
+        idx = np.unravel_index(flat_index, self.shape)
+        return (self.plans[int(self.plan_index[idx])],
+                tuple(int(ranks[idx]) for ranks in self.outer))
+
+
+def _plan_cells(layer: LayerDesc, plans: list) -> tuple:
+    """Flat, plan-major cells of t3f ``plans``, all of one depth.
+
+    Returns each cell's index into ``plans``, its outer ranks (one
+    array per rank slot, row-major within the plan's rank box), its
+    innermost rank bound, and the plan as per-cell mode-size arrays
+    for ``closed_form``.
+    """
+    bounds = np.array([[hi for _, hi in rank_bounds(layer, "t3f", plan)]
+                       for plan in plans], dtype=np.int64)
+    sizes = bounds[:, :-1].prod(axis=1)
+    index = np.repeat(np.arange(len(plans)), sizes)
+    local = np.arange(index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    outer = []
+    for radix in bounds[index, :-1].T[::-1]:  # last rank slot varies fastest
+        outer.insert(0, local % radix + 1)
+        local = local // radix
+    modes = np.array([ms + ns for ms, ns in plans], dtype=np.int64)[index].T
+    depth = len(plans[0][0])
+    return (index, outer, bounds[index, -1],
+            (tuple(modes[:depth]), tuple(modes[depth:])))
 
 
 def _plans(layer: LayerDesc, method: str) -> list:
@@ -160,10 +198,12 @@ def _plans(layer: LayerDesc, method: str) -> list:
 
 def _families(layer: LayerDesc, method: str, input_shape=None):
     """Lazily yield the affine families covering the whole space of
-    ``method``: one per t3f plan, one for every other method."""
+    ``method``: one per t3f depth, one for every other method."""
     original = cost_original(layer, input_shape or default_input_shape(layer))
-    for plan in _plans(layer, method):
-        yield _AffineFamily(layer, method, input_shape, plan, original)
+    # t3f_plans lists its plans depth by depth
+    for _, plans in itertools.groupby(_plans(layer, method),
+                                      key=lambda plan: plan and len(plan[0])):
+        yield _AffineFamily(layer, method, input_shape, original, list(plans))
 
 
 def _valid_total(families) -> int:
@@ -250,8 +290,8 @@ def _census(layer, method, families, percents, objective, tol,
             input_shape) -> SpaceCensus:
     """``census`` over families already built."""
     original = cost_original(layer, input_shape or default_input_shape(layer))
-    report = SpaceCensus(method, count_all(layer, method),
-                         _valid_total(families), original)
+    volume = sum(int(fam.last_bound.sum()) for fam in families)
+    report = SpaceCensus(method, volume, _valid_total(families), original)
     orig_value = original.get(objective)
     for percent in percents:
         target = (1.0 - percent / 100.0) * orig_value
@@ -299,9 +339,9 @@ def _census(layer, method, families, percents, objective, tol,
                     members_best = cand
             if members_best is not None:
                 _, fam, flat_index, last = members_best
-                bucket.best = _solution(
-                    layer, method, fam.plan,
-                    fam.outer_ranks(flat_index) + (last,), input_shape)
+                plan, outer = fam.cell(flat_index)
+                bucket.best = _solution(layer, method, plan, outer + (last,),
+                                        input_shape)
                 bucket.flops_reduction_min = 1.0 - fred_hi / original.flops
                 bucket.flops_reduction_max = 1.0 - fred_lo / original.flops
         report.buckets.append(bucket)
@@ -321,30 +361,34 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     for fam in families:
         flat, ranks = _bucket_members(fam, objective, bucket.value)
         for i in range(len(flat)):
-            out.append(_solution(
-                layer, method, fam.plan,
-                fam.outer_ranks(int(flat[i])) + (int(ranks[i]),), input_shape))
+            plan, outer = fam.cell(int(flat[i]))
+            out.append(_solution(layer, method, plan, outer + (int(ranks[i]),),
+                                 input_shape))
     out.sort(key=lambda s: s.key())
     return out
 
 
 def iter_solutions(layer: LayerDesc, method: str, input_shape=None,
                    valid_only: bool = False, limit: int = None):
-    """Lazily yield solutions in deterministic rank order."""
-    yielded = 0
+    """Lazily yield at most ``limit`` solutions (all when None) in
+    deterministic order: plan, then outer ranks, then innermost rank."""
+    if limit is not None and limit < 0:
+        raise RankError(f"limit must be non-negative, got {limit}")
+    return itertools.islice(_solutions(layer, method, input_shape, valid_only),
+                            limit)
+
+
+def _solutions(layer, method, input_shape, valid_only):
+    """Every solution of the space, or of its valid region, lazily."""
     for fam in _families(layer, method, input_shape):
-        hi_arr = np.ravel(fam.valid_hi)
-        for flat in range(hi_arr.size):
-            top = int(hi_arr[flat]) if valid_only else fam.last_bound
+        tops = fam.valid_hi if valid_only else fam.last_bound
+        for flat in range(tops.size):
+            top = int(tops.flat[flat])
             if top < 1:
                 continue
-            outer = fam.outer_ranks(flat)
+            plan, outer = fam.cell(flat)
             for r in range(1, top + 1):
-                yield _solution(layer, method, fam.plan, outer + (r,),
-                                input_shape)
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
+                yield _solution(layer, method, plan, outer + (r,), input_shape)
 
 
 def select_candidates(solutions: list, max_sol: int, seed: int = 0) -> list:

@@ -54,7 +54,8 @@ class TestParsing:
         for argv in (["analyze", "--layer", "18,15", "--limit", "5"],
                      ["breakdown", "--model", "m.json", "--seed", "3"],
                      ["census", "--layer", "18,15", "--seed", "1"],
-                     ["enumerate", "--layer", "18,15", "--threads", "1"]):
+                     ["enumerate", "--layer", "18,15", "--threads", "1"],
+                     ["enumerate", "--layer", "18,15", "--limit", "-1"]):
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2, argv

@@ -1,14 +1,18 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from lowrank import explore
 from lowrank.costs import cost_factorized, cost_original, default_input_shape
 from lowrank.errors import RankError
-from lowrank.explore import (census, count_all, count_valid, cp_max_rank,
-                             iter_solutions, min_ranks, rank_bounds,
-                             select_candidates, solutions_at_ratio, t3f_plans,
-                             tt_link_bounds, valid_extremes)
+from lowrank.explore import (DEFAULT_TOL, census, count_all, count_valid,
+                             cp_max_rank, iter_solutions, min_ranks,
+                             rank_bounds, select_candidates,
+                             solutions_at_ratio, t3f_plans, tt_link_bounds,
+                             valid_extremes)
 from lowrank.ir import LayerDesc
 
 
@@ -71,6 +75,27 @@ CENSUS_COUNTS = {  # bucket sizes at 85 / 60 / 25 percent parameter cuts
     "t3f": {"F1": (34, 3, 0), "F2": (12, 2, 0), "F3": (9, 1, 0)},
 }
 
+# sha256 of the sorted-key JSON of the t3f census report at 25 / 60 / 85
+# percent, without its generation time, per layer and objective
+T3F_CENSUS_PINS = {
+    ("F1", "params"):
+        "8b6fe3f7c25aa9289d489b13c62356c3424096c22b5105ce6fd27fa7edf87f5c",
+    ("F1", "flops"):
+        "32618202d668cf65cc751a258f5783ae54ed33939197bde1472fa6039b9c05c4",
+    ("F2", "params"):
+        "9d828c503a6b617ed8b9eb6f399745b75c9103c23f352f10d3a94d2df12d70ef",
+    ("F2", "flops"):
+        "374698317ead9b7f2c0c7589a77652db876711ed5f3e04c2a0a31f6cedd28441",
+    ("F3", "params"):
+        "b332663f19cc391570180c281be0d4b9de4b8fb3c36345b04d124a6ebc2a6d3a",
+    ("F3", "flops"):
+        "25b7eb9cbb24f9607ab4208031e6f44ecdd54c0024f02e70789cd2a07be5e877",
+}
+
+# small fc layers for brute-force t3f checks: depth-2 and depth-3 plans,
+# depth-2 plans only, and no plan at all (7 is prime)
+SMALL_FCS = {"12x8": fc(12, 8), "4x6": fc(4, 6), "7x5": fc(7, 5)}
+
 
 # small conv geometries for brute-force checks: (layer, input shape)
 SMALL_CONVS = {
@@ -96,6 +121,44 @@ def brute_force_valid(layer, method, shape):
     return valid, total
 
 
+def brute_force_t3f(layer):
+    """(plan, ranks, cost, valid) for every point of every plan's rank
+    box, in plan order, then rank order."""
+    shape = default_input_shape(layer)
+    orig = cost_original(layer, shape)
+    points = []
+    for plan in t3f_plans(layer):
+        for ranks in itertools.product(
+                *(range(lo, hi + 1)
+                  for lo, hi in rank_bounds(layer, "t3f", plan))):
+            got = cost_factorized(layer, "t3f", ranks, shape, plan=plan)
+            points.append((plan, ranks, got, got.params < orig.params
+                           and got.flops < orig.flops))
+    return points
+
+
+def brute_force_bucket(layer, points, percent, objective, tol):
+    """Census bucket by definition: the valid value nearest the target
+    (ties toward the smaller), its members, and the first member in
+    enumeration order with the fewest flops."""
+    original = cost_original(layer, default_input_shape(layer))
+    orig_value = original.get(objective)
+    target = (1.0 - percent / 100.0) * orig_value
+    valid = [(plan, ranks, cost) for plan, ranks, cost, ok in points if ok]
+    if not valid:
+        return None, 0, None, None
+    dist, value = min((abs(c.get(objective) - target), c.get(objective))
+                      for _, _, c in valid)
+    if dist > tol * orig_value:
+        return None, 0, None, None
+    members = [m for m in valid if m[2].get(objective) == value]
+    flops = [c.flops for _, _, c in members]
+    best = members[flops.index(min(flops))]
+    span = (1.0 - max(flops) / original.flops,
+            1.0 - min(flops) / original.flops)
+    return value, len(members), best, span
+
+
 class TestCounts:
     @pytest.mark.parametrize("method", sorted(ALL_COUNTS))
     def test_all_counts_frozen(self, method):
@@ -116,20 +179,23 @@ class TestCounts:
         assert count_valid(layer, method, shape) == len(valid)
 
     def test_brute_force_valid_small_t3f(self):
-        layer = fc(12, 8)  # depth-2 and depth-3 plans
-        shape = (12,)
-        orig = cost_original(layer, shape)
-        expect = total = 0
-        for plan in t3f_plans(layer):
-            for ranks in itertools.product(
-                    *(range(1, hi + 1)
-                      for _, hi in rank_bounds(layer, "t3f", plan))):
-                total += 1
-                got = cost_factorized(layer, "t3f", ranks, shape, plan=plan)
-                expect += (got.params < orig.params
-                           and got.flops < orig.flops)
-        assert count_all(layer, "t3f") == total
-        assert count_valid(layer, "t3f") == expect
+        for name, layer in SMALL_FCS.items():
+            points = brute_force_t3f(layer)
+            assert count_all(layer, "t3f") == len(points), name
+            assert count_valid(layer, "t3f") == sum(
+                ok for *_, ok in points), name
+
+    def test_t3f_layer_without_plans(self):
+        layer = SMALL_FCS["7x5"]
+        assert count_all(layer, "t3f") == count_valid(layer, "t3f") == 0
+        result = census(layer, "t3f", (25, 60, 85))
+        assert (result.all_count, result.valid_count) == (0, 0)
+        assert all(b.value is None and b.count == 0 and b.best is None
+                   for b in result.buckets)
+        assert solutions_at_ratio(layer, "t3f", 60) == []
+        assert list(iter_solutions(layer, "t3f")) == []
+        with pytest.raises(RankError):
+            valid_extremes(layer, "t3f")
 
 
 class TestBounds:
@@ -221,6 +287,48 @@ class TestCensus:
             if bucket.count:
                 assert bucket.best.cost.get(objective) == bucket.value
 
+    @pytest.mark.parametrize("key", ["F1", "F2", "F3"])
+    @pytest.mark.parametrize("objective", ["params", "flops"])
+    def test_t3f_reports_pinned(self, key, objective):
+        report = census(BENCH[key], "t3f", (25, 60, 85),
+                        objective=objective).to_dict()
+        del report["generation_time"]
+        digest = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == T3F_CENSUS_PINS[key, objective]
+
+    @pytest.mark.parametrize("name", sorted(SMALL_FCS))
+    @pytest.mark.parametrize("objective", ["params", "flops", "overall_mem"])
+    def test_t3f_against_brute_force(self, name, objective):
+        layer = SMALL_FCS[name]
+        points = brute_force_t3f(layer)
+        percents = tuple(range(0, 100, 5))
+        for tol in (DEFAULT_TOL, 0.05):
+            result = census(layer, "t3f", percents, objective=objective,
+                            tol=tol)
+            assert result.all_count == len(points)
+            assert result.valid_count == sum(ok for *_, ok in points)
+            for percent, bucket in zip(percents, result.buckets):
+                value, count, best, span = brute_force_bucket(
+                    layer, points, percent, objective, tol)
+                assert (bucket.value, bucket.count) == (value, count), percent
+                if best is None:
+                    assert bucket.best is None
+                    continue
+                assert (bucket.best.plan, bucket.best.ranks,
+                        bucket.best.cost) == best
+                assert (bucket.flops_reduction_min,
+                        bucket.flops_reduction_max) == span
+
+    def test_t3f_best_breaks_ties_in_plan_order(self):
+        # three members share the fewest flops: two depth-2 plans and a
+        # depth-3 one; the first plan in enumeration order wins
+        layer = fc(12, 8)
+        bucket = census(layer, "t3f", (25,), objective="flops").buckets[0]
+        assert bucket.count == 3
+        assert (bucket.best.plan, bucket.best.ranks) == (((2, 6), (2, 4)),
+                                                         (1,))
+
     def test_tight_tolerance_empties_buckets(self):
         wide = census(BENCH["L2"], "tucker2", (60,), tol=0.005)
         narrow = census(BENCH["L2"], "tucker2", (60,), tol=1e-9)
@@ -251,6 +359,37 @@ class TestIterSolutions:
         layer = conv((3, 3), 8, 8)
         sols = list(iter_solutions(layer, "tt", limit=10))
         assert len(sols) == 10
+
+    def test_zero_limit_yields_nothing(self):
+        layer = conv((3, 3), 8, 8)
+        assert list(iter_solutions(layer, "tt", limit=0)) == []
+        assert list(iter_solutions(fc(12, 8), "t3f", limit=0)) == []
+
+    def test_negative_limit_raises(self):
+        with pytest.raises(RankError):
+            iter_solutions(conv((3, 3), 8, 8), "tt", limit=-1)
+
+    def test_limit_builds_only_the_depths_it_reaches(self, monkeypatch):
+        built = []
+        family = explore._AffineFamily
+
+        def counted(*args):
+            built.append(len(args[-1][0][0]))
+            return family(*args)
+
+        monkeypatch.setattr(explore, "_AffineFamily", counted)
+        assert len(list(iter_solutions(fc(400, 120), "t3f", limit=5))) == 5
+        assert built == [2]
+
+    @pytest.mark.parametrize("name", sorted(SMALL_FCS))
+    def test_t3f_order_matches_brute_force(self, name):
+        layer = SMALL_FCS[name]
+        points = brute_force_t3f(layer)
+        got = [(s.plan, s.ranks, s.cost) for s in iter_solutions(layer, "t3f")]
+        assert got == [(plan, ranks, cost) for plan, ranks, cost, _ in points]
+        got = [(s.plan, s.ranks)
+               for s in iter_solutions(layer, "t3f", valid_only=True)]
+        assert got == [(plan, ranks) for plan, ranks, _, ok in points if ok]
 
     def test_deterministic_order(self):
         layer = conv((3, 3), 6, 6)
@@ -296,6 +435,20 @@ class TestValidExtremes:
         layer, shape = SMALL_CONVS[geometry]
         valid, _ = brute_force_valid(layer, method, shape)
         spans = valid_extremes(layer, method, shape)
+        for m in ("params", "flops", "overall_mem"):
+            values = [c.get(m) for c in valid]
+            assert spans[m] == (min(values), max(values))
+        assert spans["valid_count"] == len(valid)
+
+    @pytest.mark.parametrize("name", sorted(SMALL_FCS))
+    def test_t3f_against_brute_force(self, name):
+        layer = SMALL_FCS[name]
+        valid = [cost for *_, cost, ok in brute_force_t3f(layer) if ok]
+        if not valid:
+            with pytest.raises(RankError):
+                valid_extremes(layer, "t3f")
+            return
+        spans = valid_extremes(layer, "t3f")
         for m in ("params", "flops", "overall_mem"):
             values = [c.get(m) for c in valid]
             assert spans[m] == (min(values), max(values))

@@ -39,10 +39,13 @@ def test_explore_costs_every_solution_through_its_site(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(explore, "cost_factorized", counted)
-    layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3), in_channels=4,
-                      out_channels=6)
-    assert len(list(explore.iter_solutions(layer, "tt", limit=5))) == 5
-    assert len(calls) == 5
-    # the census costs its best member, then every member of the bucket
-    members = explore.solutions_at_ratio(layer, "tt", 60)
-    assert len(calls) == 5 + 1 + len(members) and members
+    conv = LayerDesc(name="c", kind="conv2d", kernel=(3, 3), in_channels=4,
+                     out_channels=6)
+    fc = LayerDesc(name="f", kind="fc", in_channels=400, out_channels=120)
+    for layer, method in ((conv, "tt"), (fc, "t3f")):
+        calls.clear()
+        assert len(list(explore.iter_solutions(layer, method, limit=5))) == 5
+        assert calls == [method] * 5
+        # the census costs its best member, then every member of the bucket
+        members = explore.solutions_at_ratio(layer, method, 60)
+        assert calls == [method] * (5 + 1 + len(members)) and members
