@@ -1,10 +1,32 @@
-"""Minimal forward execution and feature-map cosine scoring.
+"""Forward execution and feature-map cosine scoring.
 
 Runs original and factorized layers on sample batches so the search
 loop can measure how much a candidate factorization perturbs each
-layer's output.  Correctness, not speed, is the contract: every kind
-has a straightforward vectorized implementation that the test suite
-checks against naive loop nests.
+layer's output.  Every candidate and every search iteration runs here,
+so each layer kind has a fast kernel, and ``tests/test_similarity.py``
+checks each one against a reference:
+
+* convolution (one group): im2col, then one matrix product.  A unit
+  kernel's columns are a strided slice of the input; a kernel with one
+  non-unit axis (the 3x1 / 1x3 stages of TT chains) gathers them with
+  one strided copy per offset; a dense kernel copies the sliding-window
+  view.  The columns keep the (C, K..) order of ``np.tensordot`` over
+  the window view, so the output bytes equal that formula's
+  (``TestKernelBytes``); a loop nest checks the semantics
+  (``TestConvOracle``).
+* max pooling: a running ``np.maximum`` over the shifted strided views,
+  exact because max ignores order (``TestKernelBytes``).
+* grouped and depthwise convolution, average pooling: reductions over
+  the window view (``TestConvOracle``, ``TestPoolOracle``).
+* ``tt_core``: one ``np.tensordot`` over the (m, rank_in) modes, checked
+  against a float64 loop nest (``TestTtCoreOracle``).
+* fc: one matrix product.
+
+Weighted kinds check the weight array against ``weight_shape()``, so a
+mis-shaped weight raises ``ShapeError`` instead of yielding a wrong
+product.  ``forward_layer`` is the only dispatch point: the model,
+factorized-chain, capture and similarity passes all call it through
+this module's attribute (``tests/test_trace_sites.py``).
 
 Similarity of a factorized layer is the batch mean of the cosine
 between its flattened output and the original layer's output, both
@@ -15,6 +37,8 @@ actually sees.
 
 from __future__ import annotations
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -44,31 +68,75 @@ def _pad_input(x: np.ndarray, kernel, stride, padding, fill=0.0):
     return np.pad(x, pads, constant_values=fill)
 
 
+def _out_lengths(x: np.ndarray, kernel, stride) -> tuple:
+    """Output extent per spatial axis of a window sweep over padded ``x``."""
+    lengths = []
+    for i, k in enumerate(kernel):
+        if x.shape[1 + i] < k:
+            raise ShapeError(f"window {k} larger than input "
+                             f"extent {x.shape[1 + i]}")
+        lengths.append((x.shape[1 + i] - k) // stride[i] + 1)
+    return tuple(lengths)
+
+
 def _windows(x: np.ndarray, kernel, stride):
     """Sliding windows over the spatial axes, stride applied.
 
     Input (B, X1..Xd, C) gives (B, X1'..Xd', C, K1..Kd).
     """
-    dim = len(kernel)
-    axes = tuple(range(1, 1 + dim))
-    for i in range(dim):
-        if x.shape[1 + i] < kernel[i]:
-            raise ShapeError(f"window {kernel[i]} larger than input "
-                             f"extent {x.shape[1 + i]}")
+    _out_lengths(x, kernel, stride)
+    axes = tuple(range(1, 1 + len(kernel)))
     view = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=axes)
     slicer = (slice(None),) + tuple(slice(None, None, s) for s in stride)
     return view[slicer]
 
 
+def _shifted(x: np.ndarray, kernel, stride):
+    """One strided (B, X1'..Xd', C) view per kernel offset, offsets in C order.
+
+    View k is ``_windows(x, kernel, stride)[..., *offset_k]`` without
+    building the window view.
+    """
+    lengths = _out_lengths(x, kernel, stride)
+    for offset in itertools.product(*(range(k) for k in kernel)):
+        yield x[(slice(None),) + tuple(
+            slice(o, o + (n - 1) * s + 1, s)
+            for o, n, s in zip(offset, lengths, stride))]
+
+
+def _columns(x: np.ndarray, kernel, stride) -> np.ndarray:
+    """im2col: a (B*X1'..Xd', C*K1..Kd) matrix, columns in (C, K..) order.
+
+    That is the matrix ``np.tensordot`` builds from the window view, so
+    a product with it gives the same bytes.  A kernel with at most one
+    non-unit axis is gathered with one strided copy per offset (none
+    for a unit kernel at stride 1); a dense kernel copies the window
+    view, which is faster there.
+    """
+    c = x.shape[-1]
+    if sum(k > 1 for k in kernel) > 1:
+        return _windows(x, kernel, stride).reshape(-1, c * math.prod(kernel))
+    views = list(_shifted(x, kernel, stride))
+    if len(views) == 1:
+        return views[0].reshape(-1, c)
+    cols = np.empty(views[0].shape + (len(views),), dtype=x.dtype)
+    for k, view in enumerate(views):
+        cols[..., k] = view
+    return cols.reshape(-1, c * len(views))
+
+
 def _conv_nd(x, w, kernel, stride, padding, groups=1):
     dim = len(kernel)
     x = _pad_input(x, kernel, stride, padding)
+    if groups == 1:
+        filters = w.shape[-1]
+        w_mat = np.moveaxis(w, dim, 0).reshape(-1, filters)  # (C*K.., F)
+        out = np.dot(_columns(x, kernel, stride), w_mat)
+        return out.reshape(x.shape[:1] + _out_lengths(x, kernel, stride)
+                           + (filters,))
     win = _windows(x, kernel, stride)  # (B, sp.., C, K..)
     c_axis = 1 + dim
     k_axes = list(range(c_axis + 1, c_axis + 1 + dim))
-    if groups == 1:
-        return np.tensordot(win, w, axes=([c_axis] + k_axes,
-                                          [dim] + list(range(dim))))
     c_per = x.shape[-1] // groups
     f_per = w.shape[-1] // groups
     head = (slice(None),) * c_axis
@@ -92,13 +160,17 @@ def _depthwise_nd(x, w, kernel, stride, padding):
 
 def _pool_nd(x, layer: LayerDesc):
     kernel, stride, padding = layer.kernel, layer.stride, layer.padding
+    if layer.mode == "max":
+        # a running maximum over the shifted views; max ignores order
+        views = _shifted(_pad_input(x, kernel, stride, padding, fill=-np.inf),
+                         kernel, stride)
+        out = next(views).copy()
+        for view in views:
+            np.maximum(out, view, out=out)
+        return out
+    # Average over the window, excluding any padding.
     dim = len(kernel)
     k_axes = tuple(range(1 + dim + 1, 1 + dim + 1 + dim))
-    if layer.mode == "max":
-        fill = -np.inf
-        x = _pad_input(x, kernel, stride, padding, fill=fill)
-        return _windows(x, kernel, stride).max(axis=k_axes)
-    # Average over the window, excluding any padding.
     x_pad = _pad_input(x, kernel, stride, padding, fill=0.0)
     total = _windows(x_pad, kernel, stride).sum(axis=k_axes)
     ones = np.ones(x.shape[1:-1] + (1,), dtype=x.dtype)[None]
@@ -121,6 +193,14 @@ def _activation(x, fn):
     raise ShapeError(f"unknown activation {fn!r}")
 
 
+def _weight(layer: LayerDesc, weights) -> np.ndarray:
+    w = np.asarray(weights[layer.name])
+    if w.shape != layer.weight_shape():
+        raise ShapeError(f"{layer.name}: weight {w.shape} does not match "
+                         f"{layer.weight_shape()}")
+    return w
+
+
 def forward_layer(layer: LayerDesc, weights, inputs):
     """Run one layer on a batch.
 
@@ -138,17 +218,17 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     if k in CONV_KINDS:
         if x.ndim != len(layer.kernel) + 2 or x.shape[-1] != layer.in_channels:
             raise ShapeError(f"{layer.name}: input {x.shape} does not match")
-        return _conv_nd(x, np.asarray(weights[layer.name]), layer.kernel,
+        return _conv_nd(x, _weight(layer, weights), layer.kernel,
                         layer.stride, layer.padding, layer.groups)
     if k == "depthwise_conv":
         if x.ndim != len(layer.kernel) + 2 or x.shape[-1] != layer.in_channels:
             raise ShapeError(f"{layer.name}: input {x.shape} does not match")
-        return _depthwise_nd(x, np.asarray(weights[layer.name]), layer.kernel,
+        return _depthwise_nd(x, _weight(layer, weights), layer.kernel,
                              layer.stride, layer.padding)
     if k == "fc":
         if x.ndim != 2 or x.shape[1] != layer.in_channels:
             raise ShapeError(f"{layer.name}: input {x.shape} does not match")
-        return x @ np.asarray(weights[layer.name])
+        return x @ _weight(layer, weights)
     if k == "activation":
         return _activation(x, layer.fn)
     if k == "pool":
@@ -164,12 +244,12 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     if k == "flatten":
         return x.reshape(x.shape[0], -1)
     if k == "tt_core":
-        w = np.asarray(weights[layer.name])
+        w = _weight(layer, weights)
         batch, q, r_in = x.shape
         if r_in != layer.rank_in or q % layer.m:
             raise ShapeError(f"{layer.name}: input {x.shape} does not match core")
         xv = x.reshape(batch, layer.m, q // layer.m, r_in)
-        out = np.einsum("bmqr,rmns->bqns", xv, w)
+        out = np.tensordot(xv, w, axes=([1, 3], [1, 0]))  # (b, q, n, s)
         return out.reshape(batch, q // layer.m * layer.n, layer.rank_out)
     if k == "add":
         out = xs[0]

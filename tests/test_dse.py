@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -16,6 +18,33 @@ from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc,
 from lowrank.similarity import forward_model
 
 rng = np.random.default_rng(11)
+
+# sha256 of each pair's audit without its similarities, followed by its
+# weight archive bytes (TestSearchLoop.test_deterministic_audit). They were
+# recorded with the sliding-window forward kernels: a faster kernel may move
+# similarity digits (the t3f ones moved by < 1e-16) but no search decision
+# or weight.  The weights come from LAPACK, so the pins belong to one
+# numpy/BLAS build.
+AUDIT_PINS = {
+    ("cp", "qr"):
+        "05dd511e0d9174693d48f3a2b75c8210e02ba8749bf3b42d3e7ca263f5d48886",
+    ("cp", "svd"):
+        "9adad2afe8e660756c6272b15bbc107c91a1a8a8517b26b3f5c69e1006e9d3c2",
+    ("cp", "t3f"):
+        "7eae5310cc3122efdcae28ed8d5b9731a7d41f6ed6d080b103e032dadb4ed4f7",
+    ("tt", "qr"):
+        "900e2de7d4363a1dc491b4c254c638c53f969c24c5e7b7a080ef153feaf22810",
+    ("tt", "svd"):
+        "082511c1ef9033ae3f04b6ecfb12a01c04d0431a1d4f13904be17b105a07916e",
+    ("tt", "t3f"):
+        "92afe11fc62e9e8b646615d1ba8010f54783e0f7552631508ec11f5b8b0165fa",
+    ("tucker2", "qr"):
+        "636325bfc0ec8efcae9255f0bc62884d1dfccc3a587df76b6f6149d873091eb5",
+    ("tucker2", "svd"):
+        "b54cde3cd20781d91c66c0a02f0086714e92bfee7feb190dab0368de2e30c3a7",
+    ("tucker2", "t3f"):
+        "7326487989575daa1d999227f649ac3ecbfd38a3ba062abcec24bac4e7c6c800",
+}
 
 
 def conv_chain_net(rank_one_first=True, seed=3):
@@ -308,6 +337,13 @@ class TestSearchLoop:
                                 conv_method=conv_method, fc_method=fc_method))
         assert runs[0].audit == runs[1].audit
         assert runs[0].weights.to_bytes() == runs[1].weights.to_bytes()
+        decisions = [{**entry, "layers": {
+            name: {k: v for k, v in layer.items() if k != "similarity"}
+            for name, layer in entry["layers"].items()}}
+            for entry in runs[0].audit]
+        text = json.dumps(decisions, sort_keys=True).encode()
+        assert hashlib.sha256(text + runs[0].weights.to_bytes()).hexdigest() \
+            == AUDIT_PINS[conv_method, fc_method]
 
 
 class TestHybrid:

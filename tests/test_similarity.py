@@ -8,8 +8,8 @@ from lowrank.decompose import decompose_layer
 from lowrank.errors import ShapeError
 from lowrank.ir import DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc, \
     WeightStore
-from lowrank.similarity import (capture_feature_maps, cosine,
-                                forward_factorized, forward_layer,
+from lowrank.similarity import (_pad_input, _windows, capture_feature_maps,
+                                cosine, forward_factorized, forward_layer,
                                 forward_model, layer_similarity,
                                 sample_dataset)
 
@@ -61,6 +61,38 @@ def naive_pool2d(x, k, s, mode):
                   j * s[1]: j * s[1] + k[1], ci]
         out[bi, i, j, ci] = patch.max() if mode == "max" else patch.mean()
     return out
+
+
+def naive_tt_core(x, w):
+    """Float64 loop over (b, m, q, n, r, s) of one TT-matrix core."""
+    batch, rows, _ = x.shape
+    r_in, m, n, r_out = w.shape
+    q = rows // m
+    out = np.zeros((batch, q, n, r_out))
+    for b, mi, qi, ni, r, s in itertools.product(
+            range(batch), range(m), range(q), range(n), range(r_in),
+            range(r_out)):
+        out[b, qi, ni, s] += (float(x[b, mi * q + qi, r])
+                              * float(w[r, mi, ni, s]))
+    return out.reshape(batch, q * n, r_out)
+
+
+def window_conv(x, w, layer):
+    """The window-view kernel: tensordot over the (C, K..) window axes."""
+    dim = len(layer.kernel)
+    win = _windows(_pad_input(x, layer.kernel, layer.stride, layer.padding),
+                   layer.kernel, layer.stride)
+    return np.tensordot(win, w, axes=(list(range(1 + dim, 2 + 2 * dim)),
+                                      [dim] + list(range(dim))))
+
+
+def window_max_pool(x, layer):
+    """The window-view max pool: reduce the K.. window axes."""
+    dim = len(layer.kernel)
+    padded = _pad_input(x, layer.kernel, layer.stride, layer.padding,
+                        fill=-np.inf)
+    return _windows(padded, layer.kernel, layer.stride).max(
+        axis=tuple(range(2 + dim, 2 + 2 * dim)))
 
 
 class TestConvOracle:
@@ -150,6 +182,70 @@ class TestPoolOracle:
         assert np.allclose(got, 1.0, atol=1e-6)
 
 
+class TestKernelBytes:
+    """The matmul conv and shifted-max pool give the window formulas' bytes."""
+
+    @pytest.mark.parametrize("kind, kernel, stride", [
+        ("conv2d", (1, 1), (1, 1)), ("conv2d", (1, 1), (2, 2)),
+        ("conv2d", (3, 1), (1, 1)), ("conv2d", (3, 1), (2, 1)),
+        ("conv2d", (1, 3), (1, 1)), ("conv2d", (1, 3), (1, 2)),
+        ("conv2d", (3, 3), (1, 1)), ("conv2d", (3, 3), (2, 2)),
+        ("conv1d", (1,), (2,)), ("conv1d", (3,), (1,)),
+        ("conv3d", (1, 1, 1), (1, 1, 1)), ("conv3d", (1, 3, 1), (1, 1, 1)),
+        ("conv3d", (2, 2, 2), (1, 1, 1))])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    def test_conv(self, kind, kernel, stride, padding, w_dtype):
+        layer = LayerDesc(name="c", kind=kind, kernel=kernel, stride=stride,
+                          padding=padding, in_channels=5, out_channels=4)
+        x = rng.standard_normal((3,) + (7,) * len(kernel) + (5,)) \
+            .astype(np.float32)
+        w = rng.standard_normal(kernel + (5, 4)).astype(w_dtype)
+        got = forward_layer(layer, {"c": w}, [x])
+        want = window_conv(x, w, layer)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel, stride", [((2, 2), (2, 2)),
+                                                ((3, 3), (1, 1))])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_max_pool(self, kernel, stride, padding):
+        layer = LayerDesc(name="p", kind="pool", mode="max", kernel=kernel,
+                          stride=stride, padding=padding)
+        # mostly negative, so a zero fill would show at the padded edges
+        x = (rng.standard_normal((2, 7, 7, 3)) - 2.0).astype(np.float32)
+        got = forward_layer(layer, WeightStore({}), [x])
+        want = window_max_pool(x, layer)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestTtCoreOracle:
+    @pytest.mark.parametrize("r_in, m, n, r_out", [
+        (1, 2, 3, 2), (3, 2, 2, 1), (2, 3, 2, 4), (1, 4, 1, 1)])
+    def test_against_loop_nest(self, r_in, m, n, r_out):
+        layer = LayerDesc(name="t", kind="tt_core", m=m, n=n, rank_in=r_in,
+                          rank_out=r_out)
+        w = rng.standard_normal((r_in, m, n, r_out))
+        x = rng.standard_normal((2, 3 * m, r_in))
+        got = forward_layer(layer, {"t": w}, [x])
+        assert got.shape == (2, 3 * n, r_out)
+        assert np.allclose(got, naive_tt_core(x, w), rtol=1e-12, atol=1e-12)
+
+    def test_dtypes(self):
+        layer = LayerDesc(name="t", kind="tt_core", m=4, n=3, rank_in=2,
+                          rank_out=3)
+        x = rng.standard_normal((5, 8, 2)).astype(np.float32)
+        w = rng.standard_normal((2, 4, 3, 3))
+        want = naive_tt_core(x, w.astype(np.float32))
+        got = forward_layer(layer, {"t": w.astype(np.float32)}, [x])
+        assert got.dtype == np.float32
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-5)
+        got = forward_layer(layer, {"t": w}, [x])
+        assert got.dtype == np.float64
+        assert np.allclose(got, naive_tt_core(x, w), rtol=1e-12, atol=1e-12)
+
+
 class TestOtherKinds:
     def test_fc_batchnorm_reshape(self):
         fc = LayerDesc(name="f", kind="fc", in_channels=4, out_channels=2)
@@ -198,6 +294,25 @@ class TestOtherKinds:
         with pytest.raises(ShapeError):
             forward_layer(fc, WeightStore({"f": w}),
                           [np.zeros((3, 5), np.float32)])
+
+    @pytest.mark.parametrize("layer, w_shape, x_shape", [
+        (LayerDesc(name="l", kind="conv2d", kernel=(1, 1), in_channels=4,
+                   out_channels=6), (1, 1, 4, 5), (2, 5, 5, 4)),
+        (LayerDesc(name="l", kind="conv2d", kernel=(1, 1), in_channels=4,
+                   out_channels=6), (3, 3, 4, 6), (2, 5, 5, 4)),
+        (LayerDesc(name="l", kind="conv2d", kernel=(3, 1), in_channels=4,
+                   out_channels=6), (1, 3, 4, 6), (2, 5, 5, 4)),
+        (LayerDesc(name="l", kind="depthwise_conv", kernel=(3, 3),
+                   in_channels=3), (3, 3, 4), (2, 5, 5, 3)),
+        (LayerDesc(name="l", kind="fc", in_channels=4, out_channels=2),
+         (4, 3), (3, 4)),
+        (LayerDesc(name="l", kind="tt_core", m=2, n=3, rank_in=1,
+                   rank_out=2), (1, 2, 4, 2), (2, 4, 1))])
+    def test_weight_shape_mismatch_raises(self, layer, w_shape, x_shape):
+        w = np.ones(w_shape, np.float32)
+        with pytest.raises(ShapeError, match="weight"):
+            forward_layer(layer, WeightStore({"l": w}),
+                          [np.ones(x_shape, np.float32)])
 
 
 class TestCosine:

@@ -10,10 +10,15 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lowrank import explore
+from lowrank import explore, similarity
+from lowrank.costs import t3f_plans
+from lowrank.decompose import decompose_layer
 from lowrank.ir import LayerDesc
+
+from conftest import small_conv_net
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -49,3 +54,38 @@ def test_explore_costs_every_solution_through_its_site(monkeypatch):
         # the census costs its best member, then every member of the bucket
         members = explore.solutions_at_ratio(layer, method, 60)
         assert calls == [method] * (5 + 1 + len(members)) and members
+
+
+def test_every_forward_path_calls_the_forward_site(monkeypatch):
+    # the per-kind similarity.forward_layer.* metrics read 0 if a path
+    # runs a kernel without going through the wrapped attribute
+    calls = []
+    original = similarity.forward_layer
+
+    def counted(layer, *args, **kwargs):
+        calls.append(layer.name)
+        return original(layer, *args, **kwargs)
+
+    monkeypatch.setattr(similarity, "forward_layer", counted)
+    model, weights = small_conv_net()
+    x = np.random.default_rng(0).standard_normal((2, 8, 8, 3)) \
+        .astype(np.float32)
+    layer_names = [layer.name for layer in model.layers]
+    similarity.forward_model(model, weights, x)
+    assert calls == layer_names
+    calls.clear()
+    capture = similarity.capture_feature_maps(model, weights, x)
+    assert calls == layer_names
+    for name, method, ranks, plan in (
+            ("c2", "tt", (2, 3, 4), None),
+            ("f1", "t3f", (2,), t3f_plans(model.layer("f1"))[0])):
+        layer = model.layer(name)
+        fact = decompose_layer(layer, np.asarray(weights[name]), method,
+                               ranks, plan=plan)
+        sub_names = [sub.name for sub in fact.sub_layers]
+        calls.clear()
+        similarity.forward_factorized(fact, capture.inputs[name])
+        assert calls == sub_names
+        calls.clear()
+        similarity.layer_similarity(fact, capture)
+        assert calls == sub_names + list(layer.post_ops)
