@@ -12,6 +12,24 @@ plan of the two matrix dimensions.
 Each decomposer returns a :class:`FactorizedLayer` that carries the
 replacement sub-layer descriptions together with their weights, can
 rebuild the dense weight it approximates, and reports its exact cost.
+
+A rank search decomposes one weight at many ranks, and much of that
+work does not depend on the rank.  ``linalg.svd`` and
+``linalg.qr_pivoted`` compute the full factorization and then slice
+it, so slicing a kept full factorization gives the same bytes.  Given
+a ``memo`` dict that belongs to one weight, the decomposers keep each
+full factorization under a key naming what it depends on:
+
+- ``("svd",)`` and ``("qr",)``: the weight matrix;
+- ``("tt", None, prefix)`` and ``("t3f", plan, prefix)``: step ``i``
+  of the sequential TT-SVD unfolds what the ranks ``prefix =
+  ranks[:i]`` left over, so step 0 is shared by every rank vector and
+  a later step by those with the same leading ranks;
+- ``("tucker2", mode)``: the two initial unfolding SVDs;
+- ``("cp", mode)``: the per-mode SVDs that start CP-ALS.
+
+Kept factorizations are read-only, since the returned factors may be
+views of them.
 """
 
 from __future__ import annotations
@@ -157,7 +175,26 @@ def _conv_tensor_modes(layer: LayerDesc):
     return dim, dim + 1  # channel mode, filter mode of the (K.., C, F) tensor
 
 
-def _leading(mat: np.ndarray, rank: int):
+def _full(factorize, mat: np.ndarray, memo: dict = None, key: tuple = None):
+    """``factorize(mat)``, the full ``linalg.svd`` or ``linalg.qr_pivoted``.
+
+    With a memo, the factorization is computed once per ``key`` and
+    stored read-only, so that no caller can write through a view of it
+    into the factors of a later decomposition.
+    """
+    if memo is None:
+        return factorize(mat)
+    full = memo.get(key)
+    if full is None:
+        full = factorize(mat)
+        for part in full:
+            part.flags.writeable = False
+        memo[key] = full
+    return full
+
+
+def _leading(mat: np.ndarray, rank: int, memo: dict = None,
+             key: tuple = None):
     """Leading ``rank`` singular triplets of ``mat`` as ``(U, S, V)``.
 
     A rank above what ``mat`` can supply is met by zero columns, which
@@ -165,7 +202,7 @@ def _leading(mat: np.ndarray, rank: int):
     rank box is constructible.
     """
     keep = min(rank, min(mat.shape))
-    u, s, v = linalg.svd(mat, keep)
+    u, s, v = linalg.svd_leading(_full(linalg.svd, mat, memo, key), keep)
     if keep < rank:
         u = np.pad(u, ((0, 0), (0, rank - keep)))
         s = np.pad(s, (0, rank - keep))
@@ -173,21 +210,26 @@ def _leading(mat: np.ndarray, rank: int):
     return u, s, v
 
 
-def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
+def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
+                      memo: dict = None):
     """Tucker restricted to the channel and filter modes.
 
     Initializes factors from the truncated SVDs of the two unfoldings,
     then refines them by alternating orthogonal iteration until the
     fit stops improving.  A rank above what the other rank times the
-    kernel size can feed gets zero factor columns.
+    kernel size can feed gets zero factor columns.  Only the two
+    initial SVDs go through ``memo``: the iteration's depend on the
+    ranks.
     """
     r1, r2 = ranks = check_ranks(layer, "tucker2", ranks)
     w = np.asarray(weight, dtype=np.float64)
     c_mode, f_mode = _conv_tensor_modes(layer)
     norm_w = np.linalg.norm(w)
 
-    a_c, _, _ = _leading(linalg.unfold(w, c_mode), r1)
-    a_f, _, _ = _leading(linalg.unfold(w, f_mode), r2)
+    a_c, _, _ = _leading(linalg.unfold(w, c_mode), r1, memo,
+                         ("tucker2", c_mode))
+    a_f, _, _ = _leading(linalg.unfold(w, f_mode), r2, memo,
+                         ("tucker2", f_mode))
     last_fit = -np.inf
     core = None
     for _ in range(TUCKER_MAX_ITER):
@@ -247,12 +289,14 @@ class _DivergenceGuard:
         self.prev_fit = fit
 
 
-def _cp_init(tensor: np.ndarray, rank: int, rng: np.random.Generator):
+def _cp_init(tensor: np.ndarray, rank: int, rng: np.random.Generator,
+             memo: dict = None):
     """Leading singular vectors per mode, random columns past them."""
     factors = []
     for mode in range(tensor.ndim):
         size = tensor.shape[mode]
-        u, _, _ = linalg.svd(linalg.unfold(tensor, mode))
+        u, _, _ = _full(linalg.svd, linalg.unfold(tensor, mode), memo,
+                        ("cp", mode))
         keep = min(rank, u.shape[1])
         f = np.empty((size, rank))
         f[:, :keep] = u[:, :keep]
@@ -284,7 +328,7 @@ def _cp_init_exact(tensor: np.ndarray, rank: int):
 
 
 def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                 seed: int = 0):
+                 seed: int = 0, memo: dict = None):
     """CP decomposition of the conv tensor by alternating least squares.
 
     One shared rank ties together one factor per tensor mode (spatial
@@ -301,7 +345,7 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     if rank == cp_max_rank(layer):
         factors = _cp_init_exact(w, rank)
     else:
-        factors = _cp_init(w, rank, rng)
+        factors = _cp_init(w, rank, rng, memo)
 
     n_modes = w.ndim
     guard = _DivergenceGuard()
@@ -352,13 +396,16 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     return FactorizedLayer(layer.name, "cp", tuple(ranks), subs, weights)
 
 
-def _tt_svd(tensor: np.ndarray, ranks: tuple):
+def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
+            key: tuple = ()):
     """Sequential-SVD tensor train with prescribed internal ranks.
 
     A requested rank above what the running unfolding can supply gets
     zero core slices (see ``_leading``), so any rank vector inside the
     per-link box bounds min(prod(left), prod(right)) is constructible
-    without changing the reconstruction.
+    without changing the reconstruction.  Step ``i`` unfolds what the
+    first ``i`` ranks left over, so its SVD goes into ``memo`` under
+    ``key`` plus ``ranks[:i]``.
     """
     shape = tensor.shape
     full = (1,) + tuple(ranks) + (1,)
@@ -366,20 +413,21 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple):
     rest = np.asarray(tensor, dtype=np.float64).reshape(shape[0], -1)
     for i in range(len(shape) - 1):
         mat = rest.reshape(full[i] * shape[i], -1)
-        u, s, v = _leading(mat, full[i + 1])
+        u, s, v = _leading(mat, full[i + 1], memo, key + (full[1:i + 1],))
         cores.append(u.reshape(full[i], shape[i], full[i + 1]))
         rest = (s[:, None] * v.T)
     cores.append(rest.reshape(full[-2], shape[-1], 1))
     return cores
 
 
-def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
+def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
+                      memo: dict = None):
     """Tensor train of the conv tensor in (C, K1..Kd, F) mode order."""
     ranks = check_ranks(layer, "tt", ranks)
     w = np.asarray(weight, dtype=np.float64)
     dim = len(layer.kernel)
     tensor = np.moveaxis(w, dim, 0)  # (C, K1..Kd, F)
-    cores = _tt_svd(tensor, ranks)
+    cores = _tt_svd(tensor, ranks, memo, ("tt", None))
 
     subs = chain_descs(layer, "tt", ranks)
     ones = (1,) * dim
@@ -397,29 +445,31 @@ def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
 # -- dense-layer decomposers --------------------------------------------------
 
 
-def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
+def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
+                  memo: dict = None):
     """Truncated SVD split symmetrically: A = U sqrt(S), B = sqrt(S) V'."""
     (rank,) = ranks = check_ranks(layer, "svd", ranks)
     w = np.asarray(weight, dtype=np.float64)
-    u, s, v = linalg.svd(w, rank)
+    u, s, v = linalg.svd_leading(_full(linalg.svd, w, memo, ("svd",)), rank)
     root = np.sqrt(s)
     subs = chain_descs(layer, "svd", ranks)
     weights = {subs[0].name: u * root, subs[1].name: root[:, None] * v.T}
     return FactorizedLayer(layer.name, "svd", tuple(ranks), subs, weights)
 
 
-def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple):
+def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
+                 memo: dict = None):
     """Column-pivoted QR keeping the leading pivots."""
     (rank,) = ranks = check_ranks(layer, "qr", ranks)
     w = np.asarray(weight, dtype=np.float64)
-    q, r = linalg.qr_pivoted(w, rank)
+    q, r = linalg.qr_leading(_full(linalg.qr_pivoted, w, memo, ("qr",)), rank)
     subs = chain_descs(layer, "qr", ranks)
     weights = {subs[0].name: q, subs[1].name: r}
     return FactorizedLayer(layer.name, "qr", tuple(ranks), subs, weights)
 
 
 def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                  plan: tuple):
+                  plan: tuple, memo: dict = None):
     """TT-matrix factorization of a dense weight over a shape plan.
 
     The (M, N) weight reshapes to (m1..md, n1..nd), interleaves to
@@ -427,7 +477,7 @@ def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     cores then reshape to (r_in, m_t, n_t, r_out).
     """
     ranks = check_ranks(layer, "t3f", ranks, plan)
-    ms, ns = plan
+    ms, ns = plan = (tuple(plan[0]), tuple(plan[1]))
     d = len(ms)
     w = np.asarray(weight, dtype=np.float64)
     if w.shape != (math.prod(ms), math.prod(ns)):
@@ -435,7 +485,7 @@ def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     tensor = w.reshape(tuple(ms) + tuple(ns))
     perm = [axis for t in range(d) for axis in (t, d + t)]
     tensor = tensor.transpose(perm).reshape([ms[t] * ns[t] for t in range(d)])
-    cores = _tt_svd(tensor, ranks)
+    cores = _tt_svd(tensor, ranks, memo, ("t3f", plan))
 
     subs = chain_descs(layer, "t3f", ranks, plan)
     weights = {}
@@ -444,7 +494,7 @@ def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
         weights[subs[t + 1].name] = \
             cores[t].reshape(full[t], ms[t], ns[t], full[t + 1])
     return FactorizedLayer(layer.name, "t3f", tuple(ranks), subs, weights,
-                           plan=(tuple(ms), tuple(ns)))
+                           plan=plan)
 
 
 # -- reconstruction -----------------------------------------------------------
@@ -513,26 +563,30 @@ _RECONSTRUCT = {
 
 
 def decompose_layer(layer: LayerDesc, weight: np.ndarray, method: str,
-                    ranks: tuple, plan: tuple = None, seed: int = 0):
+                    ranks: tuple, plan: tuple = None, seed: int = 0,
+                    memo: dict = None):
     """Factorize one layer's weight with the named method.
 
     Each decomposer checks its ranks against the rank box of
     ``costs.rank_bounds``, which also rejects a method that does not
-    apply to the layer.
+    apply to the layer.  ``memo``, a dict that belongs to this one
+    weight, keeps its full factorizations for later calls at other
+    ranks (see the module docstring); without one they are computed
+    afresh.
     """
     if tuple(weight.shape) != layer.weight_shape():
         raise ShapeError(
             f"{layer.name}: weight {weight.shape} != {layer.weight_shape()}")
     if method == "tucker2":
-        return tucker2_decompose(layer, weight, ranks)
+        return tucker2_decompose(layer, weight, ranks, memo)
     if method == "cp":
-        return cp_decompose(layer, weight, ranks, seed=seed)
+        return cp_decompose(layer, weight, ranks, seed=seed, memo=memo)
     if method == "tt":
-        return tt_conv_decompose(layer, weight, ranks)
+        return tt_conv_decompose(layer, weight, ranks, memo)
     if method == "svd":
-        return svd_decompose(layer, weight, ranks)
+        return svd_decompose(layer, weight, ranks, memo)
     if method == "qr":
-        return qr_decompose(layer, weight, ranks)
+        return qr_decompose(layer, weight, ranks, memo)
     if method == "t3f":
-        return t3f_decompose(layer, weight, ranks, plan)
+        return t3f_decompose(layer, weight, ranks, plan, memo)
     raise RankError(f"unknown method {method!r}")

@@ -12,6 +12,13 @@ end up less compressed than robust ones.
 A hybrid model combines several finished single-method runs by taking,
 for every layer, the solution from the run that minimizes the chosen
 objective on that layer.
+
+A search decomposes each layer at many ranks and asks for its rank
+families at many targets.  ``run_dse`` keeps, per target layer, a
+``decompose`` memo of the full factorizations and the layer's
+``explore`` rank families, so each is computed once per search.  Both
+are created inside the call and dropped with it; separate calls share
+nothing.
 """
 
 from __future__ import annotations
@@ -243,8 +250,13 @@ def _layer_plan(layer: LayerDesc, method: str):
 
 
 def init_rank_one(model: ModelDesc, weights: WeightStore, targets: list,
-                  conv_method: str, fc_method: str, seed: int = 0) -> dict:
-    """Rank-one factorization of every target layer."""
+                  conv_method: str, fc_method: str, seed: int = 0,
+                  memos: dict = None) -> dict:
+    """Rank-one factorization of every target layer.
+
+    ``memos`` maps a target name to that layer's ``decompose_layer``
+    memo.  An error names the layer it came from and keeps its payload.
+    """
     solutions = {}
     for name in targets:
         layer = model.layer(name)
@@ -252,11 +264,12 @@ def init_rank_one(model: ModelDesc, weights: WeightStore, targets: list,
         plan = _layer_plan(layer, method)
         ranks = explore.min_ranks(layer, method, plan)
         try:
-            solutions[name] = decompose_layer(layer, np.asarray(weights[name]),
-                                              method, ranks, plan=plan,
-                                              seed=seed)
+            solutions[name] = decompose_layer(
+                layer, np.asarray(weights[name]), method, ranks, plan=plan,
+                seed=seed, memo=(memos or {}).get(name))
         except Exception as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
+            exc.args = (f"{name}: {exc}",)
+            raise
     return solutions
 
 
@@ -291,9 +304,12 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
     capture = capture_feature_maps(model, weights, samples, targets)
     baseline = evaluator(model, weights)
 
+    memos = {name: {} for name in targets}
+    families = {}  # target name -> its explore rank families
     states = {}
     for name, fact in init_rank_one(model, weights, targets, conv_method,
-                                    fc_method, seed=config.seed).items():
+                                    fc_method, seed=config.seed,
+                                    memos=memos).items():
         cost = fact.cost(in_shapes[name])
         original = cost_original(model.layer(name), in_shapes[name])
         step = 100.0 * (1.0 - cost.get(config.objective)
@@ -344,9 +360,12 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
                 state.cost = cost_original(layer, in_shapes[name])
                 continue
             method = method_for_layer(layer, conv_method, fc_method)
+            if name not in families:
+                families[name] = list(explore._families(layer, method,
+                                                        in_shapes[name]))
             bucket = explore.solutions_at_ratio(
                 layer, method, state.step, config.objective, config.tol,
-                in_shapes[name])
+                in_shapes[name], families=families[name])
             candidates = explore.select_candidates(bucket, config.max_sol,
                                                    seed=config.seed)
             if not candidates:
@@ -355,7 +374,7 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
             for cand in candidates:
                 fact = decompose_layer(layer, np.asarray(weights[name]),
                                        method, cand.ranks, plan=cand.plan,
-                                       seed=config.seed)
+                                       seed=config.seed, memo=memos[name])
                 sim = layer_similarity(fact, capture)
                 scored.append((-sim, cand.cost.flops, cand.key(), fact,
                                cand.cost))

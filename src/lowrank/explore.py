@@ -350,9 +350,14 @@ def _census(layer, method, families, percents, objective, tol,
 
 def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
                        objective: str = "params", tol: float = DEFAULT_TOL,
-                       input_shape=None) -> list:
-    """Materialize the census bucket at one target reduction."""
-    families = list(_families(layer, method, input_shape))
+                       input_shape=None, families: list = None) -> list:
+    """Materialize the census bucket at one target reduction.
+
+    ``families``, the list of ``_families(layer, method, input_shape)``,
+    lets a caller that asks at many percents build it once.
+    """
+    if families is None:
+        families = list(_families(layer, method, input_shape))
     bucket = _census(layer, method, families, [percent], objective, tol,
                      input_shape).buckets[0]
     if bucket.value is None:

@@ -22,11 +22,20 @@ def svd(a: np.ndarray, rank: int | None = None):
     if a.ndim != 2:
         raise RankError(f"svd expects a matrix, got shape {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if rank is not None:
-        if not 1 <= rank <= min(a.shape):
-            raise RankError(f"svd rank {rank} outside [1, {min(a.shape)}]")
-        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-    return u, s, vt.T
+    return svd_leading((u, s, vt.T), rank)
+
+
+def svd_leading(usv: tuple, rank: int | None):
+    """The leading ``rank`` triplets of a full :func:`svd` result.
+
+    The factors are views of ``usv``, so truncating one full
+    factorization gives the same bytes as :func:`svd` at that rank.
+    """
+    u, s, v = usv
+    if rank is None:
+        return u, s, v
+    _check_rank("svd", rank, len(s))
+    return u[:, :rank], s[:rank], v[:, :rank]
 
 
 def qr_pivoted(a: np.ndarray, rank: int | None = None):
@@ -42,12 +51,22 @@ def qr_pivoted(a: np.ndarray, rank: int | None = None):
     q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
     inverse = np.empty_like(piv)
     inverse[piv] = np.arange(len(piv))
-    r = r[:, inverse]
-    if rank is not None:
-        if not 1 <= rank <= min(a.shape):
-            raise RankError(f"qr rank {rank} outside [1, {min(a.shape)}]")
-        q, r = q[:, :rank], r[:rank]
-    return q, r
+    return qr_leading((q, r[:, inverse]), rank)
+
+
+def qr_leading(qr: tuple, rank: int | None):
+    """The leading ``rank`` pivots of a full :func:`qr_pivoted` result,
+    as views (see :func:`svd_leading`)."""
+    q, r = qr
+    if rank is None:
+        return q, r
+    _check_rank("qr", rank, q.shape[1])
+    return q[:, :rank], r[:rank]
+
+
+def _check_rank(method: str, rank: int, most: int):
+    if not 1 <= rank <= most:
+        raise RankError(f"{method} rank {rank} outside [1, {most}]")
 
 
 def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from lowrank.decompose import (_DivergenceGuard, chain_descs, cp_decompose,
                                decompose_layer, qr_decompose, svd_decompose,
                                t3f_decompose, tt_conv_decompose,
                                tucker2_decompose)
+from lowrank import linalg
 from lowrank.errors import DecompositionError, RankError
 from lowrank.explore import min_ranks
 from lowrank.ir import LayerDesc
@@ -327,3 +328,127 @@ class TestWholeBox:
                       for lo, hi in rank_bounds(layer, method, plan))
         weight = rng.standard_normal(layer.weight_shape())
         check_point(layer, weight, method, ranks, plan)
+
+
+def _count_factorizations(monkeypatch):
+    """Shapes of the matrices passed to ``linalg.svd``/``qr_pivoted``."""
+    calls = []
+    for name in ("svd", "qr_pivoted"):
+        original = getattr(linalg, name)
+
+        def counted(a, rank=None, original=original):
+            calls.append(a.shape)
+            return original(a, rank)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def _same_bytes(a, b):
+    assert a.weights.keys() == b.weights.keys()
+    for name, arr in b.weights.items():
+        kept = a.weights[name]
+        assert (kept.shape, kept.dtype) == (arr.shape, arr.dtype), name
+        assert kept.tobytes() == arr.tobytes(), name
+
+
+# two rank points per method, and how many full factorizations the
+# second takes from a memo the first filled: svd/qr the weight's,
+# tucker2 its two initial unfoldings', cp its four modes', tt and t3f
+# the first TT-SVD step's (the leading rank differs)
+MEMO_REUSE = {
+    "tucker2": ((2, 3), (5, 1), 2),
+    "cp": ((1,), (3,), 4),
+    "tt": ((2, 3, 4), (3, 3, 4), 1),
+    "svd": ((2,), (7,), 1),
+    "qr": ((2,), (7,), 1),
+    "t3f": ((2,), (4,), 1),
+}
+
+
+class TestMemo:
+    """A memo shared by the decompositions of one weight changes no byte
+    of any result and computes each full factorization once."""
+
+    @staticmethod
+    def _points(layer, method, plan):
+        box = rank_bounds(layer, method, plan)
+        top = tuple(hi for _, hi in box)
+        if method == "cp":  # ALS takes seconds at the box's middle ranks
+            return [(1,), (3,), top, (1,), (3,)]
+        ladder = [tuple(min(r, hi) for _, hi in box) for r in (1, 2, 3, 5)]
+        draw = np.random.default_rng(5)
+        drawn = [tuple(int(draw.integers(lo, hi + 1)) for lo, hi in box)
+                 for _ in range(3)]
+        # the ladder again after the box points: only memo hits
+        return ladder + drawn + [top] + ladder
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_shared_memo_changes_no_byte(self, method):
+        layer = CONV if method in CONV_METHODS else FC
+        weight = rng.standard_normal(layer.weight_shape())
+        memo = {}
+        for plan in t3f_plans(FC)[:3] if method == "t3f" else [None]:
+            for ranks in self._points(layer, method, plan):
+                _same_bytes(
+                    decompose_layer(layer, weight, method, ranks, plan=plan,
+                                    memo=memo),
+                    decompose_layer(layer, weight, method, ranks, plan=plan))
+        assert memo
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_second_point_reuses_the_rank_free_factorizations(
+            self, method, monkeypatch):
+        layer = CONV if method in CONV_METHODS else FC
+        weight = rng.standard_normal(layer.weight_shape())
+        first, second, reused = MEMO_REUSE[method]
+        plan = T3F_PLAN if method == "t3f" else None
+        calls = _count_factorizations(monkeypatch)
+        decompose_layer(layer, weight, method, second, plan=plan)
+        fresh = len(calls)
+        memo = {}
+        decompose_layer(layer, weight, method, first, plan=plan, memo=memo)
+        calls.clear()
+        decompose_layer(layer, weight, method, second, plan=plan, memo=memo)
+        assert fresh - len(calls) == reused
+
+    def test_tt_steps_rerun_from_the_first_changed_rank(self, monkeypatch):
+        # the (8, 3, 3, 12) tensor unfolds to 8 x 108 at step 0, to
+        # 3 r0 x 36 at step 1 and to 3 r1 x 12 at step 2
+        calls = _count_factorizations(monkeypatch)
+        weight = conv_weight()
+        memo = {}
+
+        def steps(ranks):
+            calls.clear()
+            decompose_layer(CONV, weight, "tt", ranks, memo=memo)
+            return list(calls)
+
+        assert steps((2, 3, 4)) == [(8, 108), (6, 36), (9, 12)]
+        assert steps((2, 5, 4)) == [(15, 12)]
+        assert steps((3, 3, 4)) == [(9, 36), (9, 12)]
+        assert steps((2, 5, 7)) == []
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_writing_a_factor_cannot_reach_the_memo(self, method):
+        layer = CONV if method in CONV_METHODS else FC
+        weight = rng.standard_normal(layer.weight_shape())
+        first, second, _ = MEMO_REUSE[method]
+        plan = T3F_PLAN if method == "t3f" else None
+        memo = {}
+        read_only = 0
+        for ranks in (first, second):
+            fact = decompose_layer(layer, weight, method, ranks, plan=plan,
+                                   memo=memo)
+            for arr in fact.weights.values():
+                try:
+                    arr[...] = 0.0
+                except ValueError:
+                    read_only += 1
+        for ranks in (first, second):
+            _same_bytes(
+                decompose_layer(layer, weight, method, ranks, plan=plan,
+                                memo=memo),
+                decompose_layer(layer, weight, method, ranks, plan=plan))
+        if method in ("qr", "tt"):  # Q and the first TT core are views
+            assert read_only

@@ -6,13 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from lowrank import dse
+from lowrank import dse, explore, linalg
 from lowrank.costs import CONV_METHODS, FC_METHODS, cost_original
 from lowrank.dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                          hybrid_combine, init_rank_one, install_solutions,
                          iteration_bound, run_dse, select_target_layers)
-from lowrank.errors import (ConstraintUnreachableError, EvaluatorError,
-                            GraphError, RankError)
+from lowrank.errors import (ConstraintUnreachableError, DecompositionError,
+                            EvaluatorError, GraphError, RankError)
 from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc,
                         WeightStore)
 from lowrank.similarity import forward_model
@@ -165,6 +165,19 @@ class TestInitRankOne:
         for wa, wb in zip(a["c2"].weights.values(), b["c2"].weights.values()):
             assert np.array_equal(wa, wb)
 
+    def test_error_names_the_layer_and_keeps_its_payload(self, monkeypatch):
+        best = object()
+
+        def diverging(*args, **kwargs):
+            raise DecompositionError("fit decreased", best=best)
+
+        monkeypatch.setattr(dse, "decompose_layer", diverging)
+        model, weights = conv_chain_net()
+        with pytest.raises(DecompositionError) as err:
+            init_rank_one(model, weights, ["c2"], "cp", "svd")
+        assert str(err.value) == "c2: fit decreased"
+        assert err.value.best is best
+
 
 class TestInstallSolutions:
     def test_middle_layer_rewired(self):
@@ -299,6 +312,54 @@ class TestSearchLoop:
             expect = (fact.cost(shapes[name]) if fact is not None else
                       cost_original(model.layer(name), shapes[name]))
             assert result.layer_costs[name] == expect
+
+    @pytest.mark.parametrize("fc_method", ["svd", "qr"])
+    def test_each_search_factorizes_a_weight_once(self, fc_method,
+                                                  monkeypatch):
+        # f1 is decomposed at every step until it reverts; its full
+        # factorization is computed once per search, not once per call
+        # and not once per process
+        factorize = {"svd": "svd", "qr": "qr_pivoted"}[fc_method]
+        model, weights = conv_chain_net()
+        f1 = np.asarray(weights["f1"], dtype=np.float64)
+        of_f1 = []
+        original = getattr(linalg, factorize)
+
+        def counted(a, rank=None):
+            of_f1.append(a.shape == f1.shape and np.array_equal(a, f1))
+            return original(a, rank)
+
+        monkeypatch.setattr(linalg, factorize, counted)
+        built = []
+        build = explore._families
+
+        def families(layer, method, input_shape=None):
+            built.append(layer.name)
+            return build(layer, method, input_shape)
+
+        monkeypatch.setattr(explore, "_families", families)
+        asked = []
+        ask = explore.solutions_at_ratio
+
+        def solutions_at_ratio(layer, *args, **kwargs):
+            asked.append(layer.name)
+            return ask(layer, *args, **kwargs)
+
+        monkeypatch.setattr(explore, "solutions_at_ratio", solutions_at_ratio)
+        dataset = make_dataset()
+        config = DseConfig(target_fraction=1.0, sample_count=4, seed=0,
+                           step_size=20.0,
+                           sim_threshold_sequential=0.9999,
+                           sim_threshold_nonsequential=0.9999)
+        for search in (1, 2):
+            evaluator = RevertDetector({"c2": weights["c2"],
+                                        "f1": weights["f1"]})
+            run_dse(model, weights, dataset, config, evaluator,
+                    conv_method="tt", fc_method=fc_method)
+            assert of_f1.count(True) == search
+            # families are built at a layer's first relaxed target
+            assert asked.count("f1") > 1
+            assert sorted(built) == sorted([*set(asked)] * search)
 
     def test_unreachable_when_all_frozen(self):
         layers = [LayerDesc(name="c1", kind="conv2d", kernel=(3, 3),
