@@ -13,6 +13,15 @@ Each decomposer returns a :class:`FactorizedLayer` that carries the
 replacement sub-layer descriptions together with their weights, can
 rebuild the dense weight it approximates, and reports its exact cost.
 
+CP is fitted by alternating least squares.  Each factor update needs
+the MTTKRP, the mode's unfolding times the Khatri-Rao product of all
+other factors.  That product has a row per entry of the other modes
+(24,576 rows for a spatial factor of a 3x3x64x128 conv), so
+``_mttkrp`` never builds it: one gemm contracts the largest other
+mode, and the Khatri-Rao product of the remaining small factors
+finishes the contraction.  The normal equations are solved by
+Cholesky, falling back to the pseudo-inverse on a singular Gram.
+
 A rank search decomposes one weight at many ranks, and much of that
 work does not depend on the rank.  ``linalg.svd`` and
 ``linalg.qr_pivoted`` compute the full factorization and then slice
@@ -38,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import khatri_rao
+from scipy.linalg import cho_factor, cho_solve, khatri_rao
 
 from . import linalg
 from .costs import (CostReport, check_ranks, cost_chain, cp_max_rank,
@@ -327,6 +336,55 @@ def _cp_init_exact(tensor: np.ndarray, rank: int):
     return factors
 
 
+def _mode_last(tensor: np.ndarray) -> list:
+    """For each mode ``j``, ``tensor`` as a matrix with mode ``j`` last.
+
+    Row ``s`` of matrix ``j`` runs over the other modes in row-major
+    order, so ``_mode_last(t)[j] @ factor`` contracts mode ``j`` away
+    and leaves the others in their order.
+    """
+    return [np.moveaxis(tensor, j, -1).reshape(-1, n)
+            for j, n in enumerate(tensor.shape)]
+
+
+def _mttkrp(mode_last: list, factors: list, mode: int) -> np.ndarray:
+    """``unfold(w, mode) @ khatri_rao(other factors)``, without that product.
+
+    ``mode_last`` is ``_mode_last(w)``, for a tensor of three or more
+    modes.  The largest other mode goes first, by one gemm with its
+    factor; the ``khatri_rao`` of the remaining, small factors then
+    meets that partial result in one einsum.
+    """
+    shape = tuple(f.shape[0] for f in factors)
+    rank = factors[0].shape[1]
+    others = [i for i in range(len(shape)) if i != mode]
+    big = max(others, key=lambda i: shape[i])
+    part = (mode_last[big] @ factors[big]).reshape(
+        shape[:big] + shape[big + 1:] + (rank,))
+    part = np.moveaxis(part, mode if mode < big else mode - 1, 0)
+    small = [factors[i] for i in others if i != big]
+    kr = small[0]
+    for f in small[1:]:
+        kr = khatri_rao(kr, f)
+    return np.einsum("isr,sr->ir",
+                     part.reshape(shape[mode], len(kr), rank), kr)
+
+
+def _solve_gram(mttkrp: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """``mttkrp @ inv(gram)``: the ALS update of one factor.
+
+    The Hadamard product of Grams is symmetric positive semidefinite,
+    so a Cholesky solve does it unless the Gram is singular (a zero
+    factor column, say); then the pseudo-inverse gives the least-norm
+    update.
+    """
+    try:
+        return cho_solve(cho_factor(gram, check_finite=False), mttkrp.T,
+                         check_finite=False).T
+    except np.linalg.LinAlgError:
+        return mttkrp @ np.linalg.pinv(gram)
+
+
 def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
                  seed: int = 0, memo: dict = None):
     """CP decomposition of the conv tensor by alternating least squares.
@@ -336,6 +394,13 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     best fit; stops when the fit change drops below tolerance or the
     best fit stops improving; raises DecompositionError after five
     consecutive meaningful fit regressions.
+
+    Each update solves the normal equations of one factor: the MTTKRP
+    of ``_mttkrp`` against the Hadamard product of the other factors'
+    Grams, by ``_solve_gram``.  A factor's Gram is computed once, when
+    the factor is updated, and serves the later updates and the fit.
+    Every update assigns a new array, so the best sweep's factors are
+    kept without copying them.
     """
     (rank,) = ranks = check_ranks(layer, "cp", ranks)
     w = np.asarray(weight, dtype=np.float64)
@@ -348,35 +413,34 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
         factors = _cp_init(w, rank, rng, memo)
 
     n_modes = w.ndim
+    mode_last = _mode_last(w)
+    grams = [f.T @ f for f in factors]
     guard = _DivergenceGuard()
     last_fit = -np.inf
     stalled = 0
     for _ in range(CP_MAX_ITER):
         inner = None
         for mode in range(n_modes):
-            others = [factors[i] for i in range(n_modes) if i != mode]
-            kr = others[0]
-            for f in others[1:]:
-                kr = khatri_rao(kr, f)
-            mttkrp = linalg.unfold(w, mode) @ kr
+            mttkrp = _mttkrp(mode_last, factors, mode)
             gram = np.ones((rank, rank))
             for i in range(n_modes):
                 if i != mode:
-                    gram *= factors[i].T @ factors[i]
-            factors[mode] = mttkrp @ np.linalg.pinv(gram)
+                    gram *= grams[i]
+            factors[mode] = _solve_gram(mttkrp, gram)
             if mode != n_modes - 1:
                 norms = np.linalg.norm(factors[mode], axis=0)
                 norms[norms == 0] = 1.0
                 factors[mode] /= norms
             else:
                 inner = float(np.sum(factors[mode] * mttkrp))
+            grams[mode] = factors[mode].T @ factors[mode]
         gram = np.ones((rank, rank))
-        for f in factors:
-            gram *= f.T @ f
+        for g in grams:
+            gram *= g
         res_sq = max(norm_w**2 - 2.0 * inner + float(np.sum(gram)), 0.0)
         fit = 1.0 - math.sqrt(res_sq) / norm_w if norm_w else 1.0
         prev_best = guard.best_fit
-        guard.update(fit, [f.copy() for f in factors])
+        guard.update(fit, tuple(factors))
         stalled = 0 if guard.best_fit - prev_best >= CP_FIT_TOL else stalled + 1
         if abs(fit - last_fit) < CP_FIT_TOL or stalled >= CP_STALL_PATIENCE:
             break

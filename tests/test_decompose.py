@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import khatri_rao
 
 from lowrank.costs import (CONV_METHODS, METHODS, cost_chain, cost_factorized,
                            rank_bounds, t3f_plans)
-from lowrank.decompose import (_DivergenceGuard, chain_descs, cp_decompose,
+from lowrank.decompose import (_DivergenceGuard, _mode_last, _mttkrp,
+                               _solve_gram, chain_descs, cp_decompose,
                                decompose_layer, qr_decompose, svd_decompose,
                                t3f_decompose, tt_conv_decompose,
                                tucker2_decompose)
@@ -144,6 +146,137 @@ class TestCp:
                           in_channels=8, out_channels=12)
         fact = cp_decompose(layer, weight, (9,), seed=0)
         assert relative_error(fact.reconstruct(), weight) <= 1e-3
+
+    def test_zero_weight_stays_zero(self):
+        # the first update zeroes a factor, so every later Gram is
+        # singular and takes the pinv fallback
+        fact = cp_decompose(CONV, np.zeros((3, 3, 8, 12)), (5,), seed=0)
+        assert all(np.isfinite(a).all() for a in fact.weights.values())
+        assert not fact.reconstruct().any()
+
+    def test_overranked_rank1_is_exact(self):
+        gen = np.random.default_rng(6)
+        vecs = [gen.standard_normal(n) for n in (3, 3, 8, 12)]
+        weight = np.einsum("i,j,k,l->ijkl", *vecs)
+        for rank in (2, 6):
+            fact = cp_decompose(CONV, weight, (rank,), seed=0)
+            assert all(np.isfinite(a).all() for a in fact.weights.values())
+            assert relative_error(fact.reconstruct(), weight) <= 1e-8
+
+    def test_returns_the_best_sweeps_factors(self, monkeypatch):
+        # the guard keeps the best sweep's factors without copying them,
+        # so no later sweep may write into them
+        sweeps = []
+        update = _DivergenceGuard.update
+
+        def recorded(self, fit, payload):
+            sweeps.append((fit, [f.copy() for f in payload]))
+            return update(self, fit, payload)
+
+        monkeypatch.setattr(_DivergenceGuard, "update", recorded)
+        # an over-ranked float32 fit reaches its best before its last sweep
+        gen = np.random.default_rng(5)
+        parts = [gen.standard_normal((s, 2)) for s in (3, 3, 8, 12)]
+        weight = np.einsum("ir,jr,kr,lr->ijkl", *parts).astype(np.float32)
+        fact = cp_decompose(CONV, weight, (9,), seed=0)
+        best = max(range(len(sweeps)), key=lambda i: sweeps[i][0])
+        assert best < len(sweeps) - 1
+        factors = sweeps[best][1]
+        names = [d.name for d in fact.sub_layers]
+        want = [factors[2]] + factors[:2] + [factors[3].T]
+        for name, arr in zip(names, want):
+            assert fact.weights[name].tobytes() == \
+                np.ascontiguousarray(arr).tobytes(), name
+
+
+def _decaying(gen, n, decay):
+    u, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    v, _ = np.linalg.qr(gen.standard_normal((n, n)))
+    return (u * decay ** np.arange(n)) @ v.T
+
+
+def decaying_conv():
+    """The 3x3x8x16 float32 conv with decaying channel and filter
+    spectra that the ``decompose`` benchmark builds at seed 0, scale 8."""
+    gen = np.random.default_rng([0, 3])
+    core = gen.standard_normal((3, 3, 8, 16))
+    weight = np.einsum("xycf,ic,jf->xyij", core, _decaying(gen, 8, 0.95),
+                       _decaying(gen, 16, 0.97), optimize=True)
+    return np.asarray(weight / np.linalg.norm(weight), dtype=np.float32)
+
+
+# rank -> (ALS sweeps, relative error) of cp_decompose on decaying_conv().
+# They were recorded with an ALS that built the full Khatri-Rao product
+# and solved with pinv: a faster MTTKRP or Gram solve may move the error
+# by rounding, but a changed stop rule or update moves it further.
+CP_PINS = {
+    1: (18, 0.9765697058494845),
+    3: (500, 0.9102189409380357),
+    4: (419, 0.881211489534243),
+    6: (238, 0.8292909140274056),
+}
+
+
+class TestCpAls:
+    @staticmethod
+    def _reference(w, factors, mode):
+        others = [f for i, f in enumerate(factors) if i != mode]
+        kr = others[0]
+        for f in others[1:]:
+            kr = khatri_rao(kr, f)
+        return linalg.unfold(w, mode) @ kr
+
+    @pytest.mark.parametrize("shape", [(3, 5, 4), (3, 3, 8, 12),
+                                       (2, 3, 2, 4, 5), (7, 1, 3, 4),
+                                       (5, 2, 6, 3, 4)])
+    def test_mttkrp_matches_the_khatri_rao_product(self, shape):
+        gen = np.random.default_rng(len(shape))
+        w = gen.standard_normal(shape)
+        factors = [gen.standard_normal((n, 4)) for n in shape]
+        mode_last = _mode_last(w)
+        for mode in range(len(shape)):
+            want = self._reference(w, factors, mode)
+            got = _mttkrp(mode_last, factors, mode)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_gram_solve_matches_pinv(self):
+        gen = np.random.default_rng(3)
+        a, b = gen.standard_normal((9, 5)), gen.standard_normal((7, 5))
+        gram = (a.T @ a) * (b.T @ b)
+        mttkrp = gen.standard_normal((6, 5))
+        want = mttkrp @ np.linalg.pinv(gram)
+        assert np.allclose(_solve_gram(mttkrp, gram), want,
+                           rtol=1e-10, atol=0)
+
+    def test_gram_solve_falls_back_on_a_singular_gram(self):
+        gen = np.random.default_rng(4)
+        a = gen.standard_normal((9, 5))
+        a[:, [1, 3]] = 0.0  # zero factor columns
+        gram = (a.T @ a) * 2.0
+        mttkrp = gen.standard_normal((6, 5))
+        got = _solve_gram(mttkrp, gram)
+        assert np.isfinite(got).all()
+        assert got.tobytes() == (mttkrp @ np.linalg.pinv(gram)).tobytes()
+
+    @pytest.mark.parametrize("rank", sorted(CP_PINS))
+    def test_sweeps_and_error_pinned(self, rank, monkeypatch):
+        sweeps = [0]
+        update = _DivergenceGuard.update
+
+        def counted(self, fit, payload):
+            sweeps[0] += 1
+            return update(self, fit, payload)
+
+        monkeypatch.setattr(_DivergenceGuard, "update", counted)
+        layer = LayerDesc(name="conv", kind="conv2d", kernel=(3, 3),
+                          in_channels=8, out_channels=16)
+        weight = decaying_conv()
+        fact = cp_decompose(layer, weight, (rank,))
+        want_sweeps, want_err = CP_PINS[rank]
+        assert sweeps[0] == want_sweeps
+        assert relative_error(fact.reconstruct(), weight) == \
+            pytest.approx(want_err, rel=0, abs=1e-9)
 
 
 class TestTt:
@@ -374,8 +507,6 @@ class TestMemo:
     def _points(layer, method, plan):
         box = rank_bounds(layer, method, plan)
         top = tuple(hi for _, hi in box)
-        if method == "cp":  # ALS takes seconds at the box's middle ranks
-            return [(1,), (3,), top, (1,), (3,)]
         ladder = [tuple(min(r, hi) for _, hi in box) for r in (1, 2, 3, 5)]
         draw = np.random.default_rng(5)
         drawn = [tuple(int(draw.integers(lo, hi + 1)) for lo, hi in box)
