@@ -263,15 +263,26 @@ def cmd_census(args) -> int:
 
 def cmd_decompose(args) -> int:
     ranks = args.rank
-    if args.model:
+    if args.plan_index is not None and args.method != "t3f":
+        raise LowRankError("--plan-index applies only to t3f")
+    if (args.out_model is None) != (args.out_weights is None):
+        raise LowRankError("--out-model and --out-weights go together")
+    if args.model is not None:
+        if not (args.weights and args.target):
+            raise LowRankError("--model needs --weights and --target, the "
+                               "layer to factorize")
+        if args.kind or args.stride or args.padding:
+            raise LowRankError("--kind, --stride and --padding apply only "
+                               "to --layer")
         model = ModelDesc.load(args.model)
         weights = WeightStore.load(args.weights)
         check_weights(model, weights)
-        if not args.target:
-            raise LowRankError("--target names the layer to factorize")
         layer = model.layer(args.target)
         weight = np.asarray(weights[args.target])
     else:
+        if args.weights or args.target or args.out_model:
+            raise LowRankError("--weights, --target, --out-model and "
+                               "--out-weights need --model")
         layer = _layer_from_args(args)
         rng = np.random.default_rng(args.seed)
         weight = rng.standard_normal(layer.weight_shape()).astype(np.float32)
@@ -302,7 +313,7 @@ def cmd_decompose(args) -> int:
                   for metric in ("params", "flops", "overall_mem")},
               "relative_error": err,
               "sub_layers": [d.to_dict() for d in fact.sub_layers]}
-    if model is not None and args.out_model and args.out_weights:
+    if args.out_model:
         new_model, new_weights = install_solutions(model, weights,
                                                    {layer.name: fact})
         new_model.save(args.out_model)
@@ -522,11 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_census)
 
     p = sub.add_parser("decompose", help="factorize one layer")
-    p.add_argument("--model", default=None, help="model JSON path")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", default=None, help="model JSON path")
+    source.add_argument("--layer", type=_int_tuple, default=None,
+                        help="synthetic layer dimensions")
     p.add_argument("--weights", default=None, help="weight archive path")
     p.add_argument("--target", default=None, help="layer name in the model")
-    p.add_argument("--layer", type=_int_tuple, default=None,
-                   help="synthetic layer dimensions when no model is given")
     p.add_argument("--kind", default=None)
     p.add_argument("--stride", type=_int_tuple, default=None)
     p.add_argument("--padding", choices=("same", "valid"), default=None)
@@ -593,6 +605,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (LowRankError, ValueError, KeyError, OSError) as exc:
         detail = exc.args[0] if exc.args else exc
+        if isinstance(exc, OSError) and exc.strerror:
+            # args[0] of an OSError is its errno
+            detail = exc.strerror if exc.filename is None \
+                else f"{exc.strerror}: {exc.filename}"
         sys.stderr.write(f"error: {detail}\n")
         return 1
 

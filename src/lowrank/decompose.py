@@ -12,6 +12,11 @@ plan of the two matrix dimensions.
 Each decomposer returns a :class:`FactorizedLayer` that carries the
 replacement sub-layer descriptions together with their weights, can
 rebuild the dense weight it approximates, and reports its exact cost.
+The chain's order and each sub-layer's ``weight_shape()`` are the one
+statement of its weight layout: a decomposer lists its factors in
+chain order, and ``_attach`` gives factor ``i`` to the ``i``-th
+weighted sub-layer, reshaped to that sub-layer's ``weight_shape()``.
+``reconstruct`` reads the same layout back by contracting the chain.
 
 CP is fitted by alternating least squares.  Each factor update needs
 the MTTKRP, the mode's unfolding times the Khatri-Rao product of all
@@ -89,10 +94,37 @@ class FactorizedLayer:
         return default_input_shape(first)
 
     def reconstruct(self) -> np.ndarray:
-        """Dense weight tensor this chain approximates."""
-        order = [self.weights[l.name] for l in self.sub_layers
-                 if l.name in self.weights]
-        return _RECONSTRUCT[self.method](order, self.plan)
+        """Dense weight tensor this chain approximates.
+
+        One contraction over the weighted sub-layers in chain order,
+        by sub-layer kind.  A conv or fc stage is a ``matmul`` on the
+        two trailing axes; it broadcasts over the kernel axes, so a
+        pointwise stage maps channels and a single-axis stage spreads
+        the kernel along its axis.  A depthwise stage scales the
+        columns.  A ``tt_core`` stage carries the (rows, columns, rank)
+        partial product through its (r_in, m, n, r_out) core, and the
+        rank 1 that closes the train is dropped.  Reshape stages carry
+        no weight.
+        """
+        stages = [l for l in self.sub_layers if l.name in self.weights]
+        dense = None
+        for sub in stages:
+            w = self.weights[sub.name]
+            if sub.kind == "tt_core":
+                if dense is None:
+                    dense = np.ones((1, 1, 1))
+                rows, cols, _ = dense.shape
+                dense = np.einsum("abr,rmns->ambns", dense, w).reshape(
+                    rows * sub.m, cols * sub.n, sub.rank_out)
+            elif dense is None:
+                dense = w
+            elif sub.kind == "depthwise_conv":
+                dense = dense * w[..., None, :]
+            else:
+                dense = np.matmul(dense, w)
+        if stages[-1].kind == "tt_core":
+            dense = dense[..., 0]
+        return dense
 
 
 # -- sub-layer chain construction -------------------------------------------
@@ -176,6 +208,21 @@ def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
     raise RankError(f"unknown method {method!r}")
 
 
+def _attach(layer: LayerDesc, method: str, ranks: tuple, factors: list,
+            plan: tuple = None) -> FactorizedLayer:
+    """``chain_descs`` with ``factors``, in chain order, as its weights.
+
+    Factor ``i`` becomes the weight of the ``i``-th weighted sub-layer,
+    reshaped to that sub-layer's ``weight_shape()``.
+    """
+    subs = chain_descs(layer, method, ranks, plan)
+    weighted = [l for l in subs if l.weight_shape() is not None]
+    weights = {l.name: f.reshape(l.weight_shape())
+               for l, f in zip(weighted, factors, strict=True)}
+    return FactorizedLayer(layer.name, method, tuple(ranks), subs, weights,
+                           plan=plan)
+
+
 # -- convolution decomposers -------------------------------------------------
 
 
@@ -254,15 +301,7 @@ def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
             break
         last_fit = fit
 
-    subs = chain_descs(layer, "tucker2", ranks)
-    dim = len(layer.kernel)
-    ones = (1,) * dim
-    weights = {
-        subs[0].name: a_c.reshape(ones + (layer.in_channels, r1)),
-        subs[1].name: core,
-        subs[2].name: a_f.T.reshape(ones + (r2, layer.out_channels)),
-    }
-    return FactorizedLayer(layer.name, "tucker2", tuple(ranks), subs, weights)
+    return _attach(layer, "tucker2", ranks, [a_c, core, a_f.T])
 
 
 class _DivergenceGuard:
@@ -445,19 +484,9 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
         if abs(fit - last_fit) < CP_FIT_TOL or stalled >= CP_STALL_PATIENCE:
             break
         last_fit = fit
-    factors = guard.best_payload
-
-    subs = chain_descs(layer, "cp", ranks)
-    dim = len(layer.kernel)
-    ones = (1,) * dim
-    weights = {subs[0].name:
-               factors[dim].reshape(ones + (layer.in_channels, rank))}
-    for axis in range(dim):
-        shape = _axis_kernel(layer.kernel, axis) + (rank,)
-        weights[subs[axis + 1].name] = factors[axis].reshape(shape)
-    weights[subs[dim + 1].name] = \
-        factors[dim + 1].T.reshape(ones + (rank, layer.out_channels))
-    return FactorizedLayer(layer.name, "cp", tuple(ranks), subs, weights)
+    # factors run (K1..Kd, C, F); the chain runs C, K1..Kd, F
+    *spatial, a_c, a_f = guard.best_payload
+    return _attach(layer, "cp", ranks, [a_c, *spatial, a_f.T])
 
 
 def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
@@ -491,19 +520,10 @@ def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     w = np.asarray(weight, dtype=np.float64)
     dim = len(layer.kernel)
     tensor = np.moveaxis(w, dim, 0)  # (C, K1..Kd, F)
-    cores = _tt_svd(tensor, ranks, memo, ("tt", None))
-
-    subs = chain_descs(layer, "tt", ranks)
-    ones = (1,) * dim
-    weights = {subs[0].name:
-               cores[0].reshape(ones + (layer.in_channels, ranks[0]))}
-    for axis in range(dim):
-        core = cores[axis + 1]  # (r_axis, K_axis, r_axis+1)
-        shape = _axis_kernel(layer.kernel, axis) + core.shape[::2]
-        weights[subs[axis + 1].name] = np.moveaxis(core, 1, 0).reshape(shape)
-    weights[subs[dim + 1].name] = \
-        cores[dim + 1].reshape(ones + (ranks[dim], layer.out_channels))
-    return FactorizedLayer(layer.name, "tt", tuple(ranks), subs, weights)
+    first, *spatial, last = _tt_svd(tensor, ranks, memo, ("tt", None))
+    # a spatial core (r_axis, K_axis, r_axis+1) puts its kernel axis first
+    return _attach(layer, "tt", ranks, [
+        first, *(np.moveaxis(core, 1, 0) for core in spatial), last])
 
 
 # -- dense-layer decomposers --------------------------------------------------
@@ -516,9 +536,7 @@ def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     w = np.asarray(weight, dtype=np.float64)
     u, s, v = linalg.svd_leading(_full(linalg.svd, w, memo, ("svd",)), rank)
     root = np.sqrt(s)
-    subs = chain_descs(layer, "svd", ranks)
-    weights = {subs[0].name: u * root, subs[1].name: root[:, None] * v.T}
-    return FactorizedLayer(layer.name, "svd", tuple(ranks), subs, weights)
+    return _attach(layer, "svd", ranks, [u * root, root[:, None] * v.T])
 
 
 def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
@@ -527,9 +545,7 @@ def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     (rank,) = ranks = check_ranks(layer, "qr", ranks)
     w = np.asarray(weight, dtype=np.float64)
     q, r = linalg.qr_leading(_full(linalg.qr_pivoted, w, memo, ("qr",)), rank)
-    subs = chain_descs(layer, "qr", ranks)
-    weights = {subs[0].name: q, subs[1].name: r}
-    return FactorizedLayer(layer.name, "qr", tuple(ranks), subs, weights)
+    return _attach(layer, "qr", ranks, [q, r])
 
 
 def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
@@ -549,81 +565,8 @@ def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     tensor = w.reshape(tuple(ms) + tuple(ns))
     perm = [axis for t in range(d) for axis in (t, d + t)]
     tensor = tensor.transpose(perm).reshape([ms[t] * ns[t] for t in range(d)])
-    cores = _tt_svd(tensor, ranks, memo, ("t3f", plan))
-
-    subs = chain_descs(layer, "t3f", ranks, plan)
-    weights = {}
-    full = (1,) + tuple(ranks) + (1,)
-    for t in range(d):
-        weights[subs[t + 1].name] = \
-            cores[t].reshape(full[t], ms[t], ns[t], full[t + 1])
-    return FactorizedLayer(layer.name, "t3f", tuple(ranks), subs, weights,
-                           plan=plan)
-
-
-# -- reconstruction -----------------------------------------------------------
-
-
-def _recon_tucker2(arrays, plan):
-    a_c, core, a_f = arrays
-    dim = core.ndim - 2
-    a_c = a_c.reshape(a_c.shape[-2:])          # (C, r1)
-    a_f = a_f.reshape(a_f.shape[-2:])          # (r2, F)
-    out = linalg.mode_n_product(core, a_c, dim)
-    return linalg.mode_n_product(out, a_f.T, dim + 1)
-
-
-def _recon_cp(arrays, plan):
-    a_c = arrays[0].reshape(arrays[0].shape[-2:])   # (C, r)
-    a_f = arrays[-1].reshape(arrays[-1].shape[-2:]) # (r, F)
-    spatial = [a.reshape(-1, a.shape[-1]) for a in arrays[1:-1]]
-    factors = spatial + [a_c, a_f.T]
-    out = factors[0]
-    for f in factors[1:]:
-        out = khatri_rao(out, f)
-    shape = tuple(f.shape[0] for f in factors)
-    rank = factors[0].shape[1]
-    return out.reshape(shape + (rank,)).sum(axis=-1)
-
-
-def _recon_tt_conv(arrays, plan):
-    first = arrays[0].reshape(arrays[0].shape[-2:])   # (C, r1)
-    last = arrays[-1].reshape(arrays[-1].shape[-2:])  # (rd, F)
-    out = first
-    for a in arrays[1:-1]:
-        core = np.moveaxis(a.reshape(-1, a.shape[-2], a.shape[-1]), 0, 1)
-        out = np.tensordot(out, core, axes=([out.ndim - 1], [0]))
-    out = np.tensordot(out, last, axes=([out.ndim - 1], [0]))
-    return np.moveaxis(out, 0, out.ndim - 2)  # (C, K.., F) -> (K.., C, F)
-
-
-def _recon_matrix(arrays, plan):
-    a, b = arrays
-    return a @ b
-
-
-def _recon_t3f(arrays, plan):
-    ms, ns = plan
-    d = len(ms)
-    out = arrays[0].reshape(ms[0], ns[0], -1)
-    for t in range(1, d):
-        core = arrays[t]
-        out = np.tensordot(out, core, axes=([out.ndim - 1], [0]))
-    # out: (m1, n1, m2, n2, .., md, nd, 1)
-    out = out.reshape(out.shape[:-1])
-    perm = [2 * t for t in range(d)] + [2 * t + 1 for t in range(d)]
-    out = out.transpose(perm)
-    return out.reshape(math.prod(ms), math.prod(ns))
-
-
-_RECONSTRUCT = {
-    "tucker2": _recon_tucker2,
-    "cp": _recon_cp,
-    "tt": _recon_tt_conv,
-    "svd": _recon_matrix,
-    "qr": _recon_matrix,
-    "t3f": _recon_t3f,
-}
+    return _attach(layer, "t3f", ranks,
+                   _tt_svd(tensor, ranks, memo, ("t3f", plan)), plan)
 
 
 def decompose_layer(layer: LayerDesc, weight: np.ndarray, method: str,

@@ -55,12 +55,16 @@ class TestParsing:
                      ["breakdown", "--model", "m.json", "--seed", "3"],
                      ["census", "--layer", "18,15", "--seed", "1"],
                      ["enumerate", "--layer", "18,15", "--threads", "1"],
-                     ["enumerate", "--layer", "18,15", "--limit", "-1"]):
+                     ["enumerate", "--layer", "18,15", "--limit", "-1"],
+                     # decompose takes exactly one of --model and --layer
+                     ["decompose", "--method", "svd", "--rank", "3"],
+                     ["decompose", "--model", "m.json", "--layer", "18,15",
+                      "--method", "svd", "--rank", "3"]):
             with pytest.raises(SystemExit) as err:
                 main(argv)
             assert err.value.code == 2, argv
 
-    def test_bad_values_exit_one(self, capsys):
+    def test_bad_values_exit_one(self, capsys, tmp_path):
         code, _, errtext = run_cli(capsys, "census", "--layer", "3,3,256",
                                    "--kind", "conv2d")
         assert code == 1 and "error:" in errtext
@@ -68,6 +72,45 @@ class TestParsing:
             capsys, "decompose", "--layer", "18,15", "--method", "cp",
             "--rank", "0")
         assert code == 1 and "error:" in errtext
+        # a missing file is reported by the OS message and its path
+        missing = str(tmp_path / "no-such-model.json")
+        for argv in (("breakdown", "--model", missing),
+                     ("decompose", "--model", missing, "--weights", "w.lrfw",
+                      "--target", "c2", "--method", "svd", "--rank", "3")):
+            code, _, errtext = run_cli(capsys, *argv)
+            assert code == 1, argv
+            assert errtext == f"error: No such file or directory: {missing}\n"
+
+    @pytest.mark.parametrize("extra", [
+        ("--plan-index", "0"),                   # svd has no plans
+        ("--out-model", "m.json", "--out-weights", "w.lrfw"),  # no --model
+        ("--out-model", "m.json"),               # only one of the pair
+        ("--out-weights", "w.lrfw"),
+        ("--weights", "w.lrfw"),                 # no --model to read it
+        ("--target", "f1"),
+    ])
+    def test_decompose_rejects_flags_it_would_ignore(self, capsys, tmp_path,
+                                                     monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        code, out, errtext = run_cli(
+            capsys, "decompose", "--layer", "18,15", "--method", "svd",
+            "--rank", "3", *extra)
+        assert code == 1 and errtext.startswith("error:"), extra
+        assert out == "" and not list(tmp_path.iterdir())
+
+    def test_decompose_model_rejects_missing_and_ignored_flags(
+            self, capsys, saved_net):
+        model_path, weight_path, _ = saved_net
+        given = ("--weights", str(weight_path), "--target", "c2")
+        for extra in (given[:2], given[2:],  # each needs the other
+                      given + ("--kind", "conv3d"),  # these shape a --layer
+                      given + ("--stride", "2"),
+                      given + ("--padding", "valid")):
+            code, out, errtext = run_cli(
+                capsys, "decompose", "--model", str(model_path),
+                "--method", "tucker", "--rank", "4,6", *extra)
+            assert code == 1 and errtext.startswith("error:"), extra
+            assert out == "", extra
 
 
 class TestCensusCommand:
@@ -152,6 +195,18 @@ class TestDecomposeCommand:
         assert "c2" not in names and "c2.lrf0" in names
         store = WeightStore.load(out_weights)
         assert "c2.lrf1" in store
+
+    def test_model_splice_needs_both_outputs(self, capsys, saved_net,
+                                             tmp_path):
+        model_path, weight_path, _ = saved_net
+        out_model = tmp_path / "fact.json"
+        code, _, errtext = run_cli(
+            capsys, "decompose", "--model", str(model_path),
+            "--weights", str(weight_path), "--target", "c2",
+            "--method", "tucker", "--rank", "4,6",
+            "--out-model", str(out_model))
+        assert code == 1 and "--out-weights" in errtext
+        assert not out_model.exists()
 
 
 class TestSearchCommands:

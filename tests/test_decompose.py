@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -55,9 +56,14 @@ def factorize(method, layer, weight, ranks, seed=0):
 
 
 def check_point(layer, weight, method, ranks, plan=None):
-    """The chain of one rank point costs what ``cost_factorized`` says
-    and computes what its dense reconstruction computes."""
+    """The chain of one rank point holds one weight record per weighted
+    sub-layer, shaped as its ``weight_shape()``, costs what
+    ``cost_factorized`` says and computes what its dense reconstruction
+    computes."""
     fact = decompose_layer(layer, weight, method, ranks, plan=plan)
+    assert {name: w.shape for name, w in fact.weights.items()} == \
+        {l.name: l.weight_shape() for l in fact.sub_layers
+         if l.weight_shape() is not None}
     if layer.kind == "fc":
         shape = (layer.in_channels,)
     else:
@@ -461,6 +467,75 @@ class TestWholeBox:
                       for lo, hi in rank_bounds(layer, method, plan))
         weight = rng.standard_normal(layer.weight_shape())
         check_point(layer, weight, method, ranks, plan)
+
+
+# one layer per kind, and the t3f plan of the fc layer, for CHAIN_PINS
+CHAIN_LAYERS = {
+    "conv1d": LayerDesc(name="k1", kind="conv1d", kernel=(3,), in_channels=5,
+                        out_channels=7),
+    "conv2d": LayerDesc(name="k2", kind="conv2d", kernel=(3, 3),
+                        in_channels=6, out_channels=8, stride=(2, 1)),
+    "conv3d": LayerDesc(name="k3", kind="conv3d", kernel=(3, 2, 2),
+                        in_channels=4, out_channels=6),
+    "fc": LayerDesc(name="d", kind="fc", in_channels=24, out_channels=18),
+}
+CHAIN_T3F_PLAN = ((2, 3, 4), (3, 3, 2))
+
+# sha256 of each method's weight records in chain order (``_chain_digest``)
+# at the middle of the rank box, recorded while each decomposer still
+# built its weight dict by hand.  The factors come from LAPACK, so the
+# pins belong to one numpy/BLAS build.
+CHAIN_PINS = {
+    ("conv1d", "tucker2"):
+        "1cfdfc8c105fb01263dadf782ac37450de44f41a65287beec637bd0ece0dafcc",
+    ("conv1d", "cp"):
+        "6c61f8ecc2aaf41ced8c394bf5ec9bb18ed05618ad1046faa3b6e712be79772b",
+    ("conv1d", "tt"):
+        "129958d822224d48bdf24b826a0ba8a5fb44ce15d47633beb68d1025c26d5f18",
+    ("conv2d", "tucker2"):
+        "98507a5817a1045475ab0d03aa46abdd094622d70df04a6870ee2eef63ec12cd",
+    ("conv2d", "cp"):
+        "2cae15d6afb459adb1f713b0bc4db60e13815216fe645b6ad8f87e42be676f69",
+    ("conv2d", "tt"):
+        "6846a230b809c064771e4b86084150964efef804bf355dce52d0a6d6924ef6f3",
+    ("conv3d", "tucker2"):
+        "831b5bb2ea744fb8b81bb3b54b2b5af37a9da51956ee4cfa4bba92a8a6c99892",
+    ("conv3d", "cp"):
+        "7da7791597cc3af581d323a200172a2ba080a094c72057249b2b9d8d339ba0cf",
+    ("conv3d", "tt"):
+        "6c9393c521febe0be3cca3a3fdd82216ccfe6da7c46ed266769edf08fb42bfa3",
+    ("fc", "svd"):
+        "f00ec45d232ad8a07c038e9a7baf7b850e987aac43aeaee4942737718d854f3d",
+    ("fc", "qr"):
+        "fbe167ac51a33347eaadc7e370e5b7fab03ff1ad2226f2f69d713bb6bf31a467",
+    ("fc", "t3f"):
+        "b29e62e59187f87e80e93543e52e6fbf4458de0802c6ed1227cc10f0d0958a4c",
+}
+
+
+def _chain_digest(kind, method):
+    layer = CHAIN_LAYERS[kind]
+    seed = list(CHAIN_LAYERS).index(kind)
+    weight = np.random.default_rng(seed).standard_normal(layer.weight_shape())
+    plan = CHAIN_T3F_PLAN if method == "t3f" else None
+    ranks = tuple(max(lo, hi // 2)
+                  for lo, hi in rank_bounds(layer, method, plan))
+    fact = decompose_layer(layer, weight, method, ranks, plan=plan)
+    digest = hashlib.sha256()
+    for sub in fact.sub_layers:
+        if sub.name in fact.weights:
+            arr = fact.weights[sub.name]
+            digest.update(f"{sub.name}{arr.shape}{arr.dtype}".encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+class TestChainLayout:
+    """Each method's factors attach to its chain with the same bytes."""
+
+    @pytest.mark.parametrize("kind,method", sorted(CHAIN_PINS))
+    def test_weight_records_pinned(self, kind, method):
+        assert _chain_digest(kind, method) == CHAIN_PINS[kind, method]
 
 
 def _count_factorizations(monkeypatch):
