@@ -28,18 +28,20 @@ finishes the contraction.  The normal equations are solved by
 Cholesky, falling back to the pseudo-inverse on a singular Gram.
 
 A rank search decomposes one weight at many ranks, and much of that
-work does not depend on the rank.  ``linalg.svd`` and
-``linalg.qr_pivoted`` compute the full factorization and then slice
-it, so slicing a kept full factorization gives the same bytes.  Given
-a ``memo`` dict that belongs to one weight, the decomposers keep each
-full factorization under a key naming what it depends on:
+work does not depend on the rank.  ``linalg.svd``,
+``linalg.qr_pivoted`` and ``linalg.left_basis`` compute the full
+factorization and then slice it, so slicing a kept full factorization
+gives the same bytes.  Given a ``memo`` dict that belongs to one
+weight, the decomposers keep each full factorization under a key
+naming what it depends on:
 
 - ``("svd",)`` and ``("qr",)``: the weight matrix;
 - ``("tt", None, prefix)`` and ``("t3f", plan, prefix)``: step ``i``
   of the sequential TT-SVD unfolds what the ranks ``prefix =
   ranks[:i]`` left over, so step 0 is shared by every rank vector and
   a later step by those with the same leading ranks;
-- ``("tucker2", mode)``: the two initial unfolding SVDs;
+- ``("tucker2", mode)``: the full ``linalg.left_basis`` of each of
+  the two initial unfoldings (U alone, signed, no S or V);
 - ``("cp", mode)``: the per-mode SVDs that start CP-ALS.
 
 Kept factorizations are read-only, since the returned factors may be
@@ -232,7 +234,8 @@ def _conv_tensor_modes(layer: LayerDesc):
 
 
 def _full(factorize, mat: np.ndarray, memo: dict = None, key: tuple = None):
-    """``factorize(mat)``, the full ``linalg.svd`` or ``linalg.qr_pivoted``.
+    """``factorize(mat)``, the full ``linalg.svd``, ``linalg.qr_pivoted``
+    or ``linalg.left_basis``.
 
     With a memo, the factorization is computed once per ``key`` and
     stored read-only, so that no caller can write through a view of it
@@ -243,7 +246,7 @@ def _full(factorize, mat: np.ndarray, memo: dict = None, key: tuple = None):
     full = memo.get(key)
     if full is None:
         full = factorize(mat)
-        for part in full:
+        for part in (full,) if isinstance(full, np.ndarray) else full:
             part.flags.writeable = False
         memo[key] = full
     return full
@@ -270,11 +273,14 @@ def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
                       memo: dict = None):
     """Tucker restricted to the channel and filter modes.
 
-    Initializes factors from the truncated SVDs of the two unfoldings,
-    then refines them by alternating orthogonal iteration until the
-    fit stops improving.  A rank above what the other rank times the
-    kernel size can feed gets zero factor columns.  Only the two
-    initial SVDs go through ``memo``: the iteration's depend on the
+    Initializes factors from the leading left singular vectors of the
+    two unfoldings, then refines them by alternating orthogonal
+    iteration (HOOI) until the fit stops improving.  Every basis comes
+    from ``linalg.left_basis``, which needs no V: on the usual wide
+    unfoldings it diagonalizes the small channel or filter Gram
+    instead of running an SVD.  A rank above what the other rank times
+    the kernel size can feed gets zero factor columns.  Only the two
+    initial bases go through ``memo``: the iteration's depend on the
     ranks.
     """
     r1, r2 = ranks = check_ranks(layer, "tucker2", ranks)
@@ -282,17 +288,17 @@ def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     c_mode, f_mode = _conv_tensor_modes(layer)
     norm_w = np.linalg.norm(w)
 
-    a_c, _, _ = _leading(linalg.unfold(w, c_mode), r1, memo,
-                         ("tucker2", c_mode))
-    a_f, _, _ = _leading(linalg.unfold(w, f_mode), r2, memo,
-                         ("tucker2", f_mode))
+    a_c, a_f = (linalg.left_basis_leading(
+        _full(linalg.left_basis, linalg.unfold(w, mode), memo,
+              ("tucker2", mode)), rank)
+        for mode, rank in ((c_mode, r1), (f_mode, r2)))
     last_fit = -np.inf
     core = None
     for _ in range(TUCKER_MAX_ITER):
         partial = linalg.mode_n_product(w, a_f.T, f_mode)
-        a_c, _, _ = _leading(linalg.unfold(partial, c_mode), r1)
+        a_c = linalg.left_basis(linalg.unfold(partial, c_mode), r1)
         partial = linalg.mode_n_product(w, a_c.T, c_mode)
-        a_f, _, _ = _leading(linalg.unfold(partial, f_mode), r2)
+        a_f = linalg.left_basis(linalg.unfold(partial, f_mode), r2)
         core = linalg.mode_n_product(partial, a_f.T, f_mode)
         # Orthonormal factors: residual^2 = |W|^2 - |core|^2.
         gap = max(norm_w**2 - np.linalg.norm(core)**2, 0.0)

@@ -38,6 +38,47 @@ def svd_leading(usv: tuple, rank: int | None):
     return u[:, :rank], s[:rank], v[:, :rank]
 
 
+def left_basis(a: np.ndarray, rank: int | None = None) -> np.ndarray:
+    """Leading left singular vectors of ``a``, without S or V.
+
+    Returns ``U: (M, k)`` with ``k = min(M, N)``, in descending order
+    of singular value, or ``rank`` columns if given (see
+    :func:`left_basis_leading`).  A wide or square ``a`` (``N >= M``)
+    takes the eigenvectors of its small ``M x M`` Gram ``a @ a.T``,
+    which is several times cheaper than an SVD there; a tall ``a``
+    takes :func:`svd`'s ``U``, which is cheaper on that side.  Each
+    column is signed so that its largest-magnitude entry is positive,
+    so the basis does not depend on which solver produced it.
+    """
+    if a.ndim != 2:
+        raise RankError(f"left_basis expects a matrix, got shape {a.shape}")
+    m, n = a.shape
+    if n >= m:
+        u = np.linalg.eigh(a @ a.T)[1][:, ::-1]
+    else:
+        u = svd(a)[0]
+    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return left_basis_leading(u * np.where(peaks < 0, -1.0, 1.0), rank)
+
+
+def left_basis_leading(u: np.ndarray, rank: int | None) -> np.ndarray:
+    """The leading ``rank`` columns of a full :func:`left_basis` result.
+
+    Within the basis the columns are views, so truncating one full
+    basis gives the same bytes as :func:`left_basis` at that rank.  A
+    rank above the basis width is met by zero columns, which add
+    nothing to any product of the factors.
+    """
+    if rank is None:
+        return u
+    if rank < 1:
+        raise RankError(f"left_basis rank {rank} below 1")
+    keep = min(rank, u.shape[1])
+    if keep < rank:
+        return np.pad(u[:, :keep], ((0, 0), (0, rank - keep)))
+    return u[:, :rank]
+
+
 def qr_pivoted(a: np.ndarray, rank: int | None = None):
     """Column-pivoted QR with the permutation folded back into R.
 

@@ -9,7 +9,8 @@ from scipy.linalg import khatri_rao
 
 from lowrank.costs import (CONV_METHODS, METHODS, cost_chain, cost_factorized,
                            rank_bounds, t3f_plans)
-from lowrank.decompose import (_DivergenceGuard, _mode_last, _mttkrp,
+from lowrank.decompose import (TUCKER_FIT_TOL, TUCKER_MAX_ITER,
+                               _DivergenceGuard, _mode_last, _mttkrp,
                                _solve_gram, chain_descs, cp_decompose,
                                decompose_layer, qr_decompose, svd_decompose,
                                t3f_decompose, tt_conv_decompose,
@@ -201,13 +202,14 @@ def _decaying(gen, n, decay):
     return (u * decay ** np.arange(n)) @ v.T
 
 
-def decaying_conv():
-    """The 3x3x8x16 float32 conv with decaying channel and filter
-    spectra that the ``decompose`` benchmark builds at seed 0, scale 8."""
+def decaying_conv(scale=8):
+    """The 3x3x(64/scale)x(128/scale) float32 conv with decaying channel
+    and filter spectra that the ``decompose`` benchmark builds at seed 0."""
     gen = np.random.default_rng([0, 3])
-    core = gen.standard_normal((3, 3, 8, 16))
-    weight = np.einsum("xycf,ic,jf->xyij", core, _decaying(gen, 8, 0.95),
-                       _decaying(gen, 16, 0.97), optimize=True)
+    c, f = 64 // scale, 128 // scale
+    core = gen.standard_normal((3, 3, c, f))
+    weight = np.einsum("xycf,ic,jf->xyij", core, _decaying(gen, c, 0.95),
+                       _decaying(gen, f, 0.97), optimize=True)
     return np.asarray(weight / np.linalg.norm(weight), dtype=np.float32)
 
 
@@ -323,6 +325,72 @@ class TestTucker2:
         assert core.shape == (3, 3, 3, 5)
 
 
+# ranks -> (HOOI sweeps, relative error) of tucker2_decompose on the
+# full-size decaying_conv(scale=1), at the benchmark's ladder shares 1/32,
+# 1/16, 1/8 and 1/4 of the (64, 128) rank bounds.  They were recorded
+# when every basis came from a full SVD: the Gram eigensolver may move
+# the error by rounding, but a changed stop rule or update moves it
+# further, or changes the sweep count.
+TUCKER2_PINS = {
+    (2, 4): (17, 0.9458740539824086),
+    (4, 8): (28, 0.8805204018301104),
+    (8, 16): (8, 0.737567469098351),
+    (16, 32): (5, 0.4938392418925935),
+}
+
+
+def _svd_hooi_error(weight, ranks):
+    """Relative error of Tucker-2 HOOI with every basis taken from a
+    full SVD, with ``tucker2_decompose``'s initialization and stop rule."""
+    w = np.asarray(weight, dtype=np.float64)
+    c_mode, f_mode = w.ndim - 2, w.ndim - 1
+
+    def leading(mat, rank):
+        u = np.linalg.svd(mat, full_matrices=False)[0][:, :rank]
+        return np.pad(u, ((0, 0), (0, rank - u.shape[1])))
+
+    r1, r2 = ranks
+    a_c = leading(linalg.unfold(w, c_mode), r1)
+    a_f = leading(linalg.unfold(w, f_mode), r2)
+    norm_w = np.linalg.norm(w)
+    last_fit = -np.inf
+    for _ in range(TUCKER_MAX_ITER):
+        partial = linalg.mode_n_product(w, a_f.T, f_mode)
+        a_c = leading(linalg.unfold(partial, c_mode), r1)
+        partial = linalg.mode_n_product(w, a_c.T, c_mode)
+        a_f = leading(linalg.unfold(partial, f_mode), r2)
+        core = linalg.mode_n_product(partial, a_f.T, f_mode)
+        gap = max(norm_w**2 - np.linalg.norm(core)**2, 0.0)
+        fit = 1.0 - np.sqrt(gap) / norm_w
+        if fit - last_fit < TUCKER_FIT_TOL:
+            break
+        last_fit = fit
+    approx = linalg.mode_n_product(
+        linalg.mode_n_product(core, a_c, c_mode), a_f, f_mode)
+    return relative_error(approx, w)
+
+
+class TestTucker2Hooi:
+    @pytest.mark.parametrize("ranks", sorted(TUCKER2_PINS))
+    def test_sweeps_and_error_pinned(self, ranks, monkeypatch):
+        products = [0]
+        original = linalg.mode_n_product
+
+        def counted(*args):
+            products[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(linalg, "mode_n_product", counted)
+        layer = LayerDesc(name="conv", kind="conv2d", kernel=(3, 3),
+                          in_channels=64, out_channels=128)
+        weight = decaying_conv(scale=1)
+        fact = tucker2_decompose(layer, weight, ranks)
+        want_sweeps, want_err = TUCKER2_PINS[ranks]
+        assert products[0] == 3 * want_sweeps  # three products per sweep
+        err = relative_error(fact.reconstruct(), weight)
+        assert want_err * (1 - 1e-9) <= err <= want_err * (1 + 1e-12)
+
+
 class TestT3f:
     def test_plan_shapes(self):
         weight = fc_weight()
@@ -430,6 +498,18 @@ class TestWholeBox:
                 points += 1
         assert points > 0
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_tucker2_no_worse_than_full_svd_hooi(self, seed):
+        weight = np.random.default_rng(seed).standard_normal(
+            TINY_CONV.weight_shape())
+        box = rank_bounds(TINY_CONV, "tucker2")
+        for ranks in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in box)):
+            fact = tucker2_decompose(TINY_CONV, weight, ranks)
+            err = relative_error(fact.reconstruct(), weight)
+            assert err <= _svd_hooi_error(weight, ranks) + 1e-12, ranks
+
     def test_tucker2_ranks_beyond_the_other_times_the_kernel(self):
         # r1 > r2 * prod(kernel) and r2 > r1 * prod(kernel): the core's
         # unfoldings cannot hold them, so factor columns are zero-padded
@@ -483,23 +563,25 @@ CHAIN_T3F_PLAN = ((2, 3, 4), (3, 3, 2))
 
 # sha256 of each method's weight records in chain order (``_chain_digest``)
 # at the middle of the rank box, recorded while each decomposer still
-# built its weight dict by hand.  The factors come from LAPACK, so the
-# pins belong to one numpy/BLAS build.
+# built its weight dict by hand.  The tucker2 pins were re-recorded when
+# its bases moved to ``linalg.left_basis``: the factors changed sign and
+# rounding only.  The factors come from LAPACK, so the pins belong to one
+# numpy/BLAS build.
 CHAIN_PINS = {
     ("conv1d", "tucker2"):
-        "1cfdfc8c105fb01263dadf782ac37450de44f41a65287beec637bd0ece0dafcc",
+        "6f778ef33e3c1f2f5a59d0fac6f6a63c35fe163d7dbb4b53b34064d3ad974188",
     ("conv1d", "cp"):
         "6c61f8ecc2aaf41ced8c394bf5ec9bb18ed05618ad1046faa3b6e712be79772b",
     ("conv1d", "tt"):
         "129958d822224d48bdf24b826a0ba8a5fb44ce15d47633beb68d1025c26d5f18",
     ("conv2d", "tucker2"):
-        "98507a5817a1045475ab0d03aa46abdd094622d70df04a6870ee2eef63ec12cd",
+        "602ded4dcfe25f8e98eff6ea69934a05fd3b6a801dc47538935ad46e46a71901",
     ("conv2d", "cp"):
         "2cae15d6afb459adb1f713b0bc4db60e13815216fe645b6ad8f87e42be676f69",
     ("conv2d", "tt"):
         "6846a230b809c064771e4b86084150964efef804bf355dce52d0a6d6924ef6f3",
     ("conv3d", "tucker2"):
-        "831b5bb2ea744fb8b81bb3b54b2b5af37a9da51956ee4cfa4bba92a8a6c99892",
+        "4e0c8321fbaf4d41e8b0fb96a1124928b62df9a60b9d55c308f1ddf0786aea3a",
     ("conv3d", "cp"):
         "7da7791597cc3af581d323a200172a2ba080a094c72057249b2b9d8d339ba0cf",
     ("conv3d", "tt"):
@@ -539,14 +621,21 @@ class TestChainLayout:
 
 
 def _count_factorizations(monkeypatch):
-    """Shapes of the matrices passed to ``linalg.svd``/``qr_pivoted``."""
-    calls = []
-    for name in ("svd", "qr_pivoted"):
+    """Shapes of the matrices passed to ``linalg.svd``, ``qr_pivoted`` and
+    ``left_basis``.  The ``svd`` that ``left_basis`` takes of a tall
+    matrix is part of that one factorization, not a second."""
+    calls, active = [], []
+    for name in ("svd", "qr_pivoted", "left_basis"):
         original = getattr(linalg, name)
 
         def counted(a, rank=None, original=original):
-            calls.append(a.shape)
-            return original(a, rank)
+            if not active:
+                calls.append(a.shape)
+            active.append(a)
+            try:
+                return original(a, rank)
+            finally:
+                active.pop()
 
         monkeypatch.setattr(linalg, name, counted)
     return calls

@@ -23,8 +23,10 @@ rng = np.random.default_rng(11)
 # weight archive bytes (TestSearchLoop.test_deterministic_audit). They were
 # recorded with the sliding-window forward kernels: a faster kernel may move
 # similarity digits (the t3f ones moved by < 1e-16) but no search decision
-# or weight.  The weights come from LAPACK, so the pins belong to one
-# numpy/BLAS build.
+# or weight.  The tucker2 pins were re-recorded when its bases moved from
+# full SVDs to ``linalg.left_basis`` (signed Gram eigenvectors), with
+# AUDIT_DECISION_PINS unchanged.  The weights come from LAPACK, so the pins
+# belong to one numpy/BLAS build.
 AUDIT_PINS = {
     ("cp", "qr"):
         "05dd511e0d9174693d48f3a2b75c8210e02ba8749bf3b42d3e7ca263f5d48886",
@@ -39,11 +41,38 @@ AUDIT_PINS = {
     ("tt", "t3f"):
         "92afe11fc62e9e8b646615d1ba8010f54783e0f7552631508ec11f5b8b0165fa",
     ("tucker2", "qr"):
-        "636325bfc0ec8efcae9255f0bc62884d1dfccc3a587df76b6f6149d873091eb5",
+        "838ca54d5ce9dea7949d065e06744aa0c8b89e58068e2c8358a4ef0f5640a92e",
     ("tucker2", "svd"):
-        "b54cde3cd20781d91c66c0a02f0086714e92bfee7feb190dab0368de2e30c3a7",
+        "a7c602419e3f7c16e0406d42768e520e464b6e537c0a844d6b0599e8d9b0da1b",
     ("tucker2", "t3f"):
-        "7326487989575daa1d999227f649ac3ecbfd38a3ba062abcec24bac4e7c6c800",
+        "8e9cc7d18bce247340a5e3e912b54561d2e1ffb6ed3837b416ca9aa1022950e5",
+}
+
+
+# sha256 of each pair's audit without its similarities and without the
+# weight archive: the search's decisions (ranks, steps, frozen flags,
+# objective values, accuracies) apart from the LAPACK bytes that
+# AUDIT_PINS also holds.  A faster factorization may move weight bytes
+# and so AUDIT_PINS, but never these.
+AUDIT_DECISION_PINS = {
+    ("cp", "qr"):
+        "349ae4034d05913ff5fe57f0b1076e52e31437a4cad6efb266dd1f553b7fc4cd",
+    ("cp", "svd"):
+        "637b137232e3f15990ac70956de0eff355b5295437719783d867b08716fbf8cb",
+    ("cp", "t3f"):
+        "577028a50aa6c6dc662051320111c67494c7a5ac3c704550eea5cba2e1644b4c",
+    ("tt", "qr"):
+        "6401d009d218277143180ac8849e7356a32f2b47365883877ee2363d3b91ecd8",
+    ("tt", "svd"):
+        "ee80b8f602e6b46abe46ba274181ff15493e5ca13333d8f0d75ce1b323be0236",
+    ("tt", "t3f"):
+        "8bc33c6886f9681de6f5bafb87f11028614b4a3f6d31c2d6a0a79aabb1cf753c",
+    ("tucker2", "qr"):
+        "a7237fd6d9ffce10fd7dbf51a968b714c139c81cf462dac59a36b121bdb1521f",
+    ("tucker2", "svd"):
+        "30863737098490b3512b6b8974dd85db76db89441678af76e29154358c1015d1",
+    ("tucker2", "t3f"):
+        "3713015c3851c09d74f369a5a4d95e4c3451372c065568ce78c1488f1bd5ef50",
 }
 
 
@@ -403,6 +432,8 @@ class TestSearchLoop:
             for name, layer in entry["layers"].items()}}
             for entry in runs[0].audit]
         text = json.dumps(decisions, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() \
+            == AUDIT_DECISION_PINS[conv_method, fc_method]
         assert hashlib.sha256(text + runs[0].weights.to_bytes()).hexdigest() \
             == AUDIT_PINS[conv_method, fc_method]
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.linalg import (fold, mode_n_product, qr_pivoted, relative_error,
-                            svd, unfold)
+from lowrank import linalg
+from lowrank.errors import RankError
+from lowrank.linalg import (fold, left_basis, mode_n_product, qr_pivoted,
+                            relative_error, svd, unfold)
 
 rng = np.random.default_rng(0)
 
@@ -51,6 +53,91 @@ class TestSvd:
         assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-10)
         assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-10)
         assert np.all(s[:-1] >= s[1:])
+
+
+def spread_spectrum(shape, seed):
+    """A matrix whose singular values 3 .. 1 are evenly spaced, so every
+    leading subspace is well separated from the rest."""
+    gen = np.random.default_rng(seed)
+    m, n = shape
+    k = min(shape)
+    u, _ = np.linalg.qr(gen.standard_normal((m, k)))
+    v, _ = np.linalg.qr(gen.standard_normal((n, k)))
+    return (u * np.linspace(3.0, 1.0, k)) @ v.T
+
+
+SHAPES = {"wide": (12, 40), "square": (15, 15), "tall": (30, 9)}
+
+
+class TestLeftBasis:
+    @pytest.mark.parametrize("side", sorted(SHAPES))
+    def test_subspaces_match_the_svd(self, side):
+        a = spread_spectrum(SHAPES[side], seed=len(side))
+        u_ref = np.linalg.svd(a, full_matrices=False)[0]
+        for k in range(1, min(a.shape) + 1):
+            u = left_basis(a, k)
+            gap = np.linalg.norm(u @ u.T - u_ref[:, :k] @ u_ref[:, :k].T, 2)
+            assert gap <= 1e-10, (k, gap)
+
+    @pytest.mark.parametrize("side", sorted(SHAPES))
+    def test_orthonormal_and_signed(self, side):
+        a = rng.standard_normal(SHAPES[side])
+        u = left_basis(a)
+        assert u.shape == (a.shape[0], min(a.shape))
+        assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        # each column's largest-magnitude entry is positive
+        peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        assert (peaks > 0).all()
+
+    def test_sign_does_not_follow_the_input_sign(self):
+        a = rng.standard_normal((6, 20))
+        assert left_basis(-a).tobytes() == left_basis(a).tobytes()
+
+    @pytest.mark.parametrize("a", [
+        rng.standard_normal((64, 2)) @ rng.standard_normal((2, 200)),
+        np.zeros((5, 8)), np.zeros((8, 5))],
+        ids=["rank-2 wide", "zero wide", "zero tall"])
+    def test_rank_deficient_matrices_get_orthonormal_bases(self, a):
+        u = left_basis(a)
+        assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        if a.any():
+            # the leading columns span the column space
+            lead = u[:, :2]
+            assert np.allclose(lead @ (lead.T @ a), a, atol=1e-10)
+
+    def test_rank_above_the_basis_width_is_zero_padded(self):
+        a = rng.standard_normal((6, 4))
+        u = left_basis(a, 7)
+        assert u.shape == (6, 7)
+        assert u[:, :4].tobytes() == left_basis(a, 4).tobytes()
+        assert not u[:, 4:].any()
+
+    @pytest.mark.parametrize("side", sorted(SHAPES))
+    def test_truncating_the_full_basis_gives_the_same_bytes(self, side):
+        a = rng.standard_normal(SHAPES[side])
+        full = left_basis(a)
+        for k in range(1, min(a.shape) + 1):
+            assert left_basis(a, k).tobytes() == full[:, :k].tobytes()
+
+    @pytest.mark.parametrize("side,svds", [("wide", 0), ("square", 0),
+                                           ("tall", 1)])
+    def test_only_a_tall_matrix_takes_an_svd(self, side, svds, monkeypatch):
+        calls = []
+        original = linalg.svd
+
+        def counted(a, rank=None):
+            calls.append(a.shape)
+            return original(a, rank)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        left_basis(rng.standard_normal(SHAPES[side]))
+        assert len(calls) == svds
+
+    def test_rejects_a_zero_rank_and_a_tensor(self):
+        with pytest.raises(RankError):
+            left_basis(rng.standard_normal((3, 4)), 0)
+        with pytest.raises(RankError):
+            left_basis(rng.standard_normal((3, 4, 5)))
 
 
 class TestQr:
