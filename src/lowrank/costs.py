@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import RankError, ShapeError
-from .ir import CONV_KINDS, LayerDesc, ModelDesc, conv_out_length
+from .ir import CONV_KINDS, LayerDesc, ModelDesc
 
 CONV_METHODS = ("tucker2", "cp", "tt")
 FC_METHODS = ("svd", "qr", "t3f")
@@ -251,14 +251,8 @@ def _conv_geometry(layer: LayerDesc, input_shape: tuple):
     """Per-axis input and output extents for a conv layer."""
     if input_shape is None:
         input_shape = default_input_shape(layer)
-    spatial_in = tuple(input_shape[:-1])
-    if input_shape[-1] != layer.in_channels or len(spatial_in) != len(layer.kernel):
-        raise ShapeError(f"{layer.name}: input {input_shape} does not match layer")
-    spatial_out = tuple(
-        conv_out_length(spatial_in[i], layer.kernel[i], layer.stride[i],
-                        layer.padding)
-        for i in range(len(spatial_in)))
-    return spatial_in, spatial_out
+    input_shape = tuple(input_shape)
+    return input_shape[:-1], layer.out_shape([input_shape])[:-1]
 
 
 def _stagewise_conv_cost(channel_pairs, kernels, positions):

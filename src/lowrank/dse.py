@@ -36,8 +36,8 @@ from .costs import CostReport, cost_original
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
-from .ir import (CONV_KINDS, DATASET_INPUTS, DATASET_LABELS, LayerDesc,
-                 ModelDesc, WeightStore)
+from .ir import (CONV_KINDS, DATASET_INPUTS, DATASET_LABELS,
+                 DECOMPOSABLE_KINDS, LayerDesc, ModelDesc, WeightStore)
 from .similarity import capture_feature_maps, forward_model, layer_similarity, \
     sample_dataset
 
@@ -61,6 +61,10 @@ class DseConfig:
     def __post_init__(self):
         if not 0 < self.step_size < 100:
             raise RankError("step_size must lie in (0, 100)")
+        if self.max_sol < 1:
+            raise RankError("max_sol must be at least 1")
+        if self.sample_count < 1:
+            raise RankError("sample_count must be at least 1")
         if not 0 < self.target_fraction <= 1:
             raise RankError("target_fraction must lie in (0, 1]")
         for thr in (self.sim_threshold_sequential,
@@ -213,7 +217,7 @@ def install_solutions(model: ModelDesc, weights: WeightStore,
 
 
 def decomposable_layers(model: ModelDesc) -> list:
-    return [l.name for l in model.layers if l.kind in CONV_KINDS + ("fc",)]
+    return [l.name for l in model.layers if l.kind in DECOMPOSABLE_KINDS]
 
 
 def select_target_layers(model: ModelDesc, input_shape: tuple,

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import FormatError, GraphError, ShapeError
 
 CONV_KINDS = ("conv1d", "conv2d", "conv3d")
 DECOMPOSABLE_KINDS = CONV_KINDS + ("fc",)
+WINDOW_KINDS = CONV_KINDS + ("depthwise_conv", "pool")
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "softmax")
 POOL_MODES = ("max", "avg")
 
@@ -40,14 +43,10 @@ DATASET_INPUTS = "inputs"
 DATASET_LABELS = "labels"
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def conv_out_length(x: int, k: int, stride: int, padding: str) -> int:
     """Output extent of one spatial axis for a conv or pool window."""
     if padding == "same":
-        return ceil_div(x, stride)
+        return -(-x // stride)  # ceil(x / stride)
     if padding == "valid":
         if x < k:
             raise ShapeError(f"window {k} larger than input extent {x}")
@@ -100,8 +99,6 @@ class LayerDesc:
                 raise ShapeError(f"{self.name}: {k} needs a {dim}-d kernel")
             if self.stride is None:
                 self.stride = (1,) * dim
-            if len(self.stride) != dim:
-                raise ShapeError(f"{self.name}: stride rank != kernel rank")
             if self.padding is None:
                 self.padding = "same"
             if self.groups is None:
@@ -144,6 +141,8 @@ class LayerDesc:
             self._need("m", "n", "rank_in", "rank_out")
         else:
             raise ShapeError(f"{self.name}: unknown layer kind {k!r}")
+        if k in WINDOW_KINDS and len(self.stride) != len(self.kernel):
+            raise ShapeError(f"{self.name}: stride rank != kernel rank")
 
     def _need(self, *names):
         for name in names:
@@ -175,7 +174,11 @@ class LayerDesc:
     # -- shape inference ----------------------------------------------
 
     def out_shape(self, in_shapes: list) -> tuple:
-        """Per-sample output shape given per-sample predecessor shapes."""
+        """Per-sample output shape given per-sample predecessor shapes.
+
+        The one statement of a layer's input check and output extents:
+        the forward engine and the cost model take theirs from here.
+        """
         k = self.kind
         if k in ("add", "concat"):
             if len(in_shapes) < 2:
@@ -184,34 +187,26 @@ class LayerDesc:
             raise GraphError(f"{self.name}: expected exactly 1 input")
         x = in_shapes[0]
 
-        if k in CONV_KINDS or k == "depthwise_conv":
-            dim = len(self.kernel)
-            if len(x) != dim + 1 or x[-1] != self.in_channels:
+        if k in WINDOW_KINDS:
+            pool = k == "pool"
+            if len(x) != len(self.kernel) + 1 or (
+                    not pool and x[-1] != self.in_channels):
                 raise ShapeError(f"{self.name}: input {x} does not match layer")
-            spatial = tuple(
-                conv_out_length(x[i], self.kernel[i], self.stride[i], self.padding)
-                for i in range(dim))
-            return spatial + (self.out_channels,)
+            spatial = tuple(map(conv_out_length, x, self.kernel, self.stride,
+                                repeat(self.padding)))
+            return spatial + (x[-1] if pool else self.out_channels,)
         if k == "fc":
             if len(x) != 1 or x[0] != self.in_channels:
                 raise ShapeError(f"{self.name}: input {x} does not match layer")
             return (self.out_channels,)
         if k in ("activation", "batchnorm"):
             return x
-        if k == "pool":
-            dim = len(self.kernel)
-            if len(x) != dim + 1:
-                raise ShapeError(f"{self.name}: input {x} does not match pool")
-            spatial = tuple(
-                conv_out_length(x[i], self.kernel[i], self.stride[i], self.padding)
-                for i in range(dim))
-            return spatial + (x[-1],)
         if k == "reshape":
-            if int(np.prod(x)) != int(np.prod(self.shape)):
+            if math.prod(x) != math.prod(self.shape):
                 raise ShapeError(f"{self.name}: cannot reshape {x} to {self.shape}")
             return self.shape
         if k == "flatten":
-            return (int(np.prod(x)),)
+            return (math.prod(x),)
         if k == "tt_core":
             if len(x) != 2 or x[1] != self.rank_in or x[0] % self.m:
                 raise ShapeError(f"{self.name}: input {x} does not match core")

@@ -6,27 +6,35 @@ layer's output.  Every candidate and every search iteration runs here,
 so each layer kind has a fast kernel, and ``tests/test_similarity.py``
 checks each one against a reference:
 
-* convolution (one group): im2col, then one matrix product.  A unit
-  kernel's columns are a strided slice of the input; a kernel with one
-  non-unit axis (the 3x1 / 1x3 stages of TT chains) gathers them with
-  one strided copy per offset; a dense kernel copies the sliding-window
-  view.  The columns keep the (C, K..) order of ``np.tensordot`` over
-  the window view, so the output bytes equal that formula's
-  (``TestKernelBytes``); a loop nest checks the semantics
-  (``TestConvOracle``).
-* max pooling: a running ``np.maximum`` over the shifted strided views,
-  exact because max ignores order (``TestKernelBytes``).
-* grouped and depthwise convolution, average pooling: reductions over
-  the window view (``TestConvOracle``, ``TestPoolOracle``).
+* convolution: im2col, then one matrix product per channel group.  A
+  unit kernel's columns are a strided slice of the input; a kernel with
+  one non-unit axis (the 3x1 / 1x3 stages of TT chains) gathers them
+  with one strided copy per offset; a dense kernel copies the
+  sliding-window view.  The columns keep the (C, K..) order of
+  ``np.tensordot`` over the window view, so the output bytes equal that
+  formula's, per group for grouped convs (``TestKernelBytes``); a loop
+  nest checks the semantics (``TestConvOracle``).
+* depthwise convolution (the per-axis stages of CP chains), max and
+  average pooling: one running fold over the shifted strided views, one
+  view per kernel offset: weighted views summed, a running
+  ``np.maximum``, and the window sum over the count of in-bounds
+  elements.  The sums add in offset order for any channel count; with
+  two or more channels that is numpy's order for the window view's
+  ``sum``, so the bytes equal those formulas' (``TestKernelBytes``);
+  loop nests check the semantics (``TestConvOracle``,
+  ``TestPoolOracle``).
 * ``tt_core``: one ``np.tensordot`` over the (m, rank_in) modes, checked
   against a float64 loop nest (``TestTtCoreOracle``).
 * fc: one matrix product.
 
-Weighted kinds check the weight array against ``weight_shape()``, so a
-mis-shaped weight raises ``ShapeError`` instead of yielding a wrong
-product.  ``forward_layer`` is the only dispatch point: the model,
-factorized-chain, capture and similarity passes all call it through
-this module's attribute (``tests/test_trace_sites.py``).
+``LayerDesc.out_shape``, called once per ``forward_layer`` call, checks
+every input and gives the windowed kinds their output extents, so a
+mismatched input raises ``ShapeError`` (``GraphError`` for a wrong
+number of inputs).  Weighted kinds check the weight array against
+``weight_shape()``, so a mis-shaped weight raises ``ShapeError`` instead
+of yielding a wrong product.  ``forward_layer`` is the only dispatch
+point: the model, factorized-chain, capture and similarity passes all
+call it through this module's attribute (``tests/test_trace_sites.py``).
 
 Similarity of a factorized layer is the batch mean of the cosine
 between its flattened output and the original layer's output, both
@@ -45,38 +53,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .ir import (CONV_KINDS, DATASET_INPUTS, DATASET_LABELS, LayerDesc,
-                 ModelDesc, WeightStore)
+from .ir import (CONV_KINDS, DATASET_INPUTS, DATASET_LABELS,
+                 DECOMPOSABLE_KINDS, LayerDesc, ModelDesc, WeightStore)
 
 
-def _pad_amounts(size: int, k: int, stride: int) -> tuple:
-    out = -(-size // stride)
-    total = max((out - 1) * stride + k - size, 0)
-    return total // 2, total - total // 2
+def _pad_input(x: np.ndarray, kernel, stride, lengths, fill=0.0):
+    """Pad the spatial axes so a window sweep yields ``lengths`` outputs.
 
-
-def _pad_input(x: np.ndarray, kernel, stride, padding, fill=0.0):
-    if padding == "valid":
-        return x
-    dim = len(kernel)
+    Each axis gets the shortfall ``(n - 1) * s + k - X``, half before and
+    the odd element after; a ``valid`` sweep has none.
+    """
     pads = [(0, 0)]
-    for i in range(dim):
-        pads.append(_pad_amounts(x.shape[1 + i], kernel[i], stride[i]))
+    for size, k, s, n in zip(x.shape[1:-1], kernel, stride, lengths):
+        total = max((n - 1) * s + k - size, 0)
+        pads.append((total // 2, total - total // 2))
     pads.append((0, 0))
     if all(p == (0, 0) for p in pads):
         return x
     return np.pad(x, pads, constant_values=fill)
-
-
-def _out_lengths(x: np.ndarray, kernel, stride) -> tuple:
-    """Output extent per spatial axis of a window sweep over padded ``x``."""
-    lengths = []
-    for i, k in enumerate(kernel):
-        if x.shape[1 + i] < k:
-            raise ShapeError(f"window {k} larger than input "
-                             f"extent {x.shape[1 + i]}")
-        lengths.append((x.shape[1 + i] - k) // stride[i] + 1)
-    return tuple(lengths)
 
 
 def _windows(x: np.ndarray, kernel, stride):
@@ -84,27 +78,43 @@ def _windows(x: np.ndarray, kernel, stride):
 
     Input (B, X1..Xd, C) gives (B, X1'..Xd', C, K1..Kd).
     """
-    _out_lengths(x, kernel, stride)
     axes = tuple(range(1, 1 + len(kernel)))
     view = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=axes)
     slicer = (slice(None),) + tuple(slice(None, None, s) for s in stride)
     return view[slicer]
 
 
-def _shifted(x: np.ndarray, kernel, stride):
+def _shifted(x: np.ndarray, kernel, stride, lengths):
     """One strided (B, X1'..Xd', C) view per kernel offset, offsets in C order.
 
     View k is ``_windows(x, kernel, stride)[..., *offset_k]`` without
     building the window view.
     """
-    lengths = _out_lengths(x, kernel, stride)
     for offset in itertools.product(*(range(k) for k in kernel)):
         yield x[(slice(None),) + tuple(
             slice(o, o + (n - 1) * s + 1, s)
             for o, n, s in zip(offset, lengths, stride))]
 
 
-def _columns(x: np.ndarray, kernel, stride) -> np.ndarray:
+def _window_fold(layer: LayerDesc, x, lengths, op, fill=0.0, w=None):
+    """Fold ``op`` over the shifted views of ``x`` padded with ``fill``,
+    in offset order, into a copy of the first view; with a (K.., C)
+    weight ``w``, view k is first scaled by ``w[offset_k]``.
+
+    For two or more channels this is the order in which numpy sums the
+    window view's K axes, so the bytes equal that reduction's.
+    """
+    terms = _shifted(_pad_input(x, layer.kernel, layer.stride, lengths, fill),
+                     layer.kernel, layer.stride, lengths)
+    if w is not None:
+        terms = map(np.multiply, terms, w.reshape(-1, w.shape[-1]))
+    out = np.array(next(terms))
+    for term in terms:
+        op(out, term, out=out)
+    return out
+
+
+def _columns(x: np.ndarray, kernel, stride, lengths) -> np.ndarray:
     """im2col: a (B*X1'..Xd', C*K1..Kd) matrix, columns in (C, K..) order.
 
     That is the matrix ``np.tensordot`` builds from the window view, so
@@ -116,7 +126,7 @@ def _columns(x: np.ndarray, kernel, stride) -> np.ndarray:
     c = x.shape[-1]
     if sum(k > 1 for k in kernel) > 1:
         return _windows(x, kernel, stride).reshape(-1, c * math.prod(kernel))
-    views = list(_shifted(x, kernel, stride))
+    views = list(_shifted(x, kernel, stride, lengths))
     if len(views) == 1:
         return views[0].reshape(-1, c)
     cols = np.empty(views[0].shape + (len(views),), dtype=x.dtype)
@@ -125,58 +135,27 @@ def _columns(x: np.ndarray, kernel, stride) -> np.ndarray:
     return cols.reshape(-1, c * len(views))
 
 
-def _conv_nd(x, w, kernel, stride, padding, groups=1):
-    dim = len(kernel)
-    x = _pad_input(x, kernel, stride, padding)
-    if groups == 1:
-        filters = w.shape[-1]
-        w_mat = np.moveaxis(w, dim, 0).reshape(-1, filters)  # (C*K.., F)
-        out = np.dot(_columns(x, kernel, stride), w_mat)
-        return out.reshape(x.shape[:1] + _out_lengths(x, kernel, stride)
-                           + (filters,))
-    win = _windows(x, kernel, stride)  # (B, sp.., C, K..)
-    c_axis = 1 + dim
-    k_axes = list(range(c_axis + 1, c_axis + 1 + dim))
-    c_per = x.shape[-1] // groups
-    f_per = w.shape[-1] // groups
-    head = (slice(None),) * c_axis
-    outs = []
-    for g in range(groups):
-        wg = win[head + (slice(g * c_per, (g + 1) * c_per),)]
-        kg = w[..., g * f_per:(g + 1) * f_per]
-        outs.append(np.tensordot(wg, kg, axes=([c_axis] + k_axes,
-                                               [dim] + list(range(dim)))))
-    return np.concatenate(outs, axis=-1)
+def _conv_nd(layer: LayerDesc, x, w, lengths):
+    """im2col and one matrix product per channel group."""
+    dim, groups = len(layer.kernel), layer.groups
+    x = _pad_input(x, layer.kernel, layer.stride, lengths)
+    c_per, f_per = x.shape[-1] // groups, w.shape[-1] // groups
+    outs = [np.dot(_columns(x[..., g * c_per:(g + 1) * c_per], layer.kernel,
+                            layer.stride, lengths),
+                   np.moveaxis(w[..., g * f_per:(g + 1) * f_per], dim, 0)
+                   .reshape(-1, f_per))  # (C*K.., F) per group
+            for g in range(groups)]
+    out = outs[0] if groups == 1 else np.concatenate(outs, axis=-1)
+    return out.reshape(x.shape[:1] + lengths + (w.shape[-1],))
 
 
-def _depthwise_nd(x, w, kernel, stride, padding):
-    dim = len(kernel)
-    x = _pad_input(x, kernel, stride, padding)
-    win = _windows(x, kernel, stride)          # (B, sp.., C, K..)
-    w_t = np.moveaxis(w, -1, 0)                # (C, K..)
-    prod = win * w_t                           # broadcast over batch/space
-    return prod.sum(axis=tuple(range(win.ndim - dim, win.ndim)))
-
-
-def _pool_nd(x, layer: LayerDesc):
-    kernel, stride, padding = layer.kernel, layer.stride, layer.padding
+def _pool_nd(layer: LayerDesc, x, lengths):
     if layer.mode == "max":
-        # a running maximum over the shifted views; max ignores order
-        views = _shifted(_pad_input(x, kernel, stride, padding, fill=-np.inf),
-                         kernel, stride)
-        out = next(views).copy()
-        for view in views:
-            np.maximum(out, view, out=out)
-        return out
+        return _window_fold(layer, x, lengths, np.maximum, fill=-np.inf)
     # Average over the window, excluding any padding.
-    dim = len(kernel)
-    k_axes = tuple(range(1 + dim + 1, 1 + dim + 1 + dim))
-    x_pad = _pad_input(x, kernel, stride, padding, fill=0.0)
-    total = _windows(x_pad, kernel, stride).sum(axis=k_axes)
-    ones = np.ones(x.shape[1:-1] + (1,), dtype=x.dtype)[None]
-    counts = _windows(_pad_input(ones, kernel, stride, padding, fill=0.0),
-                      kernel, stride).sum(axis=k_axes)
-    return total / counts
+    ones = np.ones((1,) + x.shape[1:-1] + (1,), dtype=x.dtype)
+    return (_window_fold(layer, x, lengths, np.add)
+            / _window_fold(layer, ones, lengths, np.add))
 
 
 def _activation(x, fn):
@@ -208,31 +187,23 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     layers with several predecessors.  ``weights`` is any mapping from
     record name to array (a WeightStore works).
     """
-    multi = layer.kind in ("add", "concat")
-    if multi:
-        xs = inputs if isinstance(inputs, (list, tuple)) else [inputs]
-    else:
-        x = inputs[0] if isinstance(inputs, (list, tuple)) else inputs
+    xs = inputs if isinstance(inputs, (list, tuple)) else [inputs]
+    # checks the inputs; for a windowed kind, its spatial output extents
+    lengths = layer.out_shape([a.shape[1:] for a in xs])[:-1]
+    x = xs[0]
 
     k = layer.kind
     if k in CONV_KINDS:
-        if x.ndim != len(layer.kernel) + 2 or x.shape[-1] != layer.in_channels:
-            raise ShapeError(f"{layer.name}: input {x.shape} does not match")
-        return _conv_nd(x, _weight(layer, weights), layer.kernel,
-                        layer.stride, layer.padding, layer.groups)
+        return _conv_nd(layer, x, _weight(layer, weights), lengths)
     if k == "depthwise_conv":
-        if x.ndim != len(layer.kernel) + 2 or x.shape[-1] != layer.in_channels:
-            raise ShapeError(f"{layer.name}: input {x.shape} does not match")
-        return _depthwise_nd(x, _weight(layer, weights), layer.kernel,
-                             layer.stride, layer.padding)
+        return _window_fold(layer, x, lengths, np.add,
+                            w=_weight(layer, weights))
     if k == "fc":
-        if x.ndim != 2 or x.shape[1] != layer.in_channels:
-            raise ShapeError(f"{layer.name}: input {x.shape} does not match")
         return x @ _weight(layer, weights)
     if k == "activation":
         return _activation(x, layer.fn)
     if k == "pool":
-        return _pool_nd(x, layer)
+        return _pool_nd(layer, x, lengths)
     if k == "batchnorm":
         scale = np.asarray(weights[f"{layer.name}/scale"])
         shift = np.asarray(weights[f"{layer.name}/shift"])
@@ -246,8 +217,6 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     if k == "tt_core":
         w = _weight(layer, weights)
         batch, q, r_in = x.shape
-        if r_in != layer.rank_in or q % layer.m:
-            raise ShapeError(f"{layer.name}: input {x.shape} does not match core")
         xv = x.reshape(batch, layer.m, q // layer.m, r_in)
         out = np.tensordot(xv, w, axes=([1, 3], [1, 0]))  # (b, q, n, s)
         return out.reshape(batch, q // layer.m * layer.n, layer.rank_out)
@@ -326,7 +295,7 @@ def capture_feature_maps(model: ModelDesc, weights: WeightStore,
     """Record each target layer's input and post-op output batches."""
     if targets is None:
         targets = [l.name for l in model.layers
-                   if l.kind in CONV_KINDS + ("fc",)]
+                   if l.kind in DECOMPOSABLE_KINDS]
     capture = FeatureMapCapture(model, weights)
     _, outputs = forward_model(model, weights, samples, keep_all=True)
     for name in targets:

@@ -229,6 +229,20 @@ class TestSearchCommands:
         ModelDesc.load(outs["model.json"]).validate()
         WeightStore.load(outs["weights.lrfw"])
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--samples", "sample_count"), ("--max-sol", "max_sol")])
+    def test_dse_rejects_zero_samples_and_max_sol(self, capsys, saved_net,
+                                                  tmp_path, flag, message):
+        model_path, weight_path, data_path = saved_net
+        out_a = tmp_path / "audit.json"
+        code, out, errtext = run_cli(
+            capsys, "dse", "--model", str(model_path),
+            "--weights", str(weight_path), "--dataset", str(data_path),
+            "--drop-limit", "0.5", flag, "0", "--out-audit", str(out_a))
+        assert code == 1 and out == ""
+        assert errtext.startswith(f"error: {message} must be")
+        assert not out_a.exists()
+
     def test_dse_rerun_byte_identical(self, capsys, saved_net, tmp_path):
         model_path, weight_path, data_path = saved_net
         blobs = []

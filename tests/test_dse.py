@@ -152,7 +152,9 @@ class TestConfigAndBound:
         {"step_size": 0.0}, {"step_size": 100.0},
         {"target_fraction": 0.0}, {"target_fraction": 1.5},
         {"sim_threshold_sequential": 0.0},
-        {"sim_threshold_nonsequential": 1.5}])
+        {"sim_threshold_nonsequential": 1.5},
+        {"sample_count": 0}, {"sample_count": -1},
+        {"max_sol": 0}, {"max_sol": -2}])
     def test_config_validation(self, kwargs):
         with pytest.raises(RankError):
             DseConfig(**kwargs)

@@ -44,6 +44,14 @@ class TestLayerDesc:
             LayerDesc(name="c", kind="conv2d", kernel=(3,),
                       in_channels=4, out_channels=8)
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("conv2d", {"in_channels": 4, "out_channels": 8}),
+        ("depthwise_conv", {"in_channels": 4}),
+        ("pool", {"mode": "max"})])
+    def test_stride_rank_checked(self, kind, extra):
+        with pytest.raises(ShapeError, match="stride rank"):
+            LayerDesc(name="l", kind=kind, kernel=(3, 3), stride=(2,), **extra)
+
     def test_depthwise_preserves_channels(self):
         layer = LayerDesc(name="d", kind="depthwise_conv", kernel=(3, 3),
                           in_channels=6)

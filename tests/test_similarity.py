@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lowrank.decompose import decompose_layer
-from lowrank.errors import ShapeError
+from lowrank.errors import GraphError, ShapeError
 from lowrank.ir import DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc, \
     WeightStore
 from lowrank.similarity import (_pad_input, _windows, capture_feature_maps,
@@ -77,22 +77,61 @@ def naive_tt_core(x, w):
     return out.reshape(batch, q * n, r_out)
 
 
+def padded(x, layer, fill=0.0):
+    """``x`` padded for ``layer``'s window sweep."""
+    lengths = layer.out_shape([x.shape[1:]])[:-1]
+    return _pad_input(x, layer.kernel, layer.stride, lengths, fill=fill)
+
+
 def window_conv(x, w, layer):
     """The window-view kernel: tensordot over the (C, K..) window axes."""
     dim = len(layer.kernel)
-    win = _windows(_pad_input(x, layer.kernel, layer.stride, layer.padding),
-                   layer.kernel, layer.stride)
+    win = _windows(padded(x, layer), layer.kernel, layer.stride)
     return np.tensordot(win, w, axes=(list(range(1 + dim, 2 + 2 * dim)),
                                       [dim] + list(range(dim))))
+
+
+def window_grouped_conv(x, w, layer):
+    """The window-view grouped conv: one tensordot per channel group."""
+    dim = len(layer.kernel)
+    win = _windows(padded(x, layer), layer.kernel, layer.stride)
+    c_per = x.shape[-1] // layer.groups
+    f_per = w.shape[-1] // layer.groups
+    head = (slice(None),) * (1 + dim)
+    return np.concatenate([
+        np.tensordot(win[head + (slice(g * c_per, (g + 1) * c_per),)],
+                     w[..., g * f_per:(g + 1) * f_per],
+                     axes=(list(range(1 + dim, 2 + 2 * dim)),
+                           [dim] + list(range(dim))))
+        for g in range(layer.groups)], axis=-1)
+
+
+def window_depthwise(x, w, layer):
+    """The window-view depthwise conv: weighted windows summed over K.."""
+    dim = len(layer.kernel)
+    win = _windows(padded(x, layer), layer.kernel, layer.stride)
+    return (win * np.moveaxis(w, -1, 0)).sum(
+        axis=tuple(range(2 + dim, 2 + 2 * dim)))
 
 
 def window_max_pool(x, layer):
     """The window-view max pool: reduce the K.. window axes."""
     dim = len(layer.kernel)
-    padded = _pad_input(x, layer.kernel, layer.stride, layer.padding,
-                        fill=-np.inf)
-    return _windows(padded, layer.kernel, layer.stride).max(
-        axis=tuple(range(2 + dim, 2 + 2 * dim)))
+    return _windows(padded(x, layer, fill=-np.inf), layer.kernel,
+                    layer.stride).max(axis=tuple(range(2 + dim, 2 + 2 * dim)))
+
+
+def window_avg_pool(x, layer):
+    """The window-view average pool: window sum over the window's count
+    of in-bounds ones."""
+    dim = len(layer.kernel)
+    k_axes = tuple(range(2 + dim, 2 + 2 * dim))
+    total = _windows(padded(x, layer), layer.kernel,
+                     layer.stride).sum(axis=k_axes)
+    ones = np.ones((1,) + x.shape[1:-1] + (1,), dtype=x.dtype)
+    counts = _windows(padded(ones, layer), layer.kernel,
+                      layer.stride).sum(axis=k_axes)
+    return total / counts
 
 
 class TestConvOracle:
@@ -183,7 +222,7 @@ class TestPoolOracle:
 
 
 class TestKernelBytes:
-    """The matmul conv and shifted-max pool give the window formulas' bytes."""
+    """Every windowed kernel gives its window-view formula's bytes."""
 
     @pytest.mark.parametrize("kind, kernel, stride", [
         ("conv2d", (1, 1), (1, 1)), ("conv2d", (1, 1), (2, 2)),
@@ -218,6 +257,85 @@ class TestKernelBytes:
         want = window_max_pool(x, layer)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("kind, kernel, stride", [
+        ("conv2d", (1, 1), (1, 1)), ("conv2d", (1, 1), (2, 2)),
+        ("conv2d", (3, 1), (1, 1)), ("conv2d", (3, 1), (2, 1)),
+        ("conv2d", (1, 3), (1, 2)), ("conv2d", (3, 3), (1, 1)),
+        ("conv2d", (3, 3), (2, 2)), ("conv1d", (3,), (2,)),
+        ("conv3d", (1, 3, 1), (1, 2, 1)), ("conv3d", (2, 2, 2), (1, 1, 1))])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    def test_grouped_conv(self, kind, kernel, stride, padding, w_dtype):
+        layer = LayerDesc(name="c", kind=kind, kernel=kernel, stride=stride,
+                          padding=padding, in_channels=6, out_channels=4,
+                          groups=2)
+        x = rng.standard_normal((3,) + (7,) * len(kernel) + (6,)) \
+            .astype(np.float32)
+        w = rng.standard_normal(kernel + (3, 4)).astype(w_dtype)
+        got = forward_layer(layer, {"c": w}, [x])
+        want = window_grouped_conv(x, w, layer)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel, stride", [
+        ((3, 1), (1, 1)), ((3, 1), (2, 1)), ((1, 3), (1, 1)),
+        ((1, 3), (1, 2)), ((3, 3), (1, 1)), ((3, 3), (2, 2)),
+        ((3,), (1,)), ((3,), (2,)), ((1, 1, 3), (1, 1, 2)),
+        ((2, 2, 2), (1, 1, 1)), ((3, 3, 3), (2, 2, 2))])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    def test_depthwise_conv(self, kernel, stride, padding, w_dtype):
+        layer = LayerDesc(name="d", kind="depthwise_conv", kernel=kernel,
+                          stride=stride, padding=padding, in_channels=5)
+        x = rng.standard_normal((3,) + (7,) * len(kernel) + (5,)) \
+            .astype(np.float32)
+        w = rng.standard_normal(kernel + (5,)).astype(w_dtype)
+        got = forward_layer(layer, {"d": w}, [x])
+        want = window_depthwise(x, w, layer)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel, stride", [
+        ((2, 2), (2, 2)), ((3, 3), (1, 1)), ((3, 3), (2, 2)),
+        ((3, 1), (2, 1)), ((1, 3), (1, 1)), ((3,), (1,)), ((2,), (2,)),
+        ((2, 2, 2), (1, 1, 1)), ((3, 1, 3), (2, 1, 2))])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("x_dtype", [np.float32, np.float64])
+    def test_avg_pool(self, kernel, stride, padding, x_dtype):
+        layer = LayerDesc(name="p", kind="pool", mode="avg", kernel=kernel,
+                          stride=stride, padding=padding)
+        x = rng.standard_normal((3,) + (7,) * len(kernel) + (4,)) \
+            .astype(x_dtype)
+        got = forward_layer(layer, WeightStore({}), [x])
+        want = window_avg_pool(x, layer)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("kind", ["depthwise_conv", "pool"])
+    @pytest.mark.parametrize("kernel, stride", [
+        ((3, 3), (1, 1)), ((2, 2), (2, 2)), ((3, 1), (2, 1)),
+        ((2, 2, 2), (1, 1, 1))])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_channel_alone_gives_its_bytes(self, kind, kernel, stride,
+                                           padding):
+        # the window sum adds in offset order whatever the channel count
+        x = rng.standard_normal((2,) + (7,) * len(kernel) + (3,)) \
+            .astype(np.float32)
+        w = rng.standard_normal(kernel + (3,)).astype(np.float32)
+
+        def run(channels):
+            layer = LayerDesc(name="l", kind=kind, kernel=kernel,
+                              stride=stride, padding=padding, mode="avg",
+                              in_channels=len(channels))
+            return forward_layer(layer, {"l": w[..., channels]},
+                                 [x[..., channels]])
+
+        every = run([0, 1, 2])
+        for c in range(3):
+            assert run([c]).tobytes() == every[..., [c]].tobytes()
 
 
 class TestTtCoreOracle:
@@ -294,6 +412,28 @@ class TestOtherKinds:
         with pytest.raises(ShapeError):
             forward_layer(fc, WeightStore({"f": w}),
                           [np.zeros((3, 5), np.float32)])
+
+    @pytest.mark.parametrize("mode", ["max", "avg"])
+    def test_pool_rejects_input_without_channel_axis(self, mode):
+        # a 2-d pool given (batch, 6, 3) must not pool over the channels
+        layer = LayerDesc(name="p", kind="pool", mode=mode, kernel=(2, 2))
+        with pytest.raises(ShapeError, match="does not match"):
+            forward_layer(layer, WeightStore({}),
+                          [np.ones((2, 6, 3), np.float32)])
+
+    def test_add_needs_two_inputs(self):
+        add = LayerDesc(name="+", kind="add")
+        x = np.ones((2, 3), np.float32)
+        for inputs in ([x], x):
+            with pytest.raises(GraphError, match="at least 2 inputs"):
+                forward_layer(add, WeightStore({}), inputs)
+
+    def test_valid_window_larger_than_input_raises(self):
+        layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3),
+                          in_channels=2, out_channels=2, padding="valid")
+        with pytest.raises(ShapeError, match="larger than input"):
+            forward_layer(layer, WeightStore({"c": np.ones((3, 3, 2, 2))}),
+                          [np.ones((1, 2, 5, 2), np.float32)])
 
     @pytest.mark.parametrize("layer, w_shape, x_shape", [
         (LayerDesc(name="l", kind="conv2d", kernel=(1, 1), in_channels=4,
