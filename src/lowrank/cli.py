@@ -82,6 +82,8 @@ def parse_layer_spec(dims: tuple, kind: str | None = None,
     if kind == "fc":
         if len(dims) != 2:
             raise LowRankError("fc layers take exactly two dimensions")
+        if stride is not None or padding is not None:
+            raise LowRankError("fc layers take no --stride or --padding")
         return LayerDesc(name="layer", kind="fc", in_channels=dims[0],
                          out_channels=dims[1])
     if kind not in CONV_KINDS:

@@ -29,11 +29,12 @@ Cholesky, falling back to the pseudo-inverse on a singular Gram.
 
 A rank search decomposes one weight at many ranks, and much of that
 work does not depend on the rank.  ``linalg.svd``,
-``linalg.qr_pivoted`` and ``linalg.left_basis`` compute the full
-factorization and then slice it, so slicing a kept full factorization
-gives the same bytes.  Given a ``memo`` dict that belongs to one
-weight, the decomposers keep each full factorization under a key
-naming what it depends on:
+``linalg.qr_pivoted`` and ``linalg.left_basis`` return full
+factorizations, and ``_leading`` is the one truncation rule: the
+leading ``rank`` columns of each part, as views, so a fresh and a kept
+factorization give the same bytes.  Given a ``memo`` dict that belongs
+to one weight, the decomposers keep each full factorization under a
+key naming what it depends on:
 
 - ``("svd",)`` and ``("qr",)``: the weight matrix;
 - ``("tt", None, prefix)`` and ``("t3f", plan, prefix)``: step ``i``
@@ -57,8 +58,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, khatri_rao
 
 from . import linalg
-from .costs import (CostReport, check_ranks, cost_chain, cp_max_rank,
-                    default_input_shape)
+from .costs import CostReport, check_ranks, cost_chain, cp_max_rank
 from .errors import DecompositionError, RankError, ShapeError
 from .ir import CONV_KINDS, LayerDesc
 
@@ -84,16 +84,10 @@ class FactorizedLayer:
     weights: dict
     plan: tuple | None = None
 
-    def cost(self, input_shape: tuple = None) -> CostReport:
-        if input_shape is None:
-            input_shape = self._default_input()
+    def cost(self, input_shape: tuple) -> CostReport:
+        """Cost of the chain on the per-sample shape entering the
+        source layer."""
         return cost_chain(self.sub_layers, input_shape)
-
-    def _default_input(self) -> tuple:
-        first = self.sub_layers[0]
-        if first.kind == "reshape":
-            return (int(math.prod(first.shape)),)
-        return default_input_shape(first)
 
     def reconstruct(self) -> np.ndarray:
         """Dense weight tensor this chain approximates.
@@ -252,21 +246,20 @@ def _full(factorize, mat: np.ndarray, memo: dict = None, key: tuple = None):
     return full
 
 
-def _leading(mat: np.ndarray, rank: int, memo: dict = None,
-             key: tuple = None):
-    """Leading ``rank`` singular triplets of ``mat`` as ``(U, S, V)``.
+def _leading(part: np.ndarray, rank: int) -> np.ndarray:
+    """The leading ``rank`` columns of one part of a factorization, or
+    the leading ``rank`` entries of a 1-D S.
 
-    A rank above what ``mat`` can supply is met by zero columns, which
-    add nothing to any product of the factors, so every rank of the
-    rank box is constructible.
+    Within the part's width these are views, so truncating a kept full
+    factorization gives the same bytes as truncating a fresh one.  A
+    rank past the width is met by zero columns, which add nothing to
+    any product of the factors, so every rank of the rank box is
+    constructible.
     """
-    keep = min(rank, min(mat.shape))
-    u, s, v = linalg.svd_leading(_full(linalg.svd, mat, memo, key), keep)
-    if keep < rank:
-        u = np.pad(u, ((0, 0), (0, rank - keep)))
-        s = np.pad(s, (0, rank - keep))
-        v = np.pad(v, ((0, 0), (0, rank - keep)))
-    return u, s, v
+    width = part.shape[-1]
+    if rank <= width:
+        return part[..., :rank]
+    return np.pad(part, ((0, 0),) * (part.ndim - 1) + ((0, rank - width),))
 
 
 def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
@@ -288,17 +281,16 @@ def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     c_mode, f_mode = _conv_tensor_modes(layer)
     norm_w = np.linalg.norm(w)
 
-    a_c, a_f = (linalg.left_basis_leading(
-        _full(linalg.left_basis, linalg.unfold(w, mode), memo,
-              ("tucker2", mode)), rank)
-        for mode, rank in ((c_mode, r1), (f_mode, r2)))
+    a_c, a_f = (_leading(_full(linalg.left_basis, linalg.unfold(w, mode),
+                               memo, ("tucker2", mode)), rank)
+                for mode, rank in ((c_mode, r1), (f_mode, r2)))
     last_fit = -np.inf
     core = None
     for _ in range(TUCKER_MAX_ITER):
         partial = linalg.mode_n_product(w, a_f.T, f_mode)
-        a_c = linalg.left_basis(linalg.unfold(partial, c_mode), r1)
+        a_c = _leading(linalg.left_basis(linalg.unfold(partial, c_mode)), r1)
         partial = linalg.mode_n_product(w, a_c.T, c_mode)
-        a_f = linalg.left_basis(linalg.unfold(partial, f_mode), r2)
+        a_f = _leading(linalg.left_basis(linalg.unfold(partial, f_mode)), r2)
         core = linalg.mode_n_product(partial, a_f.T, f_mode)
         # Orthonormal factors: residual^2 = |W|^2 - |core|^2.
         gap = max(norm_w**2 - np.linalg.norm(core)**2, 0.0)
@@ -512,7 +504,8 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
     rest = np.asarray(tensor, dtype=np.float64).reshape(shape[0], -1)
     for i in range(len(shape) - 1):
         mat = rest.reshape(full[i] * shape[i], -1)
-        u, s, v = _leading(mat, full[i + 1], memo, key + (full[1:i + 1],))
+        u, s, v = (_leading(part, full[i + 1]) for part in
+                   _full(linalg.svd, mat, memo, key + (full[1:i + 1],)))
         cores.append(u.reshape(full[i], shape[i], full[i + 1]))
         rest = (s[:, None] * v.T)
     cores.append(rest.reshape(full[-2], shape[-1], 1))
@@ -540,7 +533,8 @@ def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     """Truncated SVD split symmetrically: A = U sqrt(S), B = sqrt(S) V'."""
     (rank,) = ranks = check_ranks(layer, "svd", ranks)
     w = np.asarray(weight, dtype=np.float64)
-    u, s, v = linalg.svd_leading(_full(linalg.svd, w, memo, ("svd",)), rank)
+    u, s, v = (_leading(part, rank)
+               for part in _full(linalg.svd, w, memo, ("svd",)))
     root = np.sqrt(s)
     return _attach(layer, "svd", ranks, [u * root, root[:, None] * v.T])
 
@@ -550,8 +544,8 @@ def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     """Column-pivoted QR keeping the leading pivots."""
     (rank,) = ranks = check_ranks(layer, "qr", ranks)
     w = np.asarray(weight, dtype=np.float64)
-    q, r = linalg.qr_leading(_full(linalg.qr_pivoted, w, memo, ("qr",)), rank)
-    return _attach(layer, "qr", ranks, [q, r])
+    q, r = _full(linalg.qr_pivoted, w, memo, ("qr",))
+    return _attach(layer, "qr", ranks, [q[:, :rank], r[:rank]])
 
 
 def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,

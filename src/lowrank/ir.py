@@ -54,6 +54,24 @@ def conv_out_length(x: int, k: int, stride: int, padding: str) -> int:
     raise ShapeError(f"unknown padding {padding!r}")
 
 
+# The JSON type of each LayerDesc field; a tuple names a list's items.
+_JSON_FIELD_TYPES = {
+    "name": str, "kind": str, "kernel": (int,), "stride": (int,),
+    "padding": str, "in_channels": int, "out_channels": int, "groups": int,
+    "fn": str, "mode": str, "shape": (int,), "eps": float, "m": int,
+    "n": int, "rank_in": int, "rank_out": int, "post_ops": (str,),
+}
+
+
+def _json_is(value, want) -> bool:
+    if isinstance(want, tuple):
+        return isinstance(value, list) and all(_json_is(v, want[0])
+                                               for v in value)
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if want is float else want)
+
+
 @dataclass
 class LayerDesc:
     """Description of a single layer, independent of its weights.
@@ -103,6 +121,8 @@ class LayerDesc:
                 self.padding = "same"
             if self.groups is None:
                 self.groups = 1
+            if self.groups < 1:
+                raise ShapeError(f"{self.name}: groups {self.groups} below 1")
             if self.in_channels % self.groups or self.out_channels % self.groups:
                 raise ShapeError(f"{self.name}: channels not divisible by groups")
         elif k == "depthwise_conv":
@@ -234,10 +254,17 @@ class LayerDesc:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LayerDesc":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """A layer from its parsed JSON object, whose field types are
+        checked first (null means unset)."""
+        if not isinstance(data, dict):
+            raise FormatError(f"layer entry {data!r} is not an object")
+        unknown = set(data) - set(_JSON_FIELD_TYPES)
         if unknown:
             raise FormatError(f"unknown layer fields: {sorted(unknown)}")
+        for key, value in data.items():
+            if value is not None and not _json_is(value, _JSON_FIELD_TYPES[key]):
+                raise FormatError(
+                    f"layer {data.get('name')!r}: bad {key} {value!r}")
         return cls(**data)
 
 
@@ -341,9 +368,21 @@ class ModelDesc:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid model JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise FormatError("model JSON is not an object")
         for key in ("layers", "edges", "input", "output"):
             if key not in doc:
                 raise FormatError(f"model JSON missing {key!r}")
+        for key in ("layers", "edges"):
+            if not isinstance(doc[key], list):
+                raise FormatError(f"model JSON {key!r} is not a list")
+        for key in ("input", "output"):
+            if not isinstance(doc[key], str):
+                raise FormatError(f"model JSON {key!r} is not a layer name")
+        for edge in doc["edges"]:
+            if not (isinstance(edge, list) and len(edge) == 2
+                    and all(isinstance(end, str) for end in edge)):
+                raise FormatError(f"edge {edge!r} is not a pair of layer names")
         layers = [LayerDesc.from_dict(d) for d in doc["layers"]]
         return cls(layers=layers, edges=doc["edges"], input=doc["input"],
                    output=doc["output"], metadata=doc.get("metadata", {}))
@@ -416,26 +455,28 @@ class WeightStore:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "WeightStore":
         buf = io.BytesIO(blob)
+
+        def read(size: int, what: str) -> bytes:
+            data = buf.read(size)
+            if len(data) < size:
+                raise FormatError(f"truncated weight container: {what}")
+            return data
+
         if buf.read(4) != LRFW_MAGIC:
             raise FormatError("not a weight container (bad magic)")
-        (version,) = struct.unpack("<I", buf.read(4))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != LRFW_VERSION:
             raise FormatError(f"unsupported container version {version}")
         arrays = {}
-        while True:
-            head = buf.read(4)
-            if not head:
-                break
-            if len(head) < 4:
-                raise FormatError("truncated weight record")
-            (name_len,) = struct.unpack("<I", head)
-            name = buf.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", buf.read(4))
-            dims = struct.unpack(f"<{ndim}Q", buf.read(8 * ndim))
-            count = int(np.prod(dims)) if ndim else 1
-            payload = buf.read(4 * count)
-            if len(payload) < 4 * count:
-                raise FormatError(f"truncated payload for record {name!r}")
+        while buf.tell() < len(blob):
+            (name_len,) = struct.unpack("<I", read(4, "record header"))
+            try:
+                name = read(name_len, "record name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"record name is not UTF-8: {exc}") from None
+            (ndim,) = struct.unpack("<I", read(4, f"ndim of {name!r}"))
+            dims = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"dims of {name!r}"))
+            payload = read(4 * math.prod(dims), f"payload of {name!r}")
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
         return cls(arrays)
 

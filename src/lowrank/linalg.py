@@ -2,7 +2,8 @@
 
 Thin, shape-disciplined wrappers around LAPACK via numpy/scipy plus the
 tensor reshaping primitives (unfolding, folding, mode-n products) that
-the tensor decompositions are built from.
+the tensor decompositions are built from.  The factorizations are
+full: they take no rank, and ``decompose`` truncates them.
 """
 
 from __future__ import annotations
@@ -13,42 +14,28 @@ import scipy.linalg
 from .errors import RankError
 
 
-def svd(a: np.ndarray, rank: int | None = None):
+def svd(a: np.ndarray):
     """Singular value decomposition ``a ~ U @ diag(S) @ V.T``.
 
     Returns ``(U, S, V)`` with ``U: (M, k)``, ``S: (k,)`` descending
-    and ``V: (N, k)``, where ``k = min(M, N)`` or ``rank`` if given.
+    and ``V: (N, k)``, where ``k = min(M, N)``.
     """
     if a.ndim != 2:
         raise RankError(f"svd expects a matrix, got shape {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    return svd_leading((u, s, vt.T), rank)
+    return u, s, vt.T
 
 
-def svd_leading(usv: tuple, rank: int | None):
-    """The leading ``rank`` triplets of a full :func:`svd` result.
-
-    The factors are views of ``usv``, so truncating one full
-    factorization gives the same bytes as :func:`svd` at that rank.
-    """
-    u, s, v = usv
-    if rank is None:
-        return u, s, v
-    _check_rank("svd", rank, len(s))
-    return u[:, :rank], s[:rank], v[:, :rank]
-
-
-def left_basis(a: np.ndarray, rank: int | None = None) -> np.ndarray:
-    """Leading left singular vectors of ``a``, without S or V.
+def left_basis(a: np.ndarray) -> np.ndarray:
+    """Left singular vectors of ``a``, without S or V.
 
     Returns ``U: (M, k)`` with ``k = min(M, N)``, in descending order
-    of singular value, or ``rank`` columns if given (see
-    :func:`left_basis_leading`).  A wide or square ``a`` (``N >= M``)
-    takes the eigenvectors of its small ``M x M`` Gram ``a @ a.T``,
-    which is several times cheaper than an SVD there; a tall ``a``
-    takes :func:`svd`'s ``U``, which is cheaper on that side.  Each
-    column is signed so that its largest-magnitude entry is positive,
-    so the basis does not depend on which solver produced it.
+    of singular value.  A wide or square ``a`` (``N >= M``) takes the
+    eigenvectors of its small ``M x M`` Gram ``a @ a.T``, which is
+    several times cheaper than an SVD there; a tall ``a`` takes
+    :func:`svd`'s ``U``, which is cheaper on that side.  Each column is
+    signed so that its largest-magnitude entry is positive, so the
+    basis does not depend on which solver produced it.
     """
     if a.ndim != 2:
         raise RankError(f"left_basis expects a matrix, got shape {a.shape}")
@@ -58,56 +45,24 @@ def left_basis(a: np.ndarray, rank: int | None = None) -> np.ndarray:
     else:
         u = svd(a)[0]
     peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    return left_basis_leading(u * np.where(peaks < 0, -1.0, 1.0), rank)
+    return u * np.where(peaks < 0, -1.0, 1.0)
 
 
-def left_basis_leading(u: np.ndarray, rank: int | None) -> np.ndarray:
-    """The leading ``rank`` columns of a full :func:`left_basis` result.
-
-    Within the basis the columns are views, so truncating one full
-    basis gives the same bytes as :func:`left_basis` at that rank.  A
-    rank above the basis width is met by zero columns, which add
-    nothing to any product of the factors.
-    """
-    if rank is None:
-        return u
-    if rank < 1:
-        raise RankError(f"left_basis rank {rank} below 1")
-    keep = min(rank, u.shape[1])
-    if keep < rank:
-        return np.pad(u[:, :keep], ((0, 0), (0, rank - keep)))
-    return u[:, :rank]
-
-
-def qr_pivoted(a: np.ndarray, rank: int | None = None):
+def qr_pivoted(a: np.ndarray):
     """Column-pivoted QR with the permutation folded back into R.
 
-    Returns ``(Q, R)`` with ``Q: (M, k)`` orthonormal and ``R: (k, N)``
-    such that ``Q @ R ~ a`` directly (no external permutation).  With
-    ``rank`` given, keeps the ``rank`` leading pivots, which are the
-    most linearly independent columns of ``a``.
+    Returns ``(Q, R)`` with ``Q: (M, k)`` orthonormal, ``R: (k, N)``
+    and ``k = min(M, N)``, such that ``Q @ R ~ a`` directly (no
+    external permutation).  The leading pivots are the most linearly
+    independent columns of ``a``, so the leading columns of Q and rows
+    of R give a truncated factorization.
     """
     if a.ndim != 2:
         raise RankError(f"qr expects a matrix, got shape {a.shape}")
     q, r, piv = scipy.linalg.qr(a, mode="economic", pivoting=True)
     inverse = np.empty_like(piv)
     inverse[piv] = np.arange(len(piv))
-    return qr_leading((q, r[:, inverse]), rank)
-
-
-def qr_leading(qr: tuple, rank: int | None):
-    """The leading ``rank`` pivots of a full :func:`qr_pivoted` result,
-    as views (see :func:`svd_leading`)."""
-    q, r = qr
-    if rank is None:
-        return q, r
-    _check_rank("qr", rank, q.shape[1])
-    return q[:, :rank], r[:rank]
-
-
-def _check_rank(method: str, rank: int, most: int):
-    if not 1 <= rank <= most:
-        raise RankError(f"{method} rank {rank} outside [1, {most}]")
+    return q, r[:, inverse]
 
 
 def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:

@@ -72,6 +72,19 @@ class TestParsing:
             capsys, "decompose", "--layer", "18,15", "--method", "cp",
             "--rank", "0")
         assert code == 1 and "error:" in errtext
+        # an fc layer has no window to stride or pad
+        for flag in (("--stride", "2"), ("--padding", "valid")):
+            code, out, errtext = run_cli(capsys, "analyze", "--layer",
+                                         "400,120", *flag)
+            assert code == 1 and errtext.startswith("error:"), flag
+            assert out == "", flag
+        # a malformed model is reported, not raised
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"layers": [{"name": "c", "kind": "conv2d",
+                                               "kernel": 3}],
+                                   "edges": [], "input": "c", "output": "c"}))
+        code, _, errtext = run_cli(capsys, "breakdown", "--model", str(bad))
+        assert code == 1 and errtext.startswith("error: layer 'c'")
         # a missing file is reported by the OS message and its path
         missing = str(tmp_path / "no-such-model.json")
         for argv in (("breakdown", "--model", missing),

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import khatri_rao
 
-from lowrank.costs import (CONV_METHODS, METHODS, cost_chain, cost_factorized,
-                           rank_bounds, t3f_plans)
+from lowrank.costs import (CONV_METHODS, METHODS, cost_factorized, rank_bounds,
+                           t3f_plans)
 from lowrank.decompose import (TUCKER_FIT_TOL, TUCKER_MAX_ITER,
                                _DivergenceGuard, _mode_last, _mttkrp,
                                _solve_gram, chain_descs, cp_decompose,
@@ -69,7 +69,7 @@ def check_point(layer, weight, method, ranks, plan=None):
         shape = (layer.in_channels,)
     else:
         shape = tuple(k + 2 for k in layer.kernel) + (layer.in_channels,)
-    assert cost_chain(fact.sub_layers, shape) == \
+    assert fact.cost(shape) == \
         cost_factorized(layer, method, ranks, shape, plan=plan)
     x = rng.standard_normal((2,) + shape).astype(np.float32)
     dense = forward_layer(
@@ -470,6 +470,19 @@ class TestDispatcher:
         with pytest.raises(ShapeError):
             decompose_layer(CONV, fc_weight(), "tucker2", (2, 2))
 
+    def test_cost_takes_the_source_layer_input(self):
+        # the chain cannot guess the shape entering a strided, valid conv
+        layer = LayerDesc(name="s", kind="conv2d", kernel=(3, 3),
+                          stride=(2, 2), padding="valid", in_channels=8,
+                          out_channels=16)
+        weight = rng.standard_normal(layer.weight_shape())
+        fact = decompose_layer(layer, weight, "tucker2", (2, 3))
+        shape = (7, 7, 8)
+        assert fact.cost(shape) == cost_factorized(layer, "tucker2", (2, 3),
+                                                   shape)
+        with pytest.raises(TypeError):
+            fact.cost()
+
     def test_chain_names_are_derived(self):
         fact = decompose_layer(CONV, conv_weight(), "tucker2", (2, 3))
         names = [d.name for d in fact.sub_layers]
@@ -628,12 +641,12 @@ def _count_factorizations(monkeypatch):
     for name in ("svd", "qr_pivoted", "left_basis"):
         original = getattr(linalg, name)
 
-        def counted(a, rank=None, original=original):
+        def counted(a, original=original):
             if not active:
                 calls.append(a.shape)
             active.append(a)
             try:
-                return original(a, rank)
+                return original(a)
             finally:
                 active.pop()
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,33 @@ class TestModelDesc:
         assert again == model
         assert again.to_json() == model.to_json()
 
+    @pytest.mark.parametrize("breaks,named", [
+        (lambda d: d["layers"][0].update(kernel=3), "'c1'"),
+        (lambda d: d["layers"][3].update(in_channels="x"), "'c2'"),
+        (lambda d: d["layers"][3].update(groups=0), "c2"),
+        (lambda d: d["layers"][6].update(out_channels=True), "'f1'"),
+        (lambda d: d["layers"][1].update(post_ops="p1"), "'a1'"),
+        (lambda d: d["layers"].append(7), "7"),
+        (lambda d: d.update(layers=5), "'layers'"),
+        (lambda d: d.update(input=["c1"]), "'input'"),
+        (lambda d: d["edges"].append(["c1"]), "['c1']"),
+        (lambda d: d["edges"].append("ab"), "'ab'"),
+        (lambda d: d["edges"].append(["c1", 2]), "['c1', 2]"),
+    ], ids=["int kernel", "str channels", "zero groups", "bool channels",
+            "str post_ops", "layer not an object", "layers not a list",
+            "input not a name", "edge of one", "edge a string",
+            "edge to a number"])
+    def test_from_json_rejects_malformed_fields(self, breaks, named):
+        doc = json.loads(small_conv_net()[0].to_json())
+        breaks(doc)
+        with pytest.raises((FormatError, ShapeError)) as err:
+            ModelDesc.from_json(json.dumps(doc))
+        assert named in str(err.value)
+
+    def test_from_json_rejects_a_document_that_is_not_an_object(self):
+        with pytest.raises(FormatError):
+            ModelDesc.from_json("[1, 2]")
+
     def test_branching_shapes(self):
         layers = [
             LayerDesc(name="c", kind="conv2d", kernel=(1, 1), in_channels=3,
@@ -189,6 +218,28 @@ class TestWeightStore:
         blob[:4] = b"XXXX"
         with pytest.raises(FormatError):
             WeightStore.from_bytes(bytes(blob))
+
+    def test_every_cut_inside_a_record_is_a_format_error(self):
+        store = WeightStore({"a": np.ones((2, 3), np.float32),
+                             "bé": np.zeros(0, np.float32),
+                             "c": np.full((), 2.0, np.float32)})
+        blob = store.to_bytes()
+        ends, at = {8: 0}, 8
+        for count, (name, arr) in enumerate(store.items(), 1):
+            at += 4 + len(name.encode()) + 4 + 8 * arr.ndim + 4 * arr.size
+            ends[at] = count
+        assert at == len(blob)
+        for cut in range(len(blob)):
+            if cut in ends:
+                assert len(WeightStore.from_bytes(blob[:cut])) == ends[cut]
+            else:
+                with pytest.raises(FormatError):
+                    WeightStore.from_bytes(blob[:cut])
+
+    def test_rejects_a_name_that_is_not_utf8(self):
+        blob = WeightStore({"ab": np.zeros(1, np.float32)}).to_bytes()
+        with pytest.raises(FormatError):
+            WeightStore.from_bytes(blob.replace(b"ab", b"a\xff"))
 
     def test_check_weights_flags_shape_mismatch(self):
         model, weights = small_conv_net()

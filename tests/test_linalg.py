@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrank import linalg
+from lowrank.decompose import _leading
 from lowrank.errors import RankError
 from lowrank.linalg import (fold, left_basis, mode_n_product, qr_pivoted,
                             relative_error, svd, unfold)
@@ -40,10 +41,10 @@ class TestSvd:
     def test_truncation_is_best_rank_k(self):
         # Eckart-Young: no rank-k matrix is closer in Frobenius norm
         a = rng.standard_normal((10, 7))
+        _, s_full, _ = full = svd(a)
         for k in (1, 3, 5):
-            u, s, v = svd(a, rank=k)
+            u, s, v = (_leading(part, k) for part in full)
             approx = u * s @ v.T
-            _, s_full, _ = svd(a)
             best = np.sqrt(np.sum(s_full[k:] ** 2))
             assert np.linalg.norm(a - approx) == pytest.approx(best, abs=1e-9)
 
@@ -75,7 +76,7 @@ class TestLeftBasis:
         a = spread_spectrum(SHAPES[side], seed=len(side))
         u_ref = np.linalg.svd(a, full_matrices=False)[0]
         for k in range(1, min(a.shape) + 1):
-            u = left_basis(a, k)
+            u = _leading(left_basis(a), k)
             gap = np.linalg.norm(u @ u.T - u_ref[:, :k] @ u_ref[:, :k].T, 2)
             assert gap <= 1e-10, (k, gap)
 
@@ -107,17 +108,23 @@ class TestLeftBasis:
 
     def test_rank_above_the_basis_width_is_zero_padded(self):
         a = rng.standard_normal((6, 4))
-        u = left_basis(a, 7)
+        u = _leading(left_basis(a), 7)
         assert u.shape == (6, 7)
-        assert u[:, :4].tobytes() == left_basis(a, 4).tobytes()
+        assert u[:, :4].tobytes() == left_basis(a).tobytes()
         assert not u[:, 4:].any()
+        s = _leading(svd(a)[1], 7)
+        assert s[:4].tobytes() == svd(a)[1].tobytes()
+        assert s.shape == (7,) and not s[4:].any()
 
     @pytest.mark.parametrize("side", sorted(SHAPES))
     def test_truncating_the_full_basis_gives_the_same_bytes(self, side):
         a = rng.standard_normal(SHAPES[side])
         full = left_basis(a)
+        full.flags.writeable = False  # as kept in a memo
         for k in range(1, min(a.shape) + 1):
-            assert left_basis(a, k).tobytes() == full[:, :k].tobytes()
+            lead = _leading(full, k)
+            assert np.shares_memory(lead, full)
+            assert lead.tobytes() == _leading(left_basis(a), k).tobytes()
 
     @pytest.mark.parametrize("side,svds", [("wide", 0), ("square", 0),
                                            ("tall", 1)])
@@ -125,17 +132,15 @@ class TestLeftBasis:
         calls = []
         original = linalg.svd
 
-        def counted(a, rank=None):
+        def counted(a):
             calls.append(a.shape)
-            return original(a, rank)
+            return original(a)
 
         monkeypatch.setattr(linalg, "svd", counted)
         left_basis(rng.standard_normal(SHAPES[side]))
         assert len(calls) == svds
 
-    def test_rejects_a_zero_rank_and_a_tensor(self):
-        with pytest.raises(RankError):
-            left_basis(rng.standard_normal((3, 4)), 0)
+    def test_rejects_a_tensor(self):
         with pytest.raises(RankError):
             left_basis(rng.standard_normal((3, 4, 5)))
 
@@ -153,8 +158,8 @@ class TestQr:
 
     def test_truncation_error_decreases(self):
         a = rng.standard_normal((12, 12))
-        errs = [relative_error((lambda qr: qr[0] @ qr[1])(qr_pivoted(a, rank=k)), a)
-                for k in (2, 5, 9, 12)]
+        q, r = qr_pivoted(a)
+        errs = [relative_error(q[:, :k] @ r[:k], a) for k in (2, 5, 9, 12)]
         assert all(x >= y - 1e-12 for x, y in zip(errs, errs[1:]))
         assert errs[-1] < 1e-10
 
