@@ -24,8 +24,11 @@ other factors.  That product has a row per entry of the other modes
 (24,576 rows for a spatial factor of a 3x3x64x128 conv), so
 ``_mttkrp`` never builds it: one gemm contracts the largest other
 mode, and the Khatri-Rao product of the remaining small factors
-finishes the contraction.  The normal equations are solved by
-Cholesky, falling back to the pseudo-inverse on a singular Gram.
+finishes the contraction.  Most modes share that largest other mode,
+so a sweep runs the gemm once per contracted factor and again only
+after that factor changes.  The normal equations go to LAPACK
+``potrf``/``potrs``, falling back to the pseudo-inverse on a singular
+Gram.
 
 A rank search decomposes one weight at many ranks, and much of that
 work does not depend on the rank.  ``linalg.svd``,
@@ -55,7 +58,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, khatri_rao
+from scipy.linalg import khatri_rao
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import linalg
 from .costs import CostReport, check_ranks, cost_chain, cp_max_rank
@@ -384,22 +388,29 @@ def _mode_last(tensor: np.ndarray) -> list:
             for j, n in enumerate(tensor.shape)]
 
 
-def _mttkrp(mode_last: list, factors: list, mode: int) -> np.ndarray:
+def _contracted_mode(shape: tuple, mode: int) -> int:
+    """The mode whose gemm starts ``mode``'s MTTKRP: the largest other
+    mode, the first of equals."""
+    others = [i for i in range(len(shape)) if i != mode]
+    return max(others, key=lambda i: shape[i])
+
+
+def _mttkrp(part: np.ndarray, factors: list, mode: int,
+            big: int) -> np.ndarray:
     """``unfold(w, mode) @ khatri_rao(other factors)``, without that product.
 
-    ``mode_last`` is ``_mode_last(w)``, for a tensor of three or more
-    modes.  The largest other mode goes first, by one gemm with its
-    factor; the ``khatri_rao`` of the remaining, small factors then
-    meets that partial result in one einsum.
+    For a tensor ``w`` of three or more modes, ``big`` is
+    ``_contracted_mode(w.shape, mode)`` and ``part`` is
+    ``_mode_last(w)[big] @ factors[big]``, the one gemm of the MTTKRP,
+    which the caller shares among the modes that contract the same,
+    unchanged factor.  The ``khatri_rao`` of the remaining, small
+    factors then meets it in one einsum.
     """
     shape = tuple(f.shape[0] for f in factors)
     rank = factors[0].shape[1]
-    others = [i for i in range(len(shape)) if i != mode]
-    big = max(others, key=lambda i: shape[i])
-    part = (mode_last[big] @ factors[big]).reshape(
-        shape[:big] + shape[big + 1:] + (rank,))
+    part = part.reshape(shape[:big] + shape[big + 1:] + (rank,))
     part = np.moveaxis(part, mode if mode < big else mode - 1, 0)
-    small = [factors[i] for i in others if i != big]
+    small = [factors[i] for i in range(len(shape)) if i not in (mode, big)]
     kr = small[0]
     for f in small[1:]:
         kr = khatri_rao(kr, f)
@@ -411,15 +422,16 @@ def _solve_gram(mttkrp: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """``mttkrp @ inv(gram)``: the ALS update of one factor.
 
     The Hadamard product of Grams is symmetric positive semidefinite,
-    so a Cholesky solve does it unless the Gram is singular (a zero
-    factor column, say); then the pseudo-inverse gives the least-norm
-    update.
+    so a Cholesky solve does it: LAPACK ``potrf`` and ``potrs``, called
+    directly, are the routines ``cho_factor`` and ``cho_solve`` run,
+    without those wrappers' per-call checks.  On a singular Gram (a
+    zero factor column, say) ``potrf`` reports a non-positive pivot;
+    then the pseudo-inverse gives the least-norm update.
     """
-    try:
-        return cho_solve(cho_factor(gram, check_finite=False), mttkrp.T,
-                         check_finite=False).T
-    except np.linalg.LinAlgError:
+    chol, info = dpotrf(gram, clean=False)
+    if info > 0:
         return mttkrp @ np.linalg.pinv(gram)
+    return dpotrs(chol, mttkrp.T)[0].T
 
 
 def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
@@ -436,8 +448,11 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     of ``_mttkrp`` against the Hadamard product of the other factors'
     Grams, by ``_solve_gram``.  A factor's Gram is computed once, when
     the factor is updated, and serves the later updates and the fit.
-    Every update assigns a new array, so the best sweep's factors are
-    kept without copying them.
+    Likewise the gemm that contracts a factor is kept, keyed by its
+    mode, until that factor is updated: when the filter mode is the
+    largest, every other mode contracts it, so a sweep runs two gemms
+    where it would run one per mode.  Every update assigns a new
+    array, so the best sweep's factors are kept without copying them.
     """
     (rank,) = ranks = check_ranks(layer, "cp", ranks)
     w = np.asarray(weight, dtype=np.float64)
@@ -451,14 +466,18 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
 
     n_modes = w.ndim
     mode_last = _mode_last(w)
+    bigs = [_contracted_mode(w.shape, mode) for mode in range(n_modes)]
     grams = [f.T @ f for f in factors]
     guard = _DivergenceGuard()
     last_fit = -np.inf
     stalled = 0
     for _ in range(CP_MAX_ITER):
         inner = None
-        for mode in range(n_modes):
-            mttkrp = _mttkrp(mode_last, factors, mode)
+        parts = {}
+        for mode, big in enumerate(bigs):
+            if big not in parts:
+                parts[big] = mode_last[big] @ factors[big]
+            mttkrp = _mttkrp(parts[big], factors, mode, big)
             gram = np.ones((rank, rank))
             for i in range(n_modes):
                 if i != mode:
@@ -471,6 +490,7 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
             else:
                 inner = float(np.sum(factors[mode] * mttkrp))
             grams[mode] = factors[mode].T @ factors[mode]
+            parts.pop(mode, None)
         gram = np.ones((rank, rank))
         for g in grams:
             gram *= g

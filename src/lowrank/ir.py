@@ -54,6 +54,10 @@ def conv_out_length(x: int, k: int, stride: int, padding: str) -> int:
     raise ShapeError(f"unknown padding {padding!r}")
 
 
+# LayerDesc fields that count something, so every entry is at least 1.
+_EXTENT_FIELDS = ("kernel", "stride", "in_channels", "out_channels", "m",
+                  "n", "rank_in", "rank_out")
+
 # The JSON type of each LayerDesc field; a tuple names a list's items.
 _JSON_FIELD_TYPES = {
     "name": str, "kind": str, "kernel": (int,), "stride": (int,),
@@ -163,6 +167,11 @@ class LayerDesc:
             raise ShapeError(f"{self.name}: unknown layer kind {k!r}")
         if k in WINDOW_KINDS and len(self.stride) != len(self.kernel):
             raise ShapeError(f"{self.name}: stride rank != kernel rank")
+        for name in _EXTENT_FIELDS:
+            value = getattr(self, name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(v is not None and v < 1 for v in entries):
+                raise ShapeError(f"{self.name}: {name} {value} below 1")
 
     def _need(self, *names):
         for name in names:

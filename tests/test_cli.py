@@ -94,6 +94,16 @@ class TestParsing:
             assert code == 1, argv
             assert errtext == f"error: No such file or directory: {missing}\n"
 
+    @pytest.mark.parametrize("argv,named", [
+        (("analyze", "--layer", "3,3,8,16", "--stride", "0"), "stride"),
+        (("census", "--layer", "18,-3"), "out_channels"),
+    ], ids=["zero stride", "negative outputs"])
+    def test_extents_below_one_exit_one(self, capsys, argv, named):
+        code, out, errtext = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert errtext.startswith(f"error: layer: {named} ")
+        assert errtext.endswith(" below 1\n")
+
     @pytest.mark.parametrize("extra", [
         ("--plan-index", "0"),                   # svd has no plans
         ("--out-model", "m.json", "--out-weights", "w.lrfw"),  # no --model

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import khatri_rao
+from scipy.linalg import cho_factor, cho_solve, khatri_rao
 
 from lowrank.costs import (CONV_METHODS, METHODS, cost_factorized, rank_bounds,
                            t3f_plans)
 from lowrank.decompose import (TUCKER_FIT_TOL, TUCKER_MAX_ITER,
-                               _DivergenceGuard, _mode_last, _mttkrp,
-                               _solve_gram, chain_descs, cp_decompose,
+                               _DivergenceGuard, _contracted_mode,
+                               _mode_last, _mttkrp, _solve_gram,
+                               chain_descs, cp_decompose,
                                decompose_layer, qr_decompose, svd_decompose,
                                t3f_decompose, tt_conv_decompose,
                                tucker2_decompose)
-from lowrank import linalg
+from lowrank import decompose, linalg
 from lowrank.errors import DecompositionError, RankError
 from lowrank.explore import min_ranks
 from lowrank.ir import LayerDesc
@@ -244,9 +245,63 @@ class TestCpAls:
         mode_last = _mode_last(w)
         for mode in range(len(shape)):
             want = self._reference(w, factors, mode)
-            got = _mttkrp(mode_last, factors, mode)
+            big = _contracted_mode(shape, mode)
+            got = _mttkrp(mode_last[big] @ factors[big], factors, mode, big)
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kernel,c,f,gemms", [
+        ((3,), 6, 10, 2),
+        ((3, 3), 8, 12, 2),
+        # the shared mode is C, contracted again after C's update
+        ((3, 3), 12, 8, 3),
+        ((3, 3), 8, 8, 3),  # a tie contracts the first of equals, C
+        ((3, 3, 3), 4, 6, 2),
+        ((1, 3), 6, 10, 2),
+    ], ids=["conv1d", "F>C", "C>F", "C=F", "conv3d", "1x3"])
+    def test_shared_contraction_changes_no_byte(self, kernel, c, f, gemms,
+                                                monkeypatch):
+        layer = LayerDesc(name="c", kind=f"conv{len(kernel)}d",
+                          kernel=kernel, in_channels=c, out_channels=f)
+        weight = np.random.default_rng(7).standard_normal(kernel + (c, f))
+        parts = []
+        mttkrp = decompose._mttkrp
+
+        def shared(part, factors, mode, big):
+            parts.append(part)
+            return mttkrp(part, factors, mode, big)
+
+        monkeypatch.setattr(decompose, "_mttkrp", shared)
+        got = cp_decompose(layer, weight, (5,), seed=0)
+        n_modes = weight.ndim
+        assert all(len({id(p) for p in parts[i:i + n_modes]}) == gemms
+                   for i in range(0, len(parts), n_modes))
+
+        # the reference runs a fresh gemm for every mode of every sweep
+        kept = []
+        mode_last = decompose._mode_last
+
+        def keep(w):
+            kept.append(mode_last(w))
+            return kept[-1]
+
+        def fresh(part, factors, mode, big):
+            return mttkrp(kept[-1][big] @ factors[big], factors, mode, big)
+
+        monkeypatch.setattr(decompose, "_mode_last", keep)
+        monkeypatch.setattr(decompose, "_mttkrp", fresh)
+        want = cp_decompose(layer, weight, (5,), seed=0)
+        for name, arr in want.weights.items():
+            assert got.weights[name].tobytes() == arr.tobytes(), name
+
+    def test_gram_solve_is_cho_solve(self):
+        gen = np.random.default_rng(3)
+        a, b = gen.standard_normal((9, 5)), gen.standard_normal((7, 5))
+        gram = (a.T @ a) * (b.T @ b)
+        mttkrp = gen.standard_normal((6, 5))
+        want = cho_solve(cho_factor(gram, check_finite=False), mttkrp.T,
+                         check_finite=False).T
+        assert _solve_gram(mttkrp, gram).tobytes() == want.tobytes()
 
     def test_gram_solve_matches_pinv(self):
         gen = np.random.default_rng(3)

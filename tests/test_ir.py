@@ -54,6 +54,34 @@ class TestLayerDesc:
         with pytest.raises(ShapeError, match="stride rank"):
             LayerDesc(name="l", kind=kind, kernel=(3, 3), stride=(2,), **extra)
 
+    @pytest.mark.parametrize("kind, fields, bad", [
+        ("conv2d", {"kernel": (3, 3), "stride": (1, 0), "in_channels": 4,
+                    "out_channels": 8}, "stride"),
+        ("pool", {"kernel": (2, 2), "stride": (0, 0), "mode": "max"},
+         "stride"),
+        ("depthwise_conv", {"kernel": (3, 3), "stride": (0, 1),
+                            "in_channels": 4}, "stride"),
+        ("conv2d", {"kernel": (3, 0), "in_channels": 4, "out_channels": 8},
+         "kernel"),
+        ("conv1d", {"kernel": (3,), "in_channels": -4, "out_channels": -8},
+         "in_channels"),
+        ("conv2d", {"kernel": (3, 3), "in_channels": 4, "out_channels": 0},
+         "out_channels"),
+        ("fc", {"in_channels": 18, "out_channels": -3}, "out_channels"),
+        ("pool", {"kernel": (-2, 2), "mode": "avg"}, "kernel"),
+        ("depthwise_conv", {"kernel": (3, 3), "in_channels": 0},
+         "in_channels"),
+        ("tt_core", {"m": 0, "n": 3, "rank_in": 1, "rank_out": 2}, "m"),
+        ("tt_core", {"m": 2, "n": -3, "rank_in": 1, "rank_out": 2}, "n"),
+        ("tt_core", {"m": 2, "n": 3, "rank_in": 0, "rank_out": 2},
+         "rank_in"),
+        ("tt_core", {"m": 2, "n": 3, "rank_in": 1, "rank_out": -1},
+         "rank_out"),
+    ])
+    def test_extents_below_one_rejected(self, kind, fields, bad):
+        with pytest.raises(ShapeError, match=f"{bad} .* below 1"):
+            LayerDesc(name="l", kind=kind, **fields)
+
     def test_depthwise_preserves_channels(self):
         layer = LayerDesc(name="d", kind="depthwise_conv", kernel=(3, 3),
                           in_channels=6)
@@ -138,6 +166,8 @@ class TestModelDesc:
         (lambda d: d["layers"][0].update(kernel=3), "'c1'"),
         (lambda d: d["layers"][3].update(in_channels="x"), "'c2'"),
         (lambda d: d["layers"][3].update(groups=0), "c2"),
+        (lambda d: d["layers"][0].update(stride=[0, 1]), "c1"),
+        (lambda d: d["layers"][6].update(out_channels=-3), "f1"),
         (lambda d: d["layers"][6].update(out_channels=True), "'f1'"),
         (lambda d: d["layers"][1].update(post_ops="p1"), "'a1'"),
         (lambda d: d["layers"].append(7), "7"),
@@ -146,7 +176,8 @@ class TestModelDesc:
         (lambda d: d["edges"].append(["c1"]), "['c1']"),
         (lambda d: d["edges"].append("ab"), "'ab'"),
         (lambda d: d["edges"].append(["c1", 2]), "['c1', 2]"),
-    ], ids=["int kernel", "str channels", "zero groups", "bool channels",
+    ], ids=["int kernel", "str channels", "zero groups", "zero stride",
+            "negative channels", "bool channels",
             "str post_ops", "layer not an object", "layers not a list",
             "input not a name", "edge of one", "edge a string",
             "edge to a number"])
