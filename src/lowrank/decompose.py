@@ -39,14 +39,24 @@ factorization give the same bytes.  Given a ``memo`` dict that belongs
 to one weight, the decomposers keep each full factorization under a
 key naming what it depends on:
 
-- ``("svd",)`` and ``("qr",)``: the weight matrix;
-- ``("tt", None, prefix)`` and ``("t3f", plan, prefix)``: step ``i``
-  of the sequential TT-SVD unfolds what the ranks ``prefix =
-  ranks[:i]`` left over, so step 0 is shared by every rank vector and
-  a later step by those with the same leading ranks;
+- ``("svd",)``: the full ``linalg.left_basis`` of the weight's short
+  side (of ``w`` when it is wide, of ``w.T`` when it is tall);
+- ``("qr",)``: the pivoted QR of the weight matrix;
+- ``("tt", None, prefix)`` and ``("t3f", plan, prefix)``: the full
+  ``linalg.left_basis`` of step ``i`` of the sequential TT-SVD, which
+  unfolds what the ranks ``prefix = ranks[:i]`` left over, so step 0
+  is shared by every rank vector and a later step by those with the
+  same leading ranks;
 - ``("tucker2", mode)``: the full ``linalg.left_basis`` of each of
-  the two initial unfoldings (U alone, signed, no S or V);
+  the two initial unfoldings;
 - ``("cp", mode)``: the per-mode SVDs that start CP-ALS.
+
+A kept basis is U alone, signed, with no S or V.  The truncations
+outside CP need no more: for the leading left singular vectors U_r of
+a matrix A = U S V', ``U_r.T @ A = S_r V_r'``, since U is
+orthonormal, so one gemm recovers the scaled right vectors, and its
+row norms are the singular values.  ``left_basis`` takes a wide
+matrix's basis from the eigenvectors of its small Gram, with no SVD.
 
 Kept factorizations are read-only, since the returned factors may be
 views of them.
@@ -449,9 +459,11 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     Grams, by ``_solve_gram``.  A factor's Gram is computed once, when
     the factor is updated, and serves the later updates and the fit.
     Likewise the gemm that contracts a factor is kept, keyed by its
-    mode, until that factor is updated: when the filter mode is the
-    largest, every other mode contracts it, so a sweep runs two gemms
-    where it would run one per mode.  Every update assigns a new
+    mode, until that factor is updated, also from one sweep into the
+    next, so a sweep runs two gemms where it would run one per mode:
+    when the filter mode is the largest, every other mode contracts it;
+    otherwise the channel contraction made for the filter's update
+    serves the next sweep's kernel modes.  Every update assigns a new
     array, so the best sweep's factors are kept without copying them.
     """
     (rank,) = ranks = check_ranks(layer, "cp", ranks)
@@ -471,9 +483,9 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     guard = _DivergenceGuard()
     last_fit = -np.inf
     stalled = 0
+    parts = {}
     for _ in range(CP_MAX_ITER):
         inner = None
-        parts = {}
         for mode, big in enumerate(bigs):
             if big not in parts:
                 parts[big] = mode_last[big] @ factors[big]
@@ -511,12 +523,17 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
             key: tuple = ()):
     """Sequential-SVD tensor train with prescribed internal ranks.
 
-    A requested rank above what the running unfolding can supply gets
-    zero core slices (see ``_leading``), so any rank vector inside the
-    per-link box bounds min(prod(left), prod(right)) is constructible
-    without changing the reconstruction.  Step ``i`` unfolds what the
-    first ``i`` ranks left over, so its SVD goes into ``memo`` under
-    ``key`` plus ``ranks[:i]``.
+    Step ``i`` keeps the leading left singular vectors U_r of the
+    running unfolding as its core and passes on the remainder
+    ``U_r.T @ mat``, which equals S_r V_r' of the truncated SVD, so
+    the step needs only ``linalg.left_basis``: the small Gram of a
+    wide unfolding, no full SVD.  A requested rank above what the
+    running unfolding can supply gets zero core slices (see
+    ``_leading``), so any rank vector inside the per-link box bounds
+    min(prod(left), prod(right)) is constructible without changing the
+    reconstruction.  Step ``i`` unfolds what the first ``i`` ranks
+    left over, so its basis goes into ``memo`` under ``key`` plus
+    ``ranks[:i]``.
     """
     shape = tensor.shape
     full = (1,) + tuple(ranks) + (1,)
@@ -524,10 +541,10 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
     rest = np.asarray(tensor, dtype=np.float64).reshape(shape[0], -1)
     for i in range(len(shape) - 1):
         mat = rest.reshape(full[i] * shape[i], -1)
-        u, s, v = (_leading(part, full[i + 1]) for part in
-                   _full(linalg.svd, mat, memo, key + (full[1:i + 1],)))
+        u = _leading(_full(linalg.left_basis, mat, memo,
+                           key + (full[1:i + 1],)), full[i + 1])
         cores.append(u.reshape(full[i], shape[i], full[i + 1]))
-        rest = (s[:, None] * v.T)
+        rest = u.T @ mat
     cores.append(rest.reshape(full[-2], shape[-1], 1))
     return cores
 
@@ -550,13 +567,28 @@ def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
 
 def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
                   memo: dict = None):
-    """Truncated SVD split symmetrically: A = U sqrt(S), B = sqrt(S) V'."""
+    """Truncated SVD split symmetrically: A = U sqrt(S), B = sqrt(S) V'.
+
+    Only the short side's singular vectors are factorized, by
+    ``linalg.left_basis`` of ``w`` when it is wide and of ``w.T`` when
+    it is tall, so the Gram is the small one.  Projecting that side
+    onto its basis, ``p = basis.T @ side``, gives the other side's
+    vectors scaled by S, and each row norm of ``p`` is its singular
+    value.  A zero singular value gives zero factor columns and rows.
+    """
     (rank,) = ranks = check_ranks(layer, "svd", ranks)
     w = np.asarray(weight, dtype=np.float64)
-    u, s, v = (_leading(part, rank)
-               for part in _full(linalg.svd, w, memo, ("svd",)))
-    root = np.sqrt(s)
-    return _attach(layer, "svd", ranks, [u * root, root[:, None] * v.T])
+    side = w.T if w.shape[0] >= w.shape[1] else w
+    basis = _leading(_full(linalg.left_basis, side, memo, ("svd",)), rank)
+    p = basis.T @ side
+    root = np.sqrt(np.linalg.norm(p, axis=1))
+    # sqrt(S) times the singular vectors of each side: the basis's as
+    # columns, the other side's (p / S) as rows
+    short = basis * root
+    long = np.divide(p, root[:, None], out=np.zeros_like(p),
+                     where=root[:, None] > 0)
+    factors = [short, long] if side is w else [long.T, short.T]
+    return _attach(layer, "svd", ranks, factors)
 
 
 def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,

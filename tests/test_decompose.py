@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -253,9 +254,10 @@ class TestCpAls:
     @pytest.mark.parametrize("kernel,c,f,gemms", [
         ((3,), 6, 10, 2),
         ((3, 3), 8, 12, 2),
-        # the shared mode is C, contracted again after C's update
-        ((3, 3), 12, 8, 3),
-        ((3, 3), 8, 8, 3),  # a tie contracts the first of equals, C
+        # the shared mode is C, contracted again after C's update; that
+        # gemm serves the next sweep's kernel modes
+        ((3, 3), 12, 8, 2),
+        ((3, 3), 8, 8, 2),  # a tie contracts the first of equals, C
         ((3, 3, 3), 4, 6, 2),
         ((1, 3), 6, 10, 2),
     ], ids=["conv1d", "F>C", "C>F", "C=F", "conv3d", "1x3"])
@@ -273,9 +275,15 @@ class TestCpAls:
 
         monkeypatch.setattr(decompose, "_mttkrp", shared)
         got = cp_decompose(layer, weight, (5,), seed=0)
+        # gemms first used in each sweep after the first ("parts" keeps
+        # every gemm alive, so no id is reused)
         n_modes = weight.ndim
-        assert all(len({id(p) for p in parts[i:i + n_modes]}) == gemms
-                   for i in range(0, len(parts), n_modes))
+        seen, new = set(), []
+        for i in range(0, len(parts), n_modes):
+            ids = {id(p) for p in parts[i:i + n_modes]}
+            new.append(len(ids - seen))
+            seen |= ids
+        assert len(new) > 2 and set(new[1:]) == {gemms}
 
         # the reference runs a fresh gemm for every mode of every sweep
         kept = []
@@ -632,34 +640,34 @@ CHAIN_T3F_PLAN = ((2, 3, 4), (3, 3, 2))
 # sha256 of each method's weight records in chain order (``_chain_digest``)
 # at the middle of the rank box, recorded while each decomposer still
 # built its weight dict by hand.  The tucker2 pins were re-recorded when
-# its bases moved to ``linalg.left_basis``: the factors changed sign and
-# rounding only.  The factors come from LAPACK, so the pins belong to one
-# numpy/BLAS build.
+# its bases moved to ``linalg.left_basis``, and the tt, svd and t3f pins
+# when theirs did: the factors changed sign and rounding only.  The
+# factors come from LAPACK, so the pins belong to one numpy/BLAS build.
 CHAIN_PINS = {
     ("conv1d", "tucker2"):
         "6f778ef33e3c1f2f5a59d0fac6f6a63c35fe163d7dbb4b53b34064d3ad974188",
     ("conv1d", "cp"):
         "6c61f8ecc2aaf41ced8c394bf5ec9bb18ed05618ad1046faa3b6e712be79772b",
     ("conv1d", "tt"):
-        "129958d822224d48bdf24b826a0ba8a5fb44ce15d47633beb68d1025c26d5f18",
+        "4ce2fff05240437ef3a57a17017ae745b97db0c7a2e7a64b9cbd44dd81dc7eb7",
     ("conv2d", "tucker2"):
         "602ded4dcfe25f8e98eff6ea69934a05fd3b6a801dc47538935ad46e46a71901",
     ("conv2d", "cp"):
         "2cae15d6afb459adb1f713b0bc4db60e13815216fe645b6ad8f87e42be676f69",
     ("conv2d", "tt"):
-        "6846a230b809c064771e4b86084150964efef804bf355dce52d0a6d6924ef6f3",
+        "114718d3fd28a2008c25cf918245a49d56839fcf72294ed1ee41d166e7b6649d",
     ("conv3d", "tucker2"):
         "4e0c8321fbaf4d41e8b0fb96a1124928b62df9a60b9d55c308f1ddf0786aea3a",
     ("conv3d", "cp"):
         "7da7791597cc3af581d323a200172a2ba080a094c72057249b2b9d8d339ba0cf",
     ("conv3d", "tt"):
-        "6c9393c521febe0be3cca3a3fdd82216ccfe6da7c46ed266769edf08fb42bfa3",
+        "629fbbe4db4765067d41c34588540e5489ce1983ae2caa7cccb6a974b616d264",
     ("fc", "svd"):
-        "f00ec45d232ad8a07c038e9a7baf7b850e987aac43aeaee4942737718d854f3d",
+        "910233e25862a7b725da28dc84ed9bc543637d28febd2c0d781a27f2f789b4b9",
     ("fc", "qr"):
         "fbe167ac51a33347eaadc7e370e5b7fab03ff1ad2226f2f69d713bb6bf31a467",
     ("fc", "t3f"):
-        "b29e62e59187f87e80e93543e52e6fbf4458de0802c6ed1227cc10f0d0958a4c",
+        "6798ffe07c52cb2b3793381661e323f1ffa58922c30926529ac8f59d7b55c328",
 }
 
 
@@ -815,3 +823,154 @@ class TestMemo:
                 decompose_layer(layer, weight, method, ranks, plan=plan))
         if method in ("qr", "tt"):  # Q and the first TT core are views
             assert read_only
+
+
+def _oracle_tt_error(tensor, ranks, steps):
+    """Relative error of the sequential TT-SVD with every step a full
+    ``np.linalg.svd``, its cores padded with zeros past the width.
+    ``steps`` keeps each step's (U, S V') by rank prefix."""
+    shape = tensor.shape
+    full = (1,) + tuple(ranks) + (1,)
+    approx = np.ones((1, 1))
+    rest = tensor.reshape(shape[0], -1)
+    for i in range(len(shape) - 1):
+        mat = rest.reshape(full[i] * shape[i], -1)
+        prefix = tuple(full[1:i + 1])
+        if prefix not in steps:
+            u, s, vt = np.linalg.svd(mat, full_matrices=False)
+            steps[prefix] = u, s[:, None] * vt
+        u, sv = steps[prefix]
+        pad = max(full[i + 1] - u.shape[1], 0)
+        u = np.pad(u[:, :full[i + 1]], ((0, 0), (0, pad)))
+        rest = np.pad(sv[:full[i + 1]], ((0, pad), (0, 0)))
+        approx = (approx @ u.reshape(full[i], -1)).reshape(-1, full[i + 1])
+    approx = approx @ rest.reshape(full[-2], -1)
+    return relative_error(approx.reshape(shape), tensor)
+
+
+def _t3f_tensor(weight, plan):
+    ms, ns = plan
+    d = len(ms)
+    perm = [axis for t in range(d) for axis in (t, d + t)]
+    return weight.reshape(ms + ns).transpose(perm).reshape(
+        [m * n for m, n in zip(ms, ns)])
+
+
+def _graded_fc(m, n, smallest, seed=0):
+    """An (m, n) matrix with singular values from 1 down to ``smallest``,
+    evenly spaced in log."""
+    gen = np.random.default_rng(seed)
+    k = min(m, n)
+    u = np.linalg.qr(gen.standard_normal((m, k)))[0]
+    v = np.linalg.qr(gen.standard_normal((n, k)))[0]
+    return (u * np.logspace(0, np.log10(smallest), k)) @ v.T
+
+
+class TestGramPath:
+    """tt, t3f and svd take their bases from ``linalg.left_basis``: the
+    small Gram of a wide matrix, never a full SVD of one."""
+
+    @pytest.mark.parametrize("kind,method", [
+        ("conv1d", "tt"), ("conv2d", "tt"), ("conv3d", "tt"),
+        ("fc", "svd"), ("fc", "t3f")])
+    def test_whole_box_as_good_as_the_full_svd(self, kind, method):
+        layer = CHAIN_LAYERS[kind]
+        weight = np.random.default_rng(4).standard_normal(
+            layer.weight_shape())
+        plan = CHAIN_T3F_PLAN if method == "t3f" else None
+        if method == "tt":
+            tensor = np.moveaxis(weight, len(layer.kernel), 0)
+        elif method == "t3f":
+            tensor = _t3f_tensor(weight, plan)
+        s = np.linalg.svd(weight, compute_uv=False)
+        memo, steps = {}, {}
+        box = rank_bounds(layer, method, plan)
+        for ranks in itertools.product(*(range(lo, hi + 1)
+                                         for lo, hi in box)):
+            fact = decompose_layer(layer, weight, method, ranks, plan=plan,
+                                   memo=memo)
+            got = relative_error(fact.reconstruct(), weight)
+            if method == "svd":
+                want = np.sqrt(np.sum(s[ranks[0]:] ** 2)) / np.linalg.norm(s)
+            else:
+                want = _oracle_tt_error(tensor, ranks, steps)
+            assert got <= want + 1e-7, ranks
+
+    def test_error_floor_on_a_graded_spectrum(self):
+        # the Gram squares the spectrum, so the tail below sqrt(eps) of
+        # the largest singular value is not resolved: the truncation
+        # error bottoms out near 1e-8 where a full SVD reaches ~5e-14.
+        # That is below the float32 rounding (2^-24 ~ 6e-8) of the
+        # factor weights that ship.
+        layer = LayerDesc(name="g", kind="fc", in_channels=64,
+                          out_channels=96)
+        weight = _graded_fc(64, 96, 1e-14)
+        fact = svd_decompose(layer, weight, (60,))
+        s = np.linalg.svd(weight, compute_uv=False)
+        oracle = np.sqrt(np.sum(s[60:] ** 2)) / np.linalg.norm(s)
+        assert oracle < 1e-13
+        assert relative_error(fact.reconstruct(), weight) \
+            < np.finfo(np.float32).eps / 2
+
+    @pytest.mark.parametrize("method", ["svd", "tt"])
+    @pytest.mark.parametrize("deficient", ["rank2", "zero"])
+    def test_rank_deficient_weight_at_full_rank(self, method, deficient):
+        layer, _, ranks = FULL_RANK[method]
+        gen = np.random.default_rng(6)
+        shape = layer.weight_shape()
+        if deficient == "zero":
+            weight = np.zeros(shape)
+        else:  # rank 2 in every unfolding
+            weight = np.einsum("r...,rc,rf->...cf",
+                               gen.standard_normal((2,) + shape[:-2]),
+                               gen.standard_normal((2, shape[-2])),
+                               gen.standard_normal((2, shape[-1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fact = decompose_layer(layer, weight, method, ranks)
+            assert all(np.isfinite(w).all() for w in fact.weights.values())
+            assert relative_error(fact.reconstruct(), weight) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(18, 15), (15, 18), (12, 12)],
+                             ids=["tall", "wide", "square"])
+    def test_svd_split_is_symmetric(self, shape):
+        layer = LayerDesc(name="f", kind="fc", in_channels=shape[0],
+                          out_channels=shape[1])
+        weight = np.random.default_rng(8).standard_normal(shape)
+        s = np.linalg.svd(weight, compute_uv=False)
+        for rank in (1, 5, min(shape)):
+            a, b = svd_decompose(layer, weight, (rank,)).weights.values()
+            cols, rows = np.linalg.norm(a, axis=0), np.linalg.norm(b, axis=1)
+            assert cols == pytest.approx(rows, rel=1e-12)
+            assert cols ** 2 == pytest.approx(s[:rank], rel=1e-10)
+
+    @pytest.mark.parametrize("method", ["tt", "svd", "t3f"])
+    def test_no_svd_of_a_wide_matrix(self, method, monkeypatch):
+        # the benchmark's layers: a 3x3x64x128 conv and a 512x256 fc
+        if method == "tt":
+            layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3),
+                              in_channels=64, out_channels=128)
+        else:
+            layer = LayerDesc(name="f", kind="fc", in_channels=512,
+                              out_channels=256)
+        shapes = []
+        svd = linalg.svd
+
+        def counted(a):
+            shapes.append(a.shape)
+            return svd(a)
+
+        monkeypatch.setattr(linalg, "svd", counted)
+        weight = np.random.default_rng(9).standard_normal(
+            layer.weight_shape())
+        plans = t3f_plans(layer)[:4] if method == "t3f" else [None]
+        for plan in plans:
+            box = rank_bounds(layer, method, plan)
+            for ranks in ([lo for lo, _ in box], [max(lo, hi // 2)
+                                                   for lo, hi in box]):
+                decompose_layer(layer, weight, method, tuple(ranks),
+                                plan=plan)
+        # a tall TT-SVD step takes the SVD that left_basis runs there;
+        # svd diagonalizes the Gram of the weight's short side alone
+        assert all(m > n for m, n in shapes), shapes
+        assert method != "svd" or not shapes

@@ -24,7 +24,8 @@ rng = np.random.default_rng(11)
 # recorded with the sliding-window forward kernels: a faster kernel may move
 # similarity digits (the t3f ones moved by < 1e-16) but no search decision
 # or weight.  The tucker2 pins were re-recorded when its bases moved from
-# full SVDs to ``linalg.left_basis`` (signed Gram eigenvectors), with
+# full SVDs to ``linalg.left_basis`` (signed Gram eigenvectors), and the
+# tt ones when the TT-SVD and fc SVD bases moved there too, each time with
 # AUDIT_DECISION_PINS unchanged.  The weights come from LAPACK, so the pins
 # belong to one numpy/BLAS build.
 AUDIT_PINS = {
@@ -35,11 +36,11 @@ AUDIT_PINS = {
     ("cp", "t3f"):
         "7eae5310cc3122efdcae28ed8d5b9731a7d41f6ed6d080b103e032dadb4ed4f7",
     ("tt", "qr"):
-        "900e2de7d4363a1dc491b4c254c638c53f969c24c5e7b7a080ef153feaf22810",
+        "ac5099da73c7066adefabbe54fd4ee40cbf980ca2ae592eee21701e3bda9dfb4",
     ("tt", "svd"):
-        "082511c1ef9033ae3f04b6ecfb12a01c04d0431a1d4f13904be17b105a07916e",
+        "bfb7b14b2d15eaa2db5d6cad23b69495d2a58d813a40c36717dd7f21613bc2e2",
     ("tt", "t3f"):
-        "92afe11fc62e9e8b646615d1ba8010f54783e0f7552631508ec11f5b8b0165fa",
+        "db7aadae99b35fcc0e361ff61a0c7d77511c0522ce1efe7b7b4011eab8318bf9",
     ("tucker2", "qr"):
         "838ca54d5ce9dea7949d065e06744aa0c8b89e58068e2c8358a4ef0f5640a92e",
     ("tucker2", "svd"):
@@ -350,9 +351,12 @@ class TestSearchLoop:
         # f1 is decomposed at every step until it reverts; its full
         # factorization is computed once per search, not once per call
         # and not once per process
-        factorize = {"svd": "svd", "qr": "qr_pivoted"}[fc_method]
+        # svd factorizes f1's short side, f1.T
+        factorize = {"svd": "left_basis", "qr": "qr_pivoted"}[fc_method]
         model, weights = conv_chain_net()
         f1 = np.asarray(weights["f1"], dtype=np.float64)
+        if fc_method == "svd":
+            f1 = f1.T
         of_f1 = []
         original = getattr(linalg, factorize)
 

@@ -509,6 +509,30 @@ class TestCapture:
         assert layer_similarity(fact, cap) < 0.999
 
 
+    @pytest.mark.parametrize("ranks", [(1, 1), (8, 12)])
+    def test_batch_score_is_the_mean_of_row_cosines(self, toy_net, ranks):
+        model, weights = toy_net
+        x = rng.standard_normal((6, 8, 8, 3)).astype(np.float32)
+        cap = capture_feature_maps(model, weights, x)
+        cap.references["c2"] = cap.references["c2"].copy()
+        cap.references["c2"][2] = 0.0
+        layer = model.layer("c2")
+        fact = decompose_layer(layer, np.asarray(weights["c2"]), "tucker2",
+                               ranks)
+        out = forward_factorized(fact, cap.inputs["c2"])
+        for op_name in layer.post_ops:
+            out = forward_layer(model.layer(op_name), weights, out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = float(np.mean([cosine(o, r) for o, r in
+                                  zip(out, cap.references["c2"])]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = layer_similarity(fact, cap)
+        assert got == want
+        assert [w.category for w in caught] == [RuntimeWarning]
+
+
 class TestForwardFactorized:
     def test_matches_dense_reconstruction(self):
         layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3),
