@@ -348,14 +348,14 @@ def _audit_report(result) -> dict:
             "iterations": result.audit}
 
 
-def _write_dse_outputs(args, result) -> None:
+def _write_dse_outputs(args, model, weights, report: dict) -> None:
     if args.out_model:
-        result.model.save(args.out_model)
+        model.save(args.out_model)
     if args.out_weights:
-        result.weights.save(args.out_weights)
+        weights.save(args.out_weights)
     if args.out_audit:
         with open(args.out_audit, "w", encoding="utf-8") as fh:
-            fh.write(render_json(_audit_report(result)))
+            fh.write(render_json(report))
 
 
 def cmd_dse(args) -> int:
@@ -371,16 +371,11 @@ def cmd_dse(args) -> int:
                          fc_method=args.fc_method)
     except ConstraintUnreachableError as exc:
         best_model, best_weights, audit = exc.best
-        if args.out_model:
-            best_model.save(args.out_model)
-        if args.out_weights:
-            best_weights.save(args.out_weights)
-        if args.out_audit:
-            with open(args.out_audit, "w", encoding="utf-8") as fh:
-                fh.write(render_json({"success": False,
-                                      "iterations": audit}))
+        _write_dse_outputs(args, best_model, best_weights,
+                           {"success": False, "iterations": audit})
         raise
-    _write_dse_outputs(args, result)
+    _write_dse_outputs(args, result.model, result.weights,
+                       _audit_report(result))
     summary = (f"success={result.success} baseline="
                f"{result.baseline_accuracy:.4f} final="
                f"{result.final_accuracy:.4f} iterations="
@@ -416,7 +411,8 @@ def cmd_hybrid(args) -> int:
                               conv_method=conv, fc_method=fc)
     combined = hybrid_combine(runs, objective=args.objective)
     combined.final_accuracy = evaluator(combined.model, combined.weights)
-    _write_dse_outputs(args, combined)
+    _write_dse_outputs(args, combined.model, combined.weights,
+                       _audit_report(combined))
     report = {
         "objective": args.objective,
         "runs": {label: {

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explore
-from .costs import CostReport, cost_original
+from .costs import OBJECTIVES, CostReport, cost_original
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
@@ -59,6 +59,14 @@ class DseConfig:
     tol: float = explore.DEFAULT_TOL
 
     def __post_init__(self):
+        if self.objective not in OBJECTIVES:
+            raise RankError(f"objective must be one of {OBJECTIVES}, "
+                            f"got {self.objective!r}")
+        # written so that NaN fails too
+        if not self.accuracy_drop_limit >= 0:
+            raise RankError("accuracy_drop_limit must be non-negative")
+        if not self.tol >= 0:
+            raise RankError("tol must be non-negative")
         if not 0 < self.step_size < 100:
             raise RankError("step_size must lie in (0, 100)")
         if self.max_sol < 1:

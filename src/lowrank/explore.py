@@ -17,11 +17,14 @@ not written down here: each family evaluates the closed forms of
 ``costs`` once over its cells, with the innermost rank at 0 and at 1,
 so those closed forms remain the only cost formulas.
 
-A census fixes a target reduction of the objective (say 60% fewer
-parameters), finds the closest achievable objective value among valid
-solutions, and reports the solutions achieving exactly that value.
-The tie set is empty when even the closest achievable value misses the
-target by more than ``tol`` of the original.
+A census buckets the valid solutions at target reductions of an
+objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
+gives the bucket value at ``percent``: the valid objective value
+closest to (1 - percent/100) * original, the smaller one on a tie, or
+none when even that value misses the target by more than
+tol * original.  The bucket holds every valid solution achieving
+exactly that value; ``census`` summarizes it and ``solutions_at_ratio``
+materializes it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class BucketReport:
     count: int                 # valid solutions achieving exactly that value
     flops_reduction_min: float | None = None
     flops_reduction_max: float | None = None
-    best: Solution | None = None   # bucket member minimizing the other metric
+    best: Solution | None = None   # bucket member with the fewest flops
 
     def to_dict(self) -> dict:
         out = {"percent": self.percent, "value": self.value, "count": self.count,
@@ -253,6 +256,31 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     return spans
 
 
+def _bucket_value(families, original: CostReport, objective: str,
+                  percent: float, tol: float) -> int | None:
+    """The census bucket value at ``percent`` (see the module docstring)."""
+    if not tol >= 0:
+        raise RankError(f"tol must be non-negative, got {tol}")
+    if math.isnan(percent):
+        raise RankError("percent must be a number, got nan")
+    target = (1.0 - percent / 100.0) * original.get(objective)
+    best = None  # (distance, value)
+    for fam in families:
+        ok = fam.valid_hi >= 1
+        a, b = fam.base.get(objective)[ok], fam.slope.get(objective)[ok]
+        near = np.floor_divide(target - a, np.maximum(b, 1))
+        for r in (near, near + 1):
+            value = a + b * np.clip(r, 1, fam.valid_hi[ok]).astype(np.int64)
+            dist = np.abs(value - target)
+            if dist.size:
+                d = float(dist.min())
+                cand = (d, int(value[dist == d].min()))
+                best = cand if best is None else min(best, cand)
+    if best is None or best[0] > tol * original.get(objective):
+        return None
+    return best[1]
+
+
 def _bucket_members(fam: _AffineFamily, objective: str, value: int):
     """(flat outer index, innermost rank) pairs achieving ``value``."""
     num = value - fam.base.get(objective)
@@ -272,79 +300,37 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
            tol: float = DEFAULT_TOL, input_shape=None) -> SpaceCensus:
     """Count the space and bucket it at each target reduction percent.
 
-    For each percent g, the bucket holds every valid solution whose
-    objective value equals the achievable value closest to
-    (1 - g/100) * original (ties broken toward the smaller value), or
-    nothing when even the closest value misses by more than
-    tol * original.
+    Each bucket reports its member count, the span of its members' flops
+    reductions and its member with the fewest flops (the first in
+    enumeration order on a tie).
     """
     t0 = time.perf_counter()
     families = list(_families(layer, method, input_shape))
-    report = _census(layer, method, families, percents, objective, tol,
-                     input_shape)
-    report.generation_time = time.perf_counter() - t0
-    return report
-
-
-def _census(layer, method, families, percents, objective, tol,
-            input_shape) -> SpaceCensus:
-    """``census`` over families already built."""
     original = cost_original(layer, input_shape or default_input_shape(layer))
     volume = sum(int(fam.last_bound.sum()) for fam in families)
     report = SpaceCensus(method, volume, _valid_total(families), original)
-    orig_value = original.get(objective)
     for percent in percents:
-        target = (1.0 - percent / 100.0) * orig_value
-        best = None  # (distance, value)
-        for fam in families:
-            a, b = fam.base.get(objective), fam.slope.get(objective)
-            hi = fam.valid_hi
-            cell_ok = hi >= 1
-            if not np.any(cell_ok):
-                continue
-            b_safe = np.maximum(b, 1)
-            near = np.floor_divide((target - a).astype(np.float64), b_safe)
-            for cand in (near, near + 1):
-                r = np.clip(cand, 1, np.maximum(hi, 1))
-                value = a + b * r.astype(np.int64)
-                dist = np.abs(value - target)
-                dist = np.where(cell_ok, dist, np.inf)
-                if not np.isfinite(dist).any():
-                    continue
-                flat = int(np.argmin(np.where(
-                    dist == dist.min(),
-                    value.astype(np.float64), np.inf).ravel()))
-                d = float(np.ravel(dist)[flat])
-                v = int(np.ravel(value)[flat])
-                if best is None or (d, v) < best:
-                    best = (d, v)
-        bucket = BucketReport(percent=percent, value=None, count=0)
-        if best is not None and best[0] <= tol * orig_value:
-            value = best[1]
-            bucket.value = value
-            members_best = None
-            fred_lo, fred_hi = np.inf, -np.inf
-            for fam in families:
-                flat, ranks = _bucket_members(fam, objective, value)
-                if not len(flat):
-                    continue
-                bucket.count += len(flat)
-                flops = (np.ravel(fam.base.flops)[flat]
-                         + np.ravel(fam.slope.flops)[flat] * ranks)
-                fred_lo = min(fred_lo, float(flops.min()))
-                fred_hi = max(fred_hi, float(flops.max()))
-                pick = int(np.argmin(flops))
-                cand = (int(flops[pick]), fam, int(flat[pick]), int(ranks[pick]))
-                if members_best is None or cand[0] < members_best[0]:
-                    members_best = cand
-            if members_best is not None:
-                _, fam, flat_index, last = members_best
-                plan, outer = fam.cell(flat_index)
-                bucket.best = _solution(layer, method, plan, outer + (last,),
-                                        input_shape)
-                bucket.flops_reduction_min = 1.0 - fred_hi / original.flops
-                bucket.flops_reduction_max = 1.0 - fred_lo / original.flops
+        value = _bucket_value(families, original, objective, percent, tol)
+        bucket = BucketReport(percent=percent, value=value, count=0)
         report.buckets.append(bucket)
+        if value is None:
+            continue
+        members = [(fam, *_bucket_members(fam, objective, value))
+                   for fam in families]
+        flops = [np.ravel(fam.base.flops)[flat]
+                 + np.ravel(fam.slope.flops)[flat] * ranks
+                 for fam, flat, ranks in members]
+        every = np.concatenate(flops)
+        bucket.count = every.size
+        bucket.flops_reduction_min = 1.0 - float(every.max()) / original.flops
+        bucket.flops_reduction_max = 1.0 - float(every.min()) / original.flops
+        _, i = min((int(f.min()), i) for i, f in enumerate(flops) if f.size)
+        fam, flat, ranks = members[i]
+        pick = int(np.argmin(flops[i]))
+        plan, outer = fam.cell(int(flat[pick]))
+        bucket.best = _solution(layer, method, plan,
+                                outer + (int(ranks[pick]),), input_shape)
+    report.generation_time = time.perf_counter() - t0
     return report
 
 
@@ -358,13 +344,13 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     """
     if families is None:
         families = list(_families(layer, method, input_shape))
-    bucket = _census(layer, method, families, [percent], objective, tol,
-                     input_shape).buckets[0]
-    if bucket.value is None:
+    original = cost_original(layer, input_shape or default_input_shape(layer))
+    value = _bucket_value(families, original, objective, percent, tol)
+    if value is None:
         return []
     out = []
     for fam in families:
-        flat, ranks = _bucket_members(fam, objective, bucket.value)
+        flat, ranks = _bucket_members(fam, objective, value)
         for i in range(len(flat)):
             plan, outer = fam.cell(int(flat[i]))
             out.append(_solution(layer, method, plan, outer + (int(ranks[i]),),

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lowrank.cli import main, parse_layer_spec
-from lowrank.ir import DATASET_INPUTS, DATASET_LABELS, ModelDesc, WeightStore
+from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc,
+                        ModelDesc, WeightStore)
 
 from conftest import small_conv_net
 
@@ -93,6 +94,13 @@ class TestParsing:
             code, _, errtext = run_cli(capsys, *argv)
             assert code == 1, argv
             assert errtext == f"error: No such file or directory: {missing}\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_census_rejects_bad_tolerance(self, capsys, tol):
+        code, out, errtext = run_cli(capsys, "census", "--layer", "400,120",
+                                     "--tol", tol)
+        assert code == 1 and out == ""
+        assert errtext.startswith("error: tol must be non-negative")
 
     @pytest.mark.parametrize("argv,named", [
         (("analyze", "--layer", "3,3,8,16", "--stride", "0"), "stride"),
@@ -265,6 +273,68 @@ class TestSearchCommands:
         assert code == 1 and out == ""
         assert errtext.startswith(f"error: {message} must be")
         assert not out_a.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tol", "nan", "tol"), ("--tol", "-0.1", "tol"),
+        ("--drop-limit", "nan", "accuracy_drop_limit"),
+        ("--drop-limit", "-0.1", "accuracy_drop_limit")])
+    def test_dse_rejects_bad_tolerances(self, capsys, saved_net, tmp_path,
+                                        flag, value, message):
+        model_path, weight_path, data_path = saved_net
+        out_a = tmp_path / "audit.json"
+        code, out, errtext = run_cli(
+            capsys, "dse", "--model", str(model_path),
+            "--weights", str(weight_path), "--dataset", str(data_path),
+            flag, value, "--out-audit", str(out_a))
+        assert code == 1 and out == ""
+        assert errtext.startswith(f"error: {message} must be non-negative")
+        assert not out_a.exists()
+
+    def test_dse_unreachable_writes_best_so_far(self, capsys, tmp_path):
+        # a rank-one conv: its rank-one start is exact, so the layer freezes
+        # at once, and an evaluator failing every factorized model leaves
+        # the bound out of reach
+        layers = [LayerDesc(name="c1", kind="conv2d", kernel=(3, 3),
+                            in_channels=3, out_channels=8, post_ops=("a1",)),
+                  LayerDesc(name="a1", kind="activation", fn="relu")]
+        model = ModelDesc(layers=layers, edges=[("c1", "a1")], input="c1",
+                          output="a1")
+        r = np.random.default_rng(2)
+        w = np.einsum("ij,c,f->ijcf", r.standard_normal((3, 3)),
+                      r.standard_normal(3), r.standard_normal(8))
+        paths = {key: tmp_path / key for key in
+                 ("model.json", "weights.lrfw", "data.lrfw", "eval.py",
+                  "best.json", "best.lrfw", "audit.json")}
+        model.save(paths["model.json"])
+        WeightStore({"c1": w.astype(np.float32)}).save(paths["weights.lrfw"])
+        WeightStore({
+            DATASET_INPUTS: r.standard_normal((8, 6, 6, 3)).astype(np.float32),
+            DATASET_LABELS: (np.arange(8) % 4).astype(np.float32)},
+        ).save(paths["data.lrfw"])
+        paths["eval.py"].write_text(
+            "import sys\n"
+            "print(0.0 if '.lrf' in open(sys.argv[1]).read() else 1.0)\n")
+        code, out, errtext = run_cli(
+            capsys, "dse", "--model", str(paths["model.json"]),
+            "--weights", str(paths["weights.lrfw"]),
+            "--dataset", str(paths["data.lrfw"]), "--samples", "4",
+            "--target-fraction", "1",
+            "--evaluator", sys.executable, str(paths["eval.py"]),
+            "--out-model", str(paths["best.json"]),
+            "--out-weights", str(paths["best.lrfw"]),
+            "--out-audit", str(paths["audit.json"]))
+        assert code == 1 and out == ""
+        assert errtext.startswith("error: accuracy 0.0000 never reached")
+        best = ModelDesc.load(paths["best.json"])
+        best.validate()
+        assert [l.name for l in best.layers][:3] == \
+            ["c1.lrf0", "c1.lrf1", "c1.lrf2"]
+        assert "c1.lrf1" in WeightStore.load(paths["best.lrfw"])
+        audit = json.loads(paths["audit.json"].read_text())
+        assert audit["success"] is False and set(audit) == {"success",
+                                                            "iterations"}
+        assert [it["accuracy"] for it in audit["iterations"]] == [0.0]
+        assert audit["iterations"][0]["layers"]["c1"]["ranks"] == [1, 1]
 
     def test_dse_rerun_byte_identical(self, capsys, saved_net, tmp_path):
         model_path, weight_path, data_path = saved_net

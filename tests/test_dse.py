@@ -155,10 +155,19 @@ class TestConfigAndBound:
         {"sim_threshold_sequential": 0.0},
         {"sim_threshold_nonsequential": 1.5},
         {"sample_count": 0}, {"sample_count": -1},
-        {"max_sol": 0}, {"max_sol": -2}])
+        {"max_sol": 0}, {"max_sol": -2},
+        {"tol": float("nan")}, {"tol": -0.01},
+        {"accuracy_drop_limit": float("nan")},
+        {"accuracy_drop_limit": -0.01},
+        {"objective": "latency"}])
     def test_config_validation(self, kwargs):
         with pytest.raises(RankError):
             DseConfig(**kwargs)
+
+    def test_config_accepts_zero_tol_and_drop_limit(self):
+        config = DseConfig(tol=0.0, accuracy_drop_limit=0.0,
+                           objective="overall_mem")
+        assert (config.tol, config.accuracy_drop_limit) == (0.0, 0.0)
 
 
 class TestTargetSelection:

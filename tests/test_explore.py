@@ -107,56 +107,75 @@ SMALL_CONVS = {
 }
 
 
-def brute_force_valid(layer, method, shape):
-    """Costs of every valid point of the rank box, and the box size."""
-    shape = shape or default_input_shape(layer)
-    orig = cost_original(layer, shape)
-    valid, total = [], 0
-    for ranks in itertools.product(
-            *(range(lo, hi + 1) for lo, hi in rank_bounds(layer, method))):
-        total += 1
-        got = cost_factorized(layer, method, ranks, shape)
-        if got.params < orig.params and got.flops < orig.flops:
-            valid.append(got)
-    return valid, total
-
-
-def brute_force_t3f(layer):
+def brute_force_points(layer, method, shape=None):
     """(plan, ranks, cost, valid) for every point of every plan's rank
     box, in plan order, then rank order."""
-    shape = default_input_shape(layer)
+    shape = shape or default_input_shape(layer)
     orig = cost_original(layer, shape)
     points = []
-    for plan in t3f_plans(layer):
+    for plan in t3f_plans(layer) if method == "t3f" else [None]:
         for ranks in itertools.product(
                 *(range(lo, hi + 1)
-                  for lo, hi in rank_bounds(layer, "t3f", plan))):
-            got = cost_factorized(layer, "t3f", ranks, shape, plan=plan)
+                  for lo, hi in rank_bounds(layer, method, plan))):
+            got = cost_factorized(layer, method, ranks, shape, plan=plan)
             points.append((plan, ranks, got, got.params < orig.params
                            and got.flops < orig.flops))
     return points
 
 
-def brute_force_bucket(layer, points, percent, objective, tol):
+def brute_force_bucket(layer, points, percent, objective, tol, shape=None):
     """Census bucket by definition: the valid value nearest the target
-    (ties toward the smaller), its members, and the first member in
-    enumeration order with the fewest flops."""
-    original = cost_original(layer, default_input_shape(layer))
+    (ties toward the smaller), its members as (plan, ranks, cost) in
+    enumeration order, the first of them with the fewest flops, and
+    the span of their flops reductions."""
+    original = cost_original(layer, shape or default_input_shape(layer))
     orig_value = original.get(objective)
     target = (1.0 - percent / 100.0) * orig_value
     valid = [(plan, ranks, cost) for plan, ranks, cost, ok in points if ok]
     if not valid:
-        return None, 0, None, None
+        return None, [], None, None
     dist, value = min((abs(c.get(objective) - target), c.get(objective))
                       for _, _, c in valid)
     if dist > tol * orig_value:
-        return None, 0, None, None
+        return None, [], None, None
     members = [m for m in valid if m[2].get(objective) == value]
     flops = [c.flops for _, _, c in members]
     best = members[flops.index(min(flops))]
     span = (1.0 - max(flops) / original.flops,
             1.0 - min(flops) / original.flops)
-    return value, len(members), best, span
+    return value, members, best, span
+
+
+def check_census_against_brute_force(layer, method, shape, objective):
+    """``census`` and ``solutions_at_ratio`` agree with
+    ``brute_force_bucket`` at every fifth percent and 99, at two
+    tolerances."""
+    points = brute_force_points(layer, method, shape)
+    percents = tuple(range(0, 100, 5)) + (99,)
+    for tol in (DEFAULT_TOL, 0.05):
+        result = census(layer, method, percents, objective=objective,
+                        tol=tol, input_shape=shape)
+        assert result.all_count == len(points)
+        assert result.valid_count == sum(ok for *_, ok in points)
+        for percent, bucket in zip(percents, result.buckets):
+            value, members, best, span = brute_force_bucket(
+                layer, points, percent, objective, tol, shape)
+            where = (objective, tol, percent)
+            assert (bucket.value, bucket.count) == (value, len(members)), \
+                where
+            got = solutions_at_ratio(layer, method, percent, objective, tol,
+                                     input_shape=shape)
+            assert sorted((s.plan or (), s.ranks, s.cost) for s in got) == \
+                sorted((plan or (), ranks, cost)
+                       for plan, ranks, cost in members), where
+            if best is None:
+                assert bucket.best is None, where
+                assert bucket.flops_reduction_min is None, where
+                continue
+            assert (bucket.best.plan, bucket.best.ranks,
+                    bucket.best.cost) == best, where
+            assert (bucket.flops_reduction_min,
+                    bucket.flops_reduction_max) == span, where
 
 
 class TestCounts:
@@ -174,13 +193,14 @@ class TestCounts:
     @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
     def test_brute_force_valid_small_conv(self, method, geometry):
         layer, shape = SMALL_CONVS[geometry]
-        valid, total = brute_force_valid(layer, method, shape)
-        assert count_all(layer, method) == total
-        assert count_valid(layer, method, shape) == len(valid)
+        points = brute_force_points(layer, method, shape)
+        assert count_all(layer, method) == len(points)
+        assert count_valid(layer, method, shape) == sum(
+            ok for *_, ok in points)
 
     def test_brute_force_valid_small_t3f(self):
         for name, layer in SMALL_FCS.items():
-            points = brute_force_t3f(layer)
+            points = brute_force_points(layer, "t3f")
             assert count_all(layer, "t3f") == len(points), name
             assert count_valid(layer, "t3f") == sum(
                 ok for *_, ok in points), name
@@ -300,25 +320,15 @@ class TestCensus:
     @pytest.mark.parametrize("name", sorted(SMALL_FCS))
     @pytest.mark.parametrize("objective", ["params", "flops", "overall_mem"])
     def test_t3f_against_brute_force(self, name, objective):
-        layer = SMALL_FCS[name]
-        points = brute_force_t3f(layer)
-        percents = tuple(range(0, 100, 5))
-        for tol in (DEFAULT_TOL, 0.05):
-            result = census(layer, "t3f", percents, objective=objective,
-                            tol=tol)
-            assert result.all_count == len(points)
-            assert result.valid_count == sum(ok for *_, ok in points)
-            for percent, bucket in zip(percents, result.buckets):
-                value, count, best, span = brute_force_bucket(
-                    layer, points, percent, objective, tol)
-                assert (bucket.value, bucket.count) == (value, count), percent
-                if best is None:
-                    assert bucket.best is None
-                    continue
-                assert (bucket.best.plan, bucket.best.ranks,
-                        bucket.best.cost) == best
-                assert (bucket.flops_reduction_min,
-                        bucket.flops_reduction_max) == span
+        check_census_against_brute_force(SMALL_FCS[name], "t3f", None,
+                                         objective)
+
+    @pytest.mark.parametrize("geometry", sorted(SMALL_CONVS))
+    @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
+    def test_conv_box_against_brute_force(self, method, geometry):
+        layer, shape = SMALL_CONVS[geometry]
+        for objective in ("params", "flops", "overall_mem"):
+            check_census_against_brute_force(layer, method, shape, objective)
 
     def test_t3f_best_breaks_ties_in_plan_order(self):
         # three members share the fewest flops: two depth-2 plans and a
@@ -334,6 +344,20 @@ class TestCensus:
         narrow = census(BENCH["L2"], "tucker2", (60,), tol=1e-9)
         assert wide.buckets[0].count == 1
         assert narrow.buckets[0].count == 0
+
+    @pytest.mark.parametrize("tol", [float("nan"), -0.01])
+    def test_bad_tolerance_raises(self, tol):
+        layer = BENCH["L2"]
+        with pytest.raises(RankError, match="tol must be non-negative"):
+            census(layer, "tucker2", (60,), tol=tol)
+        with pytest.raises(RankError, match="tol must be non-negative"):
+            solutions_at_ratio(layer, "tucker2", 60, tol=tol)
+        # zero keeps only exact hits of the target
+        assert census(layer, "tucker2", (60,), tol=0.0).buckets[0].count == 0
+
+    def test_nan_percent_raises(self):
+        with pytest.raises(RankError, match="percent must be a number"):
+            census(BENCH["L2"], "tucker2", (60, float("nan")))
 
 
 class TestIterSolutions:
@@ -384,7 +408,7 @@ class TestIterSolutions:
     @pytest.mark.parametrize("name", sorted(SMALL_FCS))
     def test_t3f_order_matches_brute_force(self, name):
         layer = SMALL_FCS[name]
-        points = brute_force_t3f(layer)
+        points = brute_force_points(layer, "t3f")
         got = [(s.plan, s.ranks, s.cost) for s in iter_solutions(layer, "t3f")]
         assert got == [(plan, ranks, cost) for plan, ranks, cost, _ in points]
         got = [(s.plan, s.ranks)
@@ -433,7 +457,8 @@ class TestValidExtremes:
     @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
     def test_against_brute_force(self, method, geometry):
         layer, shape = SMALL_CONVS[geometry]
-        valid, _ = brute_force_valid(layer, method, shape)
+        valid = [cost for *_, cost, ok in brute_force_points(layer, method,
+                                                              shape) if ok]
         spans = valid_extremes(layer, method, shape)
         for m in ("params", "flops", "overall_mem"):
             values = [c.get(m) for c in valid]
@@ -443,7 +468,8 @@ class TestValidExtremes:
     @pytest.mark.parametrize("name", sorted(SMALL_FCS))
     def test_t3f_against_brute_force(self, name):
         layer = SMALL_FCS[name]
-        valid = [cost for *_, cost, ok in brute_force_t3f(layer) if ok]
+        valid = [cost for *_, cost, ok in brute_force_points(layer, "t3f")
+                 if ok]
         if not valid:
             with pytest.raises(RankError):
                 valid_extremes(layer, "t3f")

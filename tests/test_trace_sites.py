@@ -51,9 +51,13 @@ def test_explore_costs_every_solution_through_its_site(monkeypatch):
         calls.clear()
         assert len(list(explore.iter_solutions(layer, method, limit=5))) == 5
         assert calls == [method] * 5
-        # the census costs its best member, then every member of the bucket
         members = explore.solutions_at_ratio(layer, method, 60)
-        assert calls == [method] * (5 + 1 + len(members)) and members
+        assert calls == [method] * (5 + len(members)) and members
+        # a census costs one solution, its best member, per non-empty bucket
+        calls.clear()
+        result = explore.census(layer, method, (0, 25, 60, 85, 99))
+        filled = sum(bucket.count > 0 for bucket in result.buckets)
+        assert calls == [method] * filled and filled
 
 
 def test_every_forward_path_calls_the_forward_site(monkeypatch):
