@@ -24,9 +24,10 @@ import sys
 import numpy as np
 
 from . import explore, score as score_mod
-from .costs import (CONV_METHODS, FC_METHODS, METHODS, OBJECTIVES,
-                    compression_ratio, cost_original, default_input_shape,
-                    method_applies, model_breakdown)
+from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES,
+                    applicable_methods, compression_ratio, cost_original,
+                    default_input_shape, default_plan, model_breakdown,
+                    require_method)
 from .decompose import decompose_layer
 from .dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                   hybrid_combine, install_solutions, run_dse)
@@ -63,45 +64,32 @@ def _count(text: str) -> int:
     return value
 
 
-def parse_layer_spec(dims: tuple, kind: str | None = None,
-                     stride: tuple | None = None,
+def parse_layer_spec(dims: tuple, stride: tuple | None = None,
                      padding: str | None = None) -> LayerDesc:
     """Layer from a flat dimension list.
 
     Two numbers mean a dense (in, out) layer; three to five mean a
     1-3 d convolution written kernel-first, then channels and filters.
     """
-    if kind is None:
-        if len(dims) == 2:
-            kind = "fc"
-        elif 3 <= len(dims) <= 5:
-            kind = CONV_KINDS[len(dims) - 3]
-        else:
-            raise LowRankError(f"cannot infer layer kind from {len(dims)} "
-                               "dimensions")
-    if kind == "fc":
-        if len(dims) != 2:
-            raise LowRankError("fc layers take exactly two dimensions")
+    if len(dims) == 2:
         if stride is not None or padding is not None:
             raise LowRankError("fc layers take no --stride or --padding")
         return LayerDesc(name="layer", kind="fc", in_channels=dims[0],
                          out_channels=dims[1])
-    if kind not in CONV_KINDS:
-        raise LowRankError(f"unsupported layer kind {kind!r}")
-    spatial = CONV_KINDS.index(kind) + 1
-    if len(dims) != spatial + 2:
-        raise LowRankError(f"{kind} expects {spatial + 2} dimensions, "
-                           f"got {len(dims)}")
-    kernel = dims[:spatial]
+    if not 3 <= len(dims) <= 5:
+        raise LowRankError(f"cannot infer layer kind from {len(dims)} "
+                           "dimensions")
+    spatial = len(dims) - 2
     if stride is not None and len(stride) == 1:
         stride = stride * spatial
-    return LayerDesc(name="layer", kind=kind, kernel=kernel,
-                     in_channels=dims[spatial], out_channels=dims[spatial + 1],
-                     stride=stride, padding=padding or "same")
+    return LayerDesc(name="layer", kind=CONV_KINDS[spatial - 1],
+                     kernel=dims[:spatial], in_channels=dims[spatial],
+                     out_channels=dims[spatial + 1], stride=stride,
+                     padding=padding or "same")
 
 
 def _layer_from_args(args) -> LayerDesc:
-    return parse_layer_spec(args.layer, kind=args.kind, stride=args.stride,
+    return parse_layer_spec(args.layer, stride=args.stride,
                             padding=args.padding)
 
 
@@ -116,13 +104,10 @@ def _input_shape(args, layer: LayerDesc):
 
 
 def _methods_for(layer: LayerDesc, requested) -> list:
-    applicable = [m for m in METHODS if method_applies(layer, m)]
     if not requested:
-        return applicable
+        return applicable_methods(layer)
     for m in requested:
-        if m not in applicable:
-            raise LowRankError(f"method {m!r} does not apply to "
-                               f"{layer.kind} layers")
+        require_method(layer, m)
     return list(requested)
 
 
@@ -273,9 +258,9 @@ def cmd_decompose(args) -> int:
         if not (args.weights and args.target):
             raise LowRankError("--model needs --weights and --target, the "
                                "layer to factorize")
-        if args.kind or args.stride or args.padding:
-            raise LowRankError("--kind, --stride and --padding apply only "
-                               "to --layer")
+        if args.stride or args.padding:
+            raise LowRankError("--stride and --padding apply only to "
+                               "--layer")
         model = ModelDesc.load(args.model)
         weights = WeightStore.load(args.weights)
         check_weights(model, weights)
@@ -290,14 +275,14 @@ def cmd_decompose(args) -> int:
         weight = rng.standard_normal(layer.weight_shape()).astype(np.float32)
         model = weights = None
     method = args.method
-    plan = None
-    if method == "t3f":
+    if args.plan_index is None:
+        plan = default_plan(layer, method)
+    else:
         plans = explore.t3f_plans(layer)
-        idx = args.plan_index if args.plan_index is not None else 0
-        if not 0 <= idx < len(plans):
-            raise LowRankError(f"plan index {idx} out of range "
+        if not 0 <= args.plan_index < len(plans):
+            raise LowRankError(f"plan index {args.plan_index} out of range "
                                f"(0..{len(plans) - 1})")
-        plan = plans[idx]
+        plan = plans[args.plan_index]
     fact = decompose_layer(layer, weight, method, ranks, plan=plan,
                            seed=args.seed)
     shape = _input_shape(args, layer)
@@ -495,8 +480,6 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
 def _add_layer_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--layer", type=_int_tuple, required=True,
                         help="dimensions, e.g. 3,3,256,512 or 400,120")
-    parser.add_argument("--kind", default=None,
-                        help="layer kind override (fc, conv1d, conv2d, conv3d)")
     parser.add_argument("--stride", type=_int_tuple, default=None)
     parser.add_argument("--padding", choices=("same", "valid"), default=None)
     parser.add_argument("--input-size", type=_int_tuple, default=None,
@@ -537,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic layer dimensions")
     p.add_argument("--weights", default=None, help="weight archive path")
     p.add_argument("--target", default=None, help="layer name in the model")
-    p.add_argument("--kind", default=None)
     p.add_argument("--stride", type=_int_tuple, default=None)
     p.add_argument("--padding", choices=("same", "valid"), default=None)
     p.add_argument("--input-size", type=_int_tuple, default=None)

@@ -7,6 +7,10 @@ reshape and flatten views contribute nothing.  All three quantities
 are exact integers, which lets enumeration and census code compare
 configurations without floating-point noise.
 
+``method_applies`` is the one rule for which layers a method factors:
+the conv methods take an ungrouped conv, the fc methods an fc layer.
+``default_plan`` is the t3f plan used when a caller names none.
+
 The rank box of ``rank_bounds`` decides which ranks a method admits
 on a layer.  The closed forms per factorization method are the only
 cost formulas of the package.  ``cost_factorized`` checks its ranks
@@ -36,6 +40,7 @@ FC_METHODS = ("svd", "qr", "t3f")
 METHODS = CONV_METHODS + FC_METHODS
 
 OBJECTIVES = ("params", "flops", "overall_mem")
+T3F_DEPTHS = (2, 3)  # the TT-matrix depths ``t3f_plans`` offers
 
 
 @dataclass(frozen=True)
@@ -151,11 +156,27 @@ def cost_chain(layers: list, input_shape: tuple) -> CostReport:
 
 
 def method_applies(layer: LayerDesc, method: str) -> bool:
+    """Whether ``method`` factors ``layer``: the conv methods take an
+    ungrouped conv, the fc methods an fc layer."""
     if method in CONV_METHODS:
-        return layer.kind in CONV_KINDS
+        return layer.kind in CONV_KINDS and layer.groups == 1
     if method in FC_METHODS:
         return layer.kind == "fc"
     raise RankError(f"unknown method {method!r}")
+
+
+def applicable_methods(layer: LayerDesc) -> list:
+    """The methods that factor ``layer``, in ``METHODS`` order."""
+    return [m for m in METHODS if method_applies(layer, m)]
+
+
+def require_method(layer: LayerDesc, method: str) -> None:
+    """RankError unless ``method`` factors ``layer``."""
+    if not method_applies(layer, method):
+        grouped = f" with groups={layer.groups}" if layer.groups not in (
+            None, 1) else ""
+        raise RankError(f"method {method!r} does not apply to "
+                        f"{layer.kind} layers{grouped}")
 
 
 def tt_link_bounds(dims: tuple) -> list:
@@ -181,9 +202,7 @@ def rank_bounds(layer: LayerDesc, method: str, plan: tuple = None) -> list:
     RankError when the method does not apply to the layer, or when a
     t3f plan is missing or does not factor the layer.
     """
-    if not method_applies(layer, method):
-        raise RankError(f"method {method!r} does not apply to "
-                        f"{layer.kind} layers")
+    require_method(layer, method)
     if method == "tucker2":
         return [(1, layer.in_channels), (1, layer.out_channels)]
     if method == "cp":
@@ -228,20 +247,33 @@ def _ordered_factorizations(value: int, length: int, smallest: int = 2):
     return out
 
 
-def t3f_plans(layer: LayerDesc, depths: tuple = (2, 3)) -> list:
+def t3f_plans(layer: LayerDesc) -> list:
     """Shape plans: paired ordered factorizations of both dimensions.
 
     Each plan splits the input width into d factors and the output
-    width into d factors, every factor at least 2, for d in ``depths``.
+    width into d factors, every factor at least 2, for d in
+    ``T3F_DEPTHS``.
     """
     plans = []
-    for d in depths:
+    for d in T3F_DEPTHS:
         ms_options = _ordered_factorizations(layer.in_channels, d)
         ns_options = _ordered_factorizations(layer.out_channels, d)
         for ms in ms_options:
             for ns in ns_options:
                 plans.append((ms, ns))
     return plans
+
+
+def default_plan(layer: LayerDesc, method: str):
+    """The plan ``method`` uses on ``layer`` when none is chosen: the
+    first of ``t3f_plans`` for t3f (RankError if none), else None."""
+    if method != "t3f":
+        return None
+    plans = t3f_plans(layer)
+    if not plans:
+        raise RankError(f"{layer.name}: no factorization plan for "
+                        f"({layer.in_channels}, {layer.out_channels})")
+    return plans[0]
 
 
 # -- closed forms per method -----------------------------------------------

@@ -1,13 +1,14 @@
 """The six low-rank factorizations and their layer-chain realizations.
 
-Convolutions factor three ways: a Tucker decomposition restricted to
-the channel modes (pointwise reduce, dense spatial core, pointwise
-expand), a CP decomposition (pointwise reduce, one depthwise stage per
-spatial axis, pointwise expand), and a tensor-train decomposition
-(pointwise reduce, one dense single-axis stage per spatial axis,
-pointwise expand).  Dense layers factor by truncated SVD, by
-column-pivoted truncated QR, or as a TT-matrix over a factorization
-plan of the two matrix dimensions.
+Ungrouped convolutions factor three ways, a Tucker decomposition
+restricted to the channel modes, a CP decomposition and a tensor-train
+decomposition, into one chain: a pointwise reduce, the middle stages,
+a pointwise expand.  Tucker-2 has one middle stage, a dense core with
+the full kernel; CP and TT have one stage per spatial axis, with the
+kernel and stride of that axis alone, depthwise for CP and dense for
+TT.  Dense layers factor by truncated SVD, by column-pivoted truncated
+QR, or as a TT-matrix over a factorization plan of the two matrix
+dimensions.
 
 Each decomposer returns a :class:`FactorizedLayer` that carries the
 replacement sub-layer descriptions together with their weights, can
@@ -72,7 +73,8 @@ from scipy.linalg import khatri_rao
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import linalg
-from .costs import CostReport, check_ranks, cost_chain, cp_max_rank
+from .costs import (CONV_METHODS, CostReport, check_ranks, cost_chain,
+                    cp_max_rank)
 from .errors import DecompositionError, RankError, ShapeError
 from .ir import CONV_KINDS, LayerDesc
 
@@ -140,12 +142,9 @@ class FactorizedLayer:
 # -- sub-layer chain construction -------------------------------------------
 
 
-def _axis_kernel(kernel: tuple, axis: int) -> tuple:
-    return tuple(k if i == axis else 1 for i, k in enumerate(kernel))
-
-
-def _axis_stride(stride: tuple, axis: int) -> tuple:
-    return tuple(s if i == axis else 1 for i, s in enumerate(stride))
+def _on_axis(window: tuple, axis: int) -> tuple:
+    """A kernel or stride kept on ``axis`` and 1 on every other axis."""
+    return tuple(k if i == axis else 1 for i, k in enumerate(window))
 
 
 def _pointwise(name, kind, cin, cout):
@@ -163,39 +162,28 @@ def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
     name so they stay unique in a model.
     """
     name = layer.name
-    if method == "tucker2":
-        r1, r2 = ranks
-        core = LayerDesc(name=f"{name}.lrf1", kind=layer.kind,
-                         kernel=layer.kernel, stride=layer.stride,
-                         padding=layer.padding, in_channels=r1, out_channels=r2)
-        return [_pointwise(f"{name}.lrf0", layer.kind, layer.in_channels, r1),
-                core,
-                _pointwise(f"{name}.lrf2", layer.kind, r2, layer.out_channels)]
-    if method == "cp":
-        (r,) = ranks
-        subs = [_pointwise(f"{name}.lrf0", layer.kind, layer.in_channels, r)]
-        for axis in range(len(layer.kernel)):
-            subs.append(LayerDesc(
-                name=f"{name}.lrf{axis + 1}", kind="depthwise_conv",
-                kernel=_axis_kernel(layer.kernel, axis),
-                stride=_axis_stride(layer.stride, axis),
-                padding=layer.padding, in_channels=r))
-        subs.append(_pointwise(f"{name}.lrf{len(layer.kernel) + 1}",
-                               layer.kind, r, layer.out_channels))
-        return subs
-    if method == "tt":
-        dim = len(layer.kernel)
-        subs = [_pointwise(f"{name}.lrf0", layer.kind, layer.in_channels, ranks[0])]
-        for axis in range(dim):
-            subs.append(LayerDesc(
-                name=f"{name}.lrf{axis + 1}", kind=layer.kind,
-                kernel=_axis_kernel(layer.kernel, axis),
-                stride=_axis_stride(layer.stride, axis),
-                padding=layer.padding,
-                in_channels=ranks[axis], out_channels=ranks[axis + 1]))
-        subs.append(_pointwise(f"{name}.lrf{dim + 1}", layer.kind,
-                               ranks[dim], layer.out_channels))
-        return subs
+    if method in CONV_METHODS:
+        # pointwise, the middle stages, pointwise; ``links`` are the
+        # channel counts between consecutive stages
+        if method == "tucker2":
+            windows = [(layer.kernel, layer.stride)]
+            links = ranks
+        else:
+            windows = [(_on_axis(layer.kernel, axis),
+                        _on_axis(layer.stride, axis))
+                       for axis in range(len(layer.kernel))]
+            links = ranks if method == "tt" else ranks * (len(windows) + 1)
+        kind = "depthwise_conv" if method == "cp" else layer.kind
+        middle = [LayerDesc(name=f"{name}.lrf{i + 1}", kind=kind,
+                            kernel=kernel, stride=stride,
+                            padding=layer.padding, in_channels=links[i],
+                            out_channels=links[i + 1])
+                  for i, (kernel, stride) in enumerate(windows)]
+        return [_pointwise(f"{name}.lrf0", layer.kind, layer.in_channels,
+                           links[0]),
+                *middle,
+                _pointwise(f"{name}.lrf{len(windows) + 1}", layer.kind,
+                           links[-1], layer.out_channels)]
     if method in ("svd", "qr"):
         (r,) = ranks
         return [LayerDesc(name=f"{name}.lrf0", kind="fc",

@@ -32,12 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import explore
-from .costs import OBJECTIVES, CostReport, cost_original
+from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, CostReport,
+                    applicable_methods, cost_original, default_plan,
+                    method_applies)
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
-from .ir import (CONV_KINDS, DATASET_INPUTS, DATASET_LABELS,
-                 DECOMPOSABLE_KINDS, LayerDesc, ModelDesc, WeightStore)
+from .ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc,
+                 WeightStore)
 from .similarity import capture_feature_maps, forward_model, layer_similarity, \
     sample_dataset
 
@@ -185,12 +187,12 @@ def install_solutions(model: ModelDesc, weights: WeightStore,
     """Model and weights with each named layer replaced by its chain.
 
     ``solutions`` maps layer name to a FactorizedLayer or None; None
-    keeps the original layer.
+    keeps the original layer.  An edge into a replaced layer enters its
+    first sub-layer and an edge out of it leaves its last; the chains'
+    own edges follow the model's, in layer order.
     """
-    new_layers = []
-    new_edges = list(model.edges)
-    updates, drop = {}, []
-    entry, exit_ = model.input, model.output
+    new_layers, chain_edges, updates = [], [], {}
+    first, last = {}, {}  # replaced layer -> its first, last sub-layer
     for layer in model.layers:
         fact = solutions.get(layer.name)
         if fact is None:
@@ -198,34 +200,24 @@ def install_solutions(model: ModelDesc, weights: WeightStore,
             continue
         subs = fact.sub_layers
         new_layers.extend(subs)
-        rewired = []
-        for src, dst in new_edges:
-            if dst == layer.name:
-                rewired.append((src, subs[0].name))
-            elif src == layer.name:
-                rewired.append((subs[-1].name, dst))
-            else:
-                rewired.append((src, dst))
-        for a, b in zip(subs, subs[1:]):
-            rewired.append((a.name, b.name))
-        new_edges = rewired
-        drop.append(layer.name)
+        chain_edges.extend((a.name, b.name) for a, b in zip(subs, subs[1:]))
+        first[layer.name], last[layer.name] = subs[0].name, subs[-1].name
         updates.update(fact.weights)
-        if layer.name == entry:
-            entry = subs[0].name
-        if layer.name == exit_:
-            exit_ = subs[-1].name
-    new_model = ModelDesc(layers=new_layers, edges=new_edges,
-                          input=entry, output=exit_,
+    edges = [(last.get(src, src), first.get(dst, dst))
+             for src, dst in model.edges]
+    new_model = ModelDesc(layers=new_layers, edges=edges + chain_edges,
+                          input=first.get(model.input, model.input),
+                          output=last.get(model.output, model.output),
                           metadata=dict(model.metadata))
-    return new_model, weights.replace(updates, drop=drop)
+    return new_model, weights.replace(updates, drop=first)
 
 
 # -- target selection and initialization --------------------------------------
 
 
 def decomposable_layers(model: ModelDesc) -> list:
-    return [l.name for l in model.layers if l.kind in DECOMPOSABLE_KINDS]
+    """The layers that some method factors, in layer order."""
+    return [l.name for l in model.layers if applicable_methods(l)]
 
 
 def select_target_layers(model: ModelDesc, input_shape: tuple,
@@ -248,17 +240,7 @@ def select_target_layers(model: ModelDesc, input_shape: tuple,
 
 
 def method_for_layer(layer: LayerDesc, conv_method: str, fc_method: str) -> str:
-    return conv_method if layer.kind in CONV_KINDS else fc_method
-
-
-def _layer_plan(layer: LayerDesc, method: str):
-    if method != "t3f":
-        return None
-    plans = explore.t3f_plans(layer)
-    if not plans:
-        raise RankError(f"{layer.name}: no factorization plan for "
-                        f"({layer.in_channels}, {layer.out_channels})")
-    return plans[0]
+    return conv_method if method_applies(layer, conv_method) else fc_method
 
 
 def init_rank_one(model: ModelDesc, weights: WeightStore, targets: list,
@@ -273,7 +255,7 @@ def init_rank_one(model: ModelDesc, weights: WeightStore, targets: list,
     for name in targets:
         layer = model.layer(name)
         method = method_for_layer(layer, conv_method, fc_method)
-        plan = _layer_plan(layer, method)
+        plan = default_plan(layer, method)
         ranks = explore.min_ranks(layer, method, plan)
         try:
             solutions[name] = decompose_layer(
@@ -308,6 +290,8 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
     when every target layer is frozen or reverted and the accuracy
     bound still is not met.
     """
+    if conv_method not in CONV_METHODS or fc_method not in FC_METHODS:
+        raise RankError(f"bad method pair {conv_method!r}, {fc_method!r}")
     input_shape = tuple(dataset[DATASET_INPUTS].shape[1:])
     in_shapes = model.input_shapes(input_shape)
     targets = select_target_layers(model, input_shape, config.objective,

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import (CostReport, closed_form, cost_factorized, cost_original,
-                    cp_max_rank, default_input_shape, method_applies,
-                    rank_bounds, t3f_plans, tt_link_bounds)
+                    cp_max_rank, default_input_shape, rank_bounds,
+                    require_method, t3f_plans, tt_link_bounds)
 from .errors import RankError
 from .ir import LayerDesc
 
@@ -194,8 +194,7 @@ def _plan_cells(layer: LayerDesc, plans: list) -> tuple:
 def _plans(layer: LayerDesc, method: str) -> list:
     """The t3f shape plans, or [None]; RankError if ``method`` does
     not apply to the layer, even when the layer has no t3f plan."""
-    if not method_applies(layer, method):
-        raise RankError(f"method {method!r} does not apply to {layer.kind}")
+    require_method(layer, method)
     return t3f_plans(layer) if method == "t3f" else [None]
 
 

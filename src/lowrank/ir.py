@@ -30,7 +30,6 @@ import numpy as np
 from .errors import FormatError, GraphError, ShapeError
 
 CONV_KINDS = ("conv1d", "conv2d", "conv3d")
-DECOMPOSABLE_KINDS = CONV_KINDS + ("fc",)
 WINDOW_KINDS = CONV_KINDS + ("depthwise_conv", "pool")
 ACTIVATIONS = ("relu", "tanh", "sigmoid", "softmax")
 POOL_MODES = ("max", "avg")
@@ -182,11 +181,9 @@ class LayerDesc:
 
     def weight_keys(self) -> tuple:
         """Names of the weight-store records this layer owns."""
-        if self.kind in DECOMPOSABLE_KINDS + ("depthwise_conv", "tt_core"):
-            return (self.name,)
         if self.kind == "batchnorm":
             return tuple(f"{self.name}/{p}" for p in ("scale", "shift", "mean", "var"))
-        return ()
+        return () if self.weight_shape() is None else (self.name,)
 
     def weight_shape(self) -> tuple | None:
         """Expected shape of the layer's main weight array, if any."""
@@ -444,7 +441,8 @@ class WeightStore:
 
     def replace(self, updates: dict, drop=()) -> "WeightStore":
         """A new store with ``updates`` merged in and ``drop`` removed."""
-        merged = {k: v for k, v in self._arrays.items() if k not in set(drop)}
+        drop = set(drop)
+        merged = {k: v for k, v in self._arrays.items() if k not in drop}
         merged.update(updates)
         return WeightStore(merged)
 

@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from . import explore
-from .costs import (METHODS, cost_original, default_input_shape,
-                    method_applies)
+from .costs import (applicable_methods, cost_original, default_input_shape,
+                    default_plan)
 from .decompose import decompose_layer
 from .errors import RankError
 from .ir import LayerDesc
@@ -157,9 +157,7 @@ def rank_slot_count(layer: LayerDesc, method: str) -> int:
 
 def _representative_ranks(layer: LayerDesc, method: str):
     """Midpoint of every rank bound; used to time one decomposition."""
-    plan = None
-    if method == "t3f":
-        plan = explore.t3f_plans(layer)[0]
+    plan = default_plan(layer, method)
     bounds = explore.rank_bounds(layer, method, plan)
     ranks = tuple((lo + hi) // 2 or lo for lo, hi in bounds)
     return ranks, plan
@@ -209,7 +207,7 @@ def method_table(layer: LayerDesc, methods=None, input_shape=None,
                  seed: int = 0, time_decomposition: bool = True) -> dict:
     """Scorecards for every applicable method on one layer."""
     if methods is None:
-        methods = [m for m in METHODS if method_applies(layer, m)]
+        methods = applicable_methods(layer)
     out = {}
     for method in methods:
         raw = measure_method(layer, method, input_shape, seed,

@@ -52,9 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .costs import applicable_methods
 from .errors import ShapeError
-from .ir import (CONV_KINDS, DATASET_INPUTS, DATASET_LABELS,
-                 DECOMPOSABLE_KINDS, LayerDesc, ModelDesc, WeightStore)
+from .ir import (CONV_KINDS, DATASET_INPUTS, DATASET_LABELS, LayerDesc,
+                 ModelDesc, WeightStore)
 
 
 def _pad_input(x: np.ndarray, kernel, stride, lengths, fill=0.0):
@@ -253,23 +254,36 @@ def forward_factorized(fact, inputs):
     return x
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two flattened vectors.
+def _row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each sample of ``a`` with the same sample of ``b``.
 
-    A zero-norm side scores 0 (with a warning): a dead output is
-    treated as maximally dissimilar rather than undefined, so it can
-    never satisfy a freeze threshold by accident.
+    Each dot and norm is a stacked (1, n) @ (n, 1) product in float64,
+    so a sample scores the same bytes alone as in a batch.  A zero-norm
+    sample scores 0 (with a warning): a dead output is treated as
+    maximally dissimilar rather than undefined, so it can never satisfy
+    a freeze threshold by accident.
     """
+    rows = len(a)
+    a = np.asarray(a, dtype=np.float64).reshape(rows, 1, -1)
+    b = np.asarray(b, dtype=np.float64).reshape(rows, 1, -1)
+    dots = np.matmul(a, b.reshape(rows, -1, 1)).ravel()
+    na = np.sqrt(np.matmul(a, a.reshape(rows, -1, 1)).ravel())
+    nb = np.sqrt(np.matmul(b, b.reshape(rows, -1, 1)).ravel())
+    dead = (na == 0.0) | (nb == 0.0)
+    if dead.any():
+        warnings.warn("cosine of a zero vector scored as 0", RuntimeWarning,
+                      stacklevel=3)
+    return np.divide(dots, na * nb, out=np.zeros(rows), where=~dead)
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two flattened vectors; a zero-norm side
+    scores 0 (see ``_row_cosines``)."""
     av = np.asarray(a, dtype=np.float64).ravel()
     bv = np.asarray(b, dtype=np.float64).ravel()
     if av.shape != bv.shape:
         raise ShapeError(f"cosine on unequal lengths {av.size} != {bv.size}")
-    na, nb = np.linalg.norm(av), np.linalg.norm(bv)
-    if na == 0.0 or nb == 0.0:
-        warnings.warn("cosine of a zero vector scored as 0", RuntimeWarning,
-                      stacklevel=2)
-        return 0.0
-    return float(av @ bv / (na * nb))
+    return float(_row_cosines(av[None], bv[None])[0])
 
 
 @dataclass
@@ -292,10 +306,12 @@ class FeatureMapCapture:
 
 def capture_feature_maps(model: ModelDesc, weights: WeightStore,
                          samples: np.ndarray, targets=None) -> FeatureMapCapture:
-    """Record each target layer's input and post-op output batches."""
+    """Record each target layer's input and post-op output batches.
+
+    The targets default to every layer that some method factors.
+    """
     if targets is None:
-        targets = [l.name for l in model.layers
-                   if l.kind in DECOMPOSABLE_KINDS]
+        targets = [l.name for l in model.layers if applicable_methods(l)]
     capture = FeatureMapCapture(model, weights)
     _, outputs = forward_model(model, weights, samples, keep_all=True)
     for name in targets:
@@ -327,20 +343,7 @@ def layer_similarity(fact, capture: FeatureMapCapture) -> float:
     if out.shape != ref.shape:
         raise ShapeError(f"{name}: factorized output {out.shape} does not "
                          f"match reference {ref.shape}")
-    # cosine of each sample row in one pass: stacked (1, n) @ (n, 1)
-    # products are the dots that ``cosine`` takes, so the bytes match
-    rows = out.shape[0]
-    a = np.asarray(out, dtype=np.float64).reshape(rows, 1, -1)
-    b = np.asarray(ref, dtype=np.float64).reshape(rows, 1, -1)
-    dots = np.matmul(a, b.reshape(rows, -1, 1)).ravel()
-    na = np.sqrt(np.matmul(a, a.reshape(rows, -1, 1)).ravel())
-    nb = np.sqrt(np.matmul(b, b.reshape(rows, -1, 1)).ravel())
-    dead = (na == 0.0) | (nb == 0.0)
-    if dead.any():
-        warnings.warn("cosine of a zero vector scored as 0", RuntimeWarning,
-                      stacklevel=2)
-    sims = np.divide(dots, na * nb, out=np.zeros(rows), where=~dead)
-    return float(np.mean(sims))
+    return float(np.mean(_row_cosines(out, ref)))
 
 
 def sample_dataset(dataset: WeightStore, count: int, seed: int):

@@ -36,13 +36,11 @@ def saved_net(tmp_path):
 
 class TestParsing:
     def test_layer_spec_kinds(self):
-        assert parse_layer_spec((400, 120), None, None, None).kind == "fc"
-        assert parse_layer_spec((3, 512, 1024), None, None, None).kind \
-            == "conv1d"
-        spec = parse_layer_spec((3, 3, 256, 512), None, (2,), "same")
+        assert parse_layer_spec((400, 120)).kind == "fc"
+        assert parse_layer_spec((3, 512, 1024)).kind == "conv1d"
+        spec = parse_layer_spec((3, 3, 256, 512), (2,), "same")
         assert spec.kind == "conv2d" and spec.stride == (2, 2)
-        assert parse_layer_spec((3, 3, 3, 32, 32), None, None,
-                                None).kind == "conv3d"
+        assert parse_layer_spec((3, 3, 3, 32, 32)).kind == "conv3d"
 
     def test_usage_errors_exit_two(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -66,8 +64,8 @@ class TestParsing:
             assert err.value.code == 2, argv
 
     def test_bad_values_exit_one(self, capsys, tmp_path):
-        code, _, errtext = run_cli(capsys, "census", "--layer", "3,3,256",
-                                   "--kind", "conv2d")
+        code, _, errtext = run_cli(capsys, "census", "--layer",
+                                   "1,2,3,4,5,6")
         assert code == 1 and "error:" in errtext
         code, _, errtext = run_cli(
             capsys, "decompose", "--layer", "18,15", "--method", "cp",
@@ -134,8 +132,7 @@ class TestParsing:
         model_path, weight_path, _ = saved_net
         given = ("--weights", str(weight_path), "--target", "c2")
         for extra in (given[:2], given[2:],  # each needs the other
-                      given + ("--kind", "conv3d"),  # these shape a --layer
-                      given + ("--stride", "2"),
+                      given + ("--stride", "2"),  # these shape a --layer
                       given + ("--padding", "valid")):
             code, out, errtext = run_cli(
                 capsys, "decompose", "--model", str(model_path),
@@ -209,6 +206,27 @@ class TestDecomposeCommand:
         assert payload["ranks"] == [4, 6]
         assert 0 < payload["reduction"]["params"] < 1
         assert payload["relative_error"] < 1.0
+
+    @pytest.mark.parametrize("method,rank", [("tucker", "1,1"), ("cp", "1"),
+                                             ("tt", "1,1,1")])
+    def test_grouped_conv_is_rejected(self, capsys, tmp_path, method, rank):
+        layer = LayerDesc(name="g", kind="conv2d", kernel=(3, 3),
+                          in_channels=8, out_channels=8, groups=4)
+        ModelDesc(layers=[layer], edges=[], input="g",
+                  output="g").save(tmp_path / "g.json")
+        WeightStore({"g": np.ones((3, 3, 2, 8))}).save(tmp_path / "g.lrfw")
+        code, out, errtext = run_cli(
+            capsys, "decompose", "--model", str(tmp_path / "g.json"),
+            "--weights", str(tmp_path / "g.lrfw"), "--target", "g",
+            "--method", method, "--rank", rank)
+        assert code == 1 and out == ""
+        assert errtext.startswith("error:") and "groups=4" in errtext
+
+    def test_fc_without_t3f_plan(self, capsys):
+        code, out, errtext = run_cli(capsys, "decompose", "--layer", "7,11",
+                                     "--method", "t3f", "--rank", "1")
+        assert code == 1 and out == ""
+        assert errtext == "error: layer: no factorization plan for (7, 11)\n"
 
     def test_model_splice_roundtrip(self, capsys, saved_net, tmp_path):
         model_path, weight_path, _ = saved_net

@@ -15,7 +15,7 @@ from lowrank.errors import (ConstraintUnreachableError, DecompositionError,
                             EvaluatorError, GraphError, RankError)
 from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc,
                         WeightStore)
-from lowrank.similarity import forward_model
+from lowrank.similarity import capture_feature_maps, forward_model
 
 rng = np.random.default_rng(11)
 
@@ -110,6 +110,24 @@ def conv_chain_net(rank_one_first=True, seed=3):
     return model, weights
 
 
+def grouped_conv_net(seed=3):
+    """grouped conv -> relu -> flatten -> fc on 6x6x4 inputs."""
+    r = np.random.default_rng(seed)
+    layers = [
+        LayerDesc(name="g1", kind="conv2d", kernel=(3, 3), in_channels=4,
+                  out_channels=8, groups=2, post_ops=("a1",)),
+        LayerDesc(name="a1", kind="activation", fn="relu"),
+        LayerDesc(name="fl", kind="flatten"),
+        LayerDesc(name="f1", kind="fc", in_channels=288, out_channels=10),
+    ]
+    edges = [("g1", "a1"), ("a1", "fl"), ("fl", "f1")]
+    model = ModelDesc(layers=layers, edges=edges, input="g1", output="f1")
+    weights = WeightStore({
+        "g1": r.standard_normal((3, 3, 2, 8)).astype(np.float32),
+        "f1": r.standard_normal((288, 10)).astype(np.float32)})
+    return model, weights
+
+
 def make_dataset(count=8, seed=5, shape=(6, 6, 3), classes=10):
     r = np.random.default_rng(seed)
     return WeightStore({
@@ -182,6 +200,13 @@ class TestTargetSelection:
         both = select_target_layers(model, (100,), "params", 1.0)
         assert both == ["fa", "fb"]  # layer order, not size order
 
+    def test_grouped_conv_is_never_a_target(self):
+        model, weights = grouped_conv_net()
+        assert select_target_layers(model, (6, 6, 4), "params", 1.0) == ["f1"]
+        x = rng.standard_normal((2, 6, 6, 4)).astype(np.float32)
+        capture = capture_feature_maps(model, weights, x)
+        assert list(capture.inputs) == list(capture.references) == ["f1"]
+
     def test_no_decomposable_layer(self):
         model = ModelDesc(layers=[LayerDesc(name="a", kind="activation",
                                             fn="relu")],
@@ -205,6 +230,14 @@ class TestInitRankOne:
         b = init_rank_one(model, weights, ["c2"], "cp", "svd", seed=4)
         for wa, wb in zip(a["c2"].weights.values(), b["c2"].weights.values()):
             assert np.array_equal(wa, wb)
+
+    def test_fc_without_t3f_plan(self):
+        layer = LayerDesc(name="f", kind="fc", in_channels=7, out_channels=11)
+        model = ModelDesc(layers=[layer], edges=[], input="f", output="f")
+        weights = WeightStore({"f": np.ones((7, 11), dtype=np.float32)})
+        with pytest.raises(RankError) as err:
+            init_rank_one(model, weights, ["f"], "tucker2", "t3f")
+        assert str(err.value) == "f: no factorization plan for (7, 11)"
 
     def test_error_names_the_layer_and_keeps_its_payload(self, monkeypatch):
         best = object()
@@ -289,6 +322,27 @@ class TestSearchLoop:
         assert result.solutions["c1"].ranks == (1, 1)
         names = [l.name for l in result.model.layers]
         assert "c1.lrf0" in names and "f1.lrf1" in names
+
+    def test_grouped_conv_left_untouched(self):
+        model, weights = grouped_conv_net()
+        dataset = make_dataset(shape=(6, 6, 4))
+        config = DseConfig(target_fraction=1.0, sample_count=4, seed=0)
+        result = run_dse(model, weights, dataset, config, Scripted([1.0]))
+        assert result.targets == ["f1"]
+        assert result.solutions["f1"].ranks == (1,)
+        assert result.model.layer("g1") == model.layer("g1")
+        assert result.model.predecessors("a1") == ["g1"]
+        assert np.array_equal(np.asarray(result.weights["g1"]),
+                              np.asarray(weights["g1"]))
+
+    @pytest.mark.parametrize("conv_method,fc_method", [
+        ("svd", "tucker2"), ("tucker2", "cp"), ("qr", "svd")])
+    def test_rejects_a_bad_method_pair(self, conv_method, fc_method):
+        model, weights = grouped_conv_net()  # its one target is an fc
+        with pytest.raises(RankError, match="bad method pair"):
+            run_dse(model, weights, make_dataset(shape=(6, 6, 4)),
+                    DseConfig(), Scripted([1.0]), conv_method=conv_method,
+                    fc_method=fc_method)
 
     @staticmethod
     def _freeze_then_revert():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from lowrank import explore
-from lowrank.costs import cost_factorized, cost_original, default_input_shape
+from lowrank.costs import (CONV_METHODS, cost_factorized, cost_original,
+                           default_input_shape, method_applies)
+from lowrank.decompose import decompose_layer
 from lowrank.errors import RankError
 from lowrank.explore import (DEFAULT_TOL, census, count_all, count_valid,
                              cp_max_rank, iter_solutions, min_ranks,
@@ -255,6 +257,27 @@ class TestBounds:
                 count_all(layer, method)
             with pytest.raises(RankError):
                 count_valid(layer, method)
+
+    @pytest.mark.parametrize("method", CONV_METHODS)
+    def test_grouped_conv_raises_one_error_everywhere(self, method):
+        grouped = LayerDesc(name="g", kind="conv2d", kernel=(3, 3),
+                            in_channels=8, out_channels=8, groups=4)
+        ranks = {"tucker2": (1, 1), "cp": (1,), "tt": (1, 1, 1)}[method]
+        weight = np.ones(grouped.weight_shape())
+        assert not method_applies(grouped, method)
+        calls = [lambda: rank_bounds(grouped, method),
+                 lambda: count_all(grouped, method),
+                 lambda: count_valid(grouped, method),
+                 lambda: census(grouped, method, (50,)),
+                 lambda: list(iter_solutions(grouped, method)),
+                 lambda: decompose_layer(grouped, weight, method, ranks)]
+        messages = set()
+        for call in calls:
+            with pytest.raises(RankError, match="groups=4") as err:
+                call()
+            messages.add(str(err.value))
+        assert messages == {f"method {method!r} does not apply to conv2d "
+                            "layers with groups=4"}
 
     def test_min_ranks(self):
         assert min_ranks(BENCH["L2"], "tucker2") == (1, 1)
