@@ -196,9 +196,9 @@ def cmd_analyze(args) -> int:
             entry[metric] = {
                 "min": lo, "max": hi,
                 "best_reduction_percent":
-                    100.0 * (1.0 - lo / original.get(metric)),
+                    100.0 * compression_ratio(original.get(metric), lo),
                 "worst_reduction_percent":
-                    100.0 * (1.0 - hi / original.get(metric))}
+                    100.0 * compression_ratio(original.get(metric), hi)}
         report["methods"][method] = entry
     _emit(args, render_json(report), _analyze_summary(report))
     return 0
@@ -275,9 +275,8 @@ def cmd_decompose(args) -> int:
         weight = rng.standard_normal(layer.weight_shape()).astype(np.float32)
         model = weights = None
     method = args.method
-    if args.plan_index is None:
-        plan = default_plan(layer, method)
-    else:
+    plan = default_plan(layer, method)
+    if args.plan_index is not None:
         plans = explore.t3f_plans(layer)
         if not 0 <= args.plan_index < len(plans):
             raise LowRankError(f"plan index {args.plan_index} out of range "

@@ -21,7 +21,9 @@ evaluates them unchecked on integer rank arrays that broadcast, which
 is how ``explore`` derives the affine rank families it counts on.
 The t3f closed form also broadcasts over per-cell plan mode sizes:
 the entries of ``ms`` and ``ns`` may be int64 arrays, one value per
-cell, so one evaluation covers many plans of the same depth.
+cell, so one evaluation covers many plans of the same depth.  So does
+``tt_link_bounds``, the one TT link rule: it bounds one plan for
+``rank_bounds`` or every plan of a depth for ``explore``.
 Integer factors are multiplied before rank arrays and sums are
 rebound, so an array evaluation costs few array operations and
 broadcasts freely.
@@ -180,12 +182,13 @@ def require_method(layer: LayerDesc, method: str) -> None:
 
 
 def tt_link_bounds(dims: tuple) -> list:
-    """Box bound per internal link of a tensor train over ``dims``."""
+    """Box bound per internal link of a tensor train over ``dims``,
+    min(prod left, prod right).  Dims may be int64 arrays that broadcast
+    (one value per plan); only operators run, so ints give Python ints."""
     bounds = []
     for cut in range(1, len(dims)):
-        left = math.prod(dims[:cut])
-        right = math.prod(dims[cut:])
-        bounds.append(min(left, right))
+        left, right = math.prod(dims[:cut]), math.prod(dims[cut:])
+        bounds.append((left + right - abs(left - right)) // 2)
     return bounds
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import explore
 from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, CostReport,
-                    applicable_methods, cost_original, default_plan,
-                    method_applies)
+                    applicable_methods, compression_ratio, cost_original,
+                    default_plan, method_applies)
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
@@ -308,8 +308,8 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
                                     memos=memos).items():
         cost = fact.cost(in_shapes[name])
         original = cost_original(model.layer(name), in_shapes[name])
-        step = 100.0 * (1.0 - cost.get(config.objective)
-                        / original.get(config.objective))
+        step = 100.0 * compression_ratio(original.get(config.objective),
+                                         cost.get(config.objective))
         states[name] = LayerSearchState(
             name, fact, layer_similarity(fact, capture), cost, step)
 

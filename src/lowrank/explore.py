@@ -12,10 +12,11 @@ solutions.
 A method's cells form one family; t3f has one family per depth, whose
 flat cells run through all plans of that depth, each cell with its own
 plan and innermost bound, so thousands of plans cost a few array
-operations rather than one family each.  The affine coefficients are
-not written down here: each family evaluates the closed forms of
-``costs`` once over its cells, with the innermost rank at 0 and at 1,
-so those closed forms remain the only cost formulas.
+operations rather than one family each.  A family is built from its
+rank box (``_boxes``), whose volume ``count_all`` sums.  The affine
+coefficients are not written down here: each family evaluates the
+closed forms of ``costs`` once over its cells, with the innermost rank
+at 0 and at 1, so those closed forms remain the only cost formulas.
 
 A census buckets the valid solutions at target reductions of an
 objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
@@ -36,9 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import (CostReport, closed_form, cost_factorized, cost_original,
-                    cp_max_rank, default_input_shape, rank_bounds,
-                    require_method, t3f_plans, tt_link_bounds)
+from .costs import (OBJECTIVES, CostReport, closed_form, compression_ratio,
+                    cost_factorized, cost_original, cp_max_rank,
+                    default_input_shape, rank_bounds, require_method,
+                    t3f_plans, tt_link_bounds)
 from .errors import RankError
 from .ir import LayerDesc
 
@@ -104,9 +106,7 @@ class SpaceCensus:
 
 
 # -- admissible ranks ---------------------------------------------------------
-# The rank box (``rank_bounds``, ``t3f_plans`` and their helpers) lives in
-# ``costs``, which checks every costed and decomposed point against it;
-# it is imported here for the explorer and its callers.
+# The rank box lives in ``costs``, which checks every point against it.
 
 
 def min_ranks(layer: LayerDesc, method: str, plan: tuple = None) -> tuple:
@@ -119,33 +119,30 @@ def min_ranks(layer: LayerDesc, method: str, plan: tuple = None) -> tuple:
 class _AffineFamily:
     """Costs of one rank family, affine in the innermost rank.
 
-    A cell fixes every rank but the innermost one.  A method without
-    shape plans has one family over the open grid of its outer ranks;
-    t3f has one family per depth whose cells are flat and plan-major
-    (``_plan_cells``), with ``plan_index`` naming each cell's plan in
-    ``plans``.  The closed forms are evaluated once over all cells with
-    the innermost rank at 0 and 1 on a leading axis, so that ``base``
-    (the costs at rank 0) and ``slope`` (their increase per rank) are
-    CostReports of int64 arrays over the cells, and a metric at
-    innermost rank r is ``base + slope * r``.  Every rank and every plan
-    mode size enters every metric, so each array spans all cells and a
-    flat cell index addresses all of them.  ``last_bound`` is each
-    cell's innermost rank bound and ``valid_hi`` the largest innermost
-    rank keeping params and flops strictly below ``original``; zero or
-    less means none.
+    Built from ``box``, the upper rank bounds of ``plans`` (a row each,
+    from ``_boxes``); a cell fixes every rank but the innermost.  Without
+    plans a method has one family over the open grid of its outer ranks;
+    t3f has one per depth, with flat, plan-major cells (``_plan_cells``)
+    and ``plan_index`` naming each cell's plan.  The closed forms are
+    evaluated once over all cells with the innermost rank at 0 and 1 on
+    a leading axis: ``base`` (the costs at rank 0) and ``slope`` (their
+    increase per rank) are CostReports of int64 arrays spanning all
+    cells, so a flat cell index addresses them and a metric at innermost
+    rank r is ``base + slope * r``.  ``last_bound`` is each cell's
+    innermost bound and ``valid_hi`` the largest innermost rank keeping
+    params and flops strictly below ``original`` (none if below 1).
     """
 
-    def __init__(self, layer, method, input_shape, original, plans):
+    def __init__(self, layer, method, input_shape, original, box, plans):
         self.plans = plans
         if method == "t3f":
-            index, outer, last_bound, plan = _plan_cells(layer, plans)
+            index, outer, last_bound, plan = _plan_cells(plans, box)
             self.shape = index.shape
         else:
-            *outer_bounds, (_, last_bound) = rank_bounds(layer, method)
-            index, plan = 0, None
-            self.shape = tuple(hi - lo + 1 for lo, hi in outer_bounds)
-            outer = np.ix_(*(np.arange(lo, hi + 1, dtype=np.int64)
-                             for lo, hi in outer_bounds))
+            index, plan, last_bound = 0, None, box[0, -1]
+            self.shape = tuple(int(hi) for hi in box[0, :-1])
+            outer = np.ix_(*(np.arange(1, hi + 1, dtype=np.int64)
+                             for hi in self.shape))
         self.plan_index = np.broadcast_to(index, self.shape)
         self.outer = [np.broadcast_to(ranks, self.shape) for ranks in outer]
         self.last_bound = np.broadcast_to(last_bound, self.shape)
@@ -168,44 +165,48 @@ class _AffineFamily:
                 tuple(int(ranks[idx]) for ranks in self.outer))
 
 
-def _plan_cells(layer: LayerDesc, plans: list) -> tuple:
-    """Flat, plan-major cells of t3f ``plans``, all of one depth.
-
-    Returns each cell's index into ``plans``, its outer ranks (one
-    array per rank slot, row-major within the plan's rank box), its
-    innermost rank bound, and the plan as per-cell mode-size arrays
-    for ``closed_form``.
-    """
-    bounds = np.array([[hi for _, hi in rank_bounds(layer, "t3f", plan)]
-                       for plan in plans], dtype=np.int64)
-    sizes = bounds[:, :-1].prod(axis=1)
+def _plan_cells(plans: list, box: np.ndarray) -> tuple:
+    """Flat, plan-major cells of t3f ``plans`` of one depth and rank
+    box ``box``: each cell's index into ``plans``, its outer ranks (one
+    array per slot, row-major within the box), its innermost rank bound,
+    and the plan as per-cell mode-size arrays for ``closed_form``."""
+    sizes = box[:, :-1].prod(axis=1)
     index = np.repeat(np.arange(len(plans)), sizes)
     local = np.arange(index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     outer = []
-    for radix in bounds[index, :-1].T[::-1]:  # last rank slot varies fastest
+    for radix in box[index, :-1].T[::-1]:  # last rank slot varies fastest
         outer.insert(0, local % radix + 1)
         local = local // radix
     modes = np.array([ms + ns for ms, ns in plans], dtype=np.int64)[index].T
     depth = len(plans[0][0])
-    return (index, outer, bounds[index, -1],
+    return (index, outer, box[index, -1],
             (tuple(modes[:depth]), tuple(modes[depth:])))
 
 
-def _plans(layer: LayerDesc, method: str) -> list:
-    """The t3f shape plans, or [None]; RankError if ``method`` does
-    not apply to the layer, even when the layer has no t3f plan."""
+def _boxes(layer: LayerDesc, method: str):
+    """Lazily yield each family's plans and the upper bounds of their
+    rank boxes as an int64 (plans, slots) array (every lower bound is 1):
+    ``[None]`` and the one row of ``rank_bounds`` for a method without
+    plans, one ``tt_link_bounds`` call over m*n per t3f depth."""
     require_method(layer, method)
-    return t3f_plans(layer) if method == "t3f" else [None]
+    if method != "t3f":
+        yield [None], np.array([[hi for _, hi in rank_bounds(layer, method)]])
+        return
+    # t3f_plans lists its plans depth by depth
+    for depth, group in itertools.groupby(t3f_plans(layer),
+                                          key=lambda plan: len(plan[0])):
+        plans = list(group)
+        modes = np.array([ms + ns for ms, ns in plans], dtype=np.int64).T
+        yield plans, np.stack(tt_link_bounds(
+            tuple(modes[:depth] * modes[depth:])), axis=1)
 
 
 def _families(layer: LayerDesc, method: str, input_shape=None):
     """Lazily yield the affine families covering the whole space of
     ``method``: one per t3f depth, one for every other method."""
     original = cost_original(layer, input_shape or default_input_shape(layer))
-    # t3f_plans lists its plans depth by depth
-    for _, plans in itertools.groupby(_plans(layer, method),
-                                      key=lambda plan: plan and len(plan[0])):
-        yield _AffineFamily(layer, method, input_shape, original, list(plans))
+    for plans, box in _boxes(layer, method):
+        yield _AffineFamily(layer, method, input_shape, original, box, plans)
 
 
 def _valid_total(families) -> int:
@@ -216,10 +217,9 @@ def _valid_total(families) -> int:
 
 
 def count_all(layer: LayerDesc, method: str) -> int:
-    """Exploration-space size: the rank-box volume summed over plans."""
-    return sum(math.prod(hi - lo + 1
-                         for lo, hi in rank_bounds(layer, method, plan))
-               for plan in _plans(layer, method))
+    """Exploration-space size: the exact rank-box volume over all plans."""
+    return sum(box.astype(object).prod(axis=1).sum()
+               for _, box in _boxes(layer, method))
 
 
 def count_valid(layer: LayerDesc, method: str, input_shape=None) -> int:
@@ -234,21 +234,18 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     Returns ``{"params": (lo, hi), "flops": ..., "overall_mem": ...,
     "valid_count": n}``; raises RankError when nothing is valid.
     """
-    spans = {m: None for m in ("params", "flops", "overall_mem")}
-    total = 0
+    spans, total = {}, 0
     for fam in _families(layer, method, input_shape):
-        hi = fam.valid_hi
-        ok = hi >= 1
+        ok = fam.valid_hi >= 1
         if not np.any(ok):
             continue
-        total += int(hi[ok].sum())
-        for metric in spans:
-            a, b = fam.base.get(metric), fam.slope.get(metric)
-            lo_val = int((a + b)[ok].min())
-            hi_val = int((a + b * hi)[ok].max())
-            old = spans[metric]
-            spans[metric] = (lo_val, hi_val) if old is None else \
-                (min(old[0], lo_val), max(old[1], hi_val))
+        top = fam.valid_hi[ok]
+        total += int(top.sum())
+        for metric in OBJECTIVES:
+            a, b = fam.base.get(metric)[ok], fam.slope.get(metric)[ok]
+            lo, hi = spans.get(metric, (math.inf, -math.inf))
+            spans[metric] = (min(lo, int((a + b).min())),
+                             max(hi, int((a + b * top).max())))
     if total == 0:
         raise RankError(f"{method}: no valid solutions for {layer.name}")
     spans["valid_count"] = total
@@ -306,8 +303,8 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
     t0 = time.perf_counter()
     families = list(_families(layer, method, input_shape))
     original = cost_original(layer, input_shape or default_input_shape(layer))
-    volume = sum(int(fam.last_bound.sum()) for fam in families)
-    report = SpaceCensus(method, volume, _valid_total(families), original)
+    report = SpaceCensus(method, count_all(layer, method),
+                         _valid_total(families), original)
     for percent in percents:
         value = _bucket_value(families, original, objective, percent, tol)
         bucket = BucketReport(percent=percent, value=value, count=0)
@@ -321,8 +318,9 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
                  for fam, flat, ranks in members]
         every = np.concatenate(flops)
         bucket.count = every.size
-        bucket.flops_reduction_min = 1.0 - float(every.max()) / original.flops
-        bucket.flops_reduction_max = 1.0 - float(every.min()) / original.flops
+        lo, hi = int(every.min()), int(every.max())
+        bucket.flops_reduction_min = compression_ratio(original.flops, hi)
+        bucket.flops_reduction_max = compression_ratio(original.flops, lo)
         _, i = min((int(f.min()), i) for i, f in enumerate(flops) if f.size)
         fam, flat, ranks = members[i]
         pick = int(np.argmin(flops[i]))
@@ -364,6 +362,7 @@ def iter_solutions(layer: LayerDesc, method: str, input_shape=None,
     deterministic order: plan, then outer ranks, then innermost rank."""
     if limit is not None and limit < 0:
         raise RankError(f"limit must be non-negative, got {limit}")
+    require_method(layer, method)
     return itertools.islice(_solutions(layer, method, input_shape, valid_only),
                             limit)
 

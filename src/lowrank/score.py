@@ -14,8 +14,8 @@ import time
 import numpy as np
 
 from . import explore
-from .costs import (applicable_methods, cost_original, default_input_shape,
-                    default_plan)
+from .costs import (applicable_methods, compression_ratio, cost_original,
+                    default_input_shape, default_plan)
 from .decompose import decompose_layer
 from .errors import RankError
 from .ir import LayerDesc
@@ -145,14 +145,13 @@ def qualitative_score(measurements: dict) -> dict:
 def rank_slot_count(layer: LayerDesc, method: str) -> int:
     """Independently tunable rank choices the method exposes.
 
-    A t3f layer also counts the choice of shape plan when it has
-    several, on top of the ranks of its deepest plan.
+    These are the slots of the rank box of the deepest plan (the last
+    of ``t3f_plans``), plus the choice of plan when there are several.
     """
-    if method == "t3f":
-        plans = explore.t3f_plans(layer)
-        slots = max(len(plan[0]) - 1 for plan in plans)
-        return slots + (1 if len(plans) > 1 else 0)
-    return len(explore.rank_bounds(layer, method))
+    plans = explore.t3f_plans(layer) if method == "t3f" else [None]
+    deepest = plans[-1] if plans else default_plan(layer, method)  # RankError
+    slots = len(explore.rank_bounds(layer, method, deepest))
+    return slots + (1 if len(plans) > 1 else 0)
 
 
 def _representative_ranks(layer: LayerDesc, method: str):
@@ -172,7 +171,7 @@ def measure_method(layer: LayerDesc, method: str, input_shape=None,
     spans = explore.valid_extremes(layer, method, input_shape)
 
     def reduction(metric, value):
-        return 100.0 * (1.0 - value / original.get(metric))
+        return 100.0 * compression_ratio(original.get(metric), value)
 
     best_p = reduction("params", spans["params"][0])
     worst_p = reduction("params", spans["params"][1])

@@ -223,10 +223,13 @@ class TestDecomposeCommand:
         assert errtext.startswith("error:") and "groups=4" in errtext
 
     def test_fc_without_t3f_plan(self, capsys):
-        code, out, errtext = run_cli(capsys, "decompose", "--layer", "7,11",
-                                     "--method", "t3f", "--rank", "1")
-        assert code == 1 and out == ""
-        assert errtext == "error: layer: no factorization plan for (7, 11)\n"
+        for extra in ([], ["--plan-index", "0"]):
+            code, out, errtext = run_cli(capsys, "decompose", "--layer",
+                                         "7,11", "--method", "t3f", "--rank",
+                                         "1", *extra)
+            assert code == 1 and out == ""
+            assert errtext == \
+                "error: layer: no factorization plan for (7, 11)\n"
 
     def test_model_splice_roundtrip(self, capsys, saved_net, tmp_path):
         model_path, weight_path, _ = saved_net

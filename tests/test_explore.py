@@ -207,6 +207,12 @@ class TestCounts:
             assert count_valid(layer, "t3f") == sum(
                 ok for *_, ok in points), name
 
+    def test_all_count_is_exact_past_int64(self):
+        layer = conv((3, 3, 3), 65536, 65536)
+        bounds = [hi for _, hi in rank_bounds(layer, "tt")]
+        assert bounds == [65536, 196608, 196608, 65536]
+        assert count_all(layer, "tt") == 65536 ** 2 * 196608 ** 2 > 2 ** 63
+
     def test_t3f_layer_without_plans(self):
         layer = SMALL_FCS["7x5"]
         assert count_all(layer, "t3f") == count_valid(layer, "t3f") == 0
@@ -233,6 +239,32 @@ class TestBounds:
         # dims (C, K1, K2, F): each link min(prod left, prod right)
         assert list(tt_link_bounds((8, 3, 3, 12))) == [8, 24, 12]
         assert list(tt_link_bounds((512, 3, 1024))) == [512, 1024]
+        # a (plans, modes) array: one call bounds every row
+        rows = np.array([[8, 3, 3, 12], [512, 3, 1, 1024], [6, 20, 20, 6],
+                         [2, 2, 2, 2]], dtype=np.int64)
+        got = np.stack(tt_link_bounds(tuple(rows.T)), axis=1)
+        assert got.tolist() == [tt_link_bounds(tuple(int(d) for d in row))
+                                for row in rows]
+
+    @pytest.mark.parametrize("name", ["F1", "F2", "F3", *sorted(SMALL_FCS)])
+    def test_box_rows_are_plan_rank_bounds(self, name):
+        layer = BENCH.get(name) or SMALL_FCS.get(name)
+        boxes = list(explore._boxes(layer, "t3f"))
+        assert [p for plans, _ in boxes for p in plans] == t3f_plans(layer)
+        for plans, box in boxes:
+            assert box.dtype == np.int64 and box.shape[0] == len(plans)
+            assert box.tolist() == [
+                [hi for _, hi in rank_bounds(layer, "t3f", plan)]
+                for plan in plans]
+
+    def test_rank_bounds_are_python_ints(self):
+        for layer, method, plan in (
+                (BENCH["L2"], "tt", None), (BENCH["L6"], "tt", None),
+                (BENCH["F1"], "t3f", t3f_plans(BENCH["F1"])[0]),
+                (BENCH["F1"], "t3f", t3f_plans(BENCH["F1"])[-1])):
+            bounds = rank_bounds(layer, method, plan)
+            assert all(type(lo) is int and type(hi) is int
+                       for lo, hi in bounds), (method, bounds)
 
     def test_t3f_plans_small(self):
         plans = t3f_plans(fc(12, 10))
@@ -269,7 +301,7 @@ class TestBounds:
                  lambda: count_all(grouped, method),
                  lambda: count_valid(grouped, method),
                  lambda: census(grouped, method, (50,)),
-                 lambda: list(iter_solutions(grouped, method)),
+                 lambda: iter_solutions(grouped, method),
                  lambda: decompose_layer(grouped, weight, method, ranks)]
         messages = set()
         for call in calls:
