@@ -9,9 +9,7 @@ combination, and a reference inference engine for factorized models.
 from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, CostReport,
                     compression_ratio, cost_chain, cost_factorized,
                     cost_original, default_input_shape, model_breakdown)
-from .decompose import (FactorizedLayer, cp_decompose, decompose_layer,
-                        qr_decompose, svd_decompose, t3f_decompose,
-                        tt_conv_decompose, tucker2_decompose)
+from .decompose import FactorizedLayer, decompose_layer
 from .dse import (BuiltinEvaluator, DseConfig, DseResult, ExternalEvaluator,
                   hybrid_combine, install_solutions, iteration_bound, run_dse,
                   select_target_layers)
@@ -41,14 +39,12 @@ __all__ = [
     "ShapeError", "Solution", "SpaceCensus", "WeightStore",
     "capture_feature_maps", "census", "check_weights", "compression_ratio",
     "cosine", "cost_chain", "cost_factorized", "cost_original", "count_all",
-    "count_valid", "cp_decompose", "cp_max_rank", "decompose_layer",
-    "default_input_shape", "forward_factorized", "forward_layer",
-    "forward_model", "hybrid_combine", "install_solutions",
-    "iter_solutions", "iteration_bound", "layer_similarity",
-    "measure_method", "method_table", "mode_n_product", "model_breakdown",
-    "qr_decompose", "qr_pivoted", "qualitative_score", "rank_bounds",
-    "rank_slot_count", "relative_error", "run_dse", "sample_dataset",
-    "select_candidates", "select_target_layers", "solutions_at_ratio",
-    "svd", "svd_decompose", "t3f_decompose", "t3f_plans",
-    "tt_conv_decompose", "tucker2_decompose", "unfold", "valid_extremes",
+    "count_valid", "cp_max_rank", "decompose_layer", "default_input_shape",
+    "forward_factorized", "forward_layer", "forward_model",
+    "hybrid_combine", "install_solutions", "iter_solutions",
+    "iteration_bound", "layer_similarity", "measure_method", "method_table",
+    "mode_n_product", "model_breakdown", "qr_pivoted", "qualitative_score",
+    "rank_bounds", "rank_slot_count", "relative_error", "run_dse",
+    "sample_dataset", "select_candidates", "select_target_layers",
+    "solutions_at_ratio", "svd", "t3f_plans", "unfold", "valid_extremes",
 ]

@@ -202,10 +202,13 @@ def rank_bounds(layer: LayerDesc, method: str, plan: tuple = None) -> list:
 
     This rank box is the admissibility rule of the package: counting,
     costing and decomposing accept exactly its points.  Raises
-    RankError when the method does not apply to the layer, or when a
-    t3f plan is missing or does not factor the layer.
+    RankError when the method does not apply to the layer, when a t3f
+    plan is missing or does not factor the layer, or when another
+    method is given a plan.
     """
     require_method(layer, method)
+    if plan is not None and method != "t3f":
+        raise RankError(f"{method} takes no plan")
     if method == "tucker2":
         return [(1, layer.in_channels), (1, layer.out_channels)]
     if method == "cp":

@@ -10,14 +10,14 @@ TT.  Dense layers factor by truncated SVD, by column-pivoted truncated
 QR, or as a TT-matrix over a factorization plan of the two matrix
 dimensions.
 
-Each decomposer returns a :class:`FactorizedLayer` that carries the
-replacement sub-layer descriptions together with their weights, can
-rebuild the dense weight it approximates, and reports its exact cost.
-The chain's order and each sub-layer's ``weight_shape()`` are the one
-statement of its weight layout: a decomposer lists its factors in
-chain order, and ``_attach`` gives factor ``i`` to the ``i``-th
-weighted sub-layer, reshaped to that sub-layer's ``weight_shape()``.
-``reconstruct`` reads the same layout back by contracting the chain.
+``decompose_layer`` is the one entry point.  Its one prologue checks
+the weight's shape and the ranks (with the t3f plan) against the rank
+box of ``costs.rank_bounds``, which also rejects a method that does
+not apply to the layer, and casts the weight to float64.  The method's
+body lists its factors in chain order, and ``_attach`` gives factor
+``i`` to the ``i``-th weighted sub-layer, reshaped to its
+``weight_shape()``: chain order and those shapes are the one statement
+of the weight layout, which ``FactorizedLayer.reconstruct`` reads back.
 
 CP is fitted by alternating least squares.  Each factor update needs
 the MTTKRP, the mode's unfolding times the Khatri-Rao product of all
@@ -36,9 +36,10 @@ work does not depend on the rank.  ``linalg.svd``,
 ``linalg.qr_pivoted`` and ``linalg.left_basis`` return full
 factorizations, and ``_leading`` is the one truncation rule: the
 leading ``rank`` columns of each part, as views, so a fresh and a kept
-factorization give the same bytes.  Given a ``memo`` dict that belongs
-to one weight, the decomposers keep each full factorization under a
-key naming what it depends on:
+factorization give the same bytes.  Every decomposition keeps each
+full factorization in a ``memo`` dict that belongs to one weight (a
+fresh one unless the caller passes its own), under a key naming what
+it depends on:
 
 - ``("svd",)``: the full ``linalg.left_basis`` of the weight's short
   side (of ``w`` when it is wide, of ``w.T`` when it is tall);
@@ -59,8 +60,8 @@ orthonormal, so one gemm recovers the scaled right vectors, and its
 row norms are the singular values.  ``left_basis`` takes a wide
 matrix's basis from the eigenvectors of its small Gram, with no SVD.
 
-Kept factorizations are read-only, since the returned factors may be
-views of them.
+Kept factorizations are read-only, so a returned factor that is a view
+of one is read-only too, with or without the caller's memo.
 """
 
 from __future__ import annotations
@@ -224,21 +225,13 @@ def _attach(layer: LayerDesc, method: str, ranks: tuple, factors: list,
 # -- convolution decomposers -------------------------------------------------
 
 
-def _conv_tensor_modes(layer: LayerDesc):
-    dim = len(layer.kernel)
-    return dim, dim + 1  # channel mode, filter mode of the (K.., C, F) tensor
-
-
-def _full(factorize, mat: np.ndarray, memo: dict = None, key: tuple = None):
+def _full(factorize, mat: np.ndarray, memo: dict, key: tuple):
     """``factorize(mat)``, the full ``linalg.svd``, ``linalg.qr_pivoted``
-    or ``linalg.left_basis``.
+    or ``linalg.left_basis``, computed once per ``key`` of ``memo``.
 
-    With a memo, the factorization is computed once per ``key`` and
-    stored read-only, so that no caller can write through a view of it
-    into the factors of a later decomposition.
+    It is stored read-only, so that no caller can write through a view
+    of it into the factors of a later decomposition.
     """
-    if memo is None:
-        return factorize(mat)
     full = memo.get(key)
     if full is None:
         full = factorize(mat)
@@ -264,8 +257,7 @@ def _leading(part: np.ndarray, rank: int) -> np.ndarray:
     return np.pad(part, ((0, 0),) * (part.ndim - 1) + ((0, rank - width),))
 
 
-def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                      memo: dict = None):
+def _tucker2(w: np.ndarray, ranks: tuple, memo: dict):
     """Tucker restricted to the channel and filter modes.
 
     Initializes factors from the leading left singular vectors of the
@@ -278,9 +270,8 @@ def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     initial bases go through ``memo``: the iteration's depend on the
     ranks.
     """
-    r1, r2 = ranks = check_ranks(layer, "tucker2", ranks)
-    w = np.asarray(weight, dtype=np.float64)
-    c_mode, f_mode = _conv_tensor_modes(layer)
+    r1, r2 = ranks
+    c_mode, f_mode = w.ndim - 2, w.ndim - 1  # C and F of (K.., C, F)
     norm_w = np.linalg.norm(w)
 
     a_c, a_f = (_leading(_full(linalg.left_basis, linalg.unfold(w, mode),
@@ -301,7 +292,7 @@ def tucker2_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
             break
         last_fit = fit
 
-    return _attach(layer, "tucker2", ranks, [a_c, core, a_f.T])
+    return [a_c, core, a_f.T]
 
 
 class _DivergenceGuard:
@@ -338,7 +329,7 @@ class _DivergenceGuard:
 
 
 def _cp_init(tensor: np.ndarray, rank: int, rng: np.random.Generator,
-             memo: dict = None):
+             memo: dict):
     """Leading singular vectors per mode, random columns past them."""
     factors = []
     for mode in range(tensor.ndim):
@@ -432,15 +423,22 @@ def _solve_gram(mttkrp: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return dpotrs(chol, mttkrp.T)[0].T
 
 
-def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                 seed: int = 0, memo: dict = None):
+def _cp_chain(factors) -> list:
+    """CP factors, which run (K1..Kd, C, F), in chain order C, K1..Kd, F."""
+    *spatial, a_c, a_f = factors
+    return [a_c, *spatial, a_f.T]
+
+
+def _cp(layer: LayerDesc, w: np.ndarray, ranks: tuple, seed: int,
+        memo: dict):
     """CP decomposition of the conv tensor by alternating least squares.
 
     One shared rank ties together one factor per tensor mode (spatial
     axes, input channels, output channels).  Keeps the factors with the
     best fit; stops when the fit change drops below tolerance or the
-    best fit stops improving; raises DecompositionError after five
-    consecutive meaningful fit regressions.
+    best fit stops improving; raises DecompositionError, with the best
+    sweep's factors in chain order, after five consecutive meaningful
+    fit regressions.
 
     Each update solves the normal equations of one factor: the MTTKRP
     of ``_mttkrp`` against the Hadamard product of the other factors'
@@ -454,8 +452,7 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     serves the next sweep's kernel modes.  Every update assigns a new
     array, so the best sweep's factors are kept without copying them.
     """
-    (rank,) = ranks = check_ranks(layer, "cp", ranks)
-    w = np.asarray(weight, dtype=np.float64)
+    (rank,) = ranks
     norm_w = np.linalg.norm(w)
     rng = np.random.default_rng(seed)
 
@@ -497,18 +494,19 @@ def cp_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
         res_sq = max(norm_w**2 - 2.0 * inner + float(np.sum(gram)), 0.0)
         fit = 1.0 - math.sqrt(res_sq) / norm_w if norm_w else 1.0
         prev_best = guard.best_fit
-        guard.update(fit, tuple(factors))
+        try:
+            guard.update(fit, tuple(factors))
+        except DecompositionError as exc:
+            exc.best = _cp_chain(exc.best)
+            raise
         stalled = 0 if guard.best_fit - prev_best >= CP_FIT_TOL else stalled + 1
         if abs(fit - last_fit) < CP_FIT_TOL or stalled >= CP_STALL_PATIENCE:
             break
         last_fit = fit
-    # factors run (K1..Kd, C, F); the chain runs C, K1..Kd, F
-    *spatial, a_c, a_f = guard.best_payload
-    return _attach(layer, "cp", ranks, [a_c, *spatial, a_f.T])
+    return _cp_chain(guard.best_payload)
 
 
-def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
-            key: tuple = ()):
+def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict, key: tuple):
     """Sequential-SVD tensor train with prescribed internal ranks.
 
     Step ``i`` keeps the leading left singular vectors U_r of the
@@ -526,7 +524,7 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
     shape = tensor.shape
     full = (1,) + tuple(ranks) + (1,)
     cores = []
-    rest = np.asarray(tensor, dtype=np.float64).reshape(shape[0], -1)
+    rest = tensor.reshape(shape[0], -1)
     for i in range(len(shape) - 1):
         mat = rest.reshape(full[i] * shape[i], -1)
         u = _leading(_full(linalg.left_basis, mat, memo,
@@ -537,24 +535,18 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict = None,
     return cores
 
 
-def tt_conv_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                      memo: dict = None):
+def _tt(w: np.ndarray, ranks: tuple, memo: dict):
     """Tensor train of the conv tensor in (C, K1..Kd, F) mode order."""
-    ranks = check_ranks(layer, "tt", ranks)
-    w = np.asarray(weight, dtype=np.float64)
-    dim = len(layer.kernel)
-    tensor = np.moveaxis(w, dim, 0)  # (C, K1..Kd, F)
+    tensor = np.moveaxis(w, -2, 0)  # (K1..Kd, C, F) -> (C, K1..Kd, F)
     first, *spatial, last = _tt_svd(tensor, ranks, memo, ("tt", None))
     # a spatial core (r_axis, K_axis, r_axis+1) puts its kernel axis first
-    return _attach(layer, "tt", ranks, [
-        first, *(np.moveaxis(core, 1, 0) for core in spatial), last])
+    return [first, *(np.moveaxis(core, 1, 0) for core in spatial), last]
 
 
 # -- dense-layer decomposers --------------------------------------------------
 
 
-def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                  memo: dict = None):
+def _svd(w: np.ndarray, ranks: tuple, memo: dict):
     """Truncated SVD split symmetrically: A = U sqrt(S), B = sqrt(S) V'.
 
     Only the short side's singular vectors are factorized, by
@@ -564,8 +556,7 @@ def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     vectors scaled by S, and each row norm of ``p`` is its singular
     value.  A zero singular value gives zero factor columns and rows.
     """
-    (rank,) = ranks = check_ranks(layer, "svd", ranks)
-    w = np.asarray(weight, dtype=np.float64)
+    (rank,) = ranks
     side = w.T if w.shape[0] >= w.shape[1] else w
     basis = _leading(_full(linalg.left_basis, side, memo, ("svd",)), rank)
     p = basis.T @ side
@@ -575,65 +566,64 @@ def svd_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
     short = basis * root
     long = np.divide(p, root[:, None], out=np.zeros_like(p),
                      where=root[:, None] > 0)
-    factors = [short, long] if side is w else [long.T, short.T]
-    return _attach(layer, "svd", ranks, factors)
+    return [short, long] if side is w else [long.T, short.T]
 
 
-def qr_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                 memo: dict = None):
+def _qr(w: np.ndarray, ranks: tuple, memo: dict):
     """Column-pivoted QR keeping the leading pivots."""
-    (rank,) = ranks = check_ranks(layer, "qr", ranks)
-    w = np.asarray(weight, dtype=np.float64)
+    (rank,) = ranks
     q, r = _full(linalg.qr_pivoted, w, memo, ("qr",))
-    return _attach(layer, "qr", ranks, [q[:, :rank], r[:rank]])
+    return [q[:, :rank], r[:rank]]
 
 
-def t3f_decompose(layer: LayerDesc, weight: np.ndarray, ranks: tuple,
-                  plan: tuple, memo: dict = None):
+def _t3f(w: np.ndarray, ranks: tuple, plan: tuple, memo: dict):
     """TT-matrix factorization of a dense weight over a shape plan.
 
     The (M, N) weight reshapes to (m1..md, n1..nd), interleaves to
     (m1 n1, .., md nd), and tensor-trains over those paired modes; the
     cores then reshape to (r_in, m_t, n_t, r_out).
     """
-    ranks = check_ranks(layer, "t3f", ranks, plan)
-    ms, ns = plan = (tuple(plan[0]), tuple(plan[1]))
+    ms, ns = plan
     d = len(ms)
-    w = np.asarray(weight, dtype=np.float64)
-    if w.shape != (math.prod(ms), math.prod(ns)):
-        raise ShapeError(f"plan {plan} does not factor weight {w.shape}")
-    tensor = w.reshape(tuple(ms) + tuple(ns))
     perm = [axis for t in range(d) for axis in (t, d + t)]
-    tensor = tensor.transpose(perm).reshape([ms[t] * ns[t] for t in range(d)])
-    return _attach(layer, "t3f", ranks,
-                   _tt_svd(tensor, ranks, memo, ("t3f", plan)), plan)
+    tensor = w.reshape(ms + ns).transpose(perm).reshape(
+        [ms[t] * ns[t] for t in range(d)])
+    return _tt_svd(tensor, ranks, memo, ("t3f", plan))
 
 
 def decompose_layer(layer: LayerDesc, weight: np.ndarray, method: str,
                     ranks: tuple, plan: tuple = None, seed: int = 0,
-                    memo: dict = None):
+                    memo: dict = None) -> FactorizedLayer:
     """Factorize one layer's weight with the named method.
 
-    Each decomposer checks its ranks against the rank box of
-    ``costs.rank_bounds``, which also rejects a method that does not
-    apply to the layer.  ``memo``, a dict that belongs to this one
-    weight, keeps its full factorizations for later calls at other
-    ranks (see the module docstring); without one they are computed
-    afresh.
+    RankError unless ``ranks`` (with ``plan``, for t3f alone) are a
+    point of the rank box of ``costs.rank_bounds``.  ``memo``, a dict
+    that belongs to this one weight, keeps its full factorizations for
+    later calls at other ranks (see the module docstring).  A
+    DecompositionError carries the best factorization found as ``best``.
     """
     if tuple(weight.shape) != layer.weight_shape():
         raise ShapeError(
             f"{layer.name}: weight {weight.shape} != {layer.weight_shape()}")
-    if method == "tucker2":
-        return tucker2_decompose(layer, weight, ranks, memo)
-    if method == "cp":
-        return cp_decompose(layer, weight, ranks, seed=seed, memo=memo)
-    if method == "tt":
-        return tt_conv_decompose(layer, weight, ranks, memo)
-    if method == "svd":
-        return svd_decompose(layer, weight, ranks, memo)
-    if method == "qr":
-        return qr_decompose(layer, weight, ranks, memo)
+    ranks = check_ranks(layer, method, ranks, plan)
+    w = np.asarray(weight, dtype=np.float64)
     if method == "t3f":
-        return t3f_decompose(layer, weight, ranks, plan, memo)
-    raise RankError(f"unknown method {method!r}")
+        plan = (tuple(plan[0]), tuple(plan[1]))
+    memo = {} if memo is None else memo
+    try:
+        if method == "tucker2":
+            factors = _tucker2(w, ranks, memo)
+        elif method == "cp":
+            factors = _cp(layer, w, ranks, seed, memo)
+        elif method == "tt":
+            factors = _tt(w, ranks, memo)
+        elif method == "svd":
+            factors = _svd(w, ranks, memo)
+        elif method == "qr":
+            factors = _qr(w, ranks, memo)
+        else:
+            factors = _t3f(w, ranks, plan, memo)
+    except DecompositionError as exc:
+        exc.best = _attach(layer, method, ranks, exc.best, plan)
+        raise
+    return _attach(layer, method, ranks, factors, plan)

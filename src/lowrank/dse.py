@@ -127,12 +127,15 @@ def builtin_eval_accuracy(model: ModelDesc, weights: WeightStore,
         raise EvaluatorError(f"model output has shape {out.shape}, expected "
                              "(batch, classes)")
     pred = out.argmax(axis=1)
-    truth = np.asarray(labels).astype(np.int64).ravel()
+    truth = np.asarray(labels).ravel()
     if truth.shape != pred.shape:
         raise EvaluatorError("label count does not match batch size")
-    if truth.max(initial=0) >= out.shape[1]:
-        raise EvaluatorError("label index exceeds model output arity")
-    return float((pred == truth).mean())
+    # nan fails the floor test, and an infinite label the range
+    if not np.all((truth == np.floor(truth)) & (truth >= 0)
+                  & (truth < out.shape[1])):
+        raise EvaluatorError("labels must be whole class indices in "
+                             f"[0, {out.shape[1]})")
+    return float((pred == truth.astype(np.int64)).mean())
 
 
 class BuiltinEvaluator:
@@ -286,9 +289,9 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
             fc_method: str = "svd") -> DseResult:
     """Run the rank search loop to completion.
 
-    Raises ConstraintUnreachableError (carrying the best model found)
-    when every target layer is frozen or reverted and the accuracy
-    bound still is not met.
+    Raises ConstraintUnreachableError (carrying the best model found,
+    and naming the frozen and the reverted layers) when every target
+    layer is one or the other and the accuracy bound still is not met.
     """
     if conv_method not in CONV_METHODS or fc_method not in FC_METHODS:
         raise RankError(f"bad method pair {conv_method!r}, {fc_method!r}")
@@ -377,9 +380,13 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
             neg_sim, _, _, fact, cost = min(scored, key=lambda t: t[:3])
             state.solution, state.similarity, state.cost = fact, -neg_sim, cost
         if not advanced:
+            frozen = [n for n, s in states.items() if s.frozen]
+            reverted = [n for n, s in states.items() if s.exhausted]
             raise ConstraintUnreachableError(
                 f"accuracy {accuracy:.4f} never reached baseline "
-                f"{baseline:.4f} - {config.accuracy_drop_limit}",
+                f"{baseline:.4f} - {config.accuracy_drop_limit}; frozen: "
+                f"{', '.join(frozen) or 'none'}; reverted: "
+                f"{', '.join(reverted) or 'none'}",
                 best=(best[1], best[2], audit))
     else:
         raise AssertionError("iteration bound exceeded; step bookkeeping broken")

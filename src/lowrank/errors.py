@@ -24,7 +24,8 @@ class RankError(LowRankError):
 class DecompositionError(LowRankError):
     """Iterative factorization failed to make progress.
 
-    Carries the best factors found so far in ``best`` when available.
+    Carries the best factorization found so far in ``best``, a
+    ``decompose.FactorizedLayer``.
     """
 
     def __init__(self, message, best=None):

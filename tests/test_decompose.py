@@ -10,13 +10,11 @@ from scipy.linalg import cho_factor, cho_solve, khatri_rao
 
 from lowrank.costs import (CONV_METHODS, METHODS, cost_factorized, rank_bounds,
                            t3f_plans)
-from lowrank.decompose import (TUCKER_FIT_TOL, TUCKER_MAX_ITER,
+from lowrank.decompose import (CP_DIVERGENCE_PATIENCE, TUCKER_FIT_TOL,
+                               TUCKER_MAX_ITER, FactorizedLayer,
                                _DivergenceGuard, _contracted_mode,
                                _mode_last, _mttkrp, _solve_gram,
-                               chain_descs, cp_decompose,
-                               decompose_layer, qr_decompose, svd_decompose,
-                               t3f_decompose, tt_conv_decompose,
-                               tucker2_decompose)
+                               chain_descs, decompose_layer)
 from lowrank import decompose, linalg
 from lowrank.errors import DecompositionError, RankError
 from lowrank.explore import min_ranks
@@ -103,13 +101,13 @@ class TestSvdTruncation:
         weight = fc_weight()
         _, s, _ = svd(weight)
         for k in (1, 4, 9):
-            fact = svd_decompose(FC, weight, (k,))
+            fact = decompose_layer(FC, weight, "svd", (k,))
             best = np.sqrt(np.sum(s[k:] ** 2))
             got = np.linalg.norm(weight - fact.reconstruct())
             assert got == pytest.approx(best, abs=1e-4 * max(best, 1.0))
 
     def test_factor_shapes(self):
-        fact = svd_decompose(FC, fc_weight(), (5,))
+        fact = decompose_layer(FC, fc_weight(), "svd", (5,))
         a, b = (fact.weights[d.name] for d in fact.sub_layers)
         assert a.shape == (18, 5) and b.shape == (5, 15)
 
@@ -117,13 +115,14 @@ class TestSvdTruncation:
 class TestQr:
     def test_full_rank_exact(self):
         weight = fc_weight()
-        fact = qr_decompose(FC, weight, (15,))
+        fact = decompose_layer(FC, weight, "qr", (15,))
         assert relative_error(fact.reconstruct(), weight) < 1e-10
 
     def test_truncation_error_monotone(self):
         weight = fc_weight()
-        errs = [relative_error(qr_decompose(FC, weight, (k,)).reconstruct(),
-                               weight) for k in (2, 6, 10, 15)]
+        errs = [relative_error(
+                    decompose_layer(FC, weight, "qr", (k,)).reconstruct(),
+                    weight) for k in (2, 6, 10, 15)]
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
 
@@ -136,13 +135,13 @@ class TestCp:
         weight = np.einsum("ir,jr,kr,lr->ijkl", *factors)
         layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3),
                           in_channels=4, out_channels=5)
-        fact = cp_decompose(layer, weight, (2,), seed=0)
+        fact = decompose_layer(layer, weight, "cp", (2,), seed=0)
         fit = 1.0 - relative_error(fact.reconstruct(), weight)
         assert fit >= 0.999
 
     def test_max_rank_exact(self):
         weight = conv_weight()
-        fact = cp_decompose(CONV, weight, (72,), seed=0)
+        fact = decompose_layer(CONV, weight, "cp", (72,), seed=0)
         assert relative_error(fact.reconstruct(), weight) <= 1e-5
 
     def test_overranked_float32_converges(self):
@@ -153,13 +152,14 @@ class TestCp:
         weight = np.einsum("ir,jr,kr,lr->ijkl", *factors).astype(np.float32)
         layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3),
                           in_channels=8, out_channels=12)
-        fact = cp_decompose(layer, weight, (9,), seed=0)
+        fact = decompose_layer(layer, weight, "cp", (9,), seed=0)
         assert relative_error(fact.reconstruct(), weight) <= 1e-3
 
     def test_zero_weight_stays_zero(self):
         # the first update zeroes a factor, so every later Gram is
         # singular and takes the pinv fallback
-        fact = cp_decompose(CONV, np.zeros((3, 3, 8, 12)), (5,), seed=0)
+        fact = decompose_layer(CONV, np.zeros((3, 3, 8, 12)), "cp", (5,),
+                               seed=0)
         assert all(np.isfinite(a).all() for a in fact.weights.values())
         assert not fact.reconstruct().any()
 
@@ -168,7 +168,7 @@ class TestCp:
         vecs = [gen.standard_normal(n) for n in (3, 3, 8, 12)]
         weight = np.einsum("i,j,k,l->ijkl", *vecs)
         for rank in (2, 6):
-            fact = cp_decompose(CONV, weight, (rank,), seed=0)
+            fact = decompose_layer(CONV, weight, "cp", (rank,), seed=0)
             assert all(np.isfinite(a).all() for a in fact.weights.values())
             assert relative_error(fact.reconstruct(), weight) <= 1e-8
 
@@ -187,7 +187,7 @@ class TestCp:
         gen = np.random.default_rng(5)
         parts = [gen.standard_normal((s, 2)) for s in (3, 3, 8, 12)]
         weight = np.einsum("ir,jr,kr,lr->ijkl", *parts).astype(np.float32)
-        fact = cp_decompose(CONV, weight, (9,), seed=0)
+        fact = decompose_layer(CONV, weight, "cp", (9,), seed=0)
         best = max(range(len(sweeps)), key=lambda i: sweeps[i][0])
         assert best < len(sweeps) - 1
         factors = sweeps[best][1]
@@ -196,6 +196,29 @@ class TestCp:
         for name, arr in zip(names, want):
             assert fact.weights[name].tobytes() == \
                 np.ascontiguousarray(arr).tobytes(), name
+
+    def test_divergence_carries_the_best_factorization(self, monkeypatch):
+        payloads = []
+        update = _DivergenceGuard.update
+
+        def falling(self, fit, payload):
+            # every sweep after the first reports a fit drop of 1
+            payloads.append(payload)
+            return update(self, -float(len(payloads)), payload)
+
+        monkeypatch.setattr(_DivergenceGuard, "update", falling)
+        weight = conv_weight()
+        with pytest.raises(DecompositionError) as err:
+            decompose_layer(CONV, weight, "cp", (5,), seed=0)
+        assert len(payloads) == 1 + CP_DIVERGENCE_PATIENCE
+        best = err.value.best
+        assert isinstance(best, FactorizedLayer) and best.method == "cp"
+        assert best.reconstruct().shape == weight.shape
+        first = payloads[0]  # (K1, K2, C, F), the best fit
+        want = [first[2], first[0], first[1], first[3].T]
+        for sub, arr in zip(best.sub_layers, want):
+            assert best.weights[sub.name].tobytes() == \
+                np.ascontiguousarray(arr).tobytes(), sub.name
 
 
 def _decaying(gen, n, decay):
@@ -215,7 +238,7 @@ def decaying_conv(scale=8):
     return np.asarray(weight / np.linalg.norm(weight), dtype=np.float32)
 
 
-# rank -> (ALS sweeps, relative error) of cp_decompose on decaying_conv().
+# rank -> (ALS sweeps, relative error) of cp on decaying_conv().
 # They were recorded with an ALS that built the full Khatri-Rao product
 # and solved with pinv: a faster MTTKRP or Gram solve may move the error
 # by rounding, but a changed stop rule or update moves it further.
@@ -274,7 +297,7 @@ class TestCpAls:
             return mttkrp(part, factors, mode, big)
 
         monkeypatch.setattr(decompose, "_mttkrp", shared)
-        got = cp_decompose(layer, weight, (5,), seed=0)
+        got = decompose_layer(layer, weight, "cp", (5,), seed=0)
         # gemms first used in each sweep after the first ("parts" keeps
         # every gemm alive, so no id is reused)
         n_modes = weight.ndim
@@ -298,7 +321,7 @@ class TestCpAls:
 
         monkeypatch.setattr(decompose, "_mode_last", keep)
         monkeypatch.setattr(decompose, "_mttkrp", fresh)
-        want = cp_decompose(layer, weight, (5,), seed=0)
+        want = decompose_layer(layer, weight, "cp", (5,), seed=0)
         for name, arr in want.weights.items():
             assert got.weights[name].tobytes() == arr.tobytes(), name
 
@@ -343,7 +366,7 @@ class TestCpAls:
         layer = LayerDesc(name="conv", kind="conv2d", kernel=(3, 3),
                           in_channels=8, out_channels=16)
         weight = decaying_conv()
-        fact = cp_decompose(layer, weight, (rank,))
+        fact = decompose_layer(layer, weight, "cp", (rank,))
         want_sweeps, want_err = CP_PINS[rank]
         assert sweeps[0] == want_sweeps
         assert relative_error(fact.reconstruct(), weight) == \
@@ -356,7 +379,7 @@ class TestTt:
         errs = []
         for r in (1, 2, 4, 12):
             ranks = (min(r, 8), min(3 * r, 24), min(r, 12))
-            fact = tt_conv_decompose(CONV, weight, ranks)
+            fact = decompose_layer(CONV, weight, "tt", ranks)
             errs.append(relative_error(fact.reconstruct(), weight))
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
         assert errs[-1] < 1e-10
@@ -364,11 +387,11 @@ class TestTt:
     def test_box_bounded_ranks_construct(self):
         # ranks above the sequential SVD bound still give a valid chain
         weight = conv_weight()
-        fact = tt_conv_decompose(CONV, weight, (8, 20, 11))
+        fact = decompose_layer(CONV, weight, "tt", (8, 20, 11))
         assert fact.reconstruct().shape == weight.shape
 
     def test_chain_layout(self):
-        fact = tt_conv_decompose(CONV, conv_weight(), (2, 3, 4))
+        fact = decompose_layer(CONV, conv_weight(), "tt", (2, 3, 4))
         kinds = [d.kind for d in fact.sub_layers]
         assert kinds == ["conv2d"] * 4
         kernels = [d.kernel for d in fact.sub_layers]
@@ -378,17 +401,17 @@ class TestTt:
 class TestTucker2:
     def test_hooi_beats_or_matches_hosvd_init(self):
         weight = conv_weight()
-        fact = tucker2_decompose(CONV, weight, (3, 5))
+        fact = decompose_layer(CONV, weight, "tucker2", (3, 5))
         err = relative_error(fact.reconstruct(), weight)
         assert err < 1.0
 
     def test_core_shape(self):
-        fact = tucker2_decompose(CONV, conv_weight(), (3, 5))
+        fact = decompose_layer(CONV, conv_weight(), "tucker2", (3, 5))
         core = fact.weights[fact.sub_layers[1].name]
         assert core.shape == (3, 3, 3, 5)
 
 
-# ranks -> (HOOI sweeps, relative error) of tucker2_decompose on the
+# ranks -> (HOOI sweeps, relative error) of tucker2 on the
 # full-size decaying_conv(scale=1), at the benchmark's ladder shares 1/32,
 # 1/16, 1/8 and 1/4 of the (64, 128) rank bounds.  They were recorded
 # when every basis came from a full SVD: the Gram eigensolver may move
@@ -404,7 +427,7 @@ TUCKER2_PINS = {
 
 def _svd_hooi_error(weight, ranks):
     """Relative error of Tucker-2 HOOI with every basis taken from a
-    full SVD, with ``tucker2_decompose``'s initialization and stop rule."""
+    full SVD, with ``decompose._tucker2``'s initialization and stop rule."""
     w = np.asarray(weight, dtype=np.float64)
     c_mode, f_mode = w.ndim - 2, w.ndim - 1
 
@@ -447,7 +470,7 @@ class TestTucker2Hooi:
         layer = LayerDesc(name="conv", kind="conv2d", kernel=(3, 3),
                           in_channels=64, out_channels=128)
         weight = decaying_conv(scale=1)
-        fact = tucker2_decompose(layer, weight, ranks)
+        fact = decompose_layer(layer, weight, "tucker2", ranks)
         want_sweeps, want_err = TUCKER2_PINS[ranks]
         assert products[0] == 3 * want_sweeps  # three products per sweep
         err = relative_error(fact.reconstruct(), weight)
@@ -457,14 +480,14 @@ class TestTucker2Hooi:
 class TestT3f:
     def test_plan_shapes(self):
         weight = fc_weight()
-        fact = t3f_decompose(FC, weight, (4,), plan=((3, 6), (3, 5)))
+        fact = decompose_layer(FC, weight, "t3f", (4,), plan=((3, 6), (3, 5)))
         shapes = [fact.weights[d.name].shape for d in fact.sub_layers
                   if d.kind == "tt_core"]
         assert shapes == [(1, 3, 3, 4), (4, 6, 5, 1)]
 
     def test_full_rank_exact(self):
         weight = fc_weight()
-        fact = t3f_decompose(FC, weight, (9,), plan=((3, 6), (3, 5)))
+        fact = decompose_layer(FC, weight, "t3f", (9,), plan=((3, 6), (3, 5)))
         assert relative_error(fact.reconstruct(), weight) < 1e-10
 
 
@@ -528,6 +551,16 @@ class TestDispatcher:
             with pytest.raises(RankError):
                 decompose_layer(FC, fc_weight(), "t3f", (2,), plan=plan)
 
+    @pytest.mark.parametrize("method", [m for m in METHODS if m != "t3f"])
+    def test_a_plan_is_for_t3f_alone(self, method):
+        layer, make = ((CONV, conv_weight) if method in CONV_METHODS
+                       else (FC, fc_weight))
+        ranks = min_ranks(layer, method)
+        with pytest.raises(RankError):
+            cost_factorized(layer, method, ranks, plan=T3F_PLAN)
+        with pytest.raises(RankError):
+            decompose_layer(layer, make(), method, ranks, plan=T3F_PLAN)
+
     def test_weight_shape_guard(self):
         from lowrank.errors import ShapeError
         with pytest.raises(ShapeError):
@@ -582,7 +615,7 @@ class TestWholeBox:
         box = rank_bounds(TINY_CONV, "tucker2")
         for ranks in itertools.product(
                 *(range(lo, hi + 1) for lo, hi in box)):
-            fact = tucker2_decompose(TINY_CONV, weight, ranks)
+            fact = decompose_layer(TINY_CONV, weight, "tucker2", ranks)
             err = relative_error(fact.reconstruct(), weight)
             assert err <= _svd_hooi_error(weight, ranks) + 1e-12, ranks
 
@@ -905,7 +938,7 @@ class TestGramPath:
         layer = LayerDesc(name="g", kind="fc", in_channels=64,
                           out_channels=96)
         weight = _graded_fc(64, 96, 1e-14)
-        fact = svd_decompose(layer, weight, (60,))
+        fact = decompose_layer(layer, weight, "svd", (60,))
         s = np.linalg.svd(weight, compute_uv=False)
         oracle = np.sqrt(np.sum(s[60:] ** 2)) / np.linalg.norm(s)
         assert oracle < 1e-13
@@ -939,7 +972,8 @@ class TestGramPath:
         weight = np.random.default_rng(8).standard_normal(shape)
         s = np.linalg.svd(weight, compute_uv=False)
         for rank in (1, 5, min(shape)):
-            a, b = svd_decompose(layer, weight, (rank,)).weights.values()
+            fact = decompose_layer(layer, weight, "svd", (rank,))
+            a, b = fact.weights.values()
             cols, rows = np.linalg.norm(a, axis=0), np.linalg.norm(b, axis=1)
             assert cols == pytest.approx(rows, rel=1e-12)
             assert cols ** 2 == pytest.approx(s[:rank], rel=1e-10)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,17 @@ class TestEvaluators:
         model, weights = toy_net
         assert BuiltinEvaluator(toy_dataset)(model, weights) == 1.0
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.5, np.nan, np.inf, 10.0])
+    def test_builtin_rejects_labels_that_are_not_class_indices(
+            self, toy_net, toy_dataset, bad):
+        model, weights = toy_net
+        labels = np.array(toy_dataset[DATASET_LABELS])
+        labels[0] = bad
+        with warnings.catch_warnings(), pytest.raises(EvaluatorError):
+            warnings.simplefilter("error")
+            dse.builtin_eval_accuracy(model, weights,
+                                      toy_dataset[DATASET_INPUTS], labels)
+
     def _script(self, tmp_path, body):
         path = tmp_path / "eval.py"
         path.write_text("import sys\n" + body + "\n")
@@ -474,6 +486,7 @@ class TestSearchLoop:
         config = DseConfig(target_fraction=1.0, sample_count=4)
         with pytest.raises(ConstraintUnreachableError) as err:
             run_dse(model, weights, dataset, config, Scripted([1.0, 0.0]))
+        assert str(err.value).endswith("; frozen: c1; reverted: none")
         best_model, best_weights, audit = err.value.best
         assert len(audit) == 1
         assert audit[0]["layers"]["c1"]["ranks"] == [1, 1]
