@@ -57,6 +57,22 @@ def _int_tuple(text: str) -> tuple:
             from None
 
 
+def _percent_tuple(text: str) -> tuple:
+    """Comma-separated percents: ints where they parse as ints, so that
+    reports print them unchanged, floats otherwise."""
+    def number(part):
+        try:
+            return int(part)
+        except ValueError:
+            return float(part)
+    try:
+        return tuple(number(p) for p in text.replace("x", ",").split(",")
+                     if p)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number list: {text!r}") \
+            from None
+
+
 def _count(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -388,15 +404,24 @@ def cmd_hybrid(args) -> int:
     dataset = WeightStore.load(args.dataset)
     config = _dse_config(args)
     evaluator = _evaluator(args, dataset)
-    runs = {}
+    runs, unreachable = {}, {}
     for conv, fc in _parse_pairs(args.pairs):
         label = f"{conv}+{fc}"
-        runs[label] = run_dse(model, weights, dataset, config, evaluator,
-                              conv_method=conv, fc_method=fc)
+        try:
+            runs[label] = run_dse(model, weights, dataset, config, evaluator,
+                                  conv_method=conv, fc_method=fc)
+        except ConstraintUnreachableError as exc:
+            unreachable[label] = str(exc)
+    if len(runs) < 2:
+        raise LowRankError(
+            f"hybrid needs at least two finished pairs, {len(runs)} "
+            "finished; " + "; ".join(f"{label}: {message}" for label, message
+                                     in unreachable.items()))
     combined = hybrid_combine(runs, objective=args.objective)
     combined.final_accuracy = evaluator(combined.model, combined.weights)
     _write_dse_outputs(args, combined.model, combined.weights,
                        _audit_report(combined))
+    bound = combined.baseline_accuracy - config.accuracy_drop_limit
     report = {
         "objective": args.objective,
         "runs": {label: {
@@ -406,15 +431,20 @@ def cmd_hybrid(args) -> int:
                 run.layer_costs[n].get(args.objective)
                 for n in run.targets)}
             for label, run in runs.items()},
+        "unreachable": unreachable,
         "hybrid": {
             "accuracy": combined.final_accuracy,
+            "bound": bound,
+            "within_bound": combined.final_accuracy >= bound,
             "sources": combined.audit[0]["hybrid"],
             "objective_total": sum(
                 combined.layer_costs[n].get(args.objective)
                 for n in combined.targets)},
     }
     _emit(args, render_json(report),
-          f"hybrid total {report['hybrid']['objective_total']}\n")
+          f"hybrid total {report['hybrid']['objective_total']} accuracy "
+          f"{combined.final_accuracy:.4f} bound {bound:.4f} within_bound="
+          f"{report['hybrid']['within_bound']}\n")
     return 0
 
 
@@ -506,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="bucket solutions at target ratios")
     _add_layer_flags(p)
     p.add_argument("--method", type=_method, action="append", default=None)
-    p.add_argument("--ratios", type=_int_tuple, default=(25, 60, 85),
+    p.add_argument("--ratios", type=_percent_tuple, default=(25, 60, 85),
                    help="compression percentages, e.g. 25,60,85")
     p.add_argument("--objective", choices=OBJECTIVES, default="params")
     _add_common(p, "--tol", "--timings")

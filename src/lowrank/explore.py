@@ -25,7 +25,12 @@ closest to (1 - percent/100) * original, the smaller one on a tie, or
 none when even that value misses the target by more than
 tol * original.  The bucket holds every valid solution achieving
 exactly that value; ``census`` summarizes it and ``solutions_at_ratio``
-materializes it.
+materializes it.  Both read one table of valid cells per family
+(``_valid_cells``), built once per call and dropped with it.  In a cell
+with objective ``a + b * r`` (integers, b >= 1) the values nearest a
+target t sit at ranks ``near = (floor(t) - a) // b`` and ``near + 1``:
+floor(x / b) = floor(floor(x) / b) for every real x, so the integer
+division gives floor((t - a) / b) exactly, with no float rounding.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +51,7 @@ from .errors import RankError
 from .ir import LayerDesc
 
 DEFAULT_TOL = 0.005
+_VALUE_CAP = 2 ** 62  # above every cost value a rank grid holds
 
 
 @dataclass(frozen=True)
@@ -120,23 +127,25 @@ class _AffineFamily:
     """Costs of one rank family, affine in the innermost rank.
 
     Built from ``box``, the upper rank bounds of ``plans`` (a row each,
-    from ``_boxes``); a cell fixes every rank but the innermost.  Without
-    plans a method has one family over the open grid of its outer ranks;
-    t3f has one per depth, with flat, plan-major cells (``_plan_cells``)
-    and ``plan_index`` naming each cell's plan.  The closed forms are
-    evaluated once over all cells with the innermost rank at 0 and 1 on
-    a leading axis: ``base`` (the costs at rank 0) and ``slope`` (their
-    increase per rank) are CostReports of int64 arrays spanning all
-    cells, so a flat cell index addresses them and a metric at innermost
-    rank r is ``base + slope * r``.  ``last_bound`` is each cell's
-    innermost bound and ``valid_hi`` the largest innermost rank keeping
-    params and flops strictly below ``original`` (none if below 1).
+    from ``_boxes``, with the plans' ``modes``); a cell fixes every rank
+    but the innermost.  Without plans a method has one family over the
+    open grid of its outer ranks; t3f has one per depth, with flat,
+    plan-major cells (``_plan_cells``) and ``plan_index`` naming each
+    cell's plan.  The closed forms are evaluated once over all cells
+    with the innermost rank at 0 and 1 on a leading axis: ``base`` (the
+    costs at rank 0) and ``slope`` (their increase per rank) are
+    CostReports of int64 arrays spanning all cells, so a flat cell index
+    addresses them and a metric at innermost rank r is ``base + slope *
+    r``.  ``last_bound`` is each cell's innermost bound and ``valid_hi``
+    the largest innermost rank keeping params and flops strictly below
+    ``original`` (none if below 1).
     """
 
-    def __init__(self, layer, method, input_shape, original, box, plans):
+    def __init__(self, layer, method, input_shape, original, box, modes,
+                 plans):
         self.plans = plans
         if method == "t3f":
-            index, outer, last_bound, plan = _plan_cells(plans, box)
+            index, outer, last_bound, plan = _plan_cells(modes, box)
             self.shape = index.shape
         else:
             index, plan, last_bound = 0, None, box[0, -1]
@@ -165,52 +174,72 @@ class _AffineFamily:
                 tuple(int(ranks[idx]) for ranks in self.outer))
 
 
-def _plan_cells(plans: list, box: np.ndarray) -> tuple:
-    """Flat, plan-major cells of t3f ``plans`` of one depth and rank
-    box ``box``: each cell's index into ``plans``, its outer ranks (one
-    array per slot, row-major within the box), its innermost rank bound,
-    and the plan as per-cell mode-size arrays for ``closed_form``."""
+def _plan_cells(modes: np.ndarray, box: np.ndarray) -> tuple:
+    """Flat, plan-major cells of the t3f plans of one depth, given as
+    their (m.. n..) mode sizes ``modes`` (plans, 2 * depth) and rank box
+    ``box``: each cell's plan index, its outer ranks (one array per slot,
+    row-major within the box), its innermost rank bound, and the plan as
+    per-cell mode-size arrays for ``closed_form``."""
     sizes = box[:, :-1].prod(axis=1)
-    index = np.repeat(np.arange(len(plans)), sizes)
+    index = np.repeat(np.arange(len(modes)), sizes)
     local = np.arange(index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     outer = []
     for radix in box[index, :-1].T[::-1]:  # last rank slot varies fastest
         outer.insert(0, local % radix + 1)
         local = local // radix
-    modes = np.array([ms + ns for ms, ns in plans], dtype=np.int64)[index].T
-    depth = len(plans[0][0])
+    cells = modes[index].T
+    depth = modes.shape[1] // 2
     return (index, outer, box[index, -1],
-            (tuple(modes[:depth]), tuple(modes[depth:])))
+            (tuple(cells[:depth]), tuple(cells[depth:])))
 
 
 def _boxes(layer: LayerDesc, method: str):
-    """Lazily yield each family's plans and the upper bounds of their
-    rank boxes as an int64 (plans, slots) array (every lower bound is 1):
-    ``[None]`` and the one row of ``rank_bounds`` for a method without
-    plans, one ``tt_link_bounds`` call over m*n per t3f depth."""
+    """Lazily yield each family's plans, the upper bounds of their rank
+    boxes as an int64 (plans, slots) array (every lower bound is 1) and
+    the plans' (m.. n..) mode sizes as an int64 (plans, 2 * depth) array:
+    ``[None]``, the one row of ``rank_bounds`` and no modes for a method
+    without plans, one ``tt_link_bounds`` call over m*n per t3f depth."""
     require_method(layer, method)
     if method != "t3f":
-        yield [None], np.array([[hi for _, hi in rank_bounds(layer, method)]])
+        yield ([None], np.array([[hi for _, hi in rank_bounds(layer, method)]]),
+               None)
         return
     # t3f_plans lists its plans depth by depth
     for depth, group in itertools.groupby(t3f_plans(layer),
                                           key=lambda plan: len(plan[0])):
         plans = list(group)
-        modes = np.array([ms + ns for ms, ns in plans], dtype=np.int64).T
+        modes = np.array([ms + ns for ms, ns in plans], dtype=np.int64)
         yield plans, np.stack(tt_link_bounds(
-            tuple(modes[:depth] * modes[depth:])), axis=1)
+            tuple((modes[:, :depth] * modes[:, depth:]).T)), axis=1), modes
 
 
 def _families(layer: LayerDesc, method: str, input_shape=None):
     """Lazily yield the affine families covering the whole space of
     ``method``: one per t3f depth, one for every other method."""
     original = cost_original(layer, input_shape or default_input_shape(layer))
-    for plans, box in _boxes(layer, method):
-        yield _AffineFamily(layer, method, input_shape, original, box, plans)
+    for plans, box, modes in _boxes(layer, method):
+        yield _AffineFamily(layer, method, input_shape, original, box, modes,
+                            plans)
 
 
-def _valid_total(families) -> int:
-    return sum(int(np.maximum(fam.valid_hi, 0).sum()) for fam in families)
+class _Cells(NamedTuple):
+    """The valid cells of one family (``valid_hi >= 1``) for one
+    objective: their flat indices into the family, ``top`` (their
+    ``valid_hi``) and the objective's ``base`` and ``slope`` over them.
+    Every metric grows with the innermost rank, so each slope is at
+    least 1."""
+
+    family: _AffineFamily
+    flat: np.ndarray
+    top: np.ndarray
+    base: np.ndarray
+    slope: np.ndarray
+
+
+def _valid_cells(fam: _AffineFamily, objective: str) -> _Cells:
+    flat = np.flatnonzero(fam.valid_hi >= 1)
+    return _Cells(fam, flat, *(np.ravel(values)[flat] for values in (
+        fam.valid_hi, fam.base.get(objective), fam.slope.get(objective))))
 
 
 # -- public counting API ------------------------------------------------------
@@ -219,13 +248,14 @@ def _valid_total(families) -> int:
 def count_all(layer: LayerDesc, method: str) -> int:
     """Exploration-space size: the exact rank-box volume over all plans."""
     return sum(box.astype(object).prod(axis=1).sum()
-               for _, box in _boxes(layer, method))
+               for _, box, _ in _boxes(layer, method))
 
 
 def count_valid(layer: LayerDesc, method: str, input_shape=None) -> int:
     """Solutions with strictly fewer params and fewer flops than the
     original layer."""
-    return _valid_total(_families(layer, method, input_shape))
+    return sum(int(np.maximum(fam.valid_hi, 0).sum())
+               for fam in _families(layer, method, input_shape))
 
 
 def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
@@ -236,55 +266,63 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     """
     spans, total = {}, 0
     for fam in _families(layer, method, input_shape):
-        ok = fam.valid_hi >= 1
-        if not np.any(ok):
-            continue
-        top = fam.valid_hi[ok]
-        total += int(top.sum())
         for metric in OBJECTIVES:
-            a, b = fam.base.get(metric)[ok], fam.slope.get(metric)[ok]
-            lo, hi = spans.get(metric, (math.inf, -math.inf))
-            spans[metric] = (min(lo, int((a + b).min())),
-                             max(hi, int((a + b * top).max())))
+            cells = _valid_cells(fam, metric)
+            if cells.flat.size:
+                lo, hi = spans.get(metric, (math.inf, -math.inf))
+                spans[metric] = (
+                    min(lo, int((cells.base + cells.slope).min())),
+                    max(hi, int((cells.base + cells.slope * cells.top).max())))
+        total += int(cells.top.sum())
     if total == 0:
         raise RankError(f"{method}: no valid solutions for {layer.name}")
     spans["valid_count"] = total
     return spans
 
 
-def _bucket_value(families, original: CostReport, objective: str,
+def _bucket_value(tables, original: CostReport, objective: str,
                   percent: float, tol: float) -> int | None:
-    """The census bucket value at ``percent`` (see the module docstring)."""
-    if not tol >= 0:
-        raise RankError(f"tol must be non-negative, got {tol}")
-    if math.isnan(percent):
-        raise RankError("percent must be a number, got nan")
-    target = (1.0 - percent / 100.0) * original.get(objective)
-    best = None  # (distance, value)
-    for fam in families:
-        ok = fam.valid_hi >= 1
-        a, b = fam.base.get(objective)[ok], fam.slope.get(objective)[ok]
-        near = np.floor_divide(target - a, np.maximum(b, 1))
-        for r in (near, near + 1):
-            value = a + b * np.clip(r, 1, fam.valid_hi[ok]).astype(np.int64)
-            dist = np.abs(value - target)
-            if dist.size:
-                d = float(dist.min())
-                cand = (d, int(value[dist == d].min()))
-                best = cand if best is None else min(best, cand)
-    if best is None or best[0] > tol * original.get(objective):
+    """The census bucket value at ``percent`` over the valid-cell
+    ``tables`` of ``objective`` (see the module docstring)."""
+    if not 0 <= tol < math.inf:
+        raise RankError(f"tol must be non-negative and finite, got {tol}")
+    if not math.isfinite(percent):
+        raise RankError(f"percent must be a number and finite, got {percent}")
+    scale = original.get(objective)
+    target, reach = (1.0 - percent / 100.0) * scale, tol * scale
+    # valid values are positive, and below the original for params and
+    # flops; a valid point's overall memory may exceed the original's
+    ceiling = math.inf if objective == "overall_mem" else scale
+    if not -reach <= target <= ceiling + reach:
         return None
-    return best[1]
+    floor = math.floor(min(max(target, -1.0), _VALUE_CAP))
+    below, above = 0, _VALUE_CAP  # the nearest values <= and > target
+    for cells in tables:
+        r = np.clip((floor - cells.base) // cells.slope, 0, cells.top)
+        value = cells.base + cells.slope * r
+        below = max(below, int(np.max(value, where=r >= 1, initial=0)))
+        value += cells.slope
+        above = min(above, int(np.min(value, where=r < cells.top,
+                                      initial=_VALUE_CAP)))
+    candidates = [(target - below, below)] if below else []
+    if above < _VALUE_CAP:
+        candidates.append((above - target, above))
+    if not candidates or min(candidates)[0] > reach:
+        return None
+    return min(candidates)[1]
 
 
-def _bucket_members(fam: _AffineFamily, objective: str, value: int):
-    """(flat outer index, innermost rank) pairs achieving ``value``."""
-    num = value - fam.base.get(objective)
-    b_safe = np.maximum(fam.slope.get(objective), 1)
-    r = num // b_safe
-    ok = (num > 0) & (num % b_safe == 0) & (r >= 1) & (r <= fam.valid_hi)
-    flat = np.flatnonzero(ok)
-    return flat, np.ravel(r)[flat]
+def _bucket_members(cells: _Cells, value: int) -> tuple:
+    """The valid cells achieving ``value``: their flat indices into the
+    family, their innermost ranks and their flops."""
+    num = value - cells.base
+    r = num // cells.slope
+    hit = np.flatnonzero((r * cells.slope == num) & (r >= 1)
+                         & (r <= cells.top))
+    flat, ranks = cells.flat[hit], r[hit]
+    fam = cells.family
+    return (flat, ranks, np.ravel(fam.base.flops)[flat]
+            + np.ravel(fam.slope.flops)[flat] * ranks)
 
 
 def _solution(layer, method, plan, ranks, input_shape):
@@ -301,30 +339,29 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
     enumeration order on a tie).
     """
     t0 = time.perf_counter()
-    families = list(_families(layer, method, input_shape))
+    tables = [_valid_cells(fam, objective)
+              for fam in _families(layer, method, input_shape)]
     original = cost_original(layer, input_shape or default_input_shape(layer))
     report = SpaceCensus(method, count_all(layer, method),
-                         _valid_total(families), original)
+                         sum(int(cells.top.sum()) for cells in tables),
+                         original)
     for percent in percents:
-        value = _bucket_value(families, original, objective, percent, tol)
+        value = _bucket_value(tables, original, objective, percent, tol)
         bucket = BucketReport(percent=percent, value=value, count=0)
         report.buckets.append(bucket)
         if value is None:
             continue
-        members = [(fam, *_bucket_members(fam, objective, value))
-                   for fam in families]
-        flops = [np.ravel(fam.base.flops)[flat]
-                 + np.ravel(fam.slope.flops)[flat] * ranks
-                 for fam, flat, ranks in members]
-        every = np.concatenate(flops)
+        members = [_bucket_members(cells, value) for cells in tables]
+        every = np.concatenate([flops for *_, flops in members])
         bucket.count = every.size
         lo, hi = int(every.min()), int(every.max())
         bucket.flops_reduction_min = compression_ratio(original.flops, hi)
         bucket.flops_reduction_max = compression_ratio(original.flops, lo)
-        _, i = min((int(f.min()), i) for i, f in enumerate(flops) if f.size)
-        fam, flat, ranks = members[i]
-        pick = int(np.argmin(flops[i]))
-        plan, outer = fam.cell(int(flat[pick]))
+        _, i = min((int(flops.min()), i)
+                   for i, (*_, flops) in enumerate(members) if flops.size)
+        flat, ranks, flops = members[i]
+        pick = int(np.argmin(flops))
+        plan, outer = tables[i].family.cell(int(flat[pick]))
         bucket.best = _solution(layer, method, plan,
                                 outer + (int(ranks[pick]),), input_shape)
     report.generation_time = time.perf_counter() - t0
@@ -340,16 +377,17 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     lets a caller that asks at many percents build it once.
     """
     if families is None:
-        families = list(_families(layer, method, input_shape))
+        families = _families(layer, method, input_shape)
+    tables = [_valid_cells(fam, objective) for fam in families]
     original = cost_original(layer, input_shape or default_input_shape(layer))
-    value = _bucket_value(families, original, objective, percent, tol)
+    value = _bucket_value(tables, original, objective, percent, tol)
     if value is None:
         return []
     out = []
-    for fam in families:
-        flat, ranks = _bucket_members(fam, objective, value)
+    for cells in tables:
+        flat, ranks, _ = _bucket_members(cells, value)
         for i in range(len(flat)):
-            plan, outer = fam.cell(int(flat[i]))
+            plan, outer = cells.family.cell(int(flat[i]))
             out.append(_solution(layer, method, plan, outer + (int(ranks[i]),),
                                  input_shape))
     out.sort(key=lambda s: s.key())

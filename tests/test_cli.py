@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from lowrank import cli
 from lowrank.cli import main, parse_layer_spec
 from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc,
                         ModelDesc, WeightStore)
@@ -32,6 +33,34 @@ def saved_net(tmp_path):
     WeightStore({DATASET_INPUTS: x,
                  DATASET_LABELS: labels.astype(np.float32)}).save(data_path)
     return model_path, weight_path, data_path
+
+
+def one_conv_search_args(tmp_path, weight, rng, fails_on):
+    """Search arguments for a one-conv model (3x3, 3 -> 8 channels, relu)
+    with ``weight``, eight random inputs and an external evaluator that
+    scores 0 for a model whose JSON contains ``fails_on`` and 1 for any
+    other."""
+    layers = [LayerDesc(name="c1", kind="conv2d", kernel=(3, 3),
+                        in_channels=3, out_channels=8, post_ops=("a1",)),
+              LayerDesc(name="a1", kind="activation", fn="relu")]
+    model = ModelDesc(layers=layers, edges=[("c1", "a1")], input="c1",
+                      output="a1")
+    paths = {key: tmp_path / key for key in
+             ("model.json", "weights.lrfw", "data.lrfw", "eval.py")}
+    model.save(paths["model.json"])
+    WeightStore({"c1": weight.astype(np.float32)}).save(paths["weights.lrfw"])
+    WeightStore({
+        DATASET_INPUTS: rng.standard_normal((8, 6, 6, 3)).astype(np.float32),
+        DATASET_LABELS: (np.arange(8) % 4).astype(np.float32)},
+    ).save(paths["data.lrfw"])
+    paths["eval.py"].write_text(
+        "import sys\n"
+        f"print(0.0 if {fails_on!r} in open(sys.argv[1]).read() else 1.0)\n")
+    return ("--model", str(paths["model.json"]),
+            "--weights", str(paths["weights.lrfw"]),
+            "--dataset", str(paths["data.lrfw"]), "--samples", "4",
+            "--target-fraction", "1",
+            "--evaluator", sys.executable, str(paths["eval.py"]))
 
 
 class TestParsing:
@@ -99,6 +128,23 @@ class TestParsing:
                                      "--tol", tol)
         assert code == 1 and out == ""
         assert errtext.startswith("error: tol must be non-negative")
+
+    @pytest.mark.parametrize("ratio", ["inf", "-inf", "nan"])
+    def test_census_rejects_non_finite_ratios(self, capsys, ratio):
+        code, out, errtext = run_cli(capsys, "census", "--layer", "400,120",
+                                     f"--ratios=25,{ratio}")
+        assert code == 1 and out == ""
+        assert errtext.startswith("error: percent must be a number and "
+                                  "finite")
+
+    def test_census_far_ratio_gives_empty_buckets(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--layer", "400,120",
+                               "--ratios=1e300,-1e300,60.5")
+        assert code == 0
+        for entry in json.loads(out).values():
+            assert [(b["percent"], b["count"]) for b in entry["buckets"]][:2] \
+                == [(1e300, 0), (-1e300, 0)]
+            assert entry["buckets"][2]["percent"] == 60.5
 
     @pytest.mark.parametrize("argv,named", [
         (("analyze", "--layer", "3,3,8,16", "--stride", "0"), "stride"),
@@ -315,32 +361,14 @@ class TestSearchCommands:
         # a rank-one conv: its rank-one start is exact, so the layer freezes
         # at once, and an evaluator failing every factorized model leaves
         # the bound out of reach
-        layers = [LayerDesc(name="c1", kind="conv2d", kernel=(3, 3),
-                            in_channels=3, out_channels=8, post_ops=("a1",)),
-                  LayerDesc(name="a1", kind="activation", fn="relu")]
-        model = ModelDesc(layers=layers, edges=[("c1", "a1")], input="c1",
-                          output="a1")
         r = np.random.default_rng(2)
         w = np.einsum("ij,c,f->ijcf", r.standard_normal((3, 3)),
                       r.standard_normal(3), r.standard_normal(8))
         paths = {key: tmp_path / key for key in
-                 ("model.json", "weights.lrfw", "data.lrfw", "eval.py",
-                  "best.json", "best.lrfw", "audit.json")}
-        model.save(paths["model.json"])
-        WeightStore({"c1": w.astype(np.float32)}).save(paths["weights.lrfw"])
-        WeightStore({
-            DATASET_INPUTS: r.standard_normal((8, 6, 6, 3)).astype(np.float32),
-            DATASET_LABELS: (np.arange(8) % 4).astype(np.float32)},
-        ).save(paths["data.lrfw"])
-        paths["eval.py"].write_text(
-            "import sys\n"
-            "print(0.0 if '.lrf' in open(sys.argv[1]).read() else 1.0)\n")
+                 ("best.json", "best.lrfw", "audit.json")}
         code, out, errtext = run_cli(
-            capsys, "dse", "--model", str(paths["model.json"]),
-            "--weights", str(paths["weights.lrfw"]),
-            "--dataset", str(paths["data.lrfw"]), "--samples", "4",
-            "--target-fraction", "1",
-            "--evaluator", sys.executable, str(paths["eval.py"]),
+            capsys, "dse",
+            *one_conv_search_args(tmp_path, w, r, fails_on=".lrf"),
             "--out-model", str(paths["best.json"]),
             "--out-weights", str(paths["best.lrfw"]),
             "--out-audit", str(paths["audit.json"]))
@@ -387,6 +415,64 @@ class TestSearchCommands:
         assert payload["hybrid"]["objective_total"] <= \
             min(r["objective_total"] for r in runs.values())
         assert payload["hybrid"]["accuracy"] is not None
+        # the dataset's labels are the model's own, so the baseline is 1
+        assert payload["hybrid"]["bound"] == 1.0 - 0.5
+        assert payload["hybrid"]["within_bound"] is (
+            payload["hybrid"]["accuracy"] >= 0.5)
+        assert payload["unreachable"] == {}
+
+    def test_hybrid_reports_a_hybrid_below_the_bound(self, capsys, saved_net,
+                                                      monkeypatch):
+        # every run meets the bound at once; the combined model scores 0.5
+        combined = []
+        combine = cli.hybrid_combine
+
+        def counted(*args, **kwargs):
+            combined.append(True)
+            return combine(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "hybrid_combine", counted)
+        monkeypatch.setattr(cli, "_evaluator", lambda args, dataset: (
+            lambda model, weights: 0.5 if combined else 1.0))
+        model_path, weight_path, data_path = saved_net
+        code, out, _ = run_cli(
+            capsys, "hybrid", "--model", str(model_path),
+            "--weights", str(weight_path), "--dataset", str(data_path),
+            "--samples", "16", "--pairs", "tucker2:svd,tt:qr")
+        assert code == 0
+        hybrid = json.loads(out)["hybrid"]
+        assert (hybrid["accuracy"], hybrid["bound"],
+                hybrid["within_bound"]) == (0.5, 1.0 - 0.015, False)
+
+    def test_hybrid_keeps_the_pairs_that_finish(self, capsys, tmp_path):
+        # a rank-one weight: every method's rank-one start is exact; the
+        # evaluator fails cp's depthwise chain, whose layer freezes at once
+        r = np.random.default_rng(2)
+        w = np.einsum("i,j,c,f->ijcf", *(r.standard_normal(n)
+                                         for n in (3, 3, 3, 8)))
+        search = one_conv_search_args(tmp_path, w, r,
+                                      fails_on="depthwise_conv")
+        audit = tmp_path / "audit.json"
+        code, out, errtext = run_cli(
+            capsys, "hybrid", *search, "--pairs", "tucker2:svd,cp:svd,tt:svd",
+            "--out-audit", str(audit))
+        assert code == 0 and errtext == ""
+        payload = json.loads(out)
+        assert set(payload["runs"]) == {"tucker2+svd", "tt+svd"}
+        assert payload["unreachable"] == {
+            "cp+svd": "accuracy 0.0000 never reached baseline 1.0000 - "
+                      "0.015; frozen: c1; reverted: none"}
+        assert payload["hybrid"]["sources"]["c1"]["source"] in payload["runs"]
+        assert payload["hybrid"]["within_bound"] is True
+        assert audit.exists()
+        # one pair finishing is too few to combine
+        code, out, errtext = run_cli(
+            capsys, "hybrid", *search, "--pairs", "tucker2:svd,cp:svd")
+        assert code == 1 and out == ""
+        assert errtext == (
+            "error: hybrid needs at least two finished pairs, 1 finished; "
+            "cp+svd: accuracy 0.0000 never reached baseline 1.0000 - 0.015; "
+            "frozen: c1; reverted: none\n")
 
 
 class TestScoreAndBreakdown:

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,83 @@ T3F_CENSUS_PINS = {
         "25b7eb9cbb24f9607ab4208031e6f44ecdd54c0024f02e70789cd2a07be5e877",
 }
 
+# the same digest for the conv methods on the benchmark conv layers, per
+# method, layer and objective
+CONV_CENSUS_PINS = {
+    ("tucker2", "L1", "params"):
+        "c5c736ef7ad324d20e3a9d2d0f854945d443c5d63ca6b56cc81a2a15cc190589",
+    ("tucker2", "L1", "flops"):
+        "2055f938da26c4a86ce713372247e74b86137b83f1c3c0084398814a640aefea",
+    ("tucker2", "L2", "params"):
+        "279d38979093f0cec64b73f5dc9225741dc2951d58e85b0425aad903aa6884e6",
+    ("tucker2", "L2", "flops"):
+        "10013ee3c41157e74270daf830c1dea844ad8f285ea50b2501e9cb4232f56d1f",
+    ("tucker2", "L3", "params"):
+        "d93e87dbca1af3fc8ef733a0f8763768615bef0810121c01a3e451e4cec0d7d1",
+    ("tucker2", "L3", "flops"):
+        "32b9395999bbc35062d544170cf45f96ec17718b0facaed3cec83f7d7c1395c4",
+    ("tucker2", "L4", "params"):
+        "490ce6b5e8a09fffe9ce662214cee3da3f6878c318eae94c7512a0e3894e938e",
+    ("tucker2", "L4", "flops"):
+        "0018409b228f3ec8f8dc217f3facce0fa7a4cff85ebce5d1a09b736e72f46228",
+    ("tucker2", "L5", "params"):
+        "34f5bbe7ac3c0302a388a76f97da05efab61cba7fa185fa9aa2ed6498b3e102f",
+    ("tucker2", "L5", "flops"):
+        "412dabf99090adcd8f233800ecaf2e6e186937724c0dd1a9a5210f8a155af8c1",
+    ("tucker2", "L6", "params"):
+        "5e59997a5b839c27fd7ae4a6a2520404a833d251ca9dab98c0b207930cc7f345",
+    ("tucker2", "L6", "flops"):
+        "e190e68cab04caf436614123fd1868aadcace310576c4c411393334173068a32",
+    ("cp", "L1", "params"):
+        "41a4d7857235d3622ab8252e7cd36d642a020a3478b21cec71b5b41f42de5385",
+    ("cp", "L1", "flops"):
+        "337585c9afc93bc9180558f8410b06cfe50f3bfc75e08e1bba23c44acb916181",
+    ("cp", "L2", "params"):
+        "67d20ef6c4e8b67c7e1897b688dd6a5b3d5a5e5b0377a9b2e1af027ddedf507e",
+    ("cp", "L2", "flops"):
+        "0effc9729f921a7970a48174575215318444e8e9defb8dc0433ea6bb2e54e5d1",
+    ("cp", "L3", "params"):
+        "f47e8b4f1aaf8f92b1ee2ed39afcf6a0061fe0378a6ebd112e3a97f710510439",
+    ("cp", "L3", "flops"):
+        "355d5627d1f877adfcd9ab8e31ce3c51705102bbec4e9432ca48c36683c30711",
+    ("cp", "L4", "params"):
+        "df3f8996fa124967cac4da49d0fe51c9469f563c2d5b3e9e9e95080b15b9df24",
+    ("cp", "L4", "flops"):
+        "4d084a9935ecc6725ce0cf1a9f51c53a0075901239dd6b07146ffd0c406506f8",
+    ("cp", "L5", "params"):
+        "73ddac4c36499e2738a8961422126b7aa516d3dcdc91f374ce8b5a5c2f9e9e80",
+    ("cp", "L5", "flops"):
+        "122ce17feb96921faaaf489af7d15e2c45ab055982e07e6b59cccca9ce667eb9",
+    ("cp", "L6", "params"):
+        "21d121932ce5318378924f09e39bf5929aa0fd38eb162c316179278351491060",
+    ("cp", "L6", "flops"):
+        "5049d62a834b3f3505a1d18f11c9acaf3831a96c4cda925c732d5ae403998789",
+    ("tt", "L1", "params"):
+        "312b35b11e5a9aad9211a0b98bc7f5a7b35da46e568a4975fc07933732ce9f35",
+    ("tt", "L1", "flops"):
+        "8fa5d642274db7bea0fb3bc1f0aed55fe42c4e4e6b1e02c28b7376697e9b550e",
+    ("tt", "L2", "params"):
+        "dad83f3c45e9523c2ae3d108989d03ebb4b7e756deb7be533bb6fb8384881304",
+    ("tt", "L2", "flops"):
+        "ac78e145551acf46fe72b027fe704238031120bd40882ed3e4af8f071b90f80a",
+    ("tt", "L3", "params"):
+        "ccbb77e6bff0558d2c792344e72e45c3ec00b32367192a5da292a6b20d929390",
+    ("tt", "L3", "flops"):
+        "4e9668d43cdeca4e5246f54cf95f92d94b1509a6403875b38985985a350bb84f",
+    ("tt", "L4", "params"):
+        "a1d5ab230d2d778010197dd94cf856c35d5e4787cf34745e7987d229be7733fe",
+    ("tt", "L4", "flops"):
+        "9a06ab8dbd2d551b392b80f7126c09752f2f1c643d0f05b88a0b28f5afd9623c",
+    ("tt", "L5", "params"):
+        "176d1183499208694da8760c8f5a597d9ed439b5756941e4c1227af5454ec94e",
+    ("tt", "L5", "flops"):
+        "f049e1558919fc960a25fac7dcd99ab27f4aa66f99797b5c5f8f3904e3bacad0",
+    ("tt", "L6", "params"):
+        "782e433593765f2621cdb42d1cc155eac98e368ad68295ed7a76ea899feeb3bb",
+    ("tt", "L6", "flops"):
+        "861c04f967bda8d9117b45454bc6b3f258a55facadbe48f002c762c82da37d9c",
+}
+
 # small fc layers for brute-force t3f checks: depth-2 and depth-3 plans,
 # depth-2 plans only, and no plan at all (7 is prime)
 SMALL_FCS = {"12x8": fc(12, 8), "4x6": fc(4, 6), "7x5": fc(7, 5)}
@@ -148,13 +227,26 @@ def brute_force_bucket(layer, points, percent, objective, tol, shape=None):
     return value, members, best, span
 
 
-def check_census_against_brute_force(layer, method, shape, objective):
+def census_digest(layer, method, objective):
+    """sha256 of the sorted-key JSON of the census report at 25 / 60 / 85
+    percent, without its generation time."""
+    report = census(layer, method, (25, 60, 85),
+                    objective=objective).to_dict()
+    del report["generation_time"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()) \
+        .hexdigest()
+
+
+def check_census_against_brute_force(layer, method, shape, objective,
+                                     points=None,
+                                     percents=tuple(range(0, 100, 5)) + (99,),
+                                     tols=(DEFAULT_TOL, 0.05)):
     """``census`` and ``solutions_at_ratio`` agree with
-    ``brute_force_bucket`` at every fifth percent and 99, at two
-    tolerances."""
-    points = brute_force_points(layer, method, shape)
-    percents = tuple(range(0, 100, 5)) + (99,)
-    for tol in (DEFAULT_TOL, 0.05):
+    ``brute_force_bucket`` at ``percents`` (every fifth percent and 99 by
+    default) and ``tols``; ``points`` are the space's brute-force points."""
+    if points is None:
+        points = brute_force_points(layer, method, shape)
+    for tol in tols:
         result = census(layer, method, percents, objective=objective,
                         tol=tol, input_shape=shape)
         assert result.all_count == len(points)
@@ -178,6 +270,37 @@ def check_census_against_brute_force(layer, method, shape, objective):
                     bucket.best.cost) == best, where
             assert (bucket.flops_reduction_min,
                     bucket.flops_reduction_max) == span, where
+
+
+def percent_hitting(original, target):
+    """A percent whose census target ``(1 - percent/100) * original`` is
+    exactly ``target`` in floating point, or None."""
+    percent = 100.0 * (1.0 - target / original)
+    for _ in range(16):
+        got = (1.0 - percent / 100.0) * original
+        if got == target:
+            return percent
+        # a larger percent means a smaller target
+        percent = math.nextafter(percent, math.inf if got > target
+                                 else -math.inf)
+    return None
+
+
+def tie_percents(layer, points, objective, shape=None):
+    """Percents whose target is exactly a valid value, and exactly
+    midway between two consecutive valid values, with the value the
+    census must pick at each: the value itself, the smaller one on the
+    tie.  At most about a dozen of each, spread over the values."""
+    original = cost_original(layer, shape or default_input_shape(layer))
+    orig_value = original.get(objective)
+    values = sorted({cost.get(objective) for *_, cost, ok in points if ok})
+    every = max(1, len(values) // 12)
+    targets = [(value, value) for value in values[::every]]
+    targets += [((lo + hi) / 2, lo)
+                for lo, hi in zip(values[::every], values[1::every])]
+    return [(percent, value) for percent, value in
+            ((percent_hitting(orig_value, target), value)
+             for target, value in targets) if percent is not None]
 
 
 class TestCounts:
@@ -206,6 +329,18 @@ class TestCounts:
             assert count_all(layer, "t3f") == len(points), name
             assert count_valid(layer, "t3f") == sum(
                 ok for *_, ok in points), name
+
+    @pytest.mark.parametrize("name", [*sorted(BENCH), *sorted(SMALL_CONVS),
+                                      *sorted(SMALL_FCS)])
+    def test_every_metric_grows_with_the_innermost_rank(self, name):
+        # the integer nearest rank of a census divides by the slope
+        layer, shape = SMALL_CONVS.get(name) or (
+            BENCH.get(name) or SMALL_FCS[name], None)
+        for method in (m for m in ALL_COUNTS if method_applies(layer, m)):
+            for fam in explore._families(layer, method, shape):
+                for metric in ("params", "flops", "overall_mem"):
+                    assert fam.base.get(metric).min(initial=0) >= 0
+                    assert fam.slope.get(metric).min(initial=1) >= 1
 
     def test_all_count_is_exact_past_int64(self):
         layer = conv((3, 3, 3), 65536, 65536)
@@ -250,12 +385,14 @@ class TestBounds:
     def test_box_rows_are_plan_rank_bounds(self, name):
         layer = BENCH.get(name) or SMALL_FCS.get(name)
         boxes = list(explore._boxes(layer, "t3f"))
-        assert [p for plans, _ in boxes for p in plans] == t3f_plans(layer)
-        for plans, box in boxes:
+        assert [p for plans, *_ in boxes for p in plans] == t3f_plans(layer)
+        for plans, box, modes in boxes:
             assert box.dtype == np.int64 and box.shape[0] == len(plans)
             assert box.tolist() == [
                 [hi for _, hi in rank_bounds(layer, "t3f", plan)]
                 for plan in plans]
+            assert modes.dtype == np.int64
+            assert modes.tolist() == [list(ms + ns) for ms, ns in plans]
 
     def test_rank_bounds_are_python_ints(self):
         for layer, method, plan in (
@@ -365,12 +502,13 @@ class TestCensus:
     @pytest.mark.parametrize("key", ["F1", "F2", "F3"])
     @pytest.mark.parametrize("objective", ["params", "flops"])
     def test_t3f_reports_pinned(self, key, objective):
-        report = census(BENCH[key], "t3f", (25, 60, 85),
-                        objective=objective).to_dict()
-        del report["generation_time"]
-        digest = hashlib.sha256(
-            json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == T3F_CENSUS_PINS[key, objective]
+        assert census_digest(BENCH[key], "t3f", objective) == \
+            T3F_CENSUS_PINS[key, objective]
+
+    @pytest.mark.parametrize("method, key, objective", sorted(CONV_CENSUS_PINS))
+    def test_conv_reports_pinned(self, method, key, objective):
+        assert census_digest(BENCH[key], method, objective) == \
+            CONV_CENSUS_PINS[method, key, objective]
 
     @pytest.mark.parametrize("name", sorted(SMALL_FCS))
     @pytest.mark.parametrize("objective", ["params", "flops", "overall_mem"])
@@ -384,6 +522,45 @@ class TestCensus:
         layer, shape = SMALL_CONVS[geometry]
         for objective in ("params", "flops", "overall_mem"):
             check_census_against_brute_force(layer, method, shape, objective)
+
+    @pytest.mark.parametrize("geometry", sorted(SMALL_CONVS))
+    @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
+    def test_targets_above_the_original_against_brute_force(self, method,
+                                                            geometry):
+        # a valid point may hold more overall memory than the original
+        # layer, so a negative percent can fill an overall_mem bucket
+        layer, shape = SMALL_CONVS[geometry]
+        points = brute_force_points(layer, method, shape)
+        for objective in ("params", "flops", "overall_mem"):
+            check_census_against_brute_force(
+                layer, method, shape, objective, points,
+                (-170, -100, -50, -10, -5, -1, -0.5))
+
+    @pytest.mark.parametrize("space", [
+        *(f"{method}:{geometry}" for method in ("tucker2", "cp", "tt")
+          for geometry in sorted(SMALL_CONVS)),
+        *(f"t3f:{name}" for name in sorted(SMALL_FCS))])
+    def test_exact_and_midway_targets_against_brute_force(self, space):
+        # a target on a valid value picks it; a target midway between two
+        # consecutive valid values picks the smaller one
+        method, name = space.split(":")
+        layer, shape = SMALL_CONVS.get(name) or (SMALL_FCS[name], None)
+        points = brute_force_points(layer, method, shape)
+        for objective in ("params", "flops", "overall_mem"):
+            picks = tie_percents(layer, points, objective, shape)
+            if not any(ok for *_, ok in points):
+                assert picks == []
+                continue
+            assert picks, objective
+            percents = [percent for percent, _ in picks]
+            # a tolerance wide enough that every bucket is filled
+            tols = (1.0,)
+            check_census_against_brute_force(layer, method, shape, objective,
+                                             points, percents, tols)
+            got = census(layer, method, percents, objective=objective,
+                         tol=1.0, input_shape=shape)
+            assert [b.value for b in got.buckets] == \
+                [value for _, value in picks], objective
 
     def test_t3f_best_breaks_ties_in_plan_order(self):
         # three members share the fewest flops: two depth-2 plans and a
@@ -413,6 +590,51 @@ class TestCensus:
     def test_nan_percent_raises(self):
         with pytest.raises(RankError, match="percent must be a number"):
             census(BENCH["L2"], "tucker2", (60, float("nan")))
+
+    @pytest.mark.parametrize("percent", [math.inf, -math.inf, math.nan])
+    def test_non_finite_percent_raises(self, percent):
+        for layer, method in ((BENCH["L2"], "tt"), (BENCH["F1"], "t3f")):
+            with pytest.raises(RankError, match="percent must be a number "
+                                                "and finite"):
+                census(layer, method, (60, percent))
+            with pytest.raises(RankError, match="percent must be a number "
+                                                "and finite"):
+                solutions_at_ratio(layer, method, percent)
+
+    def test_infinite_tolerance_raises(self):
+        for layer, method in ((BENCH["L2"], "tt"), (BENCH["F1"], "t3f")):
+            with pytest.raises(RankError, match="tol must be non-negative "
+                                                "and finite"):
+                census(layer, method, (60,), tol=math.inf)
+            with pytest.raises(RankError, match="tol must be non-negative "
+                                                "and finite"):
+                solutions_at_ratio(layer, method, 60, tol=math.inf)
+
+    @pytest.mark.parametrize("percent", [1e300, -1e300, 1e6, -1e6, 201])
+    @pytest.mark.parametrize("objective", ["params", "flops", "overall_mem"])
+    def test_far_percent_gives_an_empty_bucket(self, percent, objective):
+        # the target lies farther than tol * original from every valid value
+        for layer, method in ((BENCH["L2"], "tt"), (BENCH["F1"], "t3f"),
+                              (BENCH["L6"], "cp")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bucket, = census(layer, method, (percent,),
+                                 objective=objective).buckets
+                members = solutions_at_ratio(layer, method, percent,
+                                             objective)
+            assert (bucket.value, bucket.count, bucket.best) == \
+                (None, 0, None)
+            assert members == []
+
+    def test_wide_tolerance_reaches_the_extremes(self):
+        # with tol finite but huge, a far target still takes the nearest
+        # valid value: the smallest one below, the largest one above
+        layer = BENCH["L6"]
+        spans = valid_extremes(layer, "tt")
+        for percent, value in ((1e300, spans["params"][0]),
+                               (-1e300, spans["params"][1])):
+            bucket, = census(layer, "tt", (percent,), tol=1e303).buckets
+            assert bucket.value == value and bucket.count >= 1
 
 
 class TestIterSolutions:
