@@ -12,21 +12,25 @@ the conv methods take an ungrouped conv, the fc methods an fc layer.
 ``default_plan`` is the t3f plan used when a caller names none.
 
 The rank box of ``rank_bounds`` decides which ranks a method admits
-on a layer.  The closed forms per factorization method are the only
-cost formulas of the package.  ``cost_factorized`` checks its ranks
-against the box and evaluates them; they agree exactly, integer for
-integer, with summing ``cost_original`` over the factorized sub-layer
-chain that ``decompose.chain_descs`` constructs.  ``closed_form``
-evaluates them unchecked on integer rank arrays that broadcast, which
-is how ``explore`` derives the affine rank families it counts on.
-The t3f closed form also broadcasts over per-cell plan mode sizes:
-the entries of ``ms`` and ``ns`` may be int64 arrays, one value per
-cell, so one evaluation covers many plans of the same depth.  So does
-``tt_link_bounds``, the one TT link rule: it bounds one plan for
-``rank_bounds`` or every plan of a depth for ``explore``.
-Integer factors are multiplied before rank arrays and sums are
-rebound, so an array evaluation costs few array operations and
-broadcasts freely.
+on a layer.  ``chain_stages`` states once what a method factors a
+layer into: the weighted stages of its chain, each given by its
+channel links (a conv stage also by the axis its window covers, a t3f
+core by its mode sizes).  ``decompose.chain_descs`` names those stages
+as layers, and ``closed_form`` walks them, costing each stage as
+``cost_original`` costs its layer kind; that walk is the only cost
+formula of a factorized layer.  ``cost_factorized`` checks its ranks
+against the box and walks them; it agrees exactly, integer for
+integer, with ``cost_chain`` over ``chain_descs``, which sums the
+independent per-kind rule ``cost_original``.  ``closed_form`` also
+walks integer rank arrays that broadcast, which is how ``explore``
+derives the affine rank families it counts on.  The t3f walk also
+broadcasts over per-cell plan mode sizes: the entries of ``ms`` and
+``ns`` may be int64 arrays, one value per cell, so one walk covers
+many plans of the same depth.  So does ``tt_link_bounds``, the one TT
+link rule: it bounds one plan for ``rank_bounds`` or every plan of a
+depth for ``explore``.  Integer factors are multiplied before rank
+arrays and sums are rebound, so an array walk costs few array
+operations and broadcasts freely.
 """
 
 from __future__ import annotations
@@ -282,127 +286,97 @@ def default_plan(layer: LayerDesc, method: str):
     return plans[0]
 
 
-# -- closed forms per method -----------------------------------------------
+# -- the factorized chains ---------------------------------------------------
+
+WHOLE_KERNEL = "whole kernel"  # the axis of a stage with the layer's window
 
 
-def _conv_geometry(layer: LayerDesc, input_shape: tuple):
-    """Per-axis input and output extents for a conv layer."""
-    if input_shape is None:
-        input_shape = default_input_shape(layer)
-    input_shape = tuple(input_shape)
-    return input_shape[:-1], layer.out_shape([input_shape])[:-1]
+def chain_stages(layer: LayerDesc, method: str, ranks: tuple,
+                 plan: tuple = None) -> list:
+    """The weighted stages ``method`` factors ``layer`` into at ``ranks``,
+    in chain order: the one statement of every factorized chain.
 
-
-def _stagewise_conv_cost(channel_pairs, kernels, positions):
-    """Cost of a chain of dense conv stages.
-
-    ``channel_pairs`` is a list of (c_in, c_out), ``kernels`` the window
-    size of each stage, ``positions`` the output-position count of each
-    stage.  Depthwise stages pass c_in = 1 with c_out = channel count.
+    A conv method gives ``(axis, c_in, c_out)`` per stage: a pointwise
+    reduce (axis None), the middle stages, a pointwise expand.  Tucker-2
+    has one middle stage, a dense core with the layer's whole window
+    (axis ``WHOLE_KERNEL``); CP and TT have one stage per spatial axis,
+    with that axis's kernel and stride alone, depthwise for CP (c_in and
+    c_out both the rank) and dense for TT.  svd and qr give their two fc
+    stages ``(c_in, c_out)``; t3f gives ``(m, n, r_in, r_out)`` per core
+    of the TT-matrix over ``plan``.  Ranks and mode sizes may be int64
+    arrays that broadcast.
     """
-    params = flops = fm = 0
-    for (cin, cout), window, pos in zip(channel_pairs, kernels, positions):
-        links = cin * cout
-        params = params + window * links
-        flops = flops + 2 * pos * window * links
-        fm = fm + pos * cout
-    return CostReport(params, flops, fm)
-
-
-def cost_tucker2(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> CostReport:
-    """Pointwise reduce, spatial core conv, pointwise expand."""
-    (r1, r2) = ranks
-    spatial_in, spatial_out = _conv_geometry(layer, input_shape)
     c, f = layer.in_channels, layer.out_channels
-    pos_in, pos_out = math.prod(spatial_in), math.prod(spatial_out)
-    return _stagewise_conv_cost(
-        [(c, r1), (r1, r2), (r2, f)],
-        [1, math.prod(layer.kernel), 1],
-        [pos_in, pos_out, pos_out])
-
-
-def _axiswise_conv_cost(layer: LayerDesc, channel_pairs,
-                        input_shape: tuple = None) -> CostReport:
-    """Pointwise reduce, one single-axis stage per spatial axis, pointwise
-    expand; ``channel_pairs`` gives the (c_in, c_out) of each stage."""
-    spatial_in, spatial_out = _conv_geometry(layer, input_shape)
-    # Spatial extents shrink axis by axis as the single-axis stages apply;
-    # the expand stage runs at the output positions.
-    extents = list(spatial_in)
-    positions = [math.prod(extents)]
-    for axis, extent in enumerate(spatial_out):
-        extents[axis] = extent
-        positions.append(math.prod(extents))
-    positions.append(positions[-1])
-    return _stagewise_conv_cost(channel_pairs, (1, *layer.kernel, 1),
-                                positions)
-
-
-def cost_cp(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> CostReport:
-    """Pointwise reduce, one depthwise stage per spatial axis, expand."""
-    (r,) = ranks
-    pairs = [(layer.in_channels, r), *[(1, r)] * len(layer.kernel),
-             (r, layer.out_channels)]
-    return _axiswise_conv_cost(layer, pairs, input_shape)
-
-
-def cost_tt_conv(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> CostReport:
-    """Pointwise reduce, one dense single-axis stage per spatial axis,
-    pointwise expand; ranks has one entry per internal link."""
-    links = (layer.in_channels, *ranks, layer.out_channels)
-    return _axiswise_conv_cost(layer, zip(links, links[1:]), input_shape)
-
-
-def cost_svd(layer: LayerDesc, ranks: tuple, input_shape: tuple = None) -> CostReport:
-    (r,) = ranks
-    m, n = layer.in_channels, layer.out_channels
-    return CostReport((m + n) * r, 2 * (m + n) * r, r + n)
-
-
-cost_qr = cost_svd  # identical factor shapes, different construction
-
-
-def cost_t3f(layer: LayerDesc, ranks: tuple, input_shape: tuple = None,
-             plan: tuple = None) -> CostReport:
-    """TT-matrix chain over a factorization plan.
-
-    ``plan`` is ``(ms, ns)`` with ``prod(ms) == M`` and ``prod(ns) ==
-    N``; ``ranks`` are the d-1 internal link ranks (the outer two are
-    fixed to 1).  Mode sizes may be int64 arrays that broadcast with
-    the ranks.
-    """
-    ms, ns = plan
-    d = len(ms)
-    full = (1,) + tuple(ranks) + (1,)
-    params = flops = fm = 0
-    for t in range(1, d + 1):
-        z_cols = math.prod(ms[t:]) * math.prod(ns[:t])  # z elements per rank
-        links = full[t - 1] * full[t]
-        params = params + ms[t - 1] * ns[t - 1] * links
-        flops = flops + 2 * ms[t - 1] * z_cols * links
-        fm = fm + z_cols * full[t]
-    return CostReport(params, flops, fm)
-
-
-_COST_FUNCS = {
-    "tucker2": cost_tucker2,
-    "cp": cost_cp,
-    "tt": cost_tt_conv,
-    "svd": cost_svd,
-    "qr": cost_qr,
-}
+    if method == "tucker2":
+        r1, r2 = ranks
+        return [(None, c, r1), (WHOLE_KERNEL, r1, r2), (None, r2, f)]
+    if method == "cp":
+        (r,) = ranks
+        return [(None, c, r),
+                *[(axis, r, r) for axis in range(len(layer.kernel))],
+                (None, r, f)]
+    if method == "tt":
+        links = (c, *ranks, f)
+        return list(zip((None, *range(len(layer.kernel)), None), links,
+                        links[1:]))
+    if method in ("svd", "qr"):
+        (r,) = ranks
+        return [(c, r), (r, f)]
+    if method == "t3f":
+        ms, ns = plan
+        full = (1, *ranks, 1)
+        return list(zip(ms, ns, full, full[1:]))
+    raise RankError(f"unknown method {method!r}")
 
 
 def closed_form(layer: LayerDesc, method: str, ranks: tuple,
                 input_shape: tuple = None, plan: tuple = None) -> CostReport:
-    """Closed-form cost of ``method`` at ``ranks``, without rank checks.
+    """Cost of ``method`` at ``ranks``, walking ``chain_stages`` without
+    rank checks.
 
-    The ranks may be integer numpy arrays that broadcast against each
-    other; every field of the report then has their broadcast shape.
+    The ranks (and t3f's mode sizes) may be integer numpy arrays that
+    broadcast against each other; every field of the report then has
+    their broadcast shape.
     """
+    stages = chain_stages(layer, method, ranks, plan)
+    params = flops = fm = 0
     if method == "t3f":
-        return cost_t3f(layer, ranks, input_shape, plan)
-    return _COST_FUNCS[method](layer, ranks, input_shape)
+        rows = layer.in_channels  # rows of the partial product
+        for m, n, r_in, r_out in stages:
+            rows = rows // m * n
+            links = r_in * r_out
+            params = params + m * n * links
+            flops = flops + 2 * m * rows * links
+            fm = fm + rows * r_out
+    elif method in FC_METHODS:
+        for c_in, c_out in stages:
+            params = params + c_in * c_out
+            fm = fm + c_out
+        flops = 2 * params  # two flops per weight of every fc stage
+    else:
+        # the extents shrink to the output ones as the stages of their
+        # axes apply, and the pointwise stages keep them
+        shape = tuple(default_input_shape(layer) if input_shape is None
+                      else input_shape)
+        spatial_out = layer.out_shape([shape])[:-1]
+        extents = list(shape[:-1])
+        pos = math.prod(extents)
+        depthwise = method == "cp"
+        for axis, c_in, c_out in stages:
+            if axis is None:
+                window, links = 1, c_in * c_out
+            else:
+                if axis == WHOLE_KERNEL:
+                    window, extents = math.prod(layer.kernel), spatial_out
+                else:
+                    window = layer.kernel[axis]
+                    extents[axis] = spatial_out[axis]
+                pos = math.prod(extents)
+                links = c_in if depthwise else c_in * c_out
+            params = params + window * links
+            flops = flops + 2 * pos * window * links
+            fm = fm + pos * c_out
+    return CostReport(params, flops, fm)
 
 
 def cost_factorized(layer: LayerDesc, method: str, ranks: tuple,

@@ -3,12 +3,12 @@
 Ungrouped convolutions factor three ways, a Tucker decomposition
 restricted to the channel modes, a CP decomposition and a tensor-train
 decomposition, into one chain: a pointwise reduce, the middle stages,
-a pointwise expand.  Tucker-2 has one middle stage, a dense core with
-the full kernel; CP and TT have one stage per spatial axis, with the
-kernel and stride of that axis alone, depthwise for CP and dense for
-TT.  Dense layers factor by truncated SVD, by column-pivoted truncated
-QR, or as a TT-matrix over a factorization plan of the two matrix
-dimensions.
+a pointwise expand.  Dense layers factor by truncated SVD, by
+column-pivoted truncated QR, or as a TT-matrix over a factorization
+plan of the two matrix dimensions.  Each chain is stated once, as the
+stages of ``costs.chain_stages``, which ``costs.closed_form`` walks for
+the cost; ``chain_descs`` only names those stages as layers and adds
+the two reshapes around the t3f cores.
 
 ``decompose_layer`` is the one entry point.  Its one prologue checks
 the weight's shape and the ranks (with the t3f plan) against the rank
@@ -74,10 +74,10 @@ from scipy.linalg import khatri_rao
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import linalg
-from .costs import (CONV_METHODS, CostReport, check_ranks, cost_chain,
-                    cp_max_rank)
-from .errors import DecompositionError, RankError, ShapeError
-from .ir import CONV_KINDS, LayerDesc
+from .costs import (FC_METHODS, WHOLE_KERNEL, CostReport, chain_stages,
+                    check_ranks, cost_chain, cp_max_rank)
+from .errors import DecompositionError, ShapeError
+from .ir import LayerDesc
 
 CP_MAX_ITER = 500
 CP_FIT_TOL = 1e-8
@@ -143,68 +143,47 @@ class FactorizedLayer:
 # -- sub-layer chain construction -------------------------------------------
 
 
-def _on_axis(window: tuple, axis: int) -> tuple:
-    """A kernel or stride kept on ``axis`` and 1 on every other axis."""
+def _on_axis(window: tuple, axis) -> tuple:
+    """A kernel or stride as the conv stage on ``axis`` applies it: all
+    of it on ``WHOLE_KERNEL``, else kept on ``axis`` and 1 on every other
+    axis (1 everywhere for a pointwise stage, axis None)."""
+    if axis == WHOLE_KERNEL:
+        return window
     return tuple(k if i == axis else 1 for i, k in enumerate(window))
-
-
-def _pointwise(name, kind, cin, cout):
-    dim = CONV_KINDS.index(kind) + 1
-    return LayerDesc(name=name, kind=kind, kernel=(1,) * dim,
-                     in_channels=cin, out_channels=cout)
 
 
 def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
                 plan: tuple = None) -> list:
-    """Sub-layer descriptions replacing ``layer`` under ``method``.
+    """Sub-layer descriptions replacing ``layer`` under ``method``: the
+    stages of ``costs.chain_stages`` as layers, with the two reshapes
+    around the t3f cores.
 
     Pure topology for ranks that passed ``costs.check_ranks``: weights
     are attached by the decomposers.  Sub-layer names extend the source
     name so they stay unique in a model.
     """
-    name = layer.name
-    if method in CONV_METHODS:
-        # pointwise, the middle stages, pointwise; ``links`` are the
-        # channel counts between consecutive stages
-        if method == "tucker2":
-            windows = [(layer.kernel, layer.stride)]
-            links = ranks
-        else:
-            windows = [(_on_axis(layer.kernel, axis),
-                        _on_axis(layer.stride, axis))
-                       for axis in range(len(layer.kernel))]
-            links = ranks if method == "tt" else ranks * (len(windows) + 1)
-        kind = "depthwise_conv" if method == "cp" else layer.kind
-        middle = [LayerDesc(name=f"{name}.lrf{i + 1}", kind=kind,
-                            kernel=kernel, stride=stride,
-                            padding=layer.padding, in_channels=links[i],
-                            out_channels=links[i + 1])
-                  for i, (kernel, stride) in enumerate(windows)]
-        return [_pointwise(f"{name}.lrf0", layer.kind, layer.in_channels,
-                           links[0]),
-                *middle,
-                _pointwise(f"{name}.lrf{len(windows) + 1}", layer.kind,
-                           links[-1], layer.out_channels)]
-    if method in ("svd", "qr"):
-        (r,) = ranks
-        return [LayerDesc(name=f"{name}.lrf0", kind="fc",
-                          in_channels=layer.in_channels, out_channels=r),
-                LayerDesc(name=f"{name}.lrf1", kind="fc",
-                          in_channels=r, out_channels=layer.out_channels)]
+    stages = chain_stages(layer, method, ranks, plan)
+    names = [f"{layer.name}.lrf{i}" for i in range(len(stages) + 2)]
     if method == "t3f":
-        ms, ns = plan
-        d = len(ms)
-        full = (1,) + tuple(ranks) + (1,)
-        subs = [LayerDesc(name=f"{name}.lrf0", kind="reshape",
-                          shape=(layer.in_channels, 1))]
-        for t in range(d):
-            subs.append(LayerDesc(name=f"{name}.lrf{t + 1}", kind="tt_core",
-                                  m=ms[t], n=ns[t],
-                                  rank_in=full[t], rank_out=full[t + 1]))
-        subs.append(LayerDesc(name=f"{name}.lrf{d + 1}", kind="reshape",
-                              shape=(layer.out_channels,)))
-        return subs
-    raise RankError(f"unknown method {method!r}")
+        return [LayerDesc(name=names[0], kind="reshape",
+                          shape=(layer.in_channels, 1)),
+                *(LayerDesc(name=name, kind="tt_core", m=m, n=n,
+                            rank_in=r_in, rank_out=r_out)
+                  for name, (m, n, r_in, r_out) in zip(names[1:], stages)),
+                LayerDesc(name=names[-1], kind="reshape",
+                          shape=(layer.out_channels,))]
+    if method in FC_METHODS:
+        return [LayerDesc(name=name, kind="fc", in_channels=c_in,
+                          out_channels=c_out)
+                for name, (c_in, c_out) in zip(names, stages)]
+    return [LayerDesc(name=name,
+                      kind=("depthwise_conv" if method == "cp"
+                            and axis is not None else layer.kind),
+                      kernel=_on_axis(layer.kernel, axis),
+                      stride=_on_axis(layer.stride, axis),
+                      padding=None if axis is None else layer.padding,
+                      in_channels=c_in, out_channels=c_out)
+            for name, (axis, c_in, c_out) in zip(names, stages)]
 
 
 def _attach(layer: LayerDesc, method: str, ranks: tuple, factors: list,

@@ -67,14 +67,14 @@ class DseConfig:
         # written so that NaN fails too
         if not self.accuracy_drop_limit >= 0:
             raise RankError("accuracy_drop_limit must be non-negative")
-        if not self.tol >= 0:
-            raise RankError("tol must be non-negative")
+        explore.check_tol(self.tol)
         if not 0 < self.step_size < 100:
             raise RankError("step_size must lie in (0, 100)")
-        if self.max_sol < 1:
-            raise RankError("max_sol must be at least 1")
-        if self.sample_count < 1:
-            raise RankError("sample_count must be at least 1")
+        for name in ("max_sol", "sample_count"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise RankError(f"{name} must be an integer of at least 1, "
+                                f"got {value!r}")
         if not 0 < self.target_fraction <= 1:
             raise RankError("target_fraction must lie in (0, 1]")
         for thr in (self.sim_threshold_sequential,
@@ -259,15 +259,23 @@ def init_rank_one(model: ModelDesc, weights: WeightStore, targets: list,
         layer = model.layer(name)
         method = method_for_layer(layer, conv_method, fc_method)
         plan = default_plan(layer, method)
-        ranks = explore.min_ranks(layer, method, plan)
-        try:
-            solutions[name] = decompose_layer(
-                layer, np.asarray(weights[name]), method, ranks, plan=plan,
-                seed=seed, memo=(memos or {}).get(name))
-        except Exception as exc:
-            exc.args = (f"{name}: {exc}",)
-            raise
+        solutions[name] = _decompose_target(
+            layer, weights, method, explore.min_ranks(layer, method, plan),
+            plan, seed, (memos or {}).get(name))
     return solutions
+
+
+def _decompose_target(layer: LayerDesc, weights: WeightStore, method: str,
+                      ranks: tuple, plan, seed: int,
+                      memo: dict) -> FactorizedLayer:
+    """``decompose_layer`` on a target layer of a search; an error names
+    the layer it came from and keeps its payload."""
+    try:
+        return decompose_layer(layer, np.asarray(weights[layer.name]), method,
+                               ranks, plan=plan, seed=seed, memo=memo)
+    except Exception as exc:
+        exc.args = (f"{layer.name}: {exc}",)
+        raise
 
 
 # -- the search loop -----------------------------------------------------------
@@ -371,9 +379,8 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
                 continue
             scored = []
             for cand in candidates:
-                fact = decompose_layer(layer, np.asarray(weights[name]),
-                                       method, cand.ranks, plan=cand.plan,
-                                       seed=config.seed, memo=memos[name])
+                fact = _decompose_target(layer, weights, method, cand.ranks,
+                                         cand.plan, config.seed, memos[name])
                 sim = layer_similarity(fact, capture)
                 scored.append((-sim, cand.cost.flops, cand.key(), fact,
                                cand.cost))

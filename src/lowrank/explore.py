@@ -14,9 +14,10 @@ flat cells run through all plans of that depth, each cell with its own
 plan and innermost bound, so thousands of plans cost a few array
 operations rather than one family each.  A family is built from its
 rank box (``_boxes``), whose volume ``count_all`` sums.  The affine
-coefficients are not written down here: each family evaluates the
-closed forms of ``costs`` once over its cells, with the innermost rank
-at 0 and at 1, so those closed forms remain the only cost formulas.
+coefficients are not written down here: each family walks the chain
+stages of ``costs.closed_form`` once over its cells, with the innermost
+rank at 0 and at 1, so that walk remains the only cost formula of a
+factorized layer.
 
 A census buckets the valid solutions at target reductions of an
 objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
@@ -131,7 +132,7 @@ class _AffineFamily:
     but the innermost.  Without plans a method has one family over the
     open grid of its outer ranks; t3f has one per depth, with flat,
     plan-major cells (``_plan_cells``) and ``plan_index`` naming each
-    cell's plan.  The closed forms are evaluated once over all cells
+    cell's plan.  ``closed_form`` walks the chain once over all cells
     with the innermost rank at 0 and 1 on a leading axis: ``base`` (the
     costs at rank 0) and ``slope`` (their increase per rank) are
     CostReports of int64 arrays spanning all cells, so a flat cell index
@@ -280,12 +281,18 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     return spans
 
 
+def check_tol(tol: float) -> None:
+    """RankError unless the bucket tolerance ``tol`` is finite and
+    non-negative (NaN fails too)."""
+    if not 0 <= tol < math.inf:
+        raise RankError(f"tol must be non-negative and finite, got {tol}")
+
+
 def _bucket_value(tables, original: CostReport, objective: str,
                   percent: float, tol: float) -> int | None:
     """The census bucket value at ``percent`` over the valid-cell
     ``tables`` of ``objective`` (see the module docstring)."""
-    if not 0 <= tol < math.inf:
-        raise RankError(f"tol must be non-negative and finite, got {tol}")
+    check_tol(tol)
     if not math.isfinite(percent):
         raise RankError(f"percent must be a number and finite, got {percent}")
     scale = original.get(objective)

@@ -1,11 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.costs import (CostReport, compression_ratio, cost_chain,
-                           cost_factorized, cost_original,
-                           default_input_shape, model_breakdown)
+from lowrank.costs import (CONV_METHODS, CostReport, closed_form,
+                           compression_ratio, cost_chain, cost_factorized,
+                           cost_original, default_input_shape,
+                           model_breakdown)
 from lowrank.decompose import chain_descs
 from lowrank.errors import RankError
 from lowrank.explore import rank_bounds, t3f_plans
@@ -171,6 +174,50 @@ class TestChainAgreement:
         bounds = rank_bounds(fc, method, plan)
         ranks = tuple(data.draw(st.integers(lo, hi)) for lo, hi in bounds)
         self.check(fc, method, ranks, (m,), plan=plan)
+
+
+class TestWholeBox:
+    """The walk of ``closed_form`` on broadcast rank grids, one array per
+    rank slot as ``explore`` builds them, equals the cost of the built
+    chain at every point of the rank box."""
+
+    def check_box(self, layer, method, shape, plan=None):
+        bounds = rank_bounds(layer, method, plan)
+        grids = np.ix_(*(np.arange(1, hi + 1, dtype=np.int64)
+                         for _, hi in bounds))
+        walk = closed_form(layer, method, grids, shape, plan)
+        box = tuple(hi for _, hi in bounds)
+        fields = [np.broadcast_to(v, box)
+                  for v in (walk.params, walk.flops, walk.fm)]
+        for point in itertools.product(*(range(1, hi + 1) for hi in box)):
+            chain = cost_chain(chain_descs(layer, method, point, plan=plan),
+                               shape)
+            at = tuple(r - 1 for r in point)
+            assert [int(v[at]) for v in fields] == [
+                chain.params, chain.flops, chain.fm], (method, plan, point)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_conv_boxes(self, data):
+        dim = data.draw(st.integers(1, 3))
+        kernel = tuple(data.draw(st.integers(1, 3)) for _ in range(dim))
+        stride = tuple(data.draw(st.integers(1, 2)) for _ in range(dim))
+        padding = data.draw(st.sampled_from(["same", "valid"]))
+        layer = conv(kernel, data.draw(st.integers(1, 5)),
+                     data.draw(st.integers(1, 5)), stride=stride,
+                     padding=padding)
+        spatial = tuple(max(k, data.draw(st.integers(3, 6))) for k in kernel)
+        for method in CONV_METHODS:
+            self.check_box(layer, method, spatial + (layer.in_channels,))
+
+    @given(st.integers(2, 64), st.integers(2, 64))
+    @settings(max_examples=20, deadline=None)
+    def test_fc_boxes_over_every_plan(self, m, n):
+        fc = LayerDesc(name="F", kind="fc", in_channels=m, out_channels=n)
+        self.check_box(fc, "svd", (m,))
+        self.check_box(fc, "qr", (m,))
+        for plan in t3f_plans(fc):
+            self.check_box(fc, "t3f", (m,), plan=plan)
 
 
 class TestReports:

@@ -173,15 +173,29 @@ class TestConfigAndBound:
         {"target_fraction": 0.0}, {"target_fraction": 1.5},
         {"sim_threshold_sequential": 0.0},
         {"sim_threshold_nonsequential": 1.5},
-        {"sample_count": 0}, {"sample_count": -1},
-        {"max_sol": 0}, {"max_sol": -2},
-        {"tol": float("nan")}, {"tol": -0.01},
+        {"sample_count": 0}, {"sample_count": -1}, {"sample_count": 2.5},
+        {"sample_count": "4"},
+        {"max_sol": 0}, {"max_sol": -2}, {"max_sol": 2.5},
+        {"max_sol": float("nan")},
+        {"tol": float("nan")}, {"tol": -0.01}, {"tol": float("inf")},
         {"accuracy_drop_limit": float("nan")},
         {"accuracy_drop_limit": -0.01},
         {"objective": "latency"}])
     def test_config_validation(self, kwargs):
         with pytest.raises(RankError):
             DseConfig(**kwargs)
+
+    def test_config_tol_rule_is_the_census_rule(self):
+        with pytest.raises(RankError) as config_err:
+            DseConfig(tol=float("inf"))
+        layer = LayerDesc(name="f", kind="fc", in_channels=8, out_channels=6)
+        with pytest.raises(RankError) as census_err:
+            explore.census(layer, "svd", [50], tol=float("inf"))
+        assert str(config_err.value) == str(census_err.value)
+
+    def test_config_accepts_numpy_integer_counts(self):
+        config = DseConfig(max_sol=np.int64(2), sample_count=np.int32(8))
+        assert (config.max_sol, config.sample_count) == (2, 8)
 
     def test_config_accepts_zero_tol_and_drop_limit(self):
         config = DseConfig(tol=0.0, accuracy_drop_limit=0.0,
@@ -355,6 +369,27 @@ class TestSearchLoop:
             run_dse(model, weights, make_dataset(shape=(6, 6, 4)),
                     DseConfig(), Scripted([1.0]), conv_method=conv_method,
                     fc_method=fc_method)
+
+    def test_candidate_decomposition_error_names_its_layer(self,
+                                                           monkeypatch):
+        # the three rank-one decompositions succeed; the first candidate,
+        # c2's (c1 freezes), diverges
+        best = object()
+        real = dse.decompose_layer
+        calls = []
+
+        def diverging_after_init(*args, **kwargs):
+            calls.append(args[0].name)
+            if len(calls) > 3:
+                raise DecompositionError("fit decreased", best=best)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dse, "decompose_layer", diverging_after_init)
+        with pytest.raises(DecompositionError) as err:
+            self._freeze_then_revert()
+        assert calls == ["c1", "c2", "f1", "c2"]
+        assert str(err.value) == "c2: fit decreased"
+        assert err.value.best is best
 
     @staticmethod
     def _freeze_then_revert():
