@@ -14,13 +14,13 @@ the conv methods take an ungrouped conv, the fc methods an fc layer.
 The rank box of ``rank_bounds`` decides which ranks a method admits
 on a layer.  ``chain_stages`` states once what a method factors a
 layer into: the weighted stages of its chain, each given by its
-channel links (a conv stage also by the axis its window covers, a t3f
-core by its mode sizes).  ``decompose.chain_descs`` names those stages
-as layers, and ``closed_form`` walks them, costing each stage as
-``cost_original`` costs its layer kind; that walk is the only cost
-formula of a factorized layer.  ``cost_factorized`` checks its ranks
-against the box and walks them; it agrees exactly, integer for
-integer, with ``cost_chain`` over ``chain_descs``, which sums the
+channel links (a conv stage also by its layer kind and the axis its
+window covers, a t3f core by its mode sizes).  ``decompose.chain_descs``
+names those stages as layers, and ``closed_form`` walks them, costing
+each stage as ``cost_original`` costs its layer kind; that walk is the
+only cost formula of a factorized layer.  ``cost_factorized`` checks
+its ranks against the box and walks them; it agrees exactly, integer
+for integer, with ``cost_chain`` over ``chain_descs``, which sums the
 independent per-kind rule ``cost_original``.  ``closed_form`` also
 walks integer rank arrays that broadcast, which is how ``explore``
 derives the affine rank families it counts on.  The t3f walk also
@@ -296,29 +296,32 @@ def chain_stages(layer: LayerDesc, method: str, ranks: tuple,
     """The weighted stages ``method`` factors ``layer`` into at ``ranks``,
     in chain order: the one statement of every factorized chain.
 
-    A conv method gives ``(axis, c_in, c_out)`` per stage: a pointwise
-    reduce (axis None), the middle stages, a pointwise expand.  Tucker-2
-    has one middle stage, a dense core with the layer's whole window
-    (axis ``WHOLE_KERNEL``); CP and TT have one stage per spatial axis,
-    with that axis's kernel and stride alone, depthwise for CP (c_in and
-    c_out both the rank) and dense for TT.  svd and qr give their two fc
+    A conv method gives ``(kind, axis, c_in, c_out)`` per stage: a
+    pointwise reduce (axis None), the middle stages, a pointwise expand.
+    Tucker-2 has one middle stage, a dense core with the layer's whole
+    window (axis ``WHOLE_KERNEL``); CP and TT have one stage per spatial
+    axis, with that axis's kernel and stride alone.  Every stage has the
+    layer's kind but CP's per-axis ones, which are ``depthwise_conv``
+    (c_in and c_out both the rank).  svd and qr give their two fc
     stages ``(c_in, c_out)``; t3f gives ``(m, n, r_in, r_out)`` per core
     of the TT-matrix over ``plan``.  Ranks and mode sizes may be int64
     arrays that broadcast.
     """
-    c, f = layer.in_channels, layer.out_channels
+    c, f, kind = layer.in_channels, layer.out_channels, layer.kind
     if method == "tucker2":
         r1, r2 = ranks
-        return [(None, c, r1), (WHOLE_KERNEL, r1, r2), (None, r2, f)]
+        return [(kind, None, c, r1), (kind, WHOLE_KERNEL, r1, r2),
+                (kind, None, r2, f)]
     if method == "cp":
         (r,) = ranks
-        return [(None, c, r),
-                *[(axis, r, r) for axis in range(len(layer.kernel))],
-                (None, r, f)]
+        return [(kind, None, c, r),
+                *[("depthwise_conv", axis, r, r)
+                  for axis in range(len(layer.kernel))],
+                (kind, None, r, f)]
     if method == "tt":
         links = (c, *ranks, f)
-        return list(zip((None, *range(len(layer.kernel)), None), links,
-                        links[1:]))
+        return [(kind, axis, c_in, c_out) for axis, c_in, c_out in zip(
+            (None, *range(len(layer.kernel)), None), links, links[1:])]
     if method in ("svd", "qr"):
         (r,) = ranks
         return [(c, r), (r, f)]
@@ -361,10 +364,9 @@ def closed_form(layer: LayerDesc, method: str, ranks: tuple,
         spatial_out = layer.out_shape([shape])[:-1]
         extents = list(shape[:-1])
         pos = math.prod(extents)
-        depthwise = method == "cp"
-        for axis, c_in, c_out in stages:
+        for kind, axis, c_in, c_out in stages:
             if axis is None:
-                window, links = 1, c_in * c_out
+                window = 1
             else:
                 if axis == WHOLE_KERNEL:
                     window, extents = math.prod(layer.kernel), spatial_out
@@ -372,7 +374,7 @@ def closed_form(layer: LayerDesc, method: str, ranks: tuple,
                     window = layer.kernel[axis]
                     extents[axis] = spatial_out[axis]
                 pos = math.prod(extents)
-                links = c_in if depthwise else c_in * c_out
+            links = c_in if kind == "depthwise_conv" else c_in * c_out
             params = params + window * links
             flops = flops + 2 * pos * window * links
             fm = fm + pos * c_out

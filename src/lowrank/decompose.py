@@ -176,14 +176,12 @@ def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
         return [LayerDesc(name=name, kind="fc", in_channels=c_in,
                           out_channels=c_out)
                 for name, (c_in, c_out) in zip(names, stages)]
-    return [LayerDesc(name=name,
-                      kind=("depthwise_conv" if method == "cp"
-                            and axis is not None else layer.kind),
+    return [LayerDesc(name=name, kind=kind,
                       kernel=_on_axis(layer.kernel, axis),
                       stride=_on_axis(layer.stride, axis),
                       padding=None if axis is None else layer.padding,
                       in_channels=c_in, out_channels=c_out)
-            for name, (axis, c_in, c_out) in zip(names, stages)]
+            for name, (kind, axis, c_in, c_out) in zip(names, stages)]
 
 
 def _attach(layer: LayerDesc, method: str, ranks: tuple, factors: list,

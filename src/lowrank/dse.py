@@ -70,11 +70,11 @@ class DseConfig:
         explore.check_tol(self.tol)
         if not 0 < self.step_size < 100:
             raise RankError("step_size must lie in (0, 100)")
-        for name in ("max_sol", "sample_count"):
+        for name, least in (("max_sol", 1), ("sample_count", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise RankError(f"{name} must be an integer of at least 1, "
-                                f"got {value!r}")
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise RankError(f"{name} must be an integer of at least "
+                                f"{least}, got {value!r}")
         if not 0 < self.target_fraction <= 1:
             raise RankError("target_fraction must lie in (0, 1]")
         for thr in (self.sim_threshold_sequential,

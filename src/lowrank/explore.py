@@ -17,7 +17,10 @@ rank box (``_boxes``), whose volume ``count_all`` sums.  The affine
 coefficients are not written down here: each family walks the chain
 stages of ``costs.closed_form`` once over its cells, with the innermost
 rank at 0 and at 1, so that walk remains the only cost formula of a
-factorized layer.
+factorized layer.  Enumeration reads its costs from those cells too: a
+cell's base and slope become Python ints once, and each of its
+solutions costs ``base + slope * r`` (``_AffineFamily.solutions``),
+with no rank check or chain walk per point.
 
 A census buckets the valid solutions at target reductions of an
 objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
@@ -26,12 +29,15 @@ closest to (1 - percent/100) * original, the smaller one on a tie, or
 none when even that value misses the target by more than
 tol * original.  The bucket holds every valid solution achieving
 exactly that value; ``census`` summarizes it and ``solutions_at_ratio``
-materializes it.  Both read one table of valid cells per family
-(``_valid_cells``), built once per call and dropped with it.  In a cell
-with objective ``a + b * r`` (integers, b >= 1) the values nearest a
-target t sit at ranks ``near = (floor(t) - a) // b`` and ``near + 1``:
-floor(x / b) = floor(floor(x) / b) for every real x, so the integer
-division gives floor((t - a) / b) exactly, with no float rounding.
+materializes it, its members costed from their cells as enumeration
+costs them.  A census costs only its ``best`` member, one per
+non-empty bucket, through the checked ``cost_factorized``.  Both read
+one table of valid cells per family (``_valid_cells``), built once per
+call and dropped with it.  In a cell with objective ``a + b * r``
+(integers, b >= 1) the values nearest a target t sit at ranks
+``near = (floor(t) - a) // b`` and ``near + 1``: floor(x / b) =
+floor(floor(x) / b) for every real x, so the integer division gives
+floor((t - a) / b) exactly, with no float rounding.
 """
 
 from __future__ import annotations
@@ -144,7 +150,7 @@ class _AffineFamily:
 
     def __init__(self, layer, method, input_shape, original, box, modes,
                  plans):
-        self.plans = plans
+        self.method, self.plans = method, plans
         if method == "t3f":
             index, outer, last_bound, plan = _plan_cells(modes, box)
             self.shape = index.shape
@@ -173,6 +179,19 @@ class _AffineFamily:
         idx = np.unravel_index(flat_index, self.shape)
         return (self.plans[int(self.plan_index[idx])],
                 tuple(int(ranks[idx]) for ranks in self.outer))
+
+    def solutions(self, flat_index: int, ranks):
+        """Lazily the solutions of one cell at each innermost rank of
+        ``ranks`` (Python ints), costed as ``base + slope * r``."""
+        plan, outer = self.cell(flat_index)
+        p0, f0, m0, dp, df, dm = (
+            int(np.ravel(values)[flat_index])
+            for report in (self.base, self.slope)
+            for values in (report.params, report.flops, report.fm))
+        for r in ranks:
+            yield Solution(self.method, outer + (r,),
+                           CostReport(p0 + dp * r, f0 + df * r, m0 + dm * r),
+                           plan=plan)
 
 
 def _plan_cells(modes: np.ndarray, box: np.ndarray) -> tuple:
@@ -332,11 +351,6 @@ def _bucket_members(cells: _Cells, value: int) -> tuple:
             + np.ravel(fam.slope.flops)[flat] * ranks)
 
 
-def _solution(layer, method, plan, ranks, input_shape):
-    cost = cost_factorized(layer, method, ranks, input_shape, plan=plan)
-    return Solution(method, ranks, cost, plan=plan)
-
-
 def census(layer: LayerDesc, method: str, percents, objective: str = "params",
            tol: float = DEFAULT_TOL, input_shape=None) -> SpaceCensus:
     """Count the space and bucket it at each target reduction percent.
@@ -369,8 +383,9 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
         flat, ranks, flops = members[i]
         pick = int(np.argmin(flops))
         plan, outer = tables[i].family.cell(int(flat[pick]))
-        bucket.best = _solution(layer, method, plan,
-                                outer + (int(ranks[pick]),), input_shape)
+        point = outer + (int(ranks[pick]),)
+        bucket.best = Solution(method, point, cost_factorized(
+            layer, method, point, input_shape, plan=plan), plan=plan)
     report.generation_time = time.perf_counter() - t0
     return report
 
@@ -393,10 +408,8 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     out = []
     for cells in tables:
         flat, ranks, _ = _bucket_members(cells, value)
-        for i in range(len(flat)):
-            plan, outer = cells.family.cell(int(flat[i]))
-            out.append(_solution(layer, method, plan, outer + (int(ranks[i]),),
-                                 input_shape))
+        for flat_index, r in zip(flat.tolist(), ranks.tolist()):
+            out.extend(cells.family.solutions(flat_index, (r,)))
     out.sort(key=lambda s: s.key())
     return out
 
@@ -418,11 +431,8 @@ def _solutions(layer, method, input_shape, valid_only):
         tops = fam.valid_hi if valid_only else fam.last_bound
         for flat in range(tops.size):
             top = int(tops.flat[flat])
-            if top < 1:
-                continue
-            plan, outer = fam.cell(flat)
-            for r in range(1, top + 1):
-                yield _solution(layer, method, plan, outer + (r,), input_shape)
+            if top >= 1:
+                yield from fam.solutions(flat, range(1, top + 1))
 
 
 def select_candidates(solutions: list, max_sol: int, seed: int = 0) -> list:

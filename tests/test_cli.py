@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -229,6 +230,36 @@ class TestEnumerateCommand:
                     "--method", "tucker", "--method", "cp",
                     "--out", str(path))
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    # sha256 of the CSV bytes, pinned so a change to how solutions are
+    # enumerated or costed cannot silently change an export
+    CSV_PINS = [
+        (("--layer", "3,3,8,12", "--method", "tucker"), 91,
+         "12d8bda94f107d422fb7caed61b6021a393f87cd5191238aca655e9cb5362142"),
+        (("--layer", "3,3,8,12", "--method", "cp"), 33,
+         "f68fb90e1d5dd433d034b74a9c3151e5c3084da2e4478a952ec71acaa5ba8695"),
+        (("--layer", "3,3,8,12", "--method", "tt"), 1934,
+         "13b852729fc2899a2099bf15cbdb953e80f36e9e6fadd2b4748f567dab680f94"),
+        (("--layer", "3,3,8,12", "--stride", "2", "--padding", "valid",
+          "--input-size", "9,9,8"), 1359,
+         "b48ed244be8c8cbed85d2006f36d87f9d368c8e45644fddfbb7a113dadf9ccd1"),
+        (("--layer", "400,120", "--method", "svd"), 92,
+         "f4ed29f4da1f3945248d961b4c97f5d14b8fa588be4fbe8b9570a26143614aad"),
+        (("--layer", "400,120", "--method", "qr"), 92,
+         "8431dfac5accbd14d6bfe1e0812094516edd7f04ebe00b8fbfd5e1a9b428e320"),
+        (("--layer", "400,120", "--method", "t3f", "--limit", "3000"), 3000,
+         "5089c425659dedefa33aebe8626edbf498b7530becae8ce7271838342c2e0b11"),
+        # both t3f depths, the whole valid space
+        (("--layer", "24,30", "--method", "t3f"), 478,
+         "c8de25e5e8534e343fa845ab660590a1833f81d775a5cc5156a363819a44e623"),
+    ]
+
+    @pytest.mark.parametrize("flags, rows, digest", CSV_PINS)
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, flags, rows, digest):
+        path = tmp_path / "rows.csv"
+        code, out, _ = run_cli(capsys, "enumerate", *flags, "--out", str(path))
+        assert code == 0 and out == f"{rows} solutions\n"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestAnalyzeCommand:

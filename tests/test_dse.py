@@ -177,6 +177,7 @@ class TestConfigAndBound:
         {"sample_count": "4"},
         {"max_sol": 0}, {"max_sol": -2}, {"max_sol": 2.5},
         {"max_sol": float("nan")},
+        {"seed": 2.5}, {"seed": -1}, {"seed": "0"}, {"seed": None},
         {"tol": float("nan")}, {"tol": -0.01}, {"tol": float("inf")},
         {"accuracy_drop_limit": float("nan")},
         {"accuracy_drop_limit": -0.01},
@@ -196,6 +197,13 @@ class TestConfigAndBound:
     def test_config_accepts_numpy_integer_counts(self):
         config = DseConfig(max_sol=np.int64(2), sample_count=np.int32(8))
         assert (config.max_sol, config.sample_count) == (2, 8)
+
+    def test_config_seed_is_a_non_negative_integer(self):
+        assert DseConfig(seed=0).seed == 0
+        assert DseConfig(seed=np.int64(7)).seed == 7
+        with pytest.raises(RankError, match="seed must be an integer of at "
+                                            "least 0, got 2.5"):
+            DseConfig(seed=2.5)
 
     def test_config_accepts_zero_tol_and_drop_limit(self):
         config = DseConfig(tol=0.0, accuracy_drop_limit=0.0,

@@ -699,6 +699,55 @@ class TestIterSolutions:
         assert a == b
 
 
+def assert_checked_costs(layer, method, solutions, shape=None):
+    """Each solution costs what the checked ``cost_factorized`` gives at
+    its point, in Python ints (the enumerate CSV prints them)."""
+    for s in solutions:
+        assert s.method == method
+        assert s.cost == cost_factorized(layer, method, s.ranks, shape,
+                                         plan=s.plan)
+        assert all(type(v) is int
+                   for v in (s.cost.params, s.cost.flops, s.cost.fm))
+
+
+# every method on small layers, with t3f at both depths and convs with
+# non-default input shapes, strides and padding
+CELL_CASES = [
+    *(pytest.param(method, SMALL_CONVS[name], id=f"{method}-{name}")
+      for method in CONV_METHODS for name in sorted(SMALL_CONVS)),
+    *(pytest.param(method, (conv((3, 3), 4, 6, stride=(2, 2)), (7, 5, 4)),
+                   id=f"{method}-conv2d-same-s2") for method in CONV_METHODS),
+    *(pytest.param(method, (SMALL_FCS[name], None), id=f"{method}-{name}")
+      for method in ("svd", "qr", "t3f") for name in sorted(SMALL_FCS)),
+]
+
+
+class TestCellCosts:
+    """Enumeration and bucket members read their costs from the rank
+    families' cells; the checked scalar path must agree everywhere."""
+
+    @pytest.mark.parametrize("method, case", CELL_CASES)
+    def test_whole_box_matches_the_checked_cost(self, method, case):
+        layer, shape = case
+        sols = list(iter_solutions(layer, method, shape))
+        assert len(sols) == count_all(layer, method)
+        assert_checked_costs(layer, method, sols, shape)
+
+    @pytest.mark.parametrize("method, name", [
+        ("tucker2", "L6"), ("cp", "L4"), ("tt", "L6"),
+        ("svd", "F3"), ("qr", "F1"), ("t3f", "F1")])
+    @pytest.mark.parametrize("objective", ["params", "flops"])
+    def test_bucket_members_match_the_checked_cost(self, method, name,
+                                                   objective):
+        layer = BENCH[name]
+        filled = 0
+        for percent in (25, 60, 85):
+            members = solutions_at_ratio(layer, method, percent, objective)
+            assert_checked_costs(layer, method, members)
+            filled += bool(members)
+        assert filled
+
+
 class TestSelectCandidates:
     def bucket(self):
         return solutions_at_ratio(BENCH["L2"], "tt", 60, "params")
