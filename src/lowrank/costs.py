@@ -36,6 +36,7 @@ operations and broadcasts freely.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import RankError, ShapeError
@@ -232,11 +233,22 @@ def rank_bounds(layer: LayerDesc, method: str, plan: tuple = None) -> list:
     return [(1, min(layer.in_channels, layer.out_channels))]
 
 
+def check_integer(value, least: int, name: str) -> int:
+    """``value`` as a Python int; RankError unless it is a Python or
+    numpy integer, not a bool, of at least ``least``.  The one integer
+    rule for ranks, enumeration limits and search counts."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise RankError(f"{name} must be an integer of at least {least}, "
+                        f"got {value!r}")
+    return int(value)
+
+
 def check_ranks(layer: LayerDesc, method: str, ranks: tuple,
                 plan: tuple = None) -> tuple:
     """``ranks`` as ints; RankError unless they are a point of the box."""
     bounds = rank_bounds(layer, method, plan)
-    ranks = tuple(int(r) for r in ranks)
+    ranks = tuple(check_integer(r, 1, f"{method} rank") for r in ranks)
     if len(ranks) != len(bounds) or not all(
             lo <= r <= hi for r, (lo, hi) in zip(ranks, bounds)):
         raise RankError(f"{method} ranks {ranks} outside the rank box "

@@ -14,11 +14,11 @@ for every layer, the solution from the run that minimizes the chosen
 objective on that layer.
 
 A search decomposes each layer at many ranks and asks for its rank
-families at many targets.  ``run_dse`` keeps, per target layer, a
-``decompose`` memo of the full factorizations and the layer's
-``explore`` rank families, so each is computed once per search.  Both
-are created inside the call and dropped with it; separate calls share
-nothing.
+families at many targets.  ``run_dse`` keeps one memo dict per target
+layer for both: ``decompose_layer`` keeps the full factorizations in it
+and ``explore.solutions_at_ratio`` the rank families, each under its
+own keys, so each is computed once per search.  The memos are created
+inside the call and dropped with it; separate calls share nothing.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 
 from . import explore
 from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, CostReport,
-                    applicable_methods, compression_ratio, cost_original,
-                    default_plan, method_applies)
+                    applicable_methods, check_integer, compression_ratio,
+                    cost_original, default_plan, method_applies)
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
@@ -71,10 +71,7 @@ class DseConfig:
         if not 0 < self.step_size < 100:
             raise RankError("step_size must lie in (0, 100)")
         for name, least in (("max_sol", 1), ("sample_count", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise RankError(f"{name} must be an integer of at least "
-                                f"{least}, got {value!r}")
+            check_integer(getattr(self, name), least, name)
         if not 0 < self.target_fraction <= 1:
             raise RankError("target_fraction must lie in (0, 1]")
         for thr in (self.sim_threshold_sequential,
@@ -312,7 +309,6 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
     baseline = evaluator(model, weights)
 
     memos = {name: {} for name in targets}
-    families = {}  # target name -> its explore rank families
     states = {}
     for name, fact in init_rank_one(model, weights, targets, conv_method,
                                     fc_method, seed=config.seed,
@@ -367,12 +363,9 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
                 state.cost = cost_original(layer, in_shapes[name])
                 continue
             method = method_for_layer(layer, conv_method, fc_method)
-            if name not in families:
-                families[name] = list(explore._families(layer, method,
-                                                        in_shapes[name]))
             bucket = explore.solutions_at_ratio(
                 layer, method, state.step, config.objective, config.tol,
-                in_shapes[name], families=families[name])
+                in_shapes[name], memo=memos[name])
             candidates = explore.select_candidates(bucket, config.max_sol,
                                                    seed=config.seed)
             if not candidates:

@@ -38,6 +38,11 @@ call and dropped with it.  In a cell with objective ``a + b * r``
 ``near = (floor(t) - a) // b`` and ``near + 1``: floor(x / b) =
 floor(floor(x) / b) for every real x, so the integer division gives
 floor((t - a) / b) exactly, with no float rounding.
+
+A search asks for one layer's buckets at many percents, so
+``solutions_at_ratio`` keeps the families in the caller's ``memo``, a
+dict for one layer at one input shape (``decompose_layer``'s idiom),
+under the key ``("families", method)``.
 """
 
 from __future__ import annotations
@@ -50,10 +55,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import (OBJECTIVES, CostReport, closed_form, compression_ratio,
-                    cost_factorized, cost_original, cp_max_rank,
-                    default_input_shape, rank_bounds, require_method,
-                    t3f_plans, tt_link_bounds)
+from .costs import (OBJECTIVES, CostReport, check_integer, closed_form,
+                    compression_ratio, cost_factorized, cost_original,
+                    cp_max_rank, default_input_shape, rank_bounds,
+                    require_method, t3f_plans, tt_link_bounds)
 from .errors import RankError
 from .ir import LayerDesc
 
@@ -392,15 +397,16 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
 
 def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
                        objective: str = "params", tol: float = DEFAULT_TOL,
-                       input_shape=None, families: list = None) -> list:
+                       input_shape=None, memo: dict = None) -> list:
     """Materialize the census bucket at one target reduction.
 
-    ``families``, the list of ``_families(layer, method, input_shape)``,
-    lets a caller that asks at many percents build it once.
+    ``memo``, a dict for this layer at ``input_shape``, keeps the rank
+    families for later calls at other percents (see the module docstring).
     """
-    if families is None:
-        families = _families(layer, method, input_shape)
-    tables = [_valid_cells(fam, objective) for fam in families]
+    memo = {} if memo is None else memo
+    if ("families", method) not in memo:
+        memo["families", method] = list(_families(layer, method, input_shape))
+    tables = [_valid_cells(fam, objective) for fam in memo["families", method]]
     original = cost_original(layer, input_shape or default_input_shape(layer))
     value = _bucket_value(tables, original, objective, percent, tol)
     if value is None:
@@ -418,8 +424,8 @@ def iter_solutions(layer: LayerDesc, method: str, input_shape=None,
                    valid_only: bool = False, limit: int = None):
     """Lazily yield at most ``limit`` solutions (all when None) in
     deterministic order: plan, then outer ranks, then innermost rank."""
-    if limit is not None and limit < 0:
-        raise RankError(f"limit must be non-negative, got {limit}")
+    if limit is not None:
+        check_integer(limit, 0, "limit")
     require_method(layer, method)
     return itertools.islice(_solutions(layer, method, input_shape, valid_only),
                             limit)

@@ -498,11 +498,21 @@ class WeightStore:
 
 
 def check_weights(model: ModelDesc, weights: WeightStore):
-    """Verify that every layer's weight records exist with the right shape."""
+    """Verify that every layer's weight records exist with the right shape.
+
+    A batchnorm's four records must be 1-D and of one length; that the
+    length is the input's channel count is checked where the input is
+    known, by the forward engine.
+    """
     for layer in model.layers:
         for key in layer.weight_keys():
             if key not in weights:
                 raise FormatError(f"missing weight record {key!r}")
+        if layer.kind == "batchnorm":
+            shapes = [weights[key].shape for key in layer.weight_keys()]
+            if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+                raise ShapeError(f"{layer.name}: batchnorm records {shapes} "
+                                 "are not 1-D of one length")
         expect = layer.weight_shape()
         if expect is not None and tuple(weights[layer.name].shape) != expect:
             raise ShapeError(

@@ -31,10 +31,12 @@ checks each one against a reference:
 every input and gives the windowed kinds their output extents, so a
 mismatched input raises ``ShapeError`` (``GraphError`` for a wrong
 number of inputs).  Weighted kinds check the weight array against
-``weight_shape()``, so a mis-shaped weight raises ``ShapeError`` instead
-of yielding a wrong product.  ``forward_layer`` is the only dispatch
-point: the model, factorized-chain, capture and similarity passes all
-call it through this module's attribute (``tests/test_trace_sites.py``).
+``weight_shape()``, and batchnorm its four records against the input's
+channel axis, so a mis-shaped weight raises ``ShapeError`` instead of
+yielding a wrong product or a broadcast error.  ``forward_layer`` is
+the only dispatch point: the model, factorized-chain, capture and
+similarity passes all call it through this module's attribute
+(``tests/test_trace_sites.py``).
 
 Similarity of a factorized layer is the batch mean of the cosine
 between its flattened output and the original layer's output, both
@@ -206,10 +208,12 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     if k == "pool":
         return _pool_nd(layer, x, lengths)
     if k == "batchnorm":
-        scale = np.asarray(weights[f"{layer.name}/scale"])
-        shift = np.asarray(weights[f"{layer.name}/shift"])
-        mean = np.asarray(weights[f"{layer.name}/mean"])
-        var = np.asarray(weights[f"{layer.name}/var"])
+        params = [np.asarray(weights[key]) for key in layer.weight_keys()]
+        if any(p.shape != x.shape[-1:] for p in params):
+            raise ShapeError(f"{layer.name}: batchnorm records "
+                             f"{[p.shape for p in params]} do not match "
+                             f"{x.shape[-1]} channels")
+        scale, shift, mean, var = params
         return scale * (x - mean) / np.sqrt(var + layer.eps) + shift
     if k == "reshape":
         return x.reshape((x.shape[0],) + tuple(layer.shape))

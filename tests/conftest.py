@@ -45,6 +45,20 @@ def small_conv_net(seed=7, height=8, width=8, channels=3):
     return model, weights
 
 
+def fc_into_batchnorm(**shapes):
+    """An fc 4->6 into a batchnorm, with its weights; ``shapes`` maps a
+    batchnorm record ("scale", "shift", "mean", "var") to a shape other
+    than the channel count (6,)."""
+    model = ModelDesc(layers=[
+        LayerDesc(name="f", kind="fc", in_channels=4, out_channels=6),
+        LayerDesc(name="b", kind="batchnorm")],
+        edges=[("f", "b")], input="f", output="b")
+    records = {"f": np.ones((4, 6), np.float32)}
+    for part in ("scale", "shift", "mean", "var"):
+        records[f"b/{part}"] = np.ones(shapes.get(part, (6,)), np.float32)
+    return model, WeightStore(records)
+
+
 def labeled_dataset(model, weights, count=64, seed=7):
     """Random inputs labeled by the model itself, so baseline accuracy is 1."""
     rng = np.random.default_rng(seed)

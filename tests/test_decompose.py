@@ -561,6 +561,36 @@ class TestDispatcher:
         with pytest.raises(RankError):
             decompose_layer(layer, make(), method, ranks, plan=T3F_PLAN)
 
+    @pytest.mark.parametrize("bad", [
+        2.7, 2.9, 2.0, "3", True, np.bool_(True), float("nan"), float("inf"),
+        np.float64(2.0), None], ids=repr)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_rank_must_be_an_integer(self, method, bad):
+        # a float used to be truncated (2.7 built and costed rank 2), a
+        # string or bool converted, NaN and inf to leak ValueError and
+        # OverflowError
+        layer, make = ((CONV, conv_weight) if method in CONV_METHODS
+                       else (FC, fc_weight))
+        plan = T3F_PLAN if method == "t3f" else None
+        ranks = (bad,) + min_ranks(layer, method, plan)[1:]
+        with pytest.raises(RankError, match="rank must be an integer"):
+            cost_factorized(layer, method, ranks, plan=plan)
+        with pytest.raises(RankError, match="rank must be an integer"):
+            decompose_layer(layer, make(), method, ranks, plan=plan)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_numpy_integer_ranks_are_accepted(self, method):
+        layer, make = ((CONV, conv_weight) if method in CONV_METHODS
+                       else (FC, fc_weight))
+        plan = T3F_PLAN if method == "t3f" else None
+        ranks = min_ranks(layer, method, plan)
+        wide = tuple(np.int64(r) for r in ranks)
+        assert (cost_factorized(layer, method, wide, plan=plan)
+                == cost_factorized(layer, method, ranks, plan=plan))
+        fact = decompose_layer(layer, make(), method, wide, plan=plan)
+        assert fact.ranks == ranks
+        assert all(type(r) is int for r in fact.ranks)
+
     def test_weight_shape_guard(self):
         from lowrank.errors import ShapeError
         with pytest.raises(ShapeError):

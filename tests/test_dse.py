@@ -205,6 +205,13 @@ class TestConfigAndBound:
                                             "least 0, got 2.5"):
             DseConfig(seed=2.5)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("max_sol", True), ("sample_count", 8.0), ("seed", np.bool_(False)),
+        ("seed", "3"), ("max_sol", float("nan"))], ids=repr)
+    def test_config_counts_follow_the_one_integer_rule(self, field, bad):
+        with pytest.raises(RankError, match=f"{field} must be an integer"):
+            DseConfig(**{field: bad})
+
     def test_config_accepts_zero_tol_and_drop_limit(self):
         config = DseConfig(tol=0.0, accuracy_drop_limit=0.0,
                            objective="overall_mem")

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from lowrank import explore
-from lowrank.costs import (CONV_METHODS, cost_factorized, cost_original,
-                           default_input_shape, method_applies)
+from lowrank.costs import (CONV_METHODS, METHODS, cost_factorized,
+                           cost_original, default_input_shape, default_plan,
+                           method_applies)
 from lowrank.decompose import decompose_layer
 from lowrank.errors import RankError
 from lowrank.explore import (DEFAULT_TOL, census, count_all, count_valid,
@@ -670,6 +671,19 @@ class TestIterSolutions:
         with pytest.raises(RankError):
             iter_solutions(conv((3, 3), 8, 8), "tt", limit=-1)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "3", True, float("nan"),
+                                     float("inf")], ids=repr)
+    def test_a_limit_must_be_an_integer(self, bad):
+        # 2.5 used to raise islice's ValueError, and True to mean 1
+        with pytest.raises(RankError, match="limit must be an integer of "
+                                            "at least 0"):
+            iter_solutions(conv((3, 3), 8, 8), "tt", limit=bad)
+
+    def test_a_numpy_integer_limit_is_accepted(self):
+        layer = conv((3, 3), 8, 8)
+        assert (list(iter_solutions(layer, "tt", limit=np.int64(7)))
+                == list(iter_solutions(layer, "tt", limit=7)))
+
     def test_limit_builds_only_the_depths_it_reaches(self, monkeypatch):
         built = []
         family = explore._AffineFamily
@@ -746,6 +760,54 @@ class TestCellCosts:
             assert_checked_costs(layer, method, members)
             filled += bool(members)
         assert filled
+
+
+def weight_bytes(fact) -> dict:
+    return {name: w.tobytes() for name, w in fact.weights.items()}
+
+
+class TestSharedMemo:
+    """A search holds one memo dict per layer and hands it to both
+    ``decompose_layer`` and ``solutions_at_ratio``; their keys must not
+    collide, and the dict must change no byte of either result."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_memo_serves_both_callees(self, method, monkeypatch):
+        layer = (conv((3, 3), 16, 16) if method in CONV_METHODS
+                 else fc(400, 120))
+        weight = np.random.default_rng(5).standard_normal(
+            layer.weight_shape())
+        plan = default_plan(layer, method)
+        bounds = rank_bounds(layer, method, plan)
+        ladder = sorted({tuple(min(r, hi) for _, hi in bounds)
+                         for r in (1, 2, 3, 5)})
+        asks = [(percent, objective) for percent in (25, 60, 85)
+                for objective in ("params", "flops")]
+        built = []
+        build = explore._families
+
+        def families(layer, method, input_shape=None):
+            built.append(method)
+            return build(layer, method, input_shape)
+
+        monkeypatch.setattr(explore, "_families", families)
+        memo = {}
+        # interleaved as a search interleaves them
+        shared = [(decompose_layer(layer, weight, method, ranks, plan=plan,
+                                   memo=memo),
+                   [solutions_at_ratio(layer, method, percent, objective,
+                                       memo=memo)
+                    for percent, objective in asks])
+                  for ranks in ladder]
+        assert built == [method]
+        assert ("families", method) in memo
+        assert any(members for _, buckets in shared for members in buckets)
+        for ranks, (fact, buckets) in zip(ladder, shared):
+            fresh = decompose_layer(layer, weight, method, ranks, plan=plan)
+            assert weight_bytes(fact) == weight_bytes(fresh)
+            assert buckets == [solutions_at_ratio(layer, method, percent,
+                                                  objective)
+                               for percent, objective in asks]
 
 
 class TestSelectCandidates:

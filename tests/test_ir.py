@@ -7,7 +7,7 @@ from lowrank.errors import FormatError, GraphError, ShapeError
 from lowrank.ir import (LayerDesc, ModelDesc, WeightStore, check_weights,
                         conv_out_length)
 
-from conftest import small_conv_net
+from conftest import fc_into_batchnorm, small_conv_net
 
 rng = np.random.default_rng(3)
 
@@ -280,3 +280,19 @@ class TestWeightStore:
             check_weights(model, bad)
         with pytest.raises(FormatError):
             check_weights(model, weights.replace({}, drop=["f1"]))
+
+
+class TestBatchnormRecords:
+    @pytest.mark.parametrize("shapes", [
+        {},
+        # one length, but not the input's 6 channels: only a forward pass
+        # knows the input
+        {part: (3,) for part in ("scale", "shift", "mean", "var")}])
+    def test_one_length_1d_records_pass(self, shapes):
+        check_weights(*fc_into_batchnorm(**shapes))
+
+    @pytest.mark.parametrize("shapes", [
+        {"scale": (1,)}, {"shift": (3,)}, {"var": (6, 1)}, {"mean": ()}])
+    def test_other_shapes_are_rejected(self, shapes):
+        with pytest.raises(ShapeError, match="batchnorm records"):
+            check_weights(*fc_into_batchnorm(**shapes))

@@ -13,7 +13,7 @@ from lowrank.similarity import (_pad_input, _windows, capture_feature_maps,
                                 forward_model, layer_similarity,
                                 sample_dataset)
 
-from conftest import small_conv_net
+from conftest import fc_into_batchnorm, small_conv_net
 
 rng = np.random.default_rng(21)
 
@@ -385,6 +385,18 @@ class TestOtherKinds:
         rs = LayerDesc(name="r", kind="reshape", shape=(2, 2))
         out = forward_layer(rs, WeightStore({}), [x])
         assert out.shape == (3, 2, 2)
+
+    @pytest.mark.parametrize("shapes", [
+        {"scale": (1,)}, {"shift": (3,)},
+        {part: (3,) for part in ("scale", "shift", "mean", "var")}])
+    def test_batchnorm_records_must_match_the_channels(self, shapes):
+        # fc 4->6 into a batchnorm: a (1,) scale used to broadcast
+        # silently and a (3,) shift to die in numpy's broadcast
+        model, weights = fc_into_batchnorm(**shapes)
+        x = rng.standard_normal((3, 4)).astype(np.float32)
+        with pytest.raises(ShapeError, match="do not match 6 channels"):
+            forward_model(model, weights, x)
+        forward_model(*fc_into_batchnorm(), x)
 
     def test_activations(self):
         x = np.array([[-1.0, 0.0, 2.0]], dtype=np.float32)
