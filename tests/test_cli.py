@@ -252,6 +252,12 @@ class TestEnumerateCommand:
         # both t3f depths, the whole valid space
         (("--layer", "24,30", "--method", "t3f"), 478,
          "c8de25e5e8534e343fa845ab660590a1833f81d775a5cc5156a363819a44e623"),
+        # every slab of a family enumerated in slabs, and a limit that
+        # stops inside a later slab of a t3f depth
+        (("--layer", "3,3,32,48", "--method", "tt"), 128953,
+         "b8275364ab0df9d72e3fbc1d5f88fbc7df2abcc9d800d704bae9f15529127c31"),
+        (("--layer", "512,256", "--method", "t3f", "--limit", "20000"), 20000,
+         "92a267ce1deeac86f0010c52cc0cb672a78d7bbf3715b19130c0dd7b9d5ff3cb"),
     ]
 
     @pytest.mark.parametrize("flags, rows, digest", CSV_PINS)
