@@ -244,6 +244,15 @@ def check_integer(value, least: int, name: str) -> int:
     return int(value)
 
 
+def check_real(value, name: str):
+    """``value`` itself; RankError unless it is a Python or numpy real
+    number, not a bool.  The one real-number rule for tolerances,
+    percents and search settings; each caller then checks its range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise RankError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def check_ranks(layer: LayerDesc, method: str, ranks: tuple,
                 plan: tuple = None) -> tuple:
     """``ranks`` as ints; RankError unless they are a point of the box."""

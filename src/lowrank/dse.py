@@ -33,8 +33,9 @@ import numpy as np
 
 from . import explore
 from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, CostReport,
-                    applicable_methods, check_integer, compression_ratio,
-                    cost_original, default_plan, method_applies)
+                    applicable_methods, check_integer, check_real,
+                    compression_ratio, cost_original, default_plan,
+                    method_applies)
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
@@ -64,6 +65,9 @@ class DseConfig:
         if self.objective not in OBJECTIVES:
             raise RankError(f"objective must be one of {OBJECTIVES}, "
                             f"got {self.objective!r}")
+        for name in ("accuracy_drop_limit", "step_size", "target_fraction",
+                     "sim_threshold_sequential", "sim_threshold_nonsequential"):
+            check_real(getattr(self, name), name)
         # written so that NaN fails too
         if not self.accuracy_drop_limit >= 0:
             raise RankError("accuracy_drop_limit must be non-negative")

@@ -17,10 +17,18 @@ rank box (``_boxes``), whose volume ``count_all`` sums.  The affine
 coefficients are not written down here: each family walks the chain
 stages of ``costs.closed_form`` once over its cells, with the innermost
 rank at 0 and at 1, so that walk remains the only cost formula of a
-factorized layer.  Enumeration reads its costs from those cells too: a
-cell's base and slope become Python ints once, and each of its
-solutions costs ``base + slope * r`` (``_AffineFamily.solutions``),
-with no rank check or chain walk per point.
+factorized layer.  Enumeration reads its costs from those cells too,
+but builds each family in slabs along its leading axis, in enumeration
+order (``_families`` with a finite ``slab``): runs of consecutive plans
+for t3f, ranges of the first outer rank for the other methods.  The
+first slab holds about ``_FIRST_SLAB`` cells and each later one twice
+the one before, so a limited enumeration builds at most about twice the
+cells it reads, plus one slab, and a whole one only O(log cells) slabs.
+One bulk reader, ``_AffineFamily.solutions``, turns cells into
+solutions, for enumeration and bucket members alike: it reads the
+cells' plans, outer ranks, bases and slopes with one fancy index and
+one ``tolist`` per array, and costs each solution as ``base + slope *
+r`` in Python ints, with no rank check or chain walk per point.
 
 A census buckets the valid solutions at target reductions of an
 objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
@@ -55,10 +63,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import (OBJECTIVES, CostReport, check_integer, closed_form,
-                    compression_ratio, cost_factorized, cost_original,
-                    cp_max_rank, default_input_shape, rank_bounds,
-                    require_method, t3f_plans, tt_link_bounds)
+from .costs import (OBJECTIVES, CostReport, check_integer, check_real,
+                    closed_form, compression_ratio, cost_factorized,
+                    cost_original, cp_max_rank, default_input_shape,
+                    rank_bounds, require_method, t3f_plans, tt_link_bounds)
 from .errors import RankError
 from .ir import LayerDesc
 
@@ -141,29 +149,32 @@ class _AffineFamily:
     Built from ``box``, the upper rank bounds of ``plans`` (a row each,
     from ``_boxes``, with the plans' ``modes``); a cell fixes every rank
     but the innermost.  Without plans a method has one family over the
-    open grid of its outer ranks; t3f has one per depth, with flat,
-    plan-major cells (``_plan_cells``) and ``plan_index`` naming each
-    cell's plan.  ``closed_form`` walks the chain once over all cells
-    with the innermost rank at 0 and 1 on a leading axis: ``base`` (the
-    costs at rank 0) and ``slope`` (their increase per rank) are
-    CostReports of int64 arrays spanning all cells, so a flat cell index
-    addresses them and a metric at innermost rank r is ``base + slope *
-    r``.  ``last_bound`` is each cell's innermost bound and ``valid_hi``
-    the largest innermost rank keeping params and flops strictly below
-    ``original`` (none if below 1).
+    open grid of its outer ranks, the first of them from ``first`` on
+    (a slab of the whole grid when ``first`` > 1 or ``box`` is cut; one
+    cell when there are no outer ranks); t3f has one per depth, with
+    flat, plan-major cells (``_plan_cells``) and ``plan_index`` naming
+    each cell's plan.  ``closed_form`` walks the chain once over all
+    cells with the innermost rank at 0 and 1 on a leading axis:
+    ``base`` (the costs at rank 0) and ``slope`` (their increase per
+    rank) are CostReports of int64 arrays spanning all cells, so a flat
+    cell index addresses them and a metric at innermost rank r is
+    ``base + slope * r``.  ``last_bound`` is each cell's innermost bound
+    and ``valid_hi`` the largest innermost rank keeping params and flops
+    strictly below ``original`` (none if below 1).
     """
 
     def __init__(self, layer, method, input_shape, original, box, modes,
-                 plans):
+                 plans, first=1):
         self.method, self.plans = method, plans
         if method == "t3f":
             index, outer, last_bound, plan = _plan_cells(modes, box)
             self.shape = index.shape
         else:
             index, plan, last_bound = 0, None, box[0, -1]
-            self.shape = tuple(int(hi) for hi in box[0, :-1])
-            outer = np.ix_(*(np.arange(1, hi + 1, dtype=np.int64)
-                             for hi in self.shape))
+            lows = (first,) + (1,) * (box.shape[1] - 2)
+            outer = np.ix_(*(np.arange(lo, hi + 1, dtype=np.int64)
+                             for lo, hi in zip(lows, box[0, :-1])))
+            self.shape = tuple(ranks.size for ranks in outer) or (1,)
         self.plan_index = np.broadcast_to(index, self.shape)
         self.outer = [np.broadcast_to(ranks, self.shape) for ranks in outer]
         self.last_bound = np.broadcast_to(last_bound, self.shape)
@@ -185,18 +196,27 @@ class _AffineFamily:
         return (self.plans[int(self.plan_index[idx])],
                 tuple(int(ranks[idx]) for ranks in self.outer))
 
-    def solutions(self, flat_index: int, ranks):
-        """Lazily the solutions of one cell at each innermost rank of
-        ``ranks`` (Python ints), costed as ``base + slope * r``."""
-        plan, outer = self.cell(flat_index)
-        p0, f0, m0, dp, df, dm = (
-            int(np.ravel(values)[flat_index])
-            for report in (self.base, self.slope)
-            for values in (report.params, report.flops, report.fm))
-        for r in ranks:
-            yield Solution(self.method, outer + (r,),
-                           CostReport(p0 + dp * r, f0 + df * r, m0 + dm * r),
-                           plan=plan)
+    def solutions(self, flat: np.ndarray, lows, highs):
+        """Lazily the solutions of the cells at the flat indices ``flat``,
+        each at the innermost ranks from its entry of ``lows`` to its
+        entry of ``highs``, costed as ``base + slope * r`` in Python ints.
+        The one place a cell becomes solutions: each per-cell array is
+        read once, by one fancy index and one ``tolist``."""
+        idx = np.unravel_index(flat, self.shape)
+        plans = map(self.plans.__getitem__, self.plan_index[idx].tolist())
+        outer = (zip(*(ranks[idx].tolist() for ranks in self.outer))
+                 if self.outer else itertools.repeat(()))
+        coefficients = zip(*(values[idx].tolist()
+                             for report in (self.base, self.slope)
+                             for values in (report.params, report.flops,
+                                            report.fm)))
+        method = self.method
+        for plan, ranks, (p0, f0, m0, dp, df, dm), lo, hi in zip(
+                plans, outer, coefficients, lows, highs):
+            for r in range(lo, hi + 1):
+                yield Solution(method, ranks + (r,),
+                               CostReport(p0 + dp * r, f0 + df * r,
+                                          m0 + dm * r), plan)
 
 
 def _plan_cells(modes: np.ndarray, box: np.ndarray) -> tuple:
@@ -238,13 +258,42 @@ def _boxes(layer: LayerDesc, method: str):
             tuple((modes[:, :depth] * modes[:, depth:]).T)), axis=1), modes
 
 
-def _families(layer: LayerDesc, method: str, input_shape=None):
+def _families(layer: LayerDesc, method: str, input_shape=None,
+              slab: float = math.inf):
     """Lazily yield the affine families covering the whole space of
-    ``method``: one per t3f depth, one for every other method."""
+    ``method``: one per t3f depth, one for every other method.  A finite
+    ``slab`` cuts each into slabs along its leading axis, yielded in
+    enumeration order: runs of consecutive plans for t3f, ranges of the
+    first outer rank otherwise (a family without outer ranks is one
+    cell).  A slab takes whole steps of that axis, the first until it
+    holds ``slab`` cells, each later one until it holds twice the cells
+    of the largest slab before it."""
     original = cost_original(layer, input_shape or default_input_shape(layer))
+    want = slab
     for plans, box, modes in _boxes(layer, method):
-        yield _AffineFamily(layer, method, input_shape, original, box, modes,
-                            plans)
+        if method == "t3f":
+            sizes = box[:, :-1].prod(axis=1)
+        else:  # one step per first outer rank, one in all without any
+            sizes = np.full(box[0, 0] if box.shape[1] > 1 else 1,
+                            box[0, 1:-1].prod())
+        ends = np.concatenate(([0], np.cumsum(sizes)))  # cells before a step
+        start, steps = 0, len(sizes)
+        while start < steps:
+            stop = min(steps, int(np.searchsorted(ends, ends[start] + want)))
+            want = max(want, 2 * int(ends[stop] - ends[start]))
+            if method == "t3f":
+                yield _AffineFamily(layer, method, input_shape, original,
+                                    box[start:stop], modes[start:stop],
+                                    plans[start:stop])
+            else:
+                cut = box.copy()
+                cut[0, :-1][:1] = stop  # the first outer rank's bound, if any
+                yield _AffineFamily(layer, method, input_shape, original,
+                                    cut, modes, plans, start + 1)
+            start = stop
+
+
+_FIRST_SLAB = 64  # cells of the first slab an enumeration builds
 
 
 class _Cells(NamedTuple):
@@ -306,9 +355,9 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
 
 
 def check_tol(tol: float) -> None:
-    """RankError unless the bucket tolerance ``tol`` is finite and
-    non-negative (NaN fails too)."""
-    if not 0 <= tol < math.inf:
+    """RankError unless the bucket tolerance ``tol`` is a real number,
+    finite and non-negative (NaN fails too)."""
+    if not 0 <= check_real(tol, "tol") < math.inf:
         raise RankError(f"tol must be non-negative and finite, got {tol}")
 
 
@@ -317,7 +366,7 @@ def _bucket_value(tables, original: CostReport, objective: str,
     """The census bucket value at ``percent`` over the valid-cell
     ``tables`` of ``objective`` (see the module docstring)."""
     check_tol(tol)
-    if not math.isfinite(percent):
+    if not math.isfinite(check_real(percent, "percent")):
         raise RankError(f"percent must be a number and finite, got {percent}")
     scale = original.get(objective)
     target, reach = (1.0 - percent / 100.0) * scale, tol * scale
@@ -414,8 +463,8 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     out = []
     for cells in tables:
         flat, ranks, _ = _bucket_members(cells, value)
-        for flat_index, r in zip(flat.tolist(), ranks.tolist()):
-            out.extend(cells.family.solutions(flat_index, (r,)))
+        ranks = ranks.tolist()
+        out.extend(cells.family.solutions(flat, ranks, ranks))
     out.sort(key=lambda s: s.key())
     return out
 
@@ -427,18 +476,17 @@ def iter_solutions(layer: LayerDesc, method: str, input_shape=None,
     if limit is not None:
         check_integer(limit, 0, "limit")
     require_method(layer, method)
-    return itertools.islice(_solutions(layer, method, input_shape, valid_only),
-                            limit)
+    return itertools.islice(itertools.chain.from_iterable(
+        _slab_solutions(layer, method, input_shape, valid_only)), limit)
 
 
-def _solutions(layer, method, input_shape, valid_only):
-    """Every solution of the space, or of its valid region, lazily."""
-    for fam in _families(layer, method, input_shape):
-        tops = fam.valid_hi if valid_only else fam.last_bound
-        for flat in range(tops.size):
-            top = int(tops.flat[flat])
-            if top >= 1:
-                yield from fam.solutions(flat, range(1, top + 1))
+def _slab_solutions(layer, method, input_shape, valid_only):
+    """Lazily, for each slab of the families, a generator of the
+    solutions of its cells, or of its valid cells."""
+    for fam in _families(layer, method, input_shape, _FIRST_SLAB):
+        tops = np.ravel(fam.valid_hi if valid_only else fam.last_bound)
+        flat = np.flatnonzero(tops >= 1)
+        yield fam.solutions(flat, itertools.repeat(1), tops[flat].tolist())
 
 
 def select_candidates(solutions: list, max_sol: int, seed: int = 0) -> list:

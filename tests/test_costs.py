@@ -1,3 +1,4 @@
+import fractions
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.costs import (CONV_METHODS, CostReport, closed_form,
+from lowrank.costs import (CONV_METHODS, CostReport, check_real, closed_form,
                            compression_ratio, cost_chain, cost_factorized,
                            cost_original, default_input_shape,
                            model_breakdown)
@@ -244,3 +245,18 @@ class TestReports:
         summed = sum((c for c in report["layers"].values()),
                      CostReport(0, 0, 0))
         assert summed == report["total"]
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("good", [0, -3, 2.5, float("nan"), float("inf"),
+                                      np.float32(0.5), np.int64(7),
+                                      fractions.Fraction(1, 3)], ids=repr)
+    def test_reals_pass_unchanged(self, good):
+        # the range, NaN included, is each caller's own check
+        assert check_real(good, "x") is good
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5",
+                                     None, 1j, [1.0]], ids=repr)
+    def test_everything_else_raises(self, bad):
+        with pytest.raises(RankError, match="x must be a real number, got"):
+            check_real(bad, "x")

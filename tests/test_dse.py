@@ -212,6 +212,21 @@ class TestConfigAndBound:
         with pytest.raises(RankError, match=f"{field} must be an integer"):
             DseConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field", [
+        "step_size", "tol", "target_fraction", "accuracy_drop_limit",
+        "sim_threshold_sequential", "sim_threshold_nonsequential"])
+    @pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(True)],
+                             ids=repr)
+    def test_config_reals_follow_the_one_real_rule(self, field, bad):
+        with pytest.raises(RankError, match=f"{field} must be a real number"):
+            DseConfig(**{field: bad})
+
+    def test_config_accepts_numpy_reals(self):
+        config = DseConfig(step_size=np.float32(5), tol=np.float64(0.01),
+                           target_fraction=np.int64(1))
+        assert (config.step_size, config.tol, config.target_fraction) == \
+            (5.0, 0.01, 1)
+
     def test_config_accepts_zero_tol_and_drop_limit(self):
         config = DseConfig(tol=0.0, accuracy_drop_limit=0.0,
                            objective="overall_mem")

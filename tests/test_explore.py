@@ -602,6 +602,24 @@ class TestCensus:
                                                 "and finite"):
                 solutions_at_ratio(layer, method, percent)
 
+    @pytest.mark.parametrize("bad", ["50", None, True, np.bool_(False)],
+                             ids=repr)
+    def test_a_percent_must_be_a_real_number(self, bad):
+        for layer, method in ((fc(8, 6), "svd"), (BENCH["F1"], "t3f")):
+            with pytest.raises(RankError, match="percent must be a real "
+                                                "number"):
+                census(layer, method, (60, bad))
+            with pytest.raises(RankError, match="percent must be a real "
+                                                "number"):
+                solutions_at_ratio(layer, method, bad)
+
+    @pytest.mark.parametrize("bad", ["0.1", None, True], ids=repr)
+    def test_a_tolerance_must_be_a_real_number(self, bad):
+        with pytest.raises(RankError, match="tol must be a real number"):
+            census(fc(8, 6), "svd", (60,), tol=bad)
+        with pytest.raises(RankError, match="tol must be a real number"):
+            solutions_at_ratio(fc(8, 6), "svd", 60, tol=bad)
+
     def test_infinite_tolerance_raises(self):
         for layer, method in ((BENCH["L2"], "tt"), (BENCH["F1"], "t3f")):
             with pytest.raises(RankError, match="tol must be non-negative "
@@ -760,6 +778,113 @@ class TestCellCosts:
             assert_checked_costs(layer, method, members)
             filled += bool(members)
         assert filled
+
+
+def families_built(monkeypatch, run):
+    """What ``run()`` returns, and the rank families it built, in order."""
+    built = []
+    family = explore._AffineFamily
+
+    def recorded(*args):
+        built.append(family(*args))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(explore, "_AffineFamily", recorded)
+        return run(), built
+
+
+def family_cells(layer, method) -> list:
+    """The cells of each whole family of ``method`` on ``layer``."""
+    return [int(box[:, :-1].prod(axis=1).sum())
+            for _, box, _ in explore._boxes(layer, method)]
+
+
+# spaces of at least three slabs at the default slab sizes: (method,
+# layer, input shape)
+MULTI_SLAB_CASES = [
+    pytest.param("tt", conv((3, 3), 16, 16), None, id="tt-conv2d"),
+    pytest.param("tt", conv((3, 3), 12, 16, stride=(2, 2), padding="valid"),
+                 (9, 7, 12), id="tt-conv2d-valid-s2"),
+    pytest.param("tucker2", conv((3,), 512, 8), None, id="tucker2-conv1d"),
+    pytest.param("t3f", fc(24, 30), None, id="t3f-24x30"),
+]
+
+
+class TestSlabs:
+    """Enumeration builds each family in slabs along its leading axis;
+    no seam between slabs may show in what it yields."""
+
+    def check_slab_seams(self, monkeypatch, layer, method, shape):
+        """Returns the most slabs one enumeration built."""
+        points = brute_force_points(layer, method, shape)
+        slabs = 0
+        for valid_only in (False, True):
+            got, built = families_built(monkeypatch, lambda: list(
+                iter_solutions(layer, method, shape, valid_only)))
+            assert [(s.plan, s.ranks, s.cost) for s in got] == [
+                (plan, ranks, cost) for plan, ranks, cost, ok in points
+                if ok or not valid_only]
+            sizes = [int(np.maximum(fam.valid_hi if valid_only
+                                    else fam.last_bound, 0).sum())
+                     for fam in built]
+            assert sum(sizes) == len(got)
+            slabs = max(slabs, len(sizes))
+            # every limit from 0 to a few past each seam yields that prefix
+            for seam in itertools.accumulate(sizes, initial=0):
+                for limit in range(max(0, seam - 2), seam + 3):
+                    assert list(iter_solutions(layer, method, shape,
+                                               valid_only, limit)) == \
+                        got[:limit], (valid_only, limit)
+        return slabs
+
+    @pytest.mark.parametrize("first_slab", [1, 5])
+    @pytest.mark.parametrize("method, case", CELL_CASES)
+    def test_small_slabs_keep_the_brute_force_order(self, monkeypatch, method,
+                                                    case, first_slab):
+        layer, shape = case
+        monkeypatch.setattr(explore, "_FIRST_SLAB", first_slab)
+        self.check_slab_seams(monkeypatch, layer, method, shape)
+
+    @pytest.mark.parametrize("method, layer, shape", MULTI_SLAB_CASES)
+    def test_default_slabs_keep_the_brute_force_order(self, monkeypatch,
+                                                      method, layer, shape):
+        assert self.check_slab_seams(monkeypatch, layer, method, shape) >= 3
+
+    @pytest.mark.parametrize("method, name", [("tt", "L6"), ("t3f", "F2")])
+    def test_whole_space_callers_build_whole_families(self, monkeypatch,
+                                                      method, name):
+        layer = BENCH[name]
+        _, built = families_built(monkeypatch, lambda: (
+            count_valid(layer, method), census(layer, method, (60,)),
+            valid_extremes(layer, method),
+            solutions_at_ratio(layer, method, 60)))
+        assert [fam.plan_index.size for fam in built] == \
+            family_cells(layer, method) * 4
+
+    def test_a_limit_builds_under_a_hundredth_of_a_big_family(self,
+                                                              monkeypatch):
+        layer = BENCH["L3"]
+        assert family_cells(layer, "tt") == [786_432]
+        got, built = families_built(monkeypatch, lambda: list(iter_solutions(
+            layer, "tt", valid_only=True, limit=10_000)))
+        assert len(got) == 10_000
+        assert sum(fam.plan_index.size for fam in built) < 786_432 // 100
+
+    @pytest.mark.parametrize("limit", [1, 100, 5_000, 60_000])
+    def test_a_t3f_limit_builds_about_twice_the_cells_it_reads(self,
+                                                               monkeypatch,
+                                                               limit):
+        # without valid_only every cell yields a solution, so the cells
+        # read are the distinct (plan, outer ranks) yielded
+        layer = BENCH["F2"]
+        got, built = families_built(monkeypatch, lambda: list(iter_solutions(
+            layer, "t3f", limit=limit)))
+        assert len(got) == limit
+        read = len({(s.plan, s.ranks[:-1]) for s in got})
+        cells = [fam.plan_index.size for fam in built]
+        assert sum(cells) <= 2 * read + max(cells)
+        assert sum(cells) < sum(family_cells(layer, "t3f"))
 
 
 def weight_bytes(fact) -> dict:
