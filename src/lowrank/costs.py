@@ -14,8 +14,8 @@ the conv methods take an ungrouped conv, the fc methods an fc layer.
 The rank box of ``rank_bounds`` decides which ranks a method admits
 on a layer.  ``chain_stages`` states once what a method factors a
 layer into: the weighted stages of its chain, each given by its
-channel links (a conv stage also by its layer kind and the axis its
-window covers, a t3f core by its mode sizes).  ``decompose.chain_descs``
+channel links (a conv or fc stage also by its layer kind and the axis
+its window covers, a t3f core by its mode sizes).  ``decompose.chain_descs``
 names those stages as layers, and ``closed_form`` walks them, costing
 each stage as ``cost_original`` costs its layer kind; that walk is the
 only cost formula of a factorized layer.  ``cost_factorized`` checks
@@ -324,9 +324,9 @@ def chain_stages(layer: LayerDesc, method: str, ranks: tuple,
     axis, with that axis's kernel and stride alone.  Every stage has the
     layer's kind but CP's per-axis ones, which are ``depthwise_conv``
     (c_in and c_out both the rank).  svd and qr give their two fc
-    stages ``(c_in, c_out)``; t3f gives ``(m, n, r_in, r_out)`` per core
-    of the TT-matrix over ``plan``.  Ranks and mode sizes may be int64
-    arrays that broadcast.
+    stages the same way, both pointwise; t3f gives ``(m, n, r_in,
+    r_out)`` per core of the TT-matrix over ``plan``.  Ranks and mode
+    sizes may be int64 arrays that broadcast.
     """
     c, f, kind = layer.in_channels, layer.out_channels, layer.kind
     if method == "tucker2":
@@ -345,7 +345,7 @@ def chain_stages(layer: LayerDesc, method: str, ranks: tuple,
             (None, *range(len(layer.kernel)), None), links, links[1:])]
     if method in ("svd", "qr"):
         (r,) = ranks
-        return [(c, r), (r, f)]
+        return [(kind, None, c, r), (kind, None, r, f)]
     if method == "t3f":
         ms, ns = plan
         full = (1, *ranks, 1)
@@ -372,14 +372,10 @@ def closed_form(layer: LayerDesc, method: str, ranks: tuple,
             params = params + m * n * links
             flops = flops + 2 * m * rows * links
             fm = fm + rows * r_out
-    elif method in FC_METHODS:
-        for c_in, c_out in stages:
-            params = params + c_in * c_out
-            fm = fm + c_out
-        flops = 2 * params  # two flops per weight of every fc stage
     else:
         # the extents shrink to the output ones as the stages of their
-        # axes apply, and the pointwise stages keep them
+        # axes apply, and the pointwise stages keep them (an fc layer has
+        # none: one position)
         shape = tuple(default_input_shape(layer) if input_shape is None
                       else input_shape)
         spatial_out = layer.out_shape([shape])[:-1]

@@ -78,8 +78,8 @@ from scipy.linalg import khatri_rao
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import linalg
-from .costs import (FC_METHODS, WHOLE_KERNEL, CostReport, chain_stages,
-                    check_ranks, cost_chain, cp_max_rank)
+from .costs import (WHOLE_KERNEL, CostReport, chain_stages, check_ranks,
+                    cost_chain, cp_max_rank)
 from .errors import DecompositionError, ShapeError
 from .ir import LayerDesc
 
@@ -150,8 +150,9 @@ class FactorizedLayer:
 def _on_axis(window: tuple, axis) -> tuple:
     """A kernel or stride as the conv stage on ``axis`` applies it: all
     of it on ``WHOLE_KERNEL``, else kept on ``axis`` and 1 on every other
-    axis (1 everywhere for a pointwise stage, axis None)."""
-    if axis == WHOLE_KERNEL:
+    axis (1 everywhere for a pointwise stage, axis None).  An fc layer's
+    None stays None."""
+    if window is None or axis == WHOLE_KERNEL:
         return window
     return tuple(k if i == axis else 1 for i, k in enumerate(window))
 
@@ -176,10 +177,6 @@ def chain_descs(layer: LayerDesc, method: str, ranks: tuple,
                   for name, (m, n, r_in, r_out) in zip(names[1:], stages)),
                 LayerDesc(name=names[-1], kind="reshape",
                           shape=(layer.out_channels,))]
-    if method in FC_METHODS:
-        return [LayerDesc(name=name, kind="fc", in_channels=c_in,
-                          out_channels=c_out)
-                for name, (c_in, c_out) in zip(names, stages)]
     return [LayerDesc(name=name, kind=kind,
                       kernel=_on_axis(layer.kernel, axis),
                       stride=_on_axis(layer.stride, axis),

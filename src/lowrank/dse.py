@@ -14,10 +14,12 @@ for every layer, the solution from the run that minimizes the chosen
 objective on that layer.
 
 A search decomposes each layer at many ranks and asks for its rank
-families at many targets.  ``run_dse`` keeps one memo dict per target
-layer for both: ``decompose_layer`` keeps the full factorizations in it
-and ``explore.solutions_at_ratio`` the rank families, each under its
-own keys, so each is computed once per search.  The memos are created
+families at many targets.  ``run_dse`` keeps one record per target
+layer, a ``LayerSearchState``, built once with the layer's method,
+input shape, similarity threshold and memo.  The memo is one dict for
+both: ``decompose_layer`` keeps the full factorizations in it and
+``explore.solutions_at_ratio`` the rank families, each under its own
+keys, so each is computed once per search.  The records are created
 inside the call and dropped with it; separate calls share nothing.
 """
 
@@ -86,16 +88,26 @@ class DseConfig:
 
 @dataclass
 class LayerSearchState:
-    """A target layer's current solution, that solution's similarity and
-    its cost, set together whenever the solution is chosen.  A reverted
-    layer has no solution, no similarity and its original cost."""
+    """One target layer of a search.
 
-    name: str
-    solution: FactorizedLayer | None
-    similarity: float | None
-    cost: CostReport
-    step: float
+    Fixed once: the layer, the method that factors it, its input shape,
+    its similarity threshold and its memo, the one dict in which
+    ``decompose_layer`` and ``explore.solutions_at_ratio`` keep this
+    layer's work.  Moved by the search: the step, the frozen flag, and
+    the current solution with its similarity and its cost, set together
+    whenever the solution is chosen.  A reverted layer has no solution,
+    no similarity and its original cost."""
+
+    layer: LayerDesc
+    method: str
+    input_shape: tuple
+    threshold: float
+    memo: dict = field(default_factory=dict)
+    step: float = 0.0
     frozen: bool = False
+    solution: FactorizedLayer | None = None
+    similarity: float | None = None
+    cost: CostReport | None = None
 
     @property
     def exhausted(self) -> bool:
@@ -145,6 +157,8 @@ class BuiltinEvaluator:
     def __init__(self, dataset: WeightStore):
         self.inputs = dataset[DATASET_INPUTS]
         self.labels = dataset[DATASET_LABELS]
+        if not len(self.inputs):
+            raise EvaluatorError("dataset has no inputs")
 
     def __call__(self, model: ModelDesc, weights: WeightStore) -> float:
         return builtin_eval_accuracy(model, weights, self.inputs, self.labels)
@@ -216,7 +230,7 @@ def install_solutions(model: ModelDesc, weights: WeightStore,
     return new_model, weights.replace(updates, drop=first)
 
 
-# -- target selection and initialization --------------------------------------
+# -- target selection ---------------------------------------------------------
 
 
 def decomposable_layers(model: ModelDesc) -> list:
@@ -243,50 +257,21 @@ def select_target_layers(model: ModelDesc, input_shape: tuple,
     return [name for name in names if name in chosen]
 
 
-def method_for_layer(layer: LayerDesc, conv_method: str, fc_method: str) -> str:
-    return conv_method if method_applies(layer, conv_method) else fc_method
-
-
-def init_rank_one(model: ModelDesc, weights: WeightStore, targets: list,
-                  conv_method: str, fc_method: str, seed: int = 0,
-                  memos: dict = None) -> dict:
-    """Rank-one factorization of every target layer.
-
-    ``memos`` maps a target name to that layer's ``decompose_layer``
-    memo.  An error names the layer it came from and keeps its payload.
-    """
-    solutions = {}
-    for name in targets:
-        layer = model.layer(name)
-        method = method_for_layer(layer, conv_method, fc_method)
-        plan = default_plan(layer, method)
-        solutions[name] = _decompose_target(
-            layer, weights, method, explore.min_ranks(layer, method, plan),
-            plan, seed, (memos or {}).get(name))
-    return solutions
-
-
-def _decompose_target(layer: LayerDesc, weights: WeightStore, method: str,
-                      ranks: tuple, plan, seed: int,
-                      memo: dict) -> FactorizedLayer:
-    """``decompose_layer`` on a target layer of a search; an error names
-    the layer it came from and keeps its payload."""
-    try:
-        return decompose_layer(layer, np.asarray(weights[layer.name]), method,
-                               ranks, plan=plan, seed=seed, memo=memo)
-    except Exception as exc:
-        exc.args = (f"{layer.name}: {exc}",)
-        raise
-
-
 # -- the search loop -----------------------------------------------------------
 
 
-def _threshold(model: ModelDesc, name: str, config: DseConfig) -> float:
-    branching = (len(model.predecessors(name)) > 1
-                 or len(model.successors(name)) > 1)
-    return (config.sim_threshold_nonsequential if branching
-            else config.sim_threshold_sequential)
+def _decompose_target(state: LayerSearchState, weights: WeightStore,
+                      ranks: tuple, plan, seed: int) -> FactorizedLayer:
+    """``decompose_layer`` on a target layer of a search, in its memo; an
+    error names the layer it came from and keeps its payload."""
+    layer = state.layer
+    try:
+        return decompose_layer(layer, np.asarray(weights[layer.name]),
+                               state.method, ranks, plan=plan, seed=seed,
+                               memo=state.memo)
+    except Exception as exc:
+        exc.args = (f"{layer.name}: {exc}",)
+        raise
 
 
 def iteration_bound(step_size: float, n_targets: int) -> int:
@@ -312,17 +297,27 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
     capture = capture_feature_maps(model, weights, samples, targets)
     baseline = evaluator(model, weights)
 
-    memos = {name: {} for name in targets}
     states = {}
-    for name, fact in init_rank_one(model, weights, targets, conv_method,
-                                    fc_method, seed=config.seed,
-                                    memos=memos).items():
-        cost = fact.cost(in_shapes[name])
-        original = cost_original(model.layer(name), in_shapes[name])
-        step = 100.0 * compression_ratio(original.get(config.objective),
-                                         cost.get(config.objective))
-        states[name] = LayerSearchState(
-            name, fact, layer_similarity(fact, capture), cost, step)
+    for name in targets:
+        layer = model.layer(name)
+        branching = (len(model.predecessors(name)) > 1
+                     or len(model.successors(name)) > 1)
+        state = states[name] = LayerSearchState(
+            layer,
+            conv_method if method_applies(layer, conv_method) else fc_method,
+            in_shapes[name],
+            config.sim_threshold_nonsequential if branching
+            else config.sim_threshold_sequential)
+        plan = default_plan(layer, state.method)
+        fact = _decompose_target(
+            state, weights, explore.min_ranks(layer, state.method, plan),
+            plan, config.seed)
+        cost = fact.cost(state.input_shape)
+        original = cost_original(layer, state.input_shape)
+        state.step = 100.0 * compression_ratio(original.get(config.objective),
+                                               cost.get(config.objective))
+        state.solution, state.similarity, state.cost = (
+            fact, layer_similarity(fact, capture), cost)
 
     audit = []
     best = None  # (accuracy, model, weights)
@@ -353,31 +348,29 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
             break
 
         advanced = False
-        for name, state in states.items():
+        for state in states.values():
             if state.exhausted or state.frozen:
                 continue
-            if state.similarity >= _threshold(model, name, config):
+            if state.similarity >= state.threshold:
                 state.frozen = True
                 continue
             state.step -= config.step_size
             advanced = True
-            layer = model.layer(name)
             if state.step <= 0:
                 state.solution, state.similarity = None, None
-                state.cost = cost_original(layer, in_shapes[name])
+                state.cost = cost_original(state.layer, state.input_shape)
                 continue
-            method = method_for_layer(layer, conv_method, fc_method)
             bucket = explore.solutions_at_ratio(
-                layer, method, state.step, config.objective, config.tol,
-                in_shapes[name], memo=memos[name])
+                state.layer, state.method, state.step, config.objective,
+                config.tol, state.input_shape, memo=state.memo)
             candidates = explore.select_candidates(bucket, config.max_sol,
                                                    seed=config.seed)
             if not candidates:
                 continue
             scored = []
             for cand in candidates:
-                fact = _decompose_target(layer, weights, method, cand.ranks,
-                                         cand.plan, config.seed, memos[name])
+                fact = _decompose_target(state, weights, cand.ranks,
+                                         cand.plan, config.seed)
                 sim = layer_similarity(fact, capture)
                 scored.append((-sim, cand.cost.flops, cand.key(), fact,
                                cand.cost))

@@ -25,10 +25,11 @@ first slab holds about ``_FIRST_SLAB`` cells and each later one twice
 the one before, so a limited enumeration builds at most about twice the
 cells it reads, plus one slab, and a whole one only O(log cells) slabs.
 One bulk reader, ``_AffineFamily.solutions``, turns cells into
-solutions, for enumeration and bucket members alike: it reads the
-cells' plans, outer ranks, bases and slopes with one fancy index and
-one ``tolist`` per array, and costs each solution as ``base + slope *
-r`` in Python ints, with no rank check or chain walk per point.
+solutions, for enumeration, bucket members and a census's best member
+alike: it reads the cells' plans, outer ranks, bases and slopes with
+one fancy index and one ``tolist`` per array, and costs each solution
+as ``base + slope * r`` in Python ints, with no rank check or chain
+walk per point.
 
 A census buckets the valid solutions at target reductions of an
 objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
@@ -38,7 +39,7 @@ none when even that value misses the target by more than
 tol * original.  The bucket holds every valid solution achieving
 exactly that value; ``census`` summarizes it and ``solutions_at_ratio``
 materializes it, its members costed from their cells as enumeration
-costs them.  A census costs only its ``best`` member, one per
+costs them.  A census re-costs only its ``best`` member, one per
 non-empty bucket, through the checked ``cost_factorized``.  Both read
 one table of valid cells per family (``_valid_cells``), built once per
 call and dropped with it.  In a cell with objective ``a + b * r``
@@ -58,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -189,12 +190,6 @@ class _AffineFamily:
         hi_f = ((original.flops - 1 - self.base.flops)
                 // np.maximum(self.slope.flops, 1))
         self.valid_hi = np.minimum(np.minimum(hi_p, hi_f), self.last_bound)
-
-    def cell(self, flat_index: int) -> tuple:
-        """The plan and the outer ranks of one cell."""
-        idx = np.unravel_index(flat_index, self.shape)
-        return (self.plans[int(self.plan_index[idx])],
-                tuple(int(ranks[idx]) for ranks in self.outer))
 
     def solutions(self, flat: np.ndarray, lows, highs):
         """Lazily the solutions of the cells at the flat indices ``flat``,
@@ -436,10 +431,10 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
                    for i, (*_, flops) in enumerate(members) if flops.size)
         flat, ranks, flops = members[i]
         pick = int(np.argmin(flops))
-        plan, outer = tables[i].family.cell(int(flat[pick]))
-        point = outer + (int(ranks[pick]),)
-        bucket.best = Solution(method, point, cost_factorized(
-            layer, method, point, input_shape, plan=plan), plan=plan)
+        rank = [int(ranks[pick])]
+        (best,) = tables[i].family.solutions(flat[pick:pick + 1], rank, rank)
+        bucket.best = replace(best, cost=cost_factorized(
+            layer, method, best.ranks, input_shape, plan=best.plan))
     report.generation_time = time.perf_counter() - t0
     return report
 
@@ -501,10 +496,8 @@ def select_candidates(solutions: list, max_sol: int, seed: int = 0) -> list:
         return []
     pool = sorted(solutions, key=lambda s: (s.cost.flops, s.key()))
     chosen = [pool[0]]
-    if max_sol >= 2 and len(pool) > len(chosen):
-        most = max(pool, key=lambda s: (s.cost.flops, s.key()))
-        if most not in chosen:
-            chosen.append(most)
+    if max_sol >= 2 and len(pool) > 1:
+        chosen.append(pool[-1])
     if max_sol >= 3:
         def spread(s):
             return (max(s.ranks) - min(s.ranks), s.key())

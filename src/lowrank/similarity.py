@@ -191,22 +191,22 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     record name to array (a WeightStore works).
     """
     xs = inputs if isinstance(inputs, (list, tuple)) else [inputs]
-    # checks the inputs; for a windowed kind, its spatial output extents
-    lengths = layer.out_shape([a.shape[1:] for a in xs])[:-1]
+    # checks the inputs; the per-sample output shape
+    shape = layer.out_shape([a.shape[1:] for a in xs])
     x = xs[0]
 
     k = layer.kind
     if k in CONV_KINDS:
-        return _conv_nd(layer, x, _weight(layer, weights), lengths)
+        return _conv_nd(layer, x, _weight(layer, weights), shape[:-1])
     if k == "depthwise_conv":
-        return _window_fold(layer, x, lengths, np.add,
+        return _window_fold(layer, x, shape[:-1], np.add,
                             w=_weight(layer, weights))
     if k == "fc":
         return x @ _weight(layer, weights)
     if k == "activation":
         return _activation(x, layer.fn)
     if k == "pool":
-        return _pool_nd(layer, x, lengths)
+        return _pool_nd(layer, x, shape[:-1])
     if k == "batchnorm":
         params = [np.asarray(weights[key]) for key in layer.weight_keys()]
         if any(p.shape != x.shape[-1:] for p in params):
@@ -215,10 +215,8 @@ def forward_layer(layer: LayerDesc, weights, inputs):
                              f"{x.shape[-1]} channels")
         scale, shift, mean, var = params
         return scale * (x - mean) / np.sqrt(var + layer.eps) + shift
-    if k == "reshape":
-        return x.reshape((x.shape[0],) + tuple(layer.shape))
-    if k == "flatten":
-        return x.reshape(x.shape[0], -1)
+    if k in ("reshape", "flatten"):
+        return x.reshape(x.shape[:1] + shape)
     if k == "tt_core":
         w = _weight(layer, weights)
         batch, q, r_in = x.shape
@@ -354,6 +352,8 @@ def sample_dataset(dataset: WeightStore, count: int, seed: int):
     """Seeded subset of the container's inputs (and labels when present)."""
     inputs = dataset[DATASET_INPUTS]
     total = inputs.shape[0]
+    if not total:
+        raise ShapeError("dataset has no inputs")
     take = min(count, total)
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(total, size=take, replace=False))

@@ -9,11 +9,12 @@ import pytest
 
 from lowrank import dse, explore, linalg
 from lowrank.costs import CONV_METHODS, FC_METHODS, cost_original
+from lowrank.decompose import decompose_layer
 from lowrank.dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
-                         hybrid_combine, init_rank_one, install_solutions,
-                         iteration_bound, run_dse, select_target_layers)
+                         hybrid_combine, install_solutions, iteration_bound,
+                         run_dse, select_target_layers)
 from lowrank.errors import (ConstraintUnreachableError, DecompositionError,
-                            EvaluatorError, GraphError, RankError)
+                            EvaluatorError, GraphError, RankError, ShapeError)
 from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc,
                         WeightStore)
 from lowrank.similarity import capture_feature_maps, forward_model
@@ -260,48 +261,22 @@ class TestTargetSelection:
             select_target_layers(model, (4,))
 
 
-class TestInitRankOne:
-    def test_minimum_ranks(self):
-        model, weights = conv_chain_net()
-        sols = init_rank_one(model, weights, ["c1", "c2", "f1"],
-                             "tucker2", "svd")
-        assert sols["c1"].ranks == (1, 1)
-        assert sols["c2"].ranks == (1, 1)
-        assert sols["f1"].ranks == (1,)
-
-    def test_deterministic(self):
-        model, weights = conv_chain_net()
-        a = init_rank_one(model, weights, ["c2"], "cp", "svd", seed=4)
-        b = init_rank_one(model, weights, ["c2"], "cp", "svd", seed=4)
-        for wa, wb in zip(a["c2"].weights.values(), b["c2"].weights.values()):
-            assert np.array_equal(wa, wb)
-
-    def test_fc_without_t3f_plan(self):
-        layer = LayerDesc(name="f", kind="fc", in_channels=7, out_channels=11)
-        model = ModelDesc(layers=[layer], edges=[], input="f", output="f")
-        weights = WeightStore({"f": np.ones((7, 11), dtype=np.float32)})
-        with pytest.raises(RankError) as err:
-            init_rank_one(model, weights, ["f"], "tucker2", "t3f")
-        assert str(err.value) == "f: no factorization plan for (7, 11)"
-
-    def test_error_names_the_layer_and_keeps_its_payload(self, monkeypatch):
-        best = object()
-
-        def diverging(*args, **kwargs):
-            raise DecompositionError("fit decreased", best=best)
-
-        monkeypatch.setattr(dse, "decompose_layer", diverging)
-        model, weights = conv_chain_net()
-        with pytest.raises(DecompositionError) as err:
-            init_rank_one(model, weights, ["c2"], "cp", "svd")
-        assert str(err.value) == "c2: fit decreased"
-        assert err.value.best is best
+def rank_one_chains(model, weights, names):
+    """Rank-one chains of the named layers: tucker2 on a conv, svd on an
+    fc."""
+    chains = {}
+    for name in names:
+        layer = model.layer(name)
+        method = "svd" if layer.kind == "fc" else "tucker2"
+        chains[name] = decompose_layer(layer, weights[name], method,
+                                       explore.min_ranks(layer, method))
+    return chains
 
 
 class TestInstallSolutions:
     def test_middle_layer_rewired(self):
         model, weights = conv_chain_net()
-        sols = init_rank_one(model, weights, ["c2"], "tucker2", "svd")
+        sols = rank_one_chains(model, weights, ["c2"])
         new_model, new_weights = install_solutions(model, weights, sols)
         names = [l.name for l in new_model.layers]
         assert "c2" not in names
@@ -314,7 +289,7 @@ class TestInstallSolutions:
 
     def test_entry_and_exit_renamed(self):
         model, weights = conv_chain_net()
-        sols = init_rank_one(model, weights, ["c1", "f1"], "tucker2", "svd")
+        sols = rank_one_chains(model, weights, ["c1", "f1"])
         new_model, _ = install_solutions(model, weights, sols)
         assert new_model.input == "c1.lrf0"
         assert new_model.output == "f1.lrf1"
@@ -334,6 +309,10 @@ class TestEvaluators:
     def test_builtin_perfect_on_own_labels(self, toy_net, toy_dataset):
         model, weights = toy_net
         assert BuiltinEvaluator(toy_dataset)(model, weights) == 1.0
+
+    def test_builtin_rejects_an_empty_dataset(self):
+        with pytest.raises(EvaluatorError, match="dataset has no inputs"):
+            BuiltinEvaluator(make_dataset(count=0))
 
     @pytest.mark.parametrize("bad", [-1.0, 0.5, np.nan, np.inf, 10.0])
     def test_builtin_rejects_labels_that_are_not_class_indices(
@@ -399,6 +378,38 @@ class TestSearchLoop:
             run_dse(model, weights, make_dataset(shape=(6, 6, 4)),
                     DseConfig(), Scripted([1.0]), conv_method=conv_method,
                     fc_method=fc_method)
+
+    def test_empty_dataset_raises_a_shape_error(self):
+        model, weights = conv_chain_net()
+        with pytest.raises(ShapeError, match="dataset has no inputs"):
+            run_dse(model, weights, make_dataset(count=0),
+                    DseConfig(sample_count=4), Scripted([1.0]))
+
+    def test_fc_without_t3f_plan(self):
+        layer = LayerDesc(name="f", kind="fc", in_channels=7, out_channels=11)
+        model = ModelDesc(layers=[layer], edges=[], input="f", output="f")
+        weights = WeightStore({"f": np.ones((7, 11), dtype=np.float32)})
+        with pytest.raises(RankError) as err:
+            run_dse(model, weights, make_dataset(shape=(7,), classes=11),
+                    DseConfig(sample_count=4), Scripted([1.0]),
+                    fc_method="t3f")
+        assert str(err.value) == "f: no factorization plan for (7, 11)"
+
+    def test_rank_one_decomposition_error_names_its_layer(self,
+                                                          monkeypatch):
+        best = object()
+
+        def diverging(*args, **kwargs):
+            raise DecompositionError("fit decreased", best=best)
+
+        monkeypatch.setattr(dse, "decompose_layer", diverging)
+        model, weights = conv_chain_net()
+        with pytest.raises(DecompositionError) as err:
+            run_dse(model, weights, make_dataset(),
+                    DseConfig(target_fraction=1.0, sample_count=4),
+                    Scripted([1.0]), conv_method="cp")
+        assert str(err.value) == "c1: fit decreased"
+        assert err.value.best is best
 
     def test_candidate_decomposition_error_names_its_layer(self,
                                                            monkeypatch):

@@ -418,6 +418,13 @@ class TestOtherKinds:
         got = forward_layer(cat, WeightStore({}), [a, b])
         assert got.shape == (2, 6)
 
+    def test_zero_row_flatten_and_reshape(self):
+        x = np.zeros((0, 2, 3, 4), np.float32)
+        flat = LayerDesc(name="fl", kind="flatten")
+        assert forward_layer(flat, WeightStore({}), [x]).shape == (0, 24)
+        back = LayerDesc(name="r", kind="reshape", shape=(6, 4))
+        assert forward_layer(back, WeightStore({}), [x]).shape == (0, 6, 4)
+
     def test_shape_mismatch_raises(self):
         fc = LayerDesc(name="f", kind="fc", in_channels=4, out_channels=2)
         w = rng.standard_normal((4, 2)).astype(np.float32)
@@ -579,3 +586,8 @@ class TestSampleDataset:
         data = WeightStore({DATASET_INPUTS: np.zeros((3, 2), np.float32)})
         x, labels = sample_dataset(data, 100, seed=0)
         assert len(x) == 3 and labels is None
+
+    def test_no_inputs_raises(self):
+        data = WeightStore({DATASET_INPUTS: np.zeros((0, 2), np.float32)})
+        with pytest.raises(ShapeError, match="dataset has no inputs"):
+            sample_dataset(data, 4, seed=0)
