@@ -1,6 +1,6 @@
 """Similarity-guided per-layer rank search and hybrid combination.
 
-The loop starts every target layer at rank one (maximum compression),
+The search starts every target layer at rank one (maximum compression),
 then repeatedly: evaluates the factorized model against the accuracy
 bound, freezes layers whose feature maps already track the original
 closely enough, and relaxes the remaining layers' target compression
@@ -9,18 +9,19 @@ the candidate whose feature map stays most similar.  Layers that run
 out of steps revert to their original weights.  Sensitive layers thus
 end up less compressed than robust ones.
 
+``search`` yields one DseResult per evaluated model, whose ``success``
+says whether that model meets the bound.  It ends at the first that
+does, or once no layer can move.  ``run_dse`` drives it to its end and
+returns the last result, or raises ConstraintUnreachableError.
+
 A hybrid model combines several finished single-method runs by taking,
 for every layer, the solution from the run that minimizes the chosen
 objective on that layer.
 
-A search decomposes each layer at many ranks and asks for its rank
-families at many targets.  ``run_dse`` keeps one record per target
-layer, a ``LayerSearchState``, built once with the layer's method,
-input shape, similarity threshold and memo.  The memo is one dict for
-both: ``decompose_layer`` keeps the full factorizations in it and
-``explore.solutions_at_ratio`` the rank families, each under its own
-keys, so each is computed once per search.  The records are created
-inside the call and dropped with it; separate calls share nothing.
+A search keeps one ``LayerSearchState`` per target layer.  Its memo is
+the one dict in which ``decompose_layer`` keeps the layer's full
+factorizations and ``explore.solutions_at_ratio`` its rank families, so
+each is computed once per search; separate searches share nothing.
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ class LayerSearchState:
 
 @dataclass
 class DseResult:
+    """One evaluated model of a search with the audit up to its entry, or
+    a hybrid (a success, with no accuracy until its caller measures one).
+    ``success`` says whether ``final_accuracy`` meets the bound."""
+
     model: ModelDesc
     weights: WeightStore
     audit: list
@@ -155,6 +160,9 @@ class BuiltinEvaluator:
     """Evaluator measuring raw forward accuracy on a labeled dataset."""
 
     def __init__(self, dataset: WeightStore):
+        for name in (DATASET_INPUTS, DATASET_LABELS):
+            if name not in dataset:
+                raise EvaluatorError(f"dataset has no {name!r} record")
         self.inputs = dataset[DATASET_INPUTS]
         self.labels = dataset[DATASET_LABELS]
         if not len(self.inputs):
@@ -233,11 +241,6 @@ def install_solutions(model: ModelDesc, weights: WeightStore,
 # -- target selection ---------------------------------------------------------
 
 
-def decomposable_layers(model: ModelDesc) -> list:
-    """The layers that some method factors, in layer order."""
-    return [l.name for l in model.layers if applicable_methods(l)]
-
-
 def select_target_layers(model: ModelDesc, input_shape: tuple,
                          objective: str = "params",
                          fraction: float = 0.9) -> list:
@@ -245,15 +248,13 @@ def select_target_layers(model: ModelDesc, input_shape: tuple,
 
     Ties break toward earlier layers; the result keeps layer order.
     """
-    names = decomposable_layers(model)
+    names = [layer.name for layer in model.layers if applicable_methods(layer)]
     if not names:
         raise GraphError("model has no decomposable layer")
     in_shapes = model.input_shapes(input_shape)
-    sized = [(cost_original(model.layer(name), in_shapes[name]).get(objective),
-              idx, name) for idx, name in enumerate(names)]
-    keep = math.ceil(fraction * len(names))
-    ranked = sorted(sized, key=lambda t: (-t[0], t[1]))
-    chosen = {name for _, _, name in ranked[:keep]}
+    ranked = sorted(names, key=lambda name: -cost_original(
+        model.layer(name), in_shapes[name]).get(objective))
+    chosen = set(ranked[:math.ceil(fraction * len(names))])
     return [name for name in names if name in chosen]
 
 
@@ -275,25 +276,24 @@ def _decompose_target(state: LayerSearchState, weights: WeightStore,
 
 
 def iteration_bound(step_size: float, n_targets: int) -> int:
+    """The most models a search evaluates."""
     return 1 + math.ceil(100.0 / step_size) * n_targets
 
 
-def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
-            config: DseConfig, evaluator, conv_method: str = "tucker2",
-            fc_method: str = "svd") -> DseResult:
-    """Run the rank search loop to completion.
-
-    Raises ConstraintUnreachableError (carrying the best model found,
-    and naming the frozen and the reverted layers) when every target
-    layer is one or the other and the accuracy bound still is not met.
+def search(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
+           config: DseConfig, evaluator, conv_method: str = "tucker2",
+           fc_method: str = "svd"):
+    """Lazily the rank search: one DseResult per evaluated model, yielded
+    once the decision step that its evaluation caused has run.  It ends
+    after the first result that meets the accuracy bound, or after a
+    step in which no target layer moved (each is then frozen or reverted).
     """
     if conv_method not in CONV_METHODS or fc_method not in FC_METHODS:
         raise RankError(f"bad method pair {conv_method!r}, {fc_method!r}")
-    input_shape = tuple(dataset[DATASET_INPUTS].shape[1:])
-    in_shapes = model.input_shapes(input_shape)
-    targets = select_target_layers(model, input_shape, config.objective,
-                                   config.target_fraction)
     samples, _ = sample_dataset(dataset, config.sample_count, config.seed)
+    in_shapes = model.input_shapes(samples.shape[1:])
+    targets = select_target_layers(model, samples.shape[1:], config.objective,
+                                   config.target_fraction)
     capture = capture_feature_maps(model, weights, samples, targets)
     baseline = evaluator(model, weights)
 
@@ -320,15 +320,12 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
             fact, layer_similarity(fact, capture), cost)
 
     audit = []
-    best = None  # (accuracy, model, weights)
-    for iteration in range(iteration_bound(config.step_size, len(targets))):
-        current = {name: state.solution for name, state in states.items()}
-        built_model, built_weights = install_solutions(model, weights, current)
-        accuracy = evaluator(built_model, built_weights)
-        if best is None or accuracy > best[0]:
-            best = (accuracy, built_model, built_weights)
+    while True:
+        solutions = {name: state.solution for name, state in states.items()}
+        new_model, new_weights = install_solutions(model, weights, solutions)
+        accuracy = evaluator(new_model, new_weights)
         audit.append({
-            "iteration": iteration,
+            "iteration": len(audit),
             "accuracy": accuracy,
             "layers": {
                 name: {
@@ -343,19 +340,21 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
                     "objective_value": state.cost.get(config.objective),
                 } for name, state in states.items()},
         })
+        result = DseResult(
+            model=new_model, weights=new_weights, audit=list(audit),
+            baseline_accuracy=baseline, final_accuracy=accuracy,
+            success=accuracy >= baseline - config.accuracy_drop_limit,
+            solutions=solutions, targets=list(targets), original_model=model,
+            original_weights=weights,
+            layer_costs={n: s.cost for n, s in states.items()})
 
-        if accuracy >= baseline - config.accuracy_drop_limit:
-            break
-
-        advanced = False
-        for state in states.values():
-            if state.exhausted or state.frozen:
-                continue
-            if state.similarity >= state.threshold:
-                state.frozen = True
-                continue
+        live = [] if result.success else [
+            s for s in states.values() if not (s.exhausted or s.frozen)]
+        for state in live:
+            state.frozen = state.similarity >= state.threshold
+        moving = [state for state in live if not state.frozen]
+        for state in moving:
             state.step -= config.step_size
-            advanced = True
             if state.step <= 0:
                 state.solution, state.similarity = None, None
                 state.cost = cost_original(state.layer, state.input_shape)
@@ -371,30 +370,39 @@ def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
             for cand in candidates:
                 fact = _decompose_target(state, weights, cand.ranks,
                                          cand.plan, config.seed)
-                sim = layer_similarity(fact, capture)
-                scored.append((-sim, cand.cost.flops, cand.key(), fact,
-                               cand.cost))
+                scored.append((-layer_similarity(fact, capture),
+                               cand.cost.flops, cand.key(), fact, cand.cost))
             neg_sim, _, _, fact, cost = min(scored, key=lambda t: t[:3])
             state.solution, state.similarity, state.cost = fact, -neg_sim, cost
-        if not advanced:
-            frozen = [n for n, s in states.items() if s.frozen]
-            reverted = [n for n, s in states.items() if s.exhausted]
-            raise ConstraintUnreachableError(
-                f"accuracy {accuracy:.4f} never reached baseline "
-                f"{baseline:.4f} - {config.accuracy_drop_limit}; frozen: "
-                f"{', '.join(frozen) or 'none'}; reverted: "
-                f"{', '.join(reverted) or 'none'}",
-                best=(best[1], best[2], audit))
-    else:
-        raise AssertionError("iteration bound exceeded; step bookkeeping broken")
+        yield result
+        if not moving:
+            return
 
-    return DseResult(model=built_model, weights=built_weights, audit=audit,
-                     baseline_accuracy=baseline, final_accuracy=accuracy,
-                     success=True,
-                     solutions={n: s.solution for n, s in states.items()},
-                     targets=list(targets), original_model=model,
-                     original_weights=weights,
-                     layer_costs={n: s.cost for n, s in states.items()})
+
+def run_dse(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
+            config: DseConfig, evaluator, conv_method: str = "tucker2",
+            fc_method: str = "svd") -> DseResult:
+    """Run ``search`` to its end and return its last result.
+
+    Raises ConstraintUnreachableError (carrying the most accurate model
+    found, and naming the frozen and the reverted layers) when the last
+    result misses the accuracy bound.
+    """
+    best = None
+    for last in search(model, weights, dataset, config, evaluator,
+                       conv_method, fc_method):
+        if best is None or last.final_accuracy > best.final_accuracy:
+            best = last
+    if last.success:
+        return last
+    reverted = [n for n, fact in last.solutions.items() if fact is None]
+    frozen = [n for n in last.targets if n not in reverted]
+    raise ConstraintUnreachableError(
+        f"accuracy {last.final_accuracy:.4f} never reached baseline "
+        f"{last.baseline_accuracy:.4f} - {config.accuracy_drop_limit}; "
+        f"frozen: {', '.join(frozen) or 'none'}; reverted: "
+        f"{', '.join(reverted) or 'none'}",
+        best=(best.model, best.weights, last.audit))
 
 
 # -- hybrid combination --------------------------------------------------------
@@ -405,9 +413,9 @@ def hybrid_combine(runs: dict, objective: str = "params") -> DseResult:
 
     ``runs`` maps a label to a DseResult over the same original model.
     For every target layer the solution with the smallest objective
-    cost wins (the original layer counts at its original cost when a
-    run reverted it).  The hybrid total is therefore no larger than
-    any single run's total.
+    cost wins, from the first such run on a tie (the original layer
+    counts at its original cost when a run reverted it).  The hybrid
+    total is therefore no larger than any single run's total.
     """
     if len(runs) < 2:
         raise RankError("hybrid combination needs at least two finished runs")
@@ -418,18 +426,13 @@ def hybrid_combine(runs: dict, objective: str = "params") -> DseResult:
         if run.targets != targets:
             raise GraphError(f"run {label!r} searched different layers")
 
-    model = first.original_model
-    weights = first.original_weights
+    model, weights = first.original_model, first.original_weights
     chosen, layer_costs, sources = {}, {}, {}
     for name in targets:
-        best_label = None
-        for label, run in items:
-            value = run.layer_costs[name].get(objective)
-            if best_label is None or value < layer_costs[name].get(objective):
-                best_label = label
-                layer_costs[name] = run.layer_costs[name]
-                chosen[name] = run.solutions[name]
-        sources[name] = best_label
+        label, run = min(items, key=lambda item:
+                         item[1].layer_costs[name].get(objective))
+        sources[name], chosen[name] = label, run.solutions[name]
+        layer_costs[name] = run.layer_costs[name]
 
     hybrid_model, hybrid_weights = install_solutions(model, weights, chosen)
     audit = [{

@@ -40,8 +40,9 @@ class EvaluatorError(LowRankError):
 class ConstraintUnreachableError(LowRankError):
     """Search exhausted every layer without meeting the accuracy bound.
 
-    Carries the best factorized model found so far in ``best`` as a
-    (model, weights, audit) triple.
+    Carries in ``best`` a (model, weights, audit) triple: the most
+    accurate factorized model the search evaluated (the first of them on
+    a tie), its weights, and the audit of the whole search.
     """
 
     def __init__(self, message, best=None):

@@ -72,7 +72,9 @@ from .errors import RankError
 from .ir import LayerDesc
 
 DEFAULT_TOL = 0.005
-_VALUE_CAP = 2 ** 62  # above every cost value a rank grid holds
+# above every cost value a rank grid holds: ``_families`` raises
+# RankError for a space whose costs reach it, so its int64 cells never wrap
+_VALUE_CAP = 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,27 @@ def _boxes(layer: LayerDesc, method: str):
             tuple((modes[:, :depth] * modes[:, depth:]).T)), axis=1), modes
 
 
+def _check_exact(layer: LayerDesc, method: str, input_shape, original,
+                 box: np.ndarray, modes) -> None:
+    """RankError naming the layer, method and input shape unless every
+    cost of the rank box, and of the original layer, lies below
+    ``_VALUE_CAP``.  Every cost grows with every rank, so the box's top
+    corners (one per t3f plan), costed in Python ints, bound them all."""
+    plan = None
+    if method == "t3f":
+        cells = modes.T.astype(object)
+        depth = len(cells) // 2
+        plan = (tuple(cells[:depth]), tuple(cells[depth:]))
+    top = closed_form(layer, method, tuple(box.T.astype(object)), input_shape,
+                      plan)
+    worst = max(max(np.ravel(report.get(objective)))
+                for report in (top, original) for objective in OBJECTIVES)
+    if worst >= _VALUE_CAP:
+        raise RankError(f"{layer.name}: {method} costs at input shape "
+                        f"{tuple(input_shape or default_input_shape(layer))} "
+                        f"reach 2**62, past exact integer costing")
+
+
 def _families(layer: LayerDesc, method: str, input_shape=None,
               slab: float = math.inf):
     """Lazily yield the affine families covering the whole space of
@@ -266,6 +289,7 @@ def _families(layer: LayerDesc, method: str, input_shape=None,
     original = cost_original(layer, input_shape or default_input_shape(layer))
     want = slab
     for plans, box, modes in _boxes(layer, method):
+        _check_exact(layer, method, input_shape, original, box, modes)
         if method == "t3f":
             sizes = box[:, :-1].prod(axis=1)
         else:  # one step per first outer rank, one in all without any

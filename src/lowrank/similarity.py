@@ -350,6 +350,8 @@ def layer_similarity(fact, capture: FeatureMapCapture) -> float:
 
 def sample_dataset(dataset: WeightStore, count: int, seed: int):
     """Seeded subset of the container's inputs (and labels when present)."""
+    if DATASET_INPUTS not in dataset:
+        raise ShapeError(f"dataset has no {DATASET_INPUTS!r} record")
     inputs = dataset[DATASET_INPUTS]
     total = inputs.shape[0]
     if not total:

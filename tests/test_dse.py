@@ -310,6 +310,15 @@ class TestEvaluators:
         model, weights = toy_net
         assert BuiltinEvaluator(toy_dataset)(model, weights) == 1.0
 
+    @pytest.mark.parametrize("missing", [DATASET_INPUTS, DATASET_LABELS])
+    def test_builtin_names_a_missing_record(self, missing):
+        full = make_dataset()
+        dataset = WeightStore({name: full[name] for name in full.names()
+                               if name != missing})
+        with pytest.raises(EvaluatorError,
+                           match=f"dataset has no '{missing}' record"):
+            BuiltinEvaluator(dataset)
+
     def test_builtin_rejects_an_empty_dataset(self):
         with pytest.raises(EvaluatorError, match="dataset has no inputs"):
             BuiltinEvaluator(make_dataset(count=0))
@@ -383,6 +392,13 @@ class TestSearchLoop:
         model, weights = conv_chain_net()
         with pytest.raises(ShapeError, match="dataset has no inputs"):
             run_dse(model, weights, make_dataset(count=0),
+                    DseConfig(sample_count=4), Scripted([1.0]))
+
+    def test_dataset_without_inputs_raises_a_shape_error(self):
+        model, weights = conv_chain_net()
+        labels = make_dataset()[DATASET_LABELS]
+        with pytest.raises(ShapeError, match="dataset has no 'inputs' record"):
+            run_dse(model, weights, WeightStore({DATASET_LABELS: labels}),
                     DseConfig(sample_count=4), Scripted([1.0]))
 
     def test_fc_without_t3f_plan(self):
@@ -569,6 +585,33 @@ class TestSearchLoop:
         assert any(l.name == "c1.lrf0" for l in best_model.layers)
         assert "c1.lrf0" in best_weights
 
+    def test_unreachable_carries_the_first_most_accurate_model(self):
+        # c1 freezes while c2 and f1 walk down and revert; the bound is
+        # never met, and the second and third evaluations tie as the most
+        # accurate
+        model, weights = conv_chain_net(rank_one_first=True)
+        dataset = make_dataset()
+        config = DseConfig(target_fraction=1.0, sample_count=4, seed=0,
+                           step_size=20.0,
+                           sim_threshold_sequential=0.9999,
+                           sim_threshold_nonsequential=0.9999)
+        script = [1.0, 0.3, 0.7, 0.7, 0.1]
+        results = list(dse.search(model, weights, dataset, config,
+                                  Scripted(script)))
+        assert len(results) > 3
+        assert [r.final_accuracy for r in results[:4]] == script[1:]
+        assert results[1].weights.to_bytes() != results[2].weights.to_bytes()
+        assert not any(r.success for r in results)
+        with pytest.raises(ConstraintUnreachableError) as err:
+            run_dse(model, weights, dataset, config, Scripted(script))
+        assert str(err.value) == (
+            "accuracy 0.1000 never reached baseline 1.0000 - 0.015; "
+            "frozen: c1; reverted: c2, f1")
+        best_model, best_weights, audit = err.value.best
+        assert best_model.to_json() == results[1].model.to_json()
+        assert best_weights.to_bytes() == results[1].weights.to_bytes()
+        assert audit == results[-1].audit
+
     @pytest.mark.parametrize("conv_method,fc_method",
                              itertools.product(CONV_METHODS, FC_METHODS))
     def test_deterministic_audit(self, conv_method, fc_method):
@@ -594,6 +637,17 @@ class TestSearchLoop:
             == AUDIT_DECISION_PINS[conv_method, fc_method]
         assert hashlib.sha256(text + runs[0].weights.to_bytes()).hexdigest() \
             == AUDIT_PINS[conv_method, fc_method]
+        # the search yields one result per evaluation, each audit a prefix
+        # of the next; only the last, run_dse's, meets the bound
+        ev = RevertDetector({"c2": weights["c2"], "f1": weights["f1"]})
+        results = list(dse.search(model, weights, dataset, config, ev,
+                                  conv_method=conv_method,
+                                  fc_method=fc_method))
+        assert len(results) == len(runs[0].audit)
+        for i, result in enumerate(results):
+            assert result.audit == runs[0].audit[:i + 1]
+            assert result.success == (result is results[-1])
+        assert results[-1].weights.to_bytes() == runs[0].weights.to_bytes()
 
 
 class TestHybrid:

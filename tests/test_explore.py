@@ -780,6 +780,58 @@ class TestCellCosts:
         assert filled
 
 
+def largest_exact_side(layer, method) -> int:
+    """The largest side of a square input at which ``count_valid`` costs
+    ``method`` on ``layer`` without a RankError."""
+    lo, hi = 1, 2 ** 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            count_valid(layer, method, (mid, mid, layer.in_channels))
+            lo = mid
+        except RankError:
+            hi = mid
+    return lo
+
+
+class TestExactRange:
+    """The rank cells hold int64 costs: a space whose costs reach 2**62
+    raises RankError instead of wrapping, and one just below is exact."""
+
+    @pytest.mark.parametrize("side", [11_000_000, 15_000_000])
+    def test_a_wrapping_space_raises(self, side):
+        layer, shape = conv((3, 3), 64, 64), (side, side, 64)
+        message = rf"L: tt costs at input shape \({side}, {side}, 64\)"
+        with pytest.raises(RankError, match=message):
+            next(iter_solutions(layer, "tt", shape))
+        with pytest.raises(RankError, match=message):
+            count_valid(layer, "tt", shape)
+
+    @pytest.mark.parametrize("method", CONV_METHODS)
+    @pytest.mark.parametrize("stride", [None, (2, 2)])
+    def test_just_below_the_cap_is_exact(self, method, stride):
+        layer = conv((3, 3), 2, 3, stride=stride)
+        side = largest_exact_side(layer, method)
+        shape = (side, side, 2)
+        with pytest.raises(RankError):
+            census(layer, method, [50], input_shape=(side + 1, side + 1, 2))
+        sols = list(iter_solutions(layer, method, shape))
+        assert len(sols) == count_all(layer, method)
+        assert_checked_costs(layer, method, sols, shape)
+        original = cost_original(layer, shape)
+        assert max(max(c.flops, c.overall_mem)
+                   for c in (original, *(s.cost for s in sols))) > 2 ** 61
+        boxes = itertools.product(*(range(lo, hi + 1) for lo, hi
+                                    in rank_bounds(layer, method)))
+        costs = [cost_factorized(layer, method, ranks, shape)
+                 for ranks in boxes]
+        brute = sum(c.params < original.params and c.flops < original.flops
+                    for c in costs)
+        assert count_valid(layer, method, shape) == brute
+        assert len(list(iter_solutions(layer, method, shape,
+                                       valid_only=True))) == brute
+
+
 def families_built(monkeypatch, run):
     """What ``run()`` returns, and the rank families it built, in order."""
     built = []
