@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RankError, ShapeError
 from .ir import CONV_KINDS, LayerDesc, ModelDesc
@@ -50,9 +50,10 @@ OBJECTIVES = ("params", "flops", "overall_mem")
 T3F_DEPTHS = (2, 3)  # the TT-matrix depths ``t3f_plans`` offers
 
 
-@dataclass(frozen=True)
-class CostReport:
-    """Exact integer cost triple for a layer or a group of layers."""
+class CostReport(NamedTuple):
+    """Exact integer cost triple for a layer or a group of layers: an
+    immutable NamedTuple (it compares, hashes and unpacks as a tuple)
+    whose ``+`` adds element-wise."""
 
     params: int
     flops: int

@@ -27,9 +27,11 @@ cells it reads, plus one slab, and a whole one only O(log cells) slabs.
 One bulk reader, ``_AffineFamily.solutions``, turns cells into
 solutions, for enumeration, bucket members and a census's best member
 alike: it reads the cells' plans, outer ranks, bases and slopes with
-one fancy index and one ``tolist`` per array, and costs each solution
-as ``base + slope * r`` in Python ints, with no rank check or chain
-walk per point.
+one fancy index and one ``tolist`` per array, costs each solution as
+``base + slope * r`` in Python ints, with no rank check or chain walk
+per point, and builds each ``Solution`` and its ``CostReport``, both
+immutable NamedTuples (they compare, hash and unpack as tuples),
+directly with ``tuple.__new__``.
 
 A census buckets the valid solutions at target reductions of an
 objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
@@ -59,7 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -77,9 +79,9 @@ DEFAULT_TOL = 0.005
 _VALUE_CAP = 2 ** 62
 
 
-@dataclass(frozen=True)
-class Solution:
-    """One point of a method's exploration space."""
+class Solution(NamedTuple):
+    """One point of a method's exploration space: an immutable
+    NamedTuple, so it compares, hashes and unpacks as a tuple."""
 
     method: str
     ranks: tuple
@@ -184,9 +186,8 @@ class _AffineFamily:
         inner = np.arange(2, dtype=np.int64).reshape(
             (2,) + (1,) * len(self.shape))
         cost = closed_form(layer, method, (*outer, inner), input_shape, plan)
-        values = (cost.params, cost.flops, cost.fm)
-        self.base = CostReport(*(v[0] for v in values))
-        self.slope = CostReport(*(v[1] - v[0] for v in values))
+        self.base = CostReport(*(v[0] for v in cost))
+        self.slope = CostReport(*(v[1] - v[0] for v in cost))
         hi_p = ((original.params - 1 - self.base.params)
                 // np.maximum(self.slope.params, 1))
         hi_f = ((original.flops - 1 - self.base.flops)
@@ -204,16 +205,14 @@ class _AffineFamily:
         outer = (zip(*(ranks[idx].tolist() for ranks in self.outer))
                  if self.outer else itertools.repeat(()))
         coefficients = zip(*(values[idx].tolist()
-                             for report in (self.base, self.slope)
-                             for values in (report.params, report.flops,
-                                            report.fm)))
-        method = self.method
+                             for values in (*self.base, *self.slope)))
+        method, new = self.method, tuple.__new__
         for plan, ranks, (p0, f0, m0, dp, df, dm), lo, hi in zip(
                 plans, outer, coefficients, lows, highs):
             for r in range(lo, hi + 1):
-                yield Solution(method, ranks + (r,),
-                               CostReport(p0 + dp * r, f0 + df * r,
-                                          m0 + dm * r), plan)
+                # what the NamedTuples' own __new__ does, minus a call frame
+                cost = new(CostReport, (p0 + dp * r, f0 + df * r, m0 + dm * r))
+                yield new(Solution, (method, ranks + (r,), cost, plan))
 
 
 def _plan_cells(modes: np.ndarray, box: np.ndarray) -> tuple:
@@ -457,7 +456,7 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
         pick = int(np.argmin(flops))
         rank = [int(ranks[pick])]
         (best,) = tables[i].family.solutions(flat[pick:pick + 1], rank, rank)
-        bucket.best = replace(best, cost=cost_factorized(
+        bucket.best = best._replace(cost=cost_factorized(
             layer, method, best.ranks, input_shape, plan=best.plan))
     report.generation_time = time.perf_counter() - t0
     return report

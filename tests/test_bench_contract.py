@@ -39,7 +39,7 @@ def _check(op):
     assert op.failed == 0
 
 
-@pytest.mark.parametrize("name", ["search", "space"])
+@pytest.mark.parametrize("name", ["search", "decompose", "space"])
 def test_a_tiny_operation_passes_its_checks(workloads, name):
     _check(workloads.WORKLOADS[name](0, tiny=True).run_once())
 

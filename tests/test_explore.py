@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from lowrank import explore
-from lowrank.costs import (CONV_METHODS, METHODS, cost_factorized,
-                           cost_original, default_input_shape, default_plan,
-                           method_applies)
+from lowrank.costs import (CONV_METHODS, METHODS, CostReport,
+                           cost_factorized, cost_original,
+                           default_input_shape, default_plan, method_applies)
 from lowrank.decompose import decompose_layer
 from lowrank.errors import RankError
-from lowrank.explore import (DEFAULT_TOL, census, count_all, count_valid,
-                             cp_max_rank, iter_solutions, min_ranks,
-                             rank_bounds, select_candidates,
+from lowrank.explore import (DEFAULT_TOL, Solution, census, count_all,
+                             count_valid, cp_max_rank, iter_solutions,
+                             min_ranks, rank_bounds, select_candidates,
                              solutions_at_ratio, t3f_plans, tt_link_bounds,
                              valid_extremes)
 from lowrank.ir import LayerDesc
@@ -488,6 +488,12 @@ class TestCensus:
         sols = solutions_at_ratio(BENCH["L2"], "tt", 60, "params")
         assert bucket.best.cost.flops == min(s.cost.flops for s in sols)
 
+    @pytest.mark.parametrize("method, key", [("tt", "L2"), ("t3f", "F1")])
+    def test_best_keeps_both_types(self, method, key):
+        # the best member is re-costed by ``_replace`` on a reader-built one
+        (bucket,) = census(BENCH[key], method, (60,)).buckets
+        assert_checked_costs(BENCH[key], method, [bucket.best])
+
     def test_flops_reduction_range(self):
         result = census(BENCH["L2"], "tt", (60,))
         bucket = result.buckets[0]
@@ -732,12 +738,15 @@ class TestIterSolutions:
 
 
 def assert_checked_costs(layer, method, solutions, shape=None):
-    """Each solution costs what the checked ``cost_factorized`` gives at
-    its point, in Python ints (the enumerate CSV prints them)."""
+    """Each solution is a ``Solution`` holding a ``CostReport`` (a plain
+    tuple of the same values would compare equal), equal and equal in
+    hash to the one built on the checked ``cost_factorized`` at its
+    point, in Python ints (the enumerate CSV prints them)."""
     for s in solutions:
-        assert s.method == method
-        assert s.cost == cost_factorized(layer, method, s.ranks, shape,
-                                         plan=s.plan)
+        assert type(s) is Solution and type(s.cost) is CostReport
+        checked = Solution(method, s.ranks, cost_factorized(
+            layer, method, s.ranks, shape, plan=s.plan), s.plan)
+        assert s == checked and hash(s) == hash(checked)
         assert all(type(v) is int
                    for v in (s.cost.params, s.cost.flops, s.cost.fm))
 
@@ -778,6 +787,12 @@ class TestCellCosts:
             assert_checked_costs(layer, method, members)
             filled += bool(members)
         assert filled
+
+    def test_fields_are_read_only(self):
+        (s,) = iter_solutions(BENCH["F1"], "t3f", limit=1)
+        for obj, name in ((s, "ranks"), (s.cost, "params")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
 
 
 def largest_exact_side(layer, method) -> int:
