@@ -3,35 +3,42 @@
 The space of a method on a layer is every admissible rank assignment
 (for TT-matrix factorizations, every shape plan times its rank
 assignments).  Spaces run to hundreds of millions of points, so all
-counting works arithmetically on rank grids: costs are affine in the
-innermost rank once the other ranks are fixed, which turns validity
-counting and nearest-target queries into integer range arithmetic per
-grid cell.  Nothing is materialized unless a caller asks for concrete
-solutions.
+counting works arithmetically on rank grids: each chain stage joins at
+most two ranks, so costs are affine in any one rank once the others are
+fixed, which turns validity counting and nearest-target queries into
+integer range arithmetic per grid cell.  Nothing is materialized unless
+a caller asks for concrete solutions.
 
 A method's cells form one family; t3f has one family per depth, whose
 flat cells run through all plans of that depth, each cell with its own
-plan and innermost bound, so thousands of plans cost a few array
+plan and affine rank bound, so thousands of plans cost a few array
 operations rather than one family each.  A family is built from its
 rank box (``_boxes``), whose volume ``count_all`` sums.  The affine
 coefficients are not written down here: each family walks the chain
-stages of ``costs.closed_form`` once over its cells, with the innermost
+stages of ``costs.closed_form`` once over its cells, with the affine
 rank at 0 and at 1, so that walk remains the only cost formula of a
-factorized layer.  Enumeration reads its costs from those cells too,
-but builds each family in slabs along its leading axis, in enumeration
-order (``_families`` with a finite ``slab``): runs of consecutive plans
-for t3f, ranges of the first outer rank for the other methods.  The
-first slab holds about ``_FIRST_SLAB`` cells and each later one twice
-the one before, so a limited enumeration builds at most about twice the
-cells it reads, plus one slab, and a whole one only O(log cells) slabs.
-One bulk reader, ``_AffineFamily.solutions``, turns cells into
-solutions, for enumeration, bucket members and a census's best member
-alike: it reads the cells' plans, outer ranks, bases and slopes with
-one fancy index and one ``tolist`` per array, costs each solution as
-``base + slope * r`` in Python ints, with no rank check or chain walk
-per point, and builds each ``Solution`` and its ``CostReport``, both
-immutable NamedTuples (they compare, hash and unpack as tuples),
-directly with ``tuple.__new__``.
+factorized layer.  A whole-space family (counting, census,
+``valid_extremes`` and the ``solutions_at_ratio`` memo) is affine in the
+rank slot that leaves it the fewest cells, the box volume over that
+slot's bound (``_affine_slot``): tt's longest link, often a middle one,
+makes its whole families 1.5-3 times smaller than the innermost link
+would.  Enumeration reads its costs from the cells too, but builds each
+family affine in its last slot, in slabs along its leading axis, in
+enumeration order (``_families`` with a finite ``slab``): runs of
+consecutive plans for t3f, ranges of the first outer rank for the other
+methods.  The first slab holds about ``_FIRST_SLAB`` cells and each
+later one twice the one before, so a limited enumeration builds at most
+about twice the cells it reads, plus one slab, and a whole one only
+O(log cells) slabs.  One bulk reader, ``_AffineFamily.solutions``, turns
+cells into solutions, for enumeration, bucket members and a census's
+best member alike: it reads the cells' plans, outer ranks, bases and
+slopes with one fancy index and one ``tolist`` per array, costs each
+solution as ``base + slope * r`` in Python ints, with no rank check or
+chain walk per point, and builds each ``Solution`` and its
+``CostReport``, both immutable NamedTuples (they compare, hash and
+unpack as tuples), directly with ``tuple.__new__``.  A whole-space family
+off its last slot is read at one rank per cell, which the reader puts
+into the cell's ranks and costs before its loop over the cells.
 
 A census buckets the valid solutions at target reductions of an
 objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
@@ -42,7 +49,10 @@ tol * original.  The bucket holds every valid solution achieving
 exactly that value; ``census`` summarizes it and ``solutions_at_ratio``
 materializes it, its members costed from their cells as enumeration
 costs them.  A census re-costs only its ``best`` member, one per
-non-empty bucket, through the checked ``cost_factorized``.  Both read
+non-empty bucket, through the checked ``cost_factorized``; of the
+members with the fewest flops it is the first in enumeration order, by
+plan and then by the ranks in slot order (``_AffineFamily.earliest``),
+whichever slot its family is affine in.  Both read
 one table of valid cells per family (``_valid_cells``), built once per
 call and dropped with it.  In a cell with objective ``a + b * r``
 (integers, b >= 1) the values nearest a target t sit at ranks
@@ -149,64 +159,83 @@ def min_ranks(layer: LayerDesc, method: str, plan: tuple = None) -> tuple:
 
 
 class _AffineFamily:
-    """Costs of one rank family, affine in the innermost rank.
+    """Costs of one rank family, affine in the rank slot ``axis``.
 
     Built from ``box``, the upper rank bounds of ``plans`` (a row each,
     from ``_boxes``, with the plans' ``modes``); a cell fixes every rank
-    but the innermost.  Without plans a method has one family over the
-    open grid of its outer ranks, the first of them from ``first`` on
-    (a slab of the whole grid when ``first`` > 1 or ``box`` is cut; one
-    cell when there are no outer ranks); t3f has one per depth, with
-    flat, plan-major cells (``_plan_cells``) and ``plan_index`` naming
-    each cell's plan.  ``closed_form`` walks the chain once over all
-    cells with the innermost rank at 0 and 1 on a leading axis:
-    ``base`` (the costs at rank 0) and ``slope`` (their increase per
-    rank) are CostReports of int64 arrays spanning all cells, so a flat
-    cell index addresses them and a metric at innermost rank r is
-    ``base + slope * r``.  ``last_bound`` is each cell's innermost bound
-    and ``valid_hi`` the largest innermost rank keeping params and flops
-    strictly below ``original`` (none if below 1).
+    but the one in slot ``axis``, the affine rank.  Without plans a
+    method has one family over the open grid of its other ranks, the
+    first of them from ``first`` on (a slab of the whole grid when
+    ``first`` > 1 or ``box`` is cut; one cell when there are no other
+    ranks); t3f has one per depth, with flat, plan-major cells
+    (``_plan_cells``) and ``plan_index`` naming each cell's plan.
+    ``outer`` holds the cells' other ranks, one array per slot in slot
+    order.  ``closed_form`` walks the chain once over all cells with the
+    affine rank at 0 and 1 on a leading axis: ``base`` (the costs at
+    rank 0) and ``slope`` (their increase per rank) are CostReports of
+    int64 arrays spanning all cells, so a flat cell index addresses them
+    and a metric at affine rank r is ``base + slope * r``.  ``bound`` is
+    each cell's affine rank bound and ``valid_hi`` the largest affine
+    rank keeping params and flops strictly below ``original`` (none if
+    below 1).
     """
 
-    def __init__(self, layer, method, input_shape, original, box, modes,
-                 plans, first=1):
-        self.method, self.plans = method, plans
+    def __init__(self, layer, method, input_shape, original, axis, box,
+                 modes, plans, first=1):
+        self.method, self.plans, self.axis = method, plans, axis
         if method == "t3f":
-            index, outer, last_bound, plan = _plan_cells(modes, box)
+            index, outer, bound, plan = _plan_cells(modes, box, axis)
             self.shape = index.shape
         else:
-            index, plan, last_bound = 0, None, box[0, -1]
-            lows = (first,) + (1,) * (box.shape[1] - 2)
+            index, plan, bound = 0, None, box[0, axis]
+            lows = (first,) + (1,) * (box.shape[1] - 1)
             outer = np.ix_(*(np.arange(lo, hi + 1, dtype=np.int64)
-                             for lo, hi in zip(lows, box[0, :-1])))
+                             for slot, (lo, hi) in enumerate(zip(lows, box[0]))
+                             if slot != axis))
             self.shape = tuple(ranks.size for ranks in outer) or (1,)
         self.plan_index = np.broadcast_to(index, self.shape)
         self.outer = [np.broadcast_to(ranks, self.shape) for ranks in outer]
-        self.last_bound = np.broadcast_to(last_bound, self.shape)
-        inner = np.arange(2, dtype=np.int64).reshape(
+        self.bound = np.broadcast_to(bound, self.shape)
+        affine = np.arange(2, dtype=np.int64).reshape(
             (2,) + (1,) * len(self.shape))
-        cost = closed_form(layer, method, (*outer, inner), input_shape, plan)
+        cost = closed_form(layer, method, _in_slots(outer, axis, affine),
+                           input_shape, plan)
         self.base = CostReport(*(v[0] for v in cost))
         self.slope = CostReport(*(v[1] - v[0] for v in cost))
         hi_p = ((original.params - 1 - self.base.params)
                 // np.maximum(self.slope.params, 1))
         hi_f = ((original.flops - 1 - self.base.flops)
                 // np.maximum(self.slope.flops, 1))
-        self.valid_hi = np.minimum(np.minimum(hi_p, hi_f), self.last_bound)
+        self.valid_hi = np.minimum(np.minimum(hi_p, hi_f), self.bound)
 
     def solutions(self, flat: np.ndarray, lows, highs):
         """Lazily the solutions of the cells at the flat indices ``flat``,
-        each at the innermost ranks from its entry of ``lows`` to its
-        entry of ``highs``, costed as ``base + slope * r`` in Python ints.
+        each at the affine ranks from its entry of ``lows`` to its entry
+        of ``highs``, costed as ``base + slope * r`` in Python ints.
         The one place a cell becomes solutions: each per-cell array is
-        read once, by one fancy index and one ``tolist``."""
+        read once, by one fancy index and one ``tolist``.  A family
+        affine in the last slot (every enumeration slab) may read a cell
+        at many ranks; any other is read at one rank per cell
+        (``lows == highs``)."""
         idx = np.unravel_index(flat, self.shape)
         plans = map(self.plans.__getitem__, self.plan_index[idx].tolist())
+        method, new = self.method, tuple.__new__
+        if self.axis < len(self.outer):
+            # the one rank goes into its rank row and the costs up front
+            rank = np.asarray(lows, dtype=np.int64)
+            rows = _in_slots([ranks[idx] for ranks in self.outer], self.axis,
+                             rank)
+            costs = zip(*((base[idx] + slope[idx] * rank).tolist()
+                          for base, slope in zip(self.base, self.slope)))
+            for plan, ranks, cost in zip(
+                    plans, zip(*(row.tolist() for row in rows)), costs):
+                yield new(Solution, (method, ranks, new(CostReport, cost),
+                                     plan))
+            return
         outer = (zip(*(ranks[idx].tolist() for ranks in self.outer))
                  if self.outer else itertools.repeat(()))
         coefficients = zip(*(values[idx].tolist()
                              for values in (*self.base, *self.slope)))
-        method, new = self.method, tuple.__new__
         for plan, ranks, (p0, f0, m0, dp, df, dm), lo, hi in zip(
                 plans, outer, coefficients, lows, highs):
             for r in range(lo, hi + 1):
@@ -214,23 +243,40 @@ class _AffineFamily:
                 cost = new(CostReport, (p0 + dp * r, f0 + df * r, m0 + dm * r))
                 yield new(Solution, (method, ranks + (r,), cost, plan))
 
+    def earliest(self, flat: np.ndarray, ranks: np.ndarray) -> int:
+        """The position in ``flat`` of the cell, read at its affine rank
+        in ``ranks``, that comes first in enumeration order: by plan,
+        then by the ranks in slot order."""
+        idx = np.unravel_index(flat, self.shape)
+        rows = _in_slots([outer[idx] for outer in self.outer], self.axis,
+                         ranks)
+        return int(np.lexsort((*rows[::-1], self.plan_index[idx]))[0])
 
-def _plan_cells(modes: np.ndarray, box: np.ndarray) -> tuple:
+
+def _in_slots(outer, axis: int, affine) -> tuple:
+    """The ranks of every slot, in slot order: ``outer`` with the affine
+    ranks ``affine`` put into slot ``axis``."""
+    return (*outer[:axis], affine, *outer[axis:])
+
+
+def _plan_cells(modes: np.ndarray, box: np.ndarray, axis: int) -> tuple:
     """Flat, plan-major cells of the t3f plans of one depth, given as
     their (m.. n..) mode sizes ``modes`` (plans, 2 * depth) and rank box
-    ``box``: each cell's plan index, its outer ranks (one array per slot,
-    row-major within the box), its innermost rank bound, and the plan as
-    per-cell mode-size arrays for ``closed_form``."""
-    sizes = box[:, :-1].prod(axis=1)
+    ``box``, affine in rank slot ``axis``: each cell's plan index, its
+    other ranks (one array per slot, row-major within the box), its
+    affine rank bound, and the plan as per-cell mode-size arrays for
+    ``closed_form``."""
+    others = np.delete(box, axis, axis=1)
+    sizes = others.prod(axis=1)
     index = np.repeat(np.arange(len(modes)), sizes)
     local = np.arange(index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     outer = []
-    for radix in box[index, :-1].T[::-1]:  # last rank slot varies fastest
+    for radix in others[index].T[::-1]:  # the last slot varies fastest
         outer.insert(0, local % radix + 1)
         local = local // radix
     cells = modes[index].T
     depth = modes.shape[1] // 2
-    return (index, outer, box[index, -1],
+    return (index, outer, box[index, axis],
             (tuple(cells[:depth]), tuple(cells[depth:])))
 
 
@@ -275,20 +321,33 @@ def _check_exact(layer: LayerDesc, method: str, input_shape, original,
                         f"reach 2**62, past exact integer costing")
 
 
+def _affine_slot(box: np.ndarray) -> int:
+    """The rank slot of ``box`` whose family has the fewest cells: the
+    box volume over that slot's bound, summed over the plans (the last
+    slot on a tie), counted in Python ints, exact past int64."""
+    exact = box.astype(object)
+    volume = exact.prod(axis=1)
+    cells = [sum(volume // exact[:, slot]) for slot in range(box.shape[1])]
+    return min(range(len(cells)), key=lambda slot: (cells[slot], -slot))
+
+
 def _families(layer: LayerDesc, method: str, input_shape=None,
               slab: float = math.inf):
     """Lazily yield the affine families covering the whole space of
-    ``method``: one per t3f depth, one for every other method.  A finite
-    ``slab`` cuts each into slabs along its leading axis, yielded in
-    enumeration order: runs of consecutive plans for t3f, ranges of the
-    first outer rank otherwise (a family without outer ranks is one
-    cell).  A slab takes whole steps of that axis, the first until it
-    holds ``slab`` cells, each later one until it holds twice the cells
-    of the largest slab before it."""
+    ``method``: one per t3f depth, one for every other method.  A whole
+    family is affine in the slot that leaves it the fewest cells
+    (``_affine_slot``).  A finite ``slab`` cuts each, affine in its last
+    slot, into slabs along its leading axis, yielded in enumeration
+    order: runs of consecutive plans for t3f, ranges of the first outer
+    rank otherwise (a family without outer ranks is one cell).  A slab
+    takes whole steps of that axis, the first until it holds ``slab``
+    cells, each later one until it holds twice the cells of the largest
+    slab before it."""
     original = cost_original(layer, input_shape or default_input_shape(layer))
     want = slab
     for plans, box, modes in _boxes(layer, method):
         _check_exact(layer, method, input_shape, original, box, modes)
+        axis = _affine_slot(box) if slab == math.inf else box.shape[1] - 1
         if method == "t3f":
             sizes = box[:, :-1].prod(axis=1)
         else:  # one step per first outer rank, one in all without any
@@ -301,13 +360,13 @@ def _families(layer: LayerDesc, method: str, input_shape=None,
             want = max(want, 2 * int(ends[stop] - ends[start]))
             if method == "t3f":
                 yield _AffineFamily(layer, method, input_shape, original,
-                                    box[start:stop], modes[start:stop],
+                                    axis, box[start:stop], modes[start:stop],
                                     plans[start:stop])
             else:
                 cut = box.copy()
                 cut[0, :-1][:1] = stop  # the first outer rank's bound, if any
                 yield _AffineFamily(layer, method, input_shape, original,
-                                    cut, modes, plans, start + 1)
+                                    axis, cut, modes, plans, start + 1)
             start = stop
 
 
@@ -318,8 +377,8 @@ class _Cells(NamedTuple):
     """The valid cells of one family (``valid_hi >= 1``) for one
     objective: their flat indices into the family, ``top`` (their
     ``valid_hi``) and the objective's ``base`` and ``slope`` over them.
-    Every metric grows with the innermost rank, so each slope is at
-    least 1."""
+    Every metric grows with the family's affine rank, so each slope is
+    at least 1."""
 
     family: _AffineFamily
     flat: np.ndarray
@@ -358,14 +417,15 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     """
     spans, total = {}, 0
     for fam in _families(layer, method, input_shape):
-        for metric in OBJECTIVES:
-            cells = _valid_cells(fam, metric)
-            if cells.flat.size:
-                lo, hi = spans.get(metric, (math.inf, -math.inf))
-                spans[metric] = (
-                    min(lo, int((cells.base + cells.slope).min())),
-                    max(hi, int((cells.base + cells.slope * cells.top).max())))
-        total += int(cells.top.sum())
+        flat = np.flatnonzero(fam.valid_hi >= 1)
+        top = np.ravel(fam.valid_hi)[flat]
+        total += int(top.sum())
+        for metric in OBJECTIVES if flat.size else ():
+            base, slope = (np.ravel(values.get(metric))[flat]
+                           for values in (fam.base, fam.slope))
+            lo, hi = spans.get(metric, (math.inf, -math.inf))
+            spans[metric] = (min(lo, int((base + slope).min())),
+                             max(hi, int((base + slope * top).max())))
     if total == 0:
         raise RankError(f"{method}: no valid solutions for {layer.name}")
     spans["valid_count"] = total
@@ -412,7 +472,7 @@ def _bucket_value(tables, original: CostReport, objective: str,
 
 def _bucket_members(cells: _Cells, value: int) -> tuple:
     """The valid cells achieving ``value``: their flat indices into the
-    family, their innermost ranks and their flops."""
+    family, their affine ranks and their flops."""
     num = value - cells.base
     r = num // cells.slope
     hit = np.flatnonzero((r * cells.slope == num) & (r >= 1)
@@ -453,7 +513,8 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
         _, i = min((int(flops.min()), i)
                    for i, (*_, flops) in enumerate(members) if flops.size)
         flat, ranks, flops = members[i]
-        pick = int(np.argmin(flops))
+        tied = np.flatnonzero(flops == flops.min())
+        pick = tied[tables[i].family.earliest(flat[tied], ranks[tied])]
         rank = [int(ranks[pick])]
         (best,) = tables[i].family.solutions(flat[pick:pick + 1], rank, rank)
         bucket.best = best._replace(cost=cost_factorized(
@@ -502,7 +563,7 @@ def _slab_solutions(layer, method, input_shape, valid_only):
     """Lazily, for each slab of the families, a generator of the
     solutions of its cells, or of its valid cells."""
     for fam in _families(layer, method, input_shape, _FIRST_SLAB):
-        tops = np.ravel(fam.valid_hi if valid_only else fam.last_bound)
+        tops = np.ravel(fam.valid_hi if valid_only else fam.bound)
         flat = np.flatnonzero(tops >= 1)
         yield fam.solutions(flat, itertools.repeat(1), tops[flat].tolist())
 

@@ -5,7 +5,8 @@ reads what it returns: ``DseResult.success``, the ``(model, weights,
 audit)`` triple of ``ConstraintUnreachableError.best``, census and
 enumeration results.  A library change that breaks one of these makes
 benchmark operations fail or report problems; one tiny operation of
-each library-bound workload shows that here first.
+each library-bound workload shows that here first, and the tiny space
+operation's census digest pins every answer it reads from ``explore``.
 """
 
 import importlib.util
@@ -33,6 +34,11 @@ def workloads():
         return _load("workloads")
 
 
+# sha256 of the tiny seed-0 space operation's counts and census reports
+TINY_SPACE_CENSUS = \
+    "33451fe08ac2d135a6280ca5e33cebe5680999e6844673eb600f74ab8bece110"
+
+
 def _check(op):
     assert op.problems == []
     assert op.attempted > 0
@@ -42,6 +48,11 @@ def _check(op):
 @pytest.mark.parametrize("name", ["search", "decompose", "space"])
 def test_a_tiny_operation_passes_its_checks(workloads, name):
     _check(workloads.WORKLOADS[name](0, tiny=True).run_once())
+
+
+def test_a_tiny_space_operation_keeps_its_census_digest(workloads):
+    op = workloads.WORKLOADS["space"](0, tiny=True).run_once()
+    assert op.digests["census"] == TINY_SPACE_CENSUS
 
 
 def test_a_tiny_unreachable_search_passes_its_checks(workloads):

@@ -331,17 +331,40 @@ class TestCounts:
             assert count_valid(layer, "t3f") == sum(
                 ok for *_, ok in points), name
 
-    @pytest.mark.parametrize("name", [*sorted(BENCH), *sorted(SMALL_CONVS),
-                                      *sorted(SMALL_FCS)])
-    def test_every_metric_grows_with_the_innermost_rank(self, name):
+    @staticmethod
+    def check_affine_growth(name, slab):
         # the integer nearest rank of a census divides by the slope
         layer, shape = SMALL_CONVS.get(name) or (
             BENCH.get(name) or SMALL_FCS[name], None)
         for method in (m for m in ALL_COUNTS if method_applies(layer, m)):
-            for fam in explore._families(layer, method, shape):
+            for fam in explore._families(layer, method, shape, slab):
                 for metric in ("params", "flops", "overall_mem"):
                     assert fam.base.get(metric).min(initial=0) >= 0
                     assert fam.slope.get(metric).min(initial=1) >= 1
+
+    @pytest.mark.parametrize("name", [*sorted(BENCH), *sorted(SMALL_CONVS),
+                                      *sorted(SMALL_FCS)])
+    def test_every_metric_grows_with_the_innermost_rank(self, name):
+        # enumeration slabs are affine in the last rank slot
+        self.check_affine_growth(name, explore._FIRST_SLAB)
+
+    @pytest.mark.parametrize("name", [*sorted(BENCH), *sorted(SMALL_CONVS),
+                                      *sorted(SMALL_FCS)])
+    def test_every_metric_grows_with_the_affine_rank(self, name):
+        # whole-space families are affine in the slot leaving fewest cells
+        self.check_affine_growth(name, math.inf)
+
+    def test_tt_counts_along_its_longest_link(self):
+        layer = conv((3, 3), 16, 16)
+        assert [hi for _, hi in rank_bounds(layer, "tt")] == [16, 48, 16]
+        (fam,) = explore._families(layer, "tt")
+        assert (fam.axis, fam.plan_index.size) == (1, 16 * 16)
+        # so the brute-force census tests reach the enumeration-order
+        # tie-break of a family not affine in its last slot
+        for geometry in ("conv2d", "conv2d-valid-s2", "conv3d"):
+            layer, shape = SMALL_CONVS[geometry]
+            (fam,) = explore._families(layer, "tt", shape)
+            assert fam.axis < len(fam.outer), geometry
 
     def test_all_count_is_exact_past_int64(self):
         layer = conv((3, 3, 3), 65536, 65536)
@@ -862,8 +885,18 @@ def families_built(monkeypatch, run):
 
 
 def family_cells(layer, method) -> list:
-    """The cells of each whole family of ``method`` on ``layer``."""
+    """The cells of each family of ``method`` on ``layer`` affine in its
+    last rank slot, as enumeration slabs cut them."""
     return [int(box[:, :-1].prod(axis=1).sum())
+            for _, box, _ in explore._boxes(layer, method)]
+
+
+def whole_family_cells(layer, method) -> list:
+    """The cells of each whole-space family of ``method`` on ``layer``:
+    the fewest any one affine rank slot leaves, the box volume over that
+    slot's bound summed over the family's plans."""
+    return [min(int((box.prod(axis=1) // box[:, slot]).sum())
+                for slot in range(box.shape[1]))
             for _, box, _ in explore._boxes(layer, method)]
 
 
@@ -893,7 +926,7 @@ class TestSlabs:
                 (plan, ranks, cost) for plan, ranks, cost, ok in points
                 if ok or not valid_only]
             sizes = [int(np.maximum(fam.valid_hi if valid_only
-                                    else fam.last_bound, 0).sum())
+                                    else fam.bound, 0).sum())
                      for fam in built]
             assert sum(sizes) == len(got)
             slabs = max(slabs, len(sizes))
@@ -927,7 +960,11 @@ class TestSlabs:
             valid_extremes(layer, method),
             solutions_at_ratio(layer, method, 60)))
         assert [fam.plan_index.size for fam in built] == \
-            family_cells(layer, method) * 4
+            whole_family_cells(layer, method) * 4
+
+    def test_whole_tt_families_shrink_threefold(self):
+        assert family_cells(BENCH["L6"], "tt") == [294_912]
+        assert whole_family_cells(BENCH["L6"], "tt") == [98_304]
 
     def test_a_limit_builds_under_a_hundredth_of_a_big_family(self,
                                                               monkeypatch):
@@ -952,6 +989,68 @@ class TestSlabs:
         cells = [fam.plan_index.size for fam in built]
         assert sum(cells) <= 2 * read + max(cells)
         assert sum(cells) < sum(family_cells(layer, "t3f"))
+
+
+def layout_answers(layer, method, shape, slab, percents) -> dict:
+    """What the families of one layout answer: whole-space families at
+    an infinite ``slab``, enumeration slabs otherwise.  The valid count,
+    each metric's valid (min, max), and each objective's bucket value and
+    members, sorted, at its ``percents`` (a tolerance of 1 fills them)."""
+    fams = list(explore._families(layer, method, shape, slab))
+    original = cost_original(layer, shape or default_input_shape(layer))
+    answers = {"valid": sum(int(np.maximum(fam.valid_hi, 0).sum())
+                            for fam in fams)}
+    for objective in ("params", "flops", "overall_mem"):
+        tables = [explore._valid_cells(fam, objective) for fam in fams]
+        filled = [cells for cells in tables if cells.flat.size]
+        answers[objective] = (
+            min((int((c.base + c.slope).min()) for c in filled), default=None),
+            max((int((c.base + c.slope * c.top).max()) for c in filled),
+                default=None))
+        for percent in percents[objective]:
+            value = explore._bucket_value(tables, original, objective,
+                                          percent, 1.0)
+            members = []
+            for cells in tables:
+                flat, ranks, _ = explore._bucket_members(cells, value)
+                members += cells.family.solutions(flat, ranks.tolist(),
+                                                  ranks.tolist())
+            answers[objective, percent] = (value,
+                                           sorted(members, key=Solution.key))
+    return answers
+
+
+# small spaces whose whole families are affine in their first slot (the
+# tt ones of CELL_CASES are affine in a middle slot)
+FIRST_SLOT_CASES = [
+    pytest.param("tt", (conv((3,), 8, 2), None), id="tt-conv1d-8x2"),
+    pytest.param("tucker2", (conv((3, 3), 6, 4), None),
+                 id="tucker2-conv2d-6x4"),
+]
+
+
+class TestLayouts:
+    """Whole-space families are affine in the slot leaving the fewest
+    cells, enumeration slabs in the last slot; both must give the same
+    answers."""
+
+    @pytest.mark.parametrize("method, case", CELL_CASES + FIRST_SLOT_CASES)
+    def test_whole_families_answer_as_the_slabs(self, method, case):
+        layer, shape = case
+        points = brute_force_points(layer, method, shape)
+        percents = {objective: [percent for percent, _ in
+                                tie_percents(layer, points, objective, shape)]
+                    for objective in ("params", "flops", "overall_mem")}
+        whole = layout_answers(layer, method, shape, math.inf, percents)
+        assert whole == layout_answers(layer, method, shape, 1, percents)
+        assert whole["valid"] == sum(ok for *_, ok in points)
+
+    @pytest.mark.parametrize("method, case", FIRST_SLOT_CASES)
+    def test_a_first_slot_census_against_brute_force(self, method, case):
+        layer, shape = case
+        (fam,) = explore._families(layer, method, shape)
+        assert fam.axis == 0 < len(fam.outer)
+        check_census_against_brute_force(layer, method, shape, "flops")
 
 
 def weight_bytes(fact) -> dict:
