@@ -1,21 +1,22 @@
 """Qualitative 1-5 scorecard comparing factorization methods.
 
-Each metric maps a raw measurement onto a five-level rubric.  The top
-level of a numeric rubric requires strictly exceeding its cut; interior
-cuts include their lower bound.  A raw value sitting exactly on the top
-cut therefore lands one level below, while one sitting on an interior
-cut belongs to the level whose range starts there.
+The flexibility class maps to its level by name.  Every numeric metric
+has one ``RUBRICS`` entry, the one statement of its boundary rules: each
+rung says whether a raw exactly on its cut reaches it, and the rules
+differ between metrics and rungs.  A numeric raw must be a finite real.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
 
 from . import explore
-from .costs import (applicable_methods, compression_ratio, cost_original,
-                    default_input_shape, default_plan)
+from .costs import (applicable_methods, check_real, compression_ratio,
+                    cost_original, default_input_shape, default_plan,
+                    rank_bounds, t3f_plans)
 from .decompose import decompose_layer
 from .errors import RankError
 from .ir import LayerDesc
@@ -29,117 +30,69 @@ FLEXIBILITY_CLASSES = {
     "qr": "rigid",
 }
 
-_FLEXIBILITY_LEVELS = {
-    "shape_and_ranks": 5,
-    "per_dim_ranks": 4,
-    "multiple_ranks": 3,
-    "fixed_rank": 2,
-    "rigid": 1,
+_FLEXIBILITY_LEVELS = {"shape_and_ranks": 5, "per_dim_ranks": 4,
+                       "multiple_ranks": 3, "fixed_rank": 2, "rigid": 1}
+
+# metric: (higher raw is better, rungs from best to worst as (cut, level,
+# whether a raw exactly on the cut reaches the rung), floor level)
+_REDUCTION_BEST = (True, ((98, 5, False), (94, 4, True), (90, 3, True),
+                          (80, 2, True)), 1)
+_REDUCTION_WORST = (True, ((20, 5, False), (10, 4, True), (6, 3, True),
+                           (2, 2, True)), 1)
+_COVERAGE = (True, ((98, 5, False), (93, 4, True), (85, 3, True),
+                    (70, 2, True)), 1)
+RUBRICS = {
+    # independent rank choices; "5 or more" earns the top level
+    "rank_configurations": (True, ((5, 5, True), (4, 4, True), (2, 3, True),
+                                   (1, 2, True)), 1),
+    # reductions, percent of the original count
+    "best_param_reduction": _REDUCTION_BEST,
+    "worst_param_reduction": _REDUCTION_WORST,
+    "best_flops_reduction": _REDUCTION_BEST,
+    "worst_flops_reduction": _REDUCTION_WORST,
+    # overall-memory improvement and increase, percent; <= 0 means none
+    "best_memory_improvement": (True, ((90, 5, False), (60, 4, True),
+                                       (30, 3, True), (0, 2, False)), 1),
+    "worst_memory_increase": (False, ((0, 5, True), (25, 4, False),
+                                      (75, 3, True), (150, 2, True)), 1),
+    # valid rank points
+    "exploration_space": (True, ((10**6, 5, False), (10**4, 4, True),
+                                 (10**3, 3, True), (10**2, 2, True)), 1),
+    # spread between best and worst reduction, percentage points
+    "param_coverage": _COVERAGE,
+    "flops_coverage": _COVERAGE,
+    # seconds to factorize one weight tensor
+    "decomposition_time": (False, ((5, 5, False), (30, 4, False),
+                                   (60, 3, False), (300, 2, True)), 1),
 }
 
 
-def _descending(raw, cuts, levels, floor, top_strict=True):
-    """Level for a higher-is-better raw value; cuts are lower bounds.
-
-    The highest cut is exclusive when ``top_strict``: the top level is
-    reserved for values strictly beyond it.
-    """
-    for i, (cut, level) in enumerate(zip(cuts, levels)):
-        if raw > cut or (raw == cut and not (top_strict and i == 0)):
+def _level(name: str, raw) -> int:
+    """Level of one raw measurement under its metric's rubric."""
+    if name == "flexibility":
+        try:
+            return _FLEXIBILITY_LEVELS[raw]
+        except KeyError:
+            raise RankError(f"unknown flexibility class {raw!r}") from None
+    try:
+        higher, rungs, floor = RUBRICS[name]
+    except KeyError:
+        raise RankError(f"unknown metric {name!r}") from None
+    # a comparison, not math.isfinite: that overflows on an int past 1e308
+    if not -math.inf < check_real(raw, name) < math.inf:
+        raise RankError(f"{name} must be finite, got {raw!r}")
+    for cut, level, on_cut in rungs:
+        if (raw > cut if higher else raw < cut) or (on_cut and raw == cut):
             return level
     return floor
 
 
-def level_rank_configurations(raw: float) -> int:
-    # "5 or more" independent ranks earns the top level outright
-    return _descending(raw, (5, 4, 2, 1), (5, 4, 3, 2), 1, top_strict=False)
-
-
-def level_best_reduction(raw: float) -> int:
-    """Best achievable reduction, percent of the original count."""
-    return _descending(raw, (98, 94, 90, 80), (5, 4, 3, 2), 1)
-
-
-def level_worst_reduction(raw: float) -> int:
-    """Smallest reduction still on offer, percent of the original."""
-    return _descending(raw, (20, 10, 6, 2), (5, 4, 3, 2), 1)
-
-
-def level_best_memory(raw: float) -> int:
-    """Best overall-memory improvement, percent; <= 0 means increase."""
-    if raw <= 0:
-        return 1
-    return _descending(raw, (90, 60, 30), (5, 4, 3), 2)
-
-
-def level_worst_memory(raw: float) -> int:
-    """Worst-case overall-memory increase, percent; <= 0 means none."""
-    if raw <= 0:
-        return 5
-    if raw > 150:
-        return 1
-    if raw > 75:
-        return 2
-    if raw >= 25:
-        return 3
-    return 4
-
-
-def level_space_size(raw: float) -> int:
-    return _descending(raw, (10**6, 10**4, 10**3, 10**2), (5, 4, 3, 2), 1)
-
-
-def level_coverage(raw: float) -> int:
-    """Spread between best and worst reduction, percentage points."""
-    return _descending(raw, (98, 93, 85, 70), (5, 4, 3, 2), 1)
-
-
-def level_flexibility(raw: str) -> int:
-    try:
-        return _FLEXIBILITY_LEVELS[raw]
-    except KeyError:
-        raise RankError(f"unknown flexibility class {raw!r}") from None
-
-
-def level_decomposition_time(raw: float) -> int:
-    """Seconds to factorize one weight tensor."""
-    if raw > 300:
-        return 1
-    if raw >= 60:
-        return 2
-    if raw >= 30:
-        return 3
-    if raw >= 5:
-        return 4
-    return 5
-
-
-METRIC_LEVELS = {
-    "rank_configurations": level_rank_configurations,
-    "best_param_reduction": level_best_reduction,
-    "worst_param_reduction": level_worst_reduction,
-    "best_flops_reduction": level_best_reduction,
-    "worst_flops_reduction": level_worst_reduction,
-    "best_memory_improvement": level_best_memory,
-    "worst_memory_increase": level_worst_memory,
-    "exploration_space": level_space_size,
-    "param_coverage": level_coverage,
-    "flops_coverage": level_coverage,
-    "flexibility": level_flexibility,
-    "decomposition_time": level_decomposition_time,
-}
-
-
 def qualitative_score(measurements: dict) -> dict:
-    """Levels for raw measurements; keys must match METRIC_LEVELS."""
-    out = {}
-    for name, raw in measurements.items():
-        try:
-            fn = METRIC_LEVELS[name]
-        except KeyError:
-            raise RankError(f"unknown metric {name!r}") from None
-        out[name] = {"raw": raw, "level": fn(raw)}
-    return out
+    """Levels for raw measurements keyed by ``RUBRICS`` names or
+    ``flexibility``; RankError for another name, or for a numeric raw
+    that is a bool or not a finite real number."""
+    return {name: {"raw": raw, "level": _level(name, raw)}
+            for name, raw in measurements.items()}
 
 
 def rank_slot_count(layer: LayerDesc, method: str) -> int:
@@ -148,17 +101,17 @@ def rank_slot_count(layer: LayerDesc, method: str) -> int:
     These are the slots of the rank box of the deepest plan (the last
     of ``t3f_plans``), plus the choice of plan when there are several.
     """
-    plans = explore.t3f_plans(layer) if method == "t3f" else [None]
+    plans = t3f_plans(layer) if method == "t3f" else [None]
     deepest = plans[-1] if plans else default_plan(layer, method)  # RankError
-    slots = len(explore.rank_bounds(layer, method, deepest))
+    slots = len(rank_bounds(layer, method, deepest))
     return slots + (1 if len(plans) > 1 else 0)
 
 
 def _representative_ranks(layer: LayerDesc, method: str):
     """Midpoint of every rank bound; used to time one decomposition."""
     plan = default_plan(layer, method)
-    bounds = explore.rank_bounds(layer, method, plan)
-    ranks = tuple((lo + hi) // 2 or lo for lo, hi in bounds)
+    bounds = rank_bounds(layer, method, plan)
+    ranks = tuple((lo + hi) // 2 for lo, hi in bounds)
     return ranks, plan
 
 
