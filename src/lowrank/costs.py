@@ -361,7 +361,9 @@ def closed_form(layer: LayerDesc, method: str, ranks: tuple,
 
     The ranks (and t3f's mode sizes) may be integer numpy arrays that
     broadcast against each other; every field of the report then has
-    their broadcast shape.
+    their broadcast shape.  One rank may be an affine value of
+    ``explore`` (a base and a slope that ``+`` and ``*`` carry), and
+    every field is then such a value.
     """
     stages = chain_stages(layer, method, ranks, plan)
     params = flops = fm = 0

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import explore
-from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, CostReport,
+from .costs import (CONV_METHODS, FC_METHODS, CostReport,
                     applicable_methods, check_integer, check_real,
                     compression_ratio, cost_original, default_plan,
                     method_applies)
@@ -65,16 +65,13 @@ class DseConfig:
     tol: float = explore.DEFAULT_TOL
 
     def __post_init__(self):
-        if self.objective not in OBJECTIVES:
-            raise RankError(f"objective must be one of {OBJECTIVES}, "
-                            f"got {self.objective!r}")
+        explore.check_query(self.objective, self.tol)
         for name in ("accuracy_drop_limit", "step_size", "target_fraction",
                      "sim_threshold_sequential", "sim_threshold_nonsequential"):
             check_real(getattr(self, name), name)
         # written so that NaN fails too
         if not self.accuracy_drop_limit >= 0:
             raise RankError("accuracy_drop_limit must be non-negative")
-        explore.check_tol(self.tol)
         if not 0 < self.step_size < 100:
             raise RankError("step_size must lie in (0, 100)")
         for name, least in (("max_sol", 1), ("sample_count", 1), ("seed", 0)):

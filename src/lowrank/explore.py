@@ -12,53 +12,54 @@ a caller asks for concrete solutions.
 A method's cells form one family; t3f has one family per depth, whose
 flat cells run through all plans of that depth, each cell with its own
 plan and affine rank bound, so thousands of plans cost a few array
-operations rather than one family each.  A family is built from its
-rank box (``_boxes``), whose volume ``count_all`` sums.  The affine
+operations rather than one family each.  A family is built from its rank
+box (``_boxes``), whose volume ``count_all`` sums.  The affine
 coefficients are not written down here: each family walks the chain
 stages of ``costs.closed_form`` once over its cells, with the affine
-rank at 0 and at 1, so that walk remains the only cost formula of a
-factorized layer.  A whole-space family (counting, census,
-``valid_extremes`` and the ``solutions_at_ratio`` memo) is affine in the
-rank slot that leaves it the fewest cells, the box volume over that
-slot's bound (``_affine_slot``): tt's longest link, often a middle one,
-makes its whole families 1.5-3 times smaller than the innermost link
-would.  Enumeration reads its costs from the cells too, but builds each
-family affine in its last slot, in slabs along its leading axis, in
-enumeration order (``_families`` with a finite ``slab``): runs of
-consecutive plans for t3f, ranges of the first outer rank for the other
-methods.  The first slab holds about ``_FIRST_SLAB`` cells and each
-later one twice the one before, so a limited enumeration builds at most
-about twice the cells it reads, plus one slab, and a whole one only
-O(log cells) slabs.  One bulk reader, ``_AffineFamily.solutions``, turns
-cells into solutions, for enumeration, bucket members and a census's
-best member alike: it reads the cells' plans, outer ranks, bases and
-slopes with one fancy index and one ``tolist`` per array, costs each
-solution as ``base + slope * r`` in Python ints, with no rank check or
-chain walk per point, and builds each ``Solution`` and its
-``CostReport``, both immutable NamedTuples (they compare, hash and
-unpack as tuples), directly with ``tuple.__new__``.  A whole-space family
-off its last slot is read at one rank per cell, which the reader puts
-into the cell's ranks and costs before its loop over the cells.
+rank an ``_Affine`` value whose base and slope ride through ``+`` and
+``*``, so that walk remains the only cost formula of a factorized layer
+and yields each metric as its base and slope.  A whole-space family
+(counting, census, ``valid_extremes`` and the ``solutions_at_ratio``
+memo) is affine in the rank slot that leaves it the fewest cells
+(``_affine_slot``): tt's longest link, often a middle one, makes its
+whole families 1.5-3 times smaller than the innermost link would.
+Enumeration builds each family affine in its last slot, in slabs along
+its leading axis, in enumeration order (``_families`` with a finite
+``slab``); each slab holds twice the cells of the one before, from
+about ``_FIRST_SLAB``, so a limited enumeration builds at most about
+twice the cells it reads, plus one slab, and a whole one only
+O(log cells) slabs.  One bulk reader, ``_AffineFamily.solutions``,
+turns cells into solutions, for enumeration, bucket members and a
+census's best member alike, each costed as ``base + slope * r`` in
+Python ints, with no rank check or chain walk per point, and built as
+immutable NamedTuples directly with ``tuple.__new__``.
 
 A census buckets the valid solutions at target reductions of an
-objective (say 60% fewer parameters).  One rule, ``_bucket_value``,
-gives the bucket value at ``percent``: the valid objective value
-closest to (1 - percent/100) * original, the smaller one on a tie, or
-none when even that value misses the target by more than
-tol * original.  The bucket holds every valid solution achieving
-exactly that value; ``census`` summarizes it and ``solutions_at_ratio``
-materializes it, its members costed from their cells as enumeration
-costs them.  A census re-costs only its ``best`` member, one per
-non-empty bucket, through the checked ``cost_factorized``; of the
-members with the fewest flops it is the first in enumeration order, by
-plan and then by the ranks in slot order (``_AffineFamily.earliest``),
-whichever slot its family is affine in.  Both read
-one table of valid cells per family (``_valid_cells``), built once per
-call and dropped with it.  In a cell with objective ``a + b * r``
-(integers, b >= 1) the values nearest a target t sit at ranks
+objective (say 60% fewer parameters).  ``_bucket`` gives the bucket
+value at ``percent``: the valid objective value closest to
+t = (1 - percent/100) * original, the smaller on a tie, or none if it
+misses t by more than tol * original; the bucket holds every valid
+solution achieving it.  ``census`` summarizes it, re-costing only its
+``best`` member through the checked ``cost_factorized`` (of the members
+with the fewest flops, the first in enumeration order: by plan, then by
+the ranks in slot order, ``_AffineFamily.earliest``), and
+``solutions_at_ratio`` materializes it, costed from the cells as
+enumeration costs them.  Both read one table of valid cells per family
+(``_valid_cells``), built once per call and dropped with it.
+
+In a cell with objective ``value(r) = a + b * r`` (integers, b >= 1)
+and valid ranks 1..top, the values nearest t sit at ranks
 ``near = (floor(t) - a) // b`` and ``near + 1``: floor(x / b) =
-floor(floor(x) / b) for every real x, so the integer division gives
-floor((t - a) / b) exactly, with no float rounding.
+floor(floor(x) / b) for every real x, so the integer division is exact,
+with no float rounding.  ``_bucket`` keeps each cell's
+``r = clip(near, 0, top)`` and value(r); v is the nearer to t of the
+largest value(r) with r >= 1 and the smallest value(r + 1) with
+r < top.  The members come off the same arrays, with no second
+division.  If v <= floor(t), they are the cells with value(r) == v and
+r >= 1, at rank r: a member's rank is at most r, as its value is at
+most floor(t), and value(r) <= v by the max.  If v > floor(t), they are
+the cells with value(r + 1) == v and r < top, at rank r + 1: a member's
+rank is more than r, and value(r + 1) >= v by the min.
 
 A search asks for one layer's buckets at many percents, so
 ``solutions_at_ratio`` keeps the families in the caller's ``memo``, a
@@ -170,14 +171,13 @@ class _AffineFamily:
     ranks); t3f has one per depth, with flat, plan-major cells
     (``_plan_cells``) and ``plan_index`` naming each cell's plan.
     ``outer`` holds the cells' other ranks, one array per slot in slot
-    order.  ``closed_form`` walks the chain once over all cells with the
-    affine rank at 0 and 1 on a leading axis: ``base`` (the costs at
-    rank 0) and ``slope`` (their increase per rank) are CostReports of
-    int64 arrays spanning all cells, so a flat cell index addresses them
-    and a metric at affine rank r is ``base + slope * r``.  ``bound`` is
-    each cell's affine rank bound and ``valid_hi`` the largest affine
-    rank keeping params and flops strictly below ``original`` (none if
-    below 1).
+    order.  One ``closed_form`` walk over all cells, with an ``_Affine``
+    affine rank, gives each metric's ``base`` (its cost at rank 0) and
+    ``slope`` (its increase per rank): CostReports of int64 arrays
+    spanning all cells, so a flat cell index addresses them and a metric
+    at affine rank r is ``base + slope * r``.  ``bound`` is each cell's
+    affine rank bound and ``valid_hi`` the largest affine rank keeping
+    params and flops strictly below ``original`` (none if below 1).
     """
 
     def __init__(self, layer, method, input_shape, original, axis, box,
@@ -196,16 +196,14 @@ class _AffineFamily:
         self.plan_index = np.broadcast_to(index, self.shape)
         self.outer = [np.broadcast_to(ranks, self.shape) for ranks in outer]
         self.bound = np.broadcast_to(bound, self.shape)
-        affine = np.arange(2, dtype=np.int64).reshape(
-            (2,) + (1,) * len(self.shape))
-        cost = closed_form(layer, method, _in_slots(outer, axis, affine),
+        cost = closed_form(layer, method,
+                           _in_slots(outer, axis, _Affine(0, 1)),
                            input_shape, plan)
-        self.base = CostReport(*(v[0] for v in cost))
-        self.slope = CostReport(*(v[1] - v[0] for v in cost))
-        hi_p = ((original.params - 1 - self.base.params)
-                // np.maximum(self.slope.params, 1))
-        hi_f = ((original.flops - 1 - self.base.flops)
-                // np.maximum(self.slope.flops, 1))
+        self.base, self.slope = (
+            CostReport(*(np.broadcast_to(part, self.shape) for part in parts))
+            for parts in zip(*cost))
+        hi_p = (original.params - 1 - self.base.params) // self.slope.params
+        hi_f = (original.flops - 1 - self.base.flops) // self.slope.flops
         self.valid_hi = np.minimum(np.minimum(hi_p, hi_f), self.bound)
 
     def solutions(self, flat: np.ndarray, lows, highs):
@@ -251,6 +249,30 @@ class _AffineFamily:
         rows = _in_slots([outer[idx] for outer in self.outer], self.axis,
                          ranks)
         return int(np.lexsort((*rows[::-1], self.plan_index[idx]))[0])
+
+
+class _Affine(NamedTuple):
+    """``base + slope * r`` in the affine rank r, which is ``_Affine(0,
+    1)``; ints or int64 arrays.  ``+`` and ``*`` keep it affine, numpy
+    operators defer to them, and a product of two affine values raises."""
+
+    base: object
+    slope: object
+    __array_ufunc__ = None
+
+    def __add__(self, other):
+        if isinstance(other, _Affine):
+            return _Affine(self.base + other.base, self.slope + other.slope)
+        return _Affine(self.base + other, self.slope)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if isinstance(other, _Affine):
+            raise TypeError("a product of two affine values is not affine")
+        return _Affine(self.base * other, self.slope * other)
+
+    __rmul__ = __mul__
 
 
 def _in_slots(outer, axis: int, affine) -> tuple:
@@ -432,55 +454,59 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     return spans
 
 
-def check_tol(tol: float) -> None:
-    """RankError unless the bucket tolerance ``tol`` is a real number,
-    finite and non-negative (NaN fails too)."""
+def check_query(objective: str, tol: float, percents=()) -> list:
+    """``percents`` as a list; RankError unless ``objective`` is one of
+    ``OBJECTIVES``, and the bucket tolerance ``tol`` (non-negative) and
+    every percent are finite real numbers (NaN fails)."""
+    if objective not in OBJECTIVES:
+        raise RankError(f"objective must be one of {OBJECTIVES}, "
+                        f"got {objective!r}")
     if not 0 <= check_real(tol, "tol") < math.inf:
         raise RankError(f"tol must be non-negative and finite, got {tol}")
+    percents = list(percents)
+    for percent in percents:
+        if not math.isfinite(check_real(percent, "percent")):
+            raise RankError(f"percent must be a number and finite, "
+                            f"got {percent}")
+    return percents
 
 
-def _bucket_value(tables, original: CostReport, objective: str,
-                  percent: float, tol: float) -> int | None:
-    """The census bucket value at ``percent`` over the valid-cell
-    ``tables`` of ``objective`` (see the module docstring)."""
-    check_tol(tol)
-    if not math.isfinite(check_real(percent, "percent")):
-        raise RankError(f"percent must be a number and finite, got {percent}")
+def _bucket(tables, original: CostReport, objective: str, percent: float,
+            tol: float) -> tuple:
+    """The census bucket at ``percent`` over the valid-cell ``tables`` of
+    ``objective`` (see the module docstring): its value, None if empty,
+    and per table its members' flat indices and affine ranks."""
     scale = original.get(objective)
     target, reach = (1.0 - percent / 100.0) * scale, tol * scale
     # valid values are positive, and below the original for params and
     # flops; a valid point's overall memory may exceed the original's
     ceiling = math.inf if objective == "overall_mem" else scale
     if not -reach <= target <= ceiling + reach:
-        return None
+        return None, []
     floor = math.floor(min(max(target, -1.0), _VALUE_CAP))
     below, above = 0, _VALUE_CAP  # the nearest values <= and > target
+    nearest = []  # per table: the nearest ranks, the values there and one up
     for cells in tables:
         r = np.clip((floor - cells.base) // cells.slope, 0, cells.top)
-        value = cells.base + cells.slope * r
-        below = max(below, int(np.max(value, where=r >= 1, initial=0)))
-        value += cells.slope
-        above = min(above, int(np.min(value, where=r < cells.top,
+        at = cells.base + cells.slope * r
+        up = at + cells.slope
+        below = max(below, int(np.max(at, where=r >= 1, initial=0)))
+        above = min(above, int(np.min(up, where=r < cells.top,
                                       initial=_VALUE_CAP)))
+        nearest.append((r, at, up))
     candidates = [(target - below, below)] if below else []
     if above < _VALUE_CAP:
         candidates.append((above - target, above))
     if not candidates or min(candidates)[0] > reach:
-        return None
-    return min(candidates)[1]
-
-
-def _bucket_members(cells: _Cells, value: int) -> tuple:
-    """The valid cells achieving ``value``: their flat indices into the
-    family, their affine ranks and their flops."""
-    num = value - cells.base
-    r = num // cells.slope
-    hit = np.flatnonzero((r * cells.slope == num) & (r >= 1)
-                         & (r <= cells.top))
-    flat, ranks = cells.flat[hit], r[hit]
-    fam = cells.family
-    return (flat, ranks, np.ravel(fam.base.flops)[flat]
-            + np.ravel(fam.slope.flops)[flat] * ranks)
+        return None, []
+    value = min(candidates)[1]
+    step = int(value > floor)  # members sit at the nearest rank or one up
+    members = []
+    for cells, (r, at, up) in zip(tables, nearest):
+        hit = np.flatnonzero((up == value) & (r < cells.top) if step
+                             else (at == value) & (r >= 1))
+        members.append((cells.flat[hit], r[hit] + step))
+    return value, members
 
 
 def census(layer: LayerDesc, method: str, percents, objective: str = "params",
@@ -492,6 +518,7 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
     enumeration order on a tie).
     """
     t0 = time.perf_counter()
+    percents = check_query(objective, tol, percents)
     tables = [_valid_cells(fam, objective)
               for fam in _families(layer, method, input_shape)]
     original = cost_original(layer, input_shape or default_input_shape(layer))
@@ -499,24 +526,25 @@ def census(layer: LayerDesc, method: str, percents, objective: str = "params",
                          sum(int(cells.top.sum()) for cells in tables),
                          original)
     for percent in percents:
-        value = _bucket_value(tables, original, objective, percent, tol)
+        value, members = _bucket(tables, original, objective, percent, tol)
         bucket = BucketReport(percent=percent, value=value, count=0)
         report.buckets.append(bucket)
         if value is None:
             continue
-        members = [_bucket_members(cells, value) for cells in tables]
-        every = np.concatenate([flops for *_, flops in members])
+        flops = [np.ravel(cells.family.base.flops)[flat]
+                 + np.ravel(cells.family.slope.flops)[flat] * ranks
+                 for cells, (flat, ranks) in zip(tables, members)]
+        every = np.concatenate(flops)
         bucket.count = every.size
         lo, hi = int(every.min()), int(every.max())
         bucket.flops_reduction_min = compression_ratio(original.flops, hi)
         bucket.flops_reduction_max = compression_ratio(original.flops, lo)
-        _, i = min((int(flops.min()), i)
-                   for i, (*_, flops) in enumerate(members) if flops.size)
-        flat, ranks, flops = members[i]
-        tied = np.flatnonzero(flops == flops.min())
-        pick = tied[tables[i].family.earliest(flat[tied], ranks[tied])]
+        i = next(i for i, part in enumerate(flops) if lo in part)
+        (flat, ranks), family = members[i], tables[i].family
+        tied = np.flatnonzero(flops[i] == lo)
+        pick = tied[family.earliest(flat[tied], ranks[tied])]
         rank = [int(ranks[pick])]
-        (best,) = tables[i].family.solutions(flat[pick:pick + 1], rank, rank)
+        (best,) = family.solutions(flat[pick:pick + 1], rank, rank)
         bucket.best = best._replace(cost=cost_factorized(
             layer, method, best.ranks, input_shape, plan=best.plan))
     report.generation_time = time.perf_counter() - t0
@@ -531,17 +559,15 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     ``memo``, a dict for this layer at ``input_shape``, keeps the rank
     families for later calls at other percents (see the module docstring).
     """
+    check_query(objective, tol, (percent,))
     memo = {} if memo is None else memo
     if ("families", method) not in memo:
         memo["families", method] = list(_families(layer, method, input_shape))
     tables = [_valid_cells(fam, objective) for fam in memo["families", method]]
     original = cost_original(layer, input_shape or default_input_shape(layer))
-    value = _bucket_value(tables, original, objective, percent, tol)
-    if value is None:
-        return []
+    _, members = _bucket(tables, original, objective, percent, tol)
     out = []
-    for cells in tables:
-        flat, ranks, _ = _bucket_members(cells, value)
+    for cells, (flat, ranks) in zip(tables, members):
         ranks = ranks.tolist()
         out.extend(cells.family.solutions(flat, ranks, ranks))
     out.sort(key=lambda s: s.key())

@@ -7,6 +7,8 @@ enumeration results.  A library change that breaks one of these makes
 benchmark operations fail or report problems; one tiny operation of
 each library-bound workload shows that here first, and the tiny space
 operation's census digest pins every answer it reads from ``explore``.
+The full space operation's census digest pins all 27 layer/method pairs
+the benchmark counts and buckets.
 """
 
 import importlib.util
@@ -38,6 +40,11 @@ def workloads():
 TINY_SPACE_CENSUS = \
     "33451fe08ac2d135a6280ca5e33cebe5680999e6844673eb600f74ab8bece110"
 
+# the same for the full space operation, all 27 pairs; the seed only
+# orders the pairs, so every seed gives it
+SPACE_CENSUS = \
+    "fb024814e25c47c2916917beb3c70741913d47a4a7401bcc2a44b75a56942060"
+
 
 def _check(op):
     assert op.problems == []
@@ -53,6 +60,12 @@ def test_a_tiny_operation_passes_its_checks(workloads, name):
 def test_a_tiny_space_operation_keeps_its_census_digest(workloads):
     op = workloads.WORKLOADS["space"](0, tiny=True).run_once()
     assert op.digests["census"] == TINY_SPACE_CENSUS
+
+
+def test_the_full_space_operation_keeps_its_census_digest(workloads):
+    op = workloads.WORKLOADS["space"](0).run_once()
+    _check(op)
+    assert op.digests["census"] == SPACE_CENSUS
 
 
 def test_a_tiny_unreachable_search_passes_its_checks(workloads):

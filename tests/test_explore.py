@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -6,9 +7,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 from lowrank import explore
-from lowrank.costs import (CONV_METHODS, METHODS, CostReport,
+from lowrank.costs import (CONV_METHODS, METHODS, OBJECTIVES, CostReport,
+                           closed_form,
                            cost_factorized, cost_original,
                            default_input_shape, default_plan, method_applies)
 from lowrank.decompose import decompose_layer
@@ -658,6 +662,33 @@ class TestCensus:
                                                 "and finite"):
                 solutions_at_ratio(layer, method, 60, tol=math.inf)
 
+    @pytest.mark.parametrize("query, match", [
+        ({"percents": (50, math.nan)}, "percent must be a number and finite"),
+        ({"percents": (50, "60")}, "percent must be a real number"),
+        ({"tol": -0.01}, "tol must be non-negative"),
+        ({"tol": math.nan}, "tol must be non-negative"),
+        ({"objective": "latency"}, "objective must be one of"),
+    ], ids=["nan-percent", "text-percent", "negative-tol", "nan-tol",
+            "unknown-objective"])
+    def test_a_bad_query_raises_before_any_family_is_built(self, monkeypatch,
+                                                           query, match):
+        def families(*args, **kwargs):
+            raise AssertionError("a family was built")
+
+        monkeypatch.setattr(explore, "_families", families)
+        query = {"percents": (50,), "objective": "params",
+                 "tol": DEFAULT_TOL, **query}
+        for layer, method in ((BENCH["L3"], "tt"), (BENCH["F1"], "t3f")):
+            with pytest.raises(RankError, match=match):
+                census(layer, method, query["percents"], query["objective"],
+                       query["tol"])
+            memo = {}
+            with pytest.raises(RankError, match=match):
+                solutions_at_ratio(layer, method, query["percents"][-1],
+                                   query["objective"], query["tol"],
+                                   memo=memo)
+            assert memo == {}
+
     @pytest.mark.parametrize("percent", [1e300, -1e300, 1e6, -1e6, 201])
     @pytest.mark.parametrize("objective", ["params", "flops", "overall_mem"])
     def test_far_percent_gives_an_empty_bucket(self, percent, objective):
@@ -1008,11 +1039,10 @@ def layout_answers(layer, method, shape, slab, percents) -> dict:
             max((int((c.base + c.slope * c.top).max()) for c in filled),
                 default=None))
         for percent in percents[objective]:
-            value = explore._bucket_value(tables, original, objective,
-                                          percent, 1.0)
+            value, found = explore._bucket(tables, original, objective,
+                                           percent, 1.0)
             members = []
-            for cells in tables:
-                flat, ranks, _ = explore._bucket_members(cells, value)
+            for cells, (flat, ranks) in zip(tables, found):
                 members += cells.family.solutions(flat, ranks.tolist(),
                                                   ranks.tolist())
             answers[objective, percent] = (value,
@@ -1051,6 +1081,184 @@ class TestLayouts:
         (fam,) = explore._families(layer, method, shape)
         assert fam.axis == 0 < len(fam.outer)
         check_census_against_brute_force(layer, method, shape, "flops")
+
+
+class TestAffineWalk:
+    """A family walks ``closed_form`` once with an affine rank; its base
+    and slope must be the walk at affine rank 0 and the increase from 0
+    to 1, on the family's own cells."""
+
+    @pytest.mark.parametrize("method, case", CELL_CASES)
+    def test_base_and_slope_match_the_walk_at_ranks_0_and_1(self, method,
+                                                            case):
+        layer, shape = case
+        depths = set()
+        for fam in explore._families(layer, method, shape):
+            plan = None
+            if method == "t3f":
+                modes = np.array([ms + ns for ms, ns in fam.plans])
+                cells = modes[fam.plan_index].T
+                depth = len(cells) // 2
+                plan = (tuple(cells[:depth]), tuple(cells[depth:]))
+                depths.add(depth)
+            rank0, rank1 = (closed_form(
+                layer, method, (*fam.outer[:fam.axis], r,
+                                *fam.outer[fam.axis:]), shape, plan)
+                for r in (0, 1))
+            want = (*rank0, *(b - a for a, b in zip(rank0, rank1)))
+            for got, field in zip((*fam.base, *fam.slope), want):
+                assert got.dtype == np.int64
+                assert got.tolist() == \
+                    np.broadcast_to(field, fam.shape).tolist()
+        assert depths == {len(ms) for ms, _ in t3f_plans(layer)} \
+            if method == "t3f" else not depths
+
+    def test_cases_hold_t3f_plans_of_depths_2_and_3(self):
+        assert {len(ms) for ms, _ in t3f_plans(SMALL_FCS["12x8"])} == {2, 3}
+
+    def test_numpy_defers_to_an_affine_value(self):
+        rank = explore._Affine(0, 1)
+        got = 5 + 2 * (np.arange(3) * rank + np.int64(2) * rank)
+        assert isinstance(got, explore._Affine)
+        assert np.broadcast_to(got.base, 3).tolist() == [5, 5, 5]
+        assert got.slope.tolist() == [4, 6, 8]
+
+    def test_a_product_of_two_affine_values_raises(self):
+        rank = explore._Affine(0, 1)
+        with pytest.raises(TypeError, match="not affine"):
+            rank * rank
+        with pytest.raises(TypeError, match="not affine"):
+            (np.arange(3) * rank + 1) * (rank + 1)
+
+
+# small spaces for the member rule's edges: each method on a 1-D, a
+# strided 2-D and a 3-D conv, or on two fc layers (12x8 has t3f plans of
+# depths 2 and 3)
+EDGE_CASES = [
+    *((method, layer, shape) for method in CONV_METHODS
+      for layer, shape in ((conv((3,), 3, 5), None),
+                           (conv((3, 3), 3, 4, stride=(2, 2),
+                                 padding="valid"), (7, 7, 3)),
+                           (conv((2, 2, 2), 2, 3), None))),
+    *((method, fc(m, n), None) for method in ("svd", "qr", "t3f")
+      for m, n in ((12, 8), (6, 4))),
+]
+TARGETS = ("a value", "between values", "a cell's edge",
+           "above the original", "far below the original")
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_points(case: int) -> list:
+    """(plan, ranks, cost, valid) for every point of an ``EDGE_CASES``
+    space, in enumeration order, as ``iter_solutions`` yields them."""
+    method, layer, shape = EDGE_CASES[case]
+    original = cost_original(layer, shape or default_input_shape(layer))
+    return [(s.plan, s.ranks, s.cost, s.cost.params < original.params
+             and s.cost.flops < original.flops)
+            for s in iter_solutions(layer, method, shape)]
+
+
+def nearest_rank_ends(layer, method, shape, objective, percent) -> set:
+    """Which ends the valid cells' nearest ranks clip to at ``percent``:
+    0 for a cell whose every valid value lies above the target, "top"
+    for one whose every valid value lies at or below it."""
+    original = cost_original(layer, shape or default_input_shape(layer))
+    floor = math.floor((1.0 - percent / 100.0) * original.get(objective))
+    ends = set()
+    for fam in explore._families(layer, method, shape):
+        cells = explore._valid_cells(fam, objective)
+        near = (floor - cells.base) // cells.slope
+        ends |= {0} if (near < 1).any() else set()
+        ends |= {"top"} if (near >= cells.top).any() else set()
+    return ends
+
+
+@functools.lru_cache(maxsize=None)
+def cell_edge_targets(case: int, objective: str) -> tuple:
+    """Targets where a valid value is also a valid cell's value just past
+    its valid ranks: a quarter below each value that a cell reaches one
+    rank above its top (its nearest rank clips to the top), a quarter
+    above each value that a cell has at rank 0 (its nearest rank is 0)."""
+    method, layer, shape = EDGE_CASES[case]
+    values = {cost.get(objective)
+              for *_, cost, ok in enumerated_points(case) if ok}
+    targets = set()
+    for fam in explore._families(layer, method, shape):
+        cells = explore._valid_cells(fam, objective)
+        past = cells.base + cells.slope * (cells.top + 1)
+        targets |= {value - 0.25 for value in values & set(past.tolist())}
+        targets |= {value + 0.25
+                    for value in values & set(cells.base.tolist())}
+    return tuple(sorted(targets))
+
+
+def edged_spaces() -> list:
+    """The (case, objective) pairs with cell edge targets."""
+    return [(case, objective) for case in range(len(EDGE_CASES))
+            for objective in OBJECTIVES if cell_edge_targets(case, objective)]
+
+
+def edge_percent(data, kind, orig_value, values, edges):
+    """A percent whose census target is ``kind`` of ``TARGETS`` against
+    the sorted valid ``values`` and the cell ``edges``."""
+    if kind == "a cell's edge":
+        return 100.0 * (1.0 - data.draw(st.sampled_from(edges)) / orig_value)
+    if kind == "a value":
+        assume(values)
+        percent = percent_hitting(orig_value, data.draw(st.sampled_from(
+            values)))
+        assume(percent is not None)
+        return percent
+    if kind == "between values":
+        assume(len(values) > 1)
+        i = data.draw(st.integers(0, len(values) - 2))
+        share = data.draw(st.sampled_from([0.5]) | st.floats(0.01, 0.99))
+        target = values[i] + share * (values[i + 1] - values[i])
+        return 100.0 * (1.0 - target / orig_value)
+    if kind == "above the original":
+        return data.draw(st.floats(-100.0, -1e-9))
+    return data.draw(st.floats(95.0, 100.0))
+
+
+class TestMemberRule:
+    """Bucket members are read off the nearest-value pass, at the nearest
+    rank below the target or one above it; at every edge of that rule the
+    buckets must equal a brute force over ``iter_solutions``."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_buckets_match_brute_force_at_the_edges(self, data):
+        kind = data.draw(st.sampled_from(TARGETS))
+        if kind == "a cell's edge":
+            case, objective = data.draw(st.sampled_from(edged_spaces()))
+        else:
+            case = data.draw(st.integers(0, len(EDGE_CASES) - 1))
+            objective = data.draw(st.sampled_from(OBJECTIVES))
+        method, layer, shape = EDGE_CASES[case]
+        tol = data.draw(st.sampled_from([0.0, DEFAULT_TOL, 0.05, 1.0]))
+        points = enumerated_points(case)
+        original = cost_original(layer, shape or default_input_shape(layer))
+        values = sorted({cost.get(objective) for *_, cost, ok in points if ok})
+        percent = edge_percent(data, kind, original.get(objective), values,
+                               cell_edge_targets(case, objective))
+        event(kind)
+        for end in nearest_rank_ends(layer, method, shape, objective,
+                                     percent):
+            event(f"a nearest rank clips to {end}")
+        check_census_against_brute_force(layer, method, shape, objective,
+                                         points, (percent,), (tol,))
+
+    @pytest.mark.parametrize("case", range(len(EDGE_CASES)))
+    def test_the_far_targets_clip_the_nearest_ranks(self, case):
+        # a valid point's overall memory may pass 1.5 times the
+        # original's, so only params and flops clip to the top there
+        method, layer, shape = EDGE_CASES[case]
+        filled = any(ok for *_, ok in enumerated_points(case))
+        for objective in ("params", "flops"):
+            below = nearest_rank_ends(layer, method, shape, objective, 99.9)
+            above = nearest_rank_ends(layer, method, shape, objective, -50.0)
+            assert (below, above) == (({0}, {"top"}) if filled
+                                      else (set(), set()))
 
 
 def weight_bytes(fact) -> dict:
