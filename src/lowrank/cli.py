@@ -31,7 +31,7 @@ from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES,
 from .decompose import decompose_layer
 from .dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                   hybrid_combine, install_solutions, run_dse)
-from .errors import ConstraintUnreachableError, LowRankError
+from .errors import ConstraintUnreachableError, LowRankError, RankError
 from .ir import CONV_KINDS, LayerDesc, ModelDesc, WeightStore, check_weights
 from .linalg import relative_error
 
@@ -204,10 +204,13 @@ def cmd_analyze(args) -> int:
     report = {"layer": layer.to_dict(), "input_shape": list(shape),
               "original": original.to_dict(), "methods": {}}
     for method in methods:
-        spans = explore.valid_extremes(layer, method, shape)
+        try:
+            spans = explore.valid_extremes(layer, method, shape)
+        except RankError:  # none valid; count_valid raises any other cause
+            spans = {"valid_count": explore.count_valid(layer, method, shape)}
         entry = {"all": explore.count_all(layer, method),
                  "valid": spans["valid_count"]}
-        for metric in ("params", "flops", "overall_mem"):
+        for metric in OBJECTIVES if entry["valid"] else ():
             lo, hi = spans[metric]
             entry[metric] = {
                 "min": lo, "max": hi,
@@ -224,9 +227,10 @@ def _analyze_summary(report: dict) -> str:
     lines = [f"original params={report['original']['params']} "
              f"flops={report['original']['flops']}"]
     for method, entry in sorted(report["methods"].items()):
-        lines.append(
-            f"{method}: space={entry['all']} valid={entry['valid']} "
-            f"best params -{entry['params']['best_reduction_percent']:.1f}%")
+        lines.append(f"{method}: space={entry['all']} valid={entry['valid']}"
+                     + (f" best params -"
+                        f"{entry['params']['best_reduction_percent']:.1f}%"
+                        if entry["valid"] else ""))
     return "\n".join(lines) + "\n"
 
 

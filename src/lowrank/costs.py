@@ -8,8 +8,8 @@ are exact integers, which lets enumeration and census code compare
 configurations without floating-point noise.
 
 ``method_applies`` is the one rule for which layers a method factors:
-the conv methods take an ungrouped conv, the fc methods an fc layer.
-``default_plan`` is the t3f plan used when a caller names none.
+the conv methods take an ungrouped conv, the fc methods an fc layer,
+t3f one with a plan; ``default_plan`` picks one when a caller names none.
 
 The rank box of ``rank_bounds`` decides which ranks a method admits
 on a layer.  ``chain_stages`` states once what a method factors a
@@ -24,13 +24,13 @@ for integer, with ``cost_chain`` over ``chain_descs``, which sums the
 independent per-kind rule ``cost_original``.  ``closed_form`` also
 walks integer rank arrays that broadcast, which is how ``explore``
 derives the affine rank families it counts on.  The t3f walk also
-broadcasts over per-cell plan mode sizes: the entries of ``ms`` and
-``ns`` may be int64 arrays, one value per cell, so one walk covers
-many plans of the same depth.  So does ``tt_link_bounds``, the one TT
-link rule: it bounds one plan for ``rank_bounds`` or every plan of a
-depth for ``explore``.  Integer factors are multiplied before rank
-arrays and sums are rebound, so an array walk costs few array
-operations and broadcasts freely.
+broadcasts over plan mode sizes: the entries of ``ms`` and ``ns`` may
+be int64 arrays, one value per plan, so one walk covers all plans of
+the same depth.  So does ``tt_link_bounds``, the one TT link rule: it
+bounds one plan for ``rank_bounds`` or every plan of a depth for
+``explore``.  Integer factors are multiplied before rank arrays and
+sums are rebound, so an array walk costs few array operations and
+broadcasts freely.
 """
 
 from __future__ import annotations
@@ -163,14 +163,21 @@ def cost_chain(layers: list, input_shape: tuple) -> CostReport:
 # -- admissible ranks ---------------------------------------------------------
 
 
-def method_applies(layer: LayerDesc, method: str) -> bool:
-    """Whether ``method`` factors ``layer``: the conv methods take an
-    ungrouped conv, the fc methods an fc layer."""
+def _takes_kind(layer: LayerDesc, method: str) -> bool:
+    """The conv methods take an ungrouped conv, the fc methods an fc layer."""
     if method in CONV_METHODS:
         return layer.kind in CONV_KINDS and layer.groups == 1
     if method in FC_METHODS:
         return layer.kind == "fc"
     raise RankError(f"unknown method {method!r}")
+
+
+def method_applies(layer: LayerDesc, method: str) -> bool:
+    """Whether ``method`` factors ``layer``: it takes the layer's kind,
+    and t3f has a plan, so both widths split into two factors."""
+    return _takes_kind(layer, method) and (method != "t3f" or all(
+        _ordered_factorizations(width, 2)
+        for width in (layer.in_channels, layer.out_channels)))
 
 
 def applicable_methods(layer: LayerDesc) -> list:
@@ -179,8 +186,8 @@ def applicable_methods(layer: LayerDesc) -> list:
 
 
 def require_method(layer: LayerDesc, method: str) -> None:
-    """RankError unless ``method`` factors ``layer``."""
-    if not method_applies(layer, method):
+    """RankError unless ``method`` takes ``layer``'s kind."""
+    if not _takes_kind(layer, method):
         grouped = f" with groups={layer.groups}" if layer.groups not in (
             None, 1) else ""
         raise RankError(f"method {method!r} does not apply to "

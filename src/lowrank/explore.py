@@ -15,10 +15,11 @@ plan and affine rank bound, so thousands of plans cost a few array
 operations rather than one family each.  A family is built from its rank
 box (``_boxes``), whose volume ``count_all`` sums.  The affine
 coefficients are not written down here: each family walks the chain
-stages of ``costs.closed_form`` once over its cells, with the affine
-rank an ``_Affine`` value whose base and slope ride through ``+`` and
-``*``, so that walk remains the only cost formula of a factorized layer
-and yields each metric as its base and slope.  A whole-space family
+stages of ``costs.closed_form`` once over its cells (a t3f family over
+its plans, ``_plan_cells``), with the affine rank an ``_Affine`` value
+whose base and slope ride through ``+`` and ``*``, so that walk remains
+the only cost formula of a factorized layer and yields each metric as
+its base and slope.  A whole-space family
 (counting, census, ``valid_extremes`` and the ``solutions_at_ratio``
 memo) is affine in the rank slot that leaves it the fewest cells
 (``_affine_slot``): tt's longest link, often a middle one, makes its
@@ -171,40 +172,41 @@ class _AffineFamily:
     ranks); t3f has one per depth, with flat, plan-major cells
     (``_plan_cells``) and ``plan_index`` naming each cell's plan.
     ``outer`` holds the cells' other ranks, one array per slot in slot
-    order.  One ``closed_form`` walk over all cells, with an ``_Affine``
-    affine rank, gives each metric's ``base`` (its cost at rank 0) and
-    ``slope`` (its increase per rank): CostReports of int64 arrays
-    spanning all cells, so a flat cell index addresses them and a metric
-    at affine rank r is ``base + slope * r``.  ``bound`` is each cell's
-    affine rank bound and ``valid_hi`` the largest affine rank keeping
-    params and flops strictly below ``original`` (none if below 1).
+    order.  One ``closed_form`` walk over all cells (t3f's over its
+    plans), with an ``_Affine`` affine rank, gives each metric's ``base``
+    (its cost at rank 0) and ``slope`` (its increase per rank): int64
+    CostReports spanning all cells, so a flat cell index addresses them
+    and a metric at affine rank r is ``base + slope * r``.  ``bound`` is
+    each cell's affine rank bound and ``valid_hi`` the largest affine
+    rank keeping params and flops below ``original`` (none if below 1).
     """
 
     def __init__(self, layer, method, input_shape, original, axis, box,
                  modes, plans, first=1):
         self.method, self.plans, self.axis = method, plans, axis
         if method == "t3f":
-            index, outer, bound, plan = _plan_cells(modes, box, axis)
+            index, outer, bound, parts = _plan_cells(layer, input_shape, axis,
+                                                     box, modes)
             self.shape = index.shape
         else:
-            index, plan, bound = 0, None, box[0, axis]
+            index, bound = 0, box[0, axis]
             lows = (first,) + (1,) * (box.shape[1] - 1)
             outer = np.ix_(*(np.arange(lo, hi + 1, dtype=np.int64)
                              for slot, (lo, hi) in enumerate(zip(lows, box[0]))
                              if slot != axis))
             self.shape = tuple(ranks.size for ranks in outer) or (1,)
+            parts = itertools.chain(*zip(*closed_form(
+                layer, method, _in_slots(outer, axis, _Affine(0, 1)),
+                input_shape)))
         self.plan_index = np.broadcast_to(index, self.shape)
         self.outer = [np.broadcast_to(ranks, self.shape) for ranks in outer]
         self.bound = np.broadcast_to(bound, self.shape)
-        cost = closed_form(layer, method,
-                           _in_slots(outer, axis, _Affine(0, 1)),
-                           input_shape, plan)
-        self.base, self.slope = (
-            CostReport(*(np.broadcast_to(part, self.shape) for part in parts))
-            for parts in zip(*cost))
-        hi_p = (original.params - 1 - self.base.params) // self.slope.params
+        parts = [np.broadcast_to(part, self.shape) for part in parts]
+        self.base, self.slope = CostReport(*parts[:3]), CostReport(*parts[3:])
+        hi = (original.params - 1 - self.base.params) // self.slope.params
         hi_f = (original.flops - 1 - self.base.flops) // self.slope.flops
-        self.valid_hi = np.minimum(np.minimum(hi_p, hi_f), self.bound)
+        self.valid_hi = np.minimum(np.minimum(hi, hi_f, out=hi), self.bound,
+                                   out=hi)
 
     def solutions(self, flat: np.ndarray, lows, highs):
         """Lazily the solutions of the cells at the flat indices ``flat``,
@@ -281,25 +283,30 @@ def _in_slots(outer, axis: int, affine) -> tuple:
     return (*outer[:axis], affine, *outer[axis:])
 
 
-def _plan_cells(modes: np.ndarray, box: np.ndarray, axis: int) -> tuple:
-    """Flat, plan-major cells of the t3f plans of one depth, given as
-    their (m.. n..) mode sizes ``modes`` (plans, 2 * depth) and rank box
-    ``box``, affine in rank slot ``axis``: each cell's plan index, its
-    other ranks (one array per slot, row-major within the box), its
-    affine rank bound, and the plan as per-cell mode-size arrays for
-    ``closed_form``."""
-    others = np.delete(box, axis, axis=1)
-    sizes = others.prod(axis=1)
-    index = np.repeat(np.arange(len(modes)), sizes)
-    local = np.arange(index.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    outer = []
-    for radix in others[index].T[::-1]:  # the last slot varies fastest
-        outer.insert(0, local % radix + 1)
-        local = local // radix
-    cells = modes[index].T
-    depth = modes.shape[1] // 2
-    return (index, outer, box[index, axis],
-            (tuple(cells[:depth]), tuple(cells[depth:])))
+def _plan_cells(layer, input_shape, axis, box, modes) -> tuple:
+    """Flat, plan-major cells of the t3f plans of one depth, affine in
+    slot ``axis``, from their rank box ``box`` and (m.. n..) mode sizes
+    ``modes``: each cell's plan index, outer ranks (one slot at depth 3,
+    none at depth 2), affine rank bound, and metrics' base and slope.
+    ``closed_form`` walks each plan, not each cell, at outer rank 0 and
+    1; costs are affine in each rank, so a cell adds the step times its
+    outer rank to its plan's coefficient at 0."""
+    sizes = np.delete(box, axis, axis=1).prod(axis=1)
+    ranks = np.arange(1, sizes.sum() + 1)
+    ranks -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+    outer = [ranks] * (box.shape[1] - 1)
+    cost = closed_form(layer, "t3f", _in_slots(
+        [np.arange(2)[:, None]] * len(outer), axis, _Affine(0, 1)),
+        input_shape, np.split(modes.T, 2))  # the m and the n mode sizes
+    # (metrics, outer rank 0 and 1, plans); the two rows agree at depth 2
+    coefficients = np.stack([np.broadcast_to(part, (2, len(box)))
+                             for part in itertools.chain(*zip(*cost))])
+    parts = np.repeat(coefficients[:, 1] - coefficients[:, 0], sizes, axis=1)
+    parts *= ranks
+    parts += np.repeat(coefficients[:, 0], sizes, axis=1)
+    index, bound = (np.repeat(per_plan, sizes)
+                    for per_plan in (np.arange(len(box)), box[:, axis]))
+    return index, outer, bound, parts
 
 
 def _boxes(layer: LayerDesc, method: str):
@@ -328,11 +335,7 @@ def _check_exact(layer: LayerDesc, method: str, input_shape, original,
     cost of the rank box, and of the original layer, lies below
     ``_VALUE_CAP``.  Every cost grows with every rank, so the box's top
     corners (one per t3f plan), costed in Python ints, bound them all."""
-    plan = None
-    if method == "t3f":
-        cells = modes.T.astype(object)
-        depth = len(cells) // 2
-        plan = (tuple(cells[:depth]), tuple(cells[depth:]))
+    plan = np.split(modes.T.astype(object), 2) if method == "t3f" else None
     top = closed_form(layer, method, tuple(box.T.astype(object)), input_shape,
                       plan)
     worst = max(max(np.ravel(report.get(objective)))
@@ -411,7 +414,9 @@ class _Cells(NamedTuple):
 
 def _valid_cells(fam: _AffineFamily, objective: str) -> _Cells:
     flat = np.flatnonzero(fam.valid_hi >= 1)
-    return _Cells(fam, flat, *(np.ravel(values)[flat] for values in (
+    # every cell valid: views of the family's arrays, not gathered copies
+    cells = slice(None) if flat.size == fam.valid_hi.size else flat
+    return _Cells(fam, flat, *(np.ravel(values)[cells] for values in (
         fam.valid_hi, fam.base.get(objective), fam.slope.get(objective))))
 
 
@@ -439,15 +444,13 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     """
     spans, total = {}, 0
     for fam in _families(layer, method, input_shape):
-        flat = np.flatnonzero(fam.valid_hi >= 1)
-        top = np.ravel(fam.valid_hi)[flat]
-        total += int(top.sum())
-        for metric in OBJECTIVES if flat.size else ():
-            base, slope = (np.ravel(values.get(metric))[flat]
-                           for values in (fam.base, fam.slope))
+        for metric in OBJECTIVES:
+            _, flat, top, base, slope = _valid_cells(fam, metric)
             lo, hi = spans.get(metric, (math.inf, -math.inf))
-            spans[metric] = (min(lo, int((base + slope).min())),
-                             max(hi, int((base + slope * top).max())))
+            if flat.size:
+                spans[metric] = (min(lo, int((base + slope).min())),
+                                 max(hi, int((base + slope * top).max())))
+        total += int(top.sum())
     if total == 0:
         raise RankError(f"{method}: no valid solutions for {layer.name}")
     spans["valid_count"] = total

@@ -278,6 +278,38 @@ class TestAnalyzeCommand:
         assert svd["params"]["best_reduction_percent"] > \
             svd["params"]["worst_reduction_percent"]
 
+    def test_fc_without_t3f_plan_reports_svd_and_qr(self, capsys):
+        code, out, errtext = run_cli(capsys, "analyze", "--layer", "256,7")
+        assert code == 0 and errtext == ""
+        methods = json.loads(out)["methods"]
+        assert sorted(methods) == ["qr", "svd"]
+        assert methods["svd"]["valid"] == 6
+
+    def test_a_method_without_valid_solutions_reports_valid_0(self, capsys,
+                                                                tmp_path):
+        # on 2x2 no rank of svd or qr saves a parameter; on 4x4 t3f has a
+        # plan but no valid rank, while svd and qr have one each
+        path = tmp_path / "analyze.json"
+        code, out, errtext = run_cli(capsys, "analyze", "--layer", "2,2",
+                                     "--out", str(path))
+        assert code == 0 and errtext == ""
+        assert out == ("original params=4 flops=8\n"
+                       "qr: space=2 valid=0\nsvd: space=2 valid=0\n")
+        assert json.loads(path.read_text())["methods"] == {
+            "qr": {"all": 2, "valid": 0}, "svd": {"all": 2, "valid": 0}}
+        code, out, _ = run_cli(capsys, "analyze", "--layer", "4,4")
+        methods = json.loads(out)["methods"]
+        assert code == 0 and methods["t3f"] == {"all": 4, "valid": 0}
+        assert methods["svd"]["valid"] == methods["qr"]["valid"] == 1
+        assert methods["svd"]["params"]["min"] == 8
+
+    def test_a_space_past_exact_costing_still_raises(self, capsys):
+        code, out, errtext = run_cli(capsys, "analyze", "--layer", "3,3,64,64",
+                                     "--input-size", "15000000,15000000,64",
+                                     "--method", "tt")
+        assert code == 1 and out == ""
+        assert errtext.startswith("error: layer: tt costs at input shape")
+
 
 class TestDecomposeCommand:
     def test_synthetic_layer_report(self, capsys):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.costs import (CONV_METHODS, CostReport, check_real, closed_form,
-                           compression_ratio, cost_chain, cost_factorized,
-                           cost_original, default_input_shape,
-                           model_breakdown)
+from lowrank.costs import (CONV_METHODS, CostReport, applicable_methods,
+                           check_real, closed_form, compression_ratio,
+                           cost_chain, cost_factorized, cost_original,
+                           default_input_shape, method_applies,
+                           model_breakdown, require_method)
 from lowrank.decompose import chain_descs
 from lowrank.errors import RankError
 from lowrank.explore import rank_bounds, t3f_plans
@@ -260,3 +261,29 @@ class TestRealRule:
     def test_everything_else_raises(self, bad):
         with pytest.raises(RankError, match="x must be a real number, got"):
             check_real(bad, "x")
+
+
+class TestApplicability:
+    """t3f factors an fc layer exactly when ``t3f_plans`` has a plan for
+    it; the kind rule alone still admits an explicit request."""
+
+    def test_t3f_applies_exactly_when_a_plan_exists(self):
+        widths = range(1, 130)
+        for m, n in itertools.chain(
+                itertools.product(widths, (1, 2, 4, 7, 12, 49, 97)),
+                itertools.product((1, 2, 4, 7, 12, 49, 97), widths),
+                itertools.product(range(1, 40), range(1, 40))):
+            layer = LayerDesc(name="F", kind="fc", in_channels=m,
+                              out_channels=n)
+            assert method_applies(layer, "t3f") == bool(t3f_plans(layer)), \
+                (m, n)
+
+    @pytest.mark.parametrize("m, n", [(256, 7), (7, 11), (101, 64), (2, 2)])
+    def test_an_fc_without_plans_is_offered_svd_and_qr(self, m, n):
+        layer = LayerDesc(name="F", kind="fc", in_channels=m, out_channels=n)
+        assert applicable_methods(layer) == ["svd", "qr"]
+        require_method(layer, "t3f")  # the kind fits: explicit use is kept
+
+    def test_an_fc_with_plans_is_offered_t3f(self):
+        assert applicable_methods(FC) == ["svd", "qr", "t3f"]
+        assert applicable_methods(BIG) == ["tucker2", "cp", "tt"]

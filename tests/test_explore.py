@@ -11,8 +11,8 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from lowrank import explore
-from lowrank.costs import (CONV_METHODS, METHODS, OBJECTIVES, CostReport,
-                           closed_form,
+from lowrank.costs import (CONV_METHODS, METHODS, OBJECTIVES, T3F_DEPTHS,
+                           CostReport, closed_form,
                            cost_factorized, cost_original,
                            default_input_shape, default_plan, method_applies)
 from lowrank.decompose import decompose_layer
@@ -847,6 +847,89 @@ class TestCellCosts:
         for obj, name in ((s, "ranks"), (s.cost, "params")):
             with pytest.raises(AttributeError):
                 setattr(obj, name, getattr(obj, name))
+
+
+def t3f_families_at(layer, axes) -> list:
+    """The whole t3f families of ``layer``, one per depth and per rank
+    slot that ``axes(box)`` names as the affine slot."""
+    original = cost_original(layer, default_input_shape(layer))
+    return [explore._AffineFamily(layer, "t3f", None, original, axis, box,
+                                  modes, plans)
+            for plans, box, modes in explore._boxes(layer, "t3f")
+            for axis in axes(box)]
+
+
+class TestT3fCells:
+    """A t3f family walks ``closed_form`` once per plan and spreads each
+    plan's coefficients over its cells; every cell, at every rank of
+    its affine slot, must cost what the checked scalar path costs."""
+
+    @pytest.mark.parametrize("name", ["12x8", "24x30"])
+    @pytest.mark.parametrize("slots", ["fewest cells", "each slot"])
+    def test_every_cell_at_every_rank_matches_the_checked_cost(self, name,
+                                                               slots):
+        layer = fc(12, 8) if name == "12x8" else fc(24, 30)
+        original = cost_original(layer, default_input_shape(layer))
+        axes = ((lambda box: [explore._affine_slot(box)])
+                if slots == "fewest cells" else
+                (lambda box: range(box.shape[1])))
+        families = t3f_families_at(layer, axes)
+        assert {len(fam.plans[0][0]) for fam in families} == {2, 3}
+        for fam in families:
+            points = []
+            for cell in range(fam.plan_index.size):
+                plan = fam.plans[int(fam.plan_index[cell])]
+                outer = [int(ranks[cell]) for ranks in fam.outer]
+                base, slope = ([int(part[cell]) for part in report]
+                               for report in (fam.base, fam.slope))
+                valid = 0
+                for r in range(1, int(fam.bound[cell]) + 1):
+                    ranks = tuple(outer[:fam.axis] + [r] + outer[fam.axis:])
+                    want = cost_factorized(layer, "t3f", ranks, plan=plan)
+                    assert [b + s * r for b, s in zip(base, slope)] == \
+                        list(want), (plan, ranks)
+                    points.append((plan, ranks))
+                    if want.params < original.params and \
+                            want.flops < original.flops:
+                        valid = r
+                assert max(int(fam.valid_hi[cell]), 0) == valid
+            # the cells cover the plans' rank boxes once each
+            boxes = [(plan, ranks) for plan in fam.plans
+                     for ranks in itertools.product(*(
+                         range(lo, hi + 1) for lo, hi in
+                         rank_bounds(layer, "t3f", plan)))]
+            assert sorted(points) == sorted(boxes)
+        if slots == "each slot":  # depth 3 at both of its slots
+            assert sorted(fam.axis for fam in families
+                          if fam.outer) == [0, 1]
+
+    def test_the_walk_takes_one_value_per_plan(self, monkeypatch):
+        # the per-plan walk: no array closed_form sees, rank or mode
+        # size, is longer than the plans of the depth being built
+        seen = []
+        walk = explore.closed_form
+
+        def recording(layer, method, ranks, input_shape=None, plan=None):
+            arrays = (*ranks, *itertools.chain(*(plan or ())))
+            seen.append(max(np.size(part) for part in arrays))
+            return walk(layer, method, ranks, input_shape, plan)
+
+        monkeypatch.setattr(explore, "closed_form", recording)
+        families = explore._families(BENCH["F1"], "t3f")
+        plans = {2: 182, 3: 2160}
+        for fam in families:
+            depth = len(fam.plans[0][0])
+            assert len(fam.plans) == plans.pop(depth)
+            assert seen and max(seen) <= len(fam.plans)
+            if depth == 3:
+                assert fam.plan_index.size > 50 * len(fam.plans)
+            seen.clear()
+        assert not plans
+
+    def test_t3f_cells_have_at_most_one_outer_rank(self):
+        # a family spreads a plan's walk over its cells along one outer
+        # rank; a depth past 3 would give its cells two
+        assert set(T3F_DEPTHS) <= {2, 3}
 
 
 def largest_exact_side(layer, method) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from lowrank.cli import main
 from lowrank.errors import RankError
 from lowrank.ir import LayerDesc
-from lowrank.score import qualitative_score, rank_slot_count
+from lowrank.score import method_table, qualitative_score, rank_slot_count
 
 
 def fc(m, n):
@@ -160,3 +161,11 @@ class TestRankSlotCount:
         with pytest.raises(RankError, match=r"no factorization plan for "
                                             r"\(7, 11\)"):
             rank_slot_count(fc(7, 11), "t3f")
+
+
+class TestMethodTable:
+    def test_an_fc_without_t3f_plan_scores_svd_and_qr(self, capsys):
+        assert list(method_table(fc(256, 7), time_decomposition=False)) == \
+            ["svd", "qr"]
+        assert main(["score", "--layer", "256,7"]) == 0
+        assert sorted(json.loads(capsys.readouterr().out)) == ["qr", "svd"]
