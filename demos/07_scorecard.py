@@ -12,7 +12,9 @@ layer = LayerDesc(name="conv", kind="conv2d", kernel=(3, 3), in_channels=32,
                   out_channels=64, padding="same")
 
 table = method_table(layer, time_decomposition=False)
-aspects = list(next(iter(table.values())).keys())
+# every aspect any method reports, in first-reported order: a method with
+# no valid rank reports no reductions or coverage
+aspects = list(dict.fromkeys(a for card in table.values() for a in card))
 
 print(f"layer: {layer.kind} kernel={layer.kernel} "
       f"{layer.in_channels}->{layer.out_channels}\n")
@@ -30,8 +32,9 @@ print(f"{'aspect':<{width}} {header}")
 for aspect in aspects:
     cells = []
     for method in CONV_METHODS:
-        card = table[method][aspect]
-        cells.append(f"{card['level']} ({fmt_raw(card['raw'])})".rjust(16))
+        card = table[method].get(aspect)
+        cells.append((f"{card['level']} ({fmt_raw(card['raw'])})"
+                      if card else "-").rjust(16))
     print(f"{aspect:<{width}} " + " ".join(cells))
 
 print("\nlevels run 1 (weak) to 5 (strong); raw measurements in parentheses.")

@@ -31,7 +31,7 @@ from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES,
 from .decompose import decompose_layer
 from .dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                   hybrid_combine, install_solutions, run_dse)
-from .errors import ConstraintUnreachableError, LowRankError, RankError
+from .errors import ConstraintUnreachableError, LowRankError
 from .ir import CONV_KINDS, LayerDesc, ModelDesc, WeightStore, check_weights
 from .linalg import relative_error
 
@@ -104,11 +104,6 @@ def parse_layer_spec(dims: tuple, stride: tuple | None = None,
                      padding=padding or "same")
 
 
-def _layer_from_args(args) -> LayerDesc:
-    return parse_layer_spec(args.layer, stride=args.stride,
-                            padding=args.padding)
-
-
 def _input_shape(args, layer: LayerDesc):
     shape = getattr(args, "input_size", None)
     if shape is None:
@@ -119,12 +114,18 @@ def _input_shape(args, layer: LayerDesc):
     return shape
 
 
-def _methods_for(layer: LayerDesc, requested) -> list:
-    if not requested:
-        return applicable_methods(layer)
-    for m in requested:
-        require_method(layer, m)
-    return list(requested)
+def _layer_query(args) -> tuple:
+    """The layer, input shape and methods of a layer command: every
+    method the layer is offered, or each requested one once, in order."""
+    layer = parse_layer_spec(args.layer, stride=args.stride,
+                             padding=args.padding)
+    shape = _input_shape(args, layer)
+    if not args.method:
+        return layer, shape, applicable_methods(layer)
+    methods = list(dict.fromkeys(args.method))  # aliases resolved by _method
+    for method in methods:
+        require_method(layer, method)
+    return layer, shape, methods
 
 
 def _jsonable(obj):
@@ -197,17 +198,12 @@ def export_solution_space(layer: LayerDesc, methods, out, limit=None,
 
 
 def cmd_analyze(args) -> int:
-    layer = _layer_from_args(args)
-    shape = _input_shape(args, layer)
-    methods = _methods_for(layer, args.method)
+    layer, shape, methods = _layer_query(args)
     original = cost_original(layer, shape)
     report = {"layer": layer.to_dict(), "input_shape": list(shape),
               "original": original.to_dict(), "methods": {}}
     for method in methods:
-        try:
-            spans = explore.valid_extremes(layer, method, shape)
-        except RankError:  # none valid; count_valid raises any other cause
-            spans = {"valid_count": explore.count_valid(layer, method, shape)}
+        spans = explore.valid_extremes(layer, method, shape)
         entry = {"all": explore.count_all(layer, method),
                  "valid": spans["valid_count"]}
         for metric in OBJECTIVES if entry["valid"] else ():
@@ -235,9 +231,7 @@ def _analyze_summary(report: dict) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    layer = _layer_from_args(args)
-    shape = _input_shape(args, layer)
-    methods = _methods_for(layer, args.method)
+    layer, shape, methods = _layer_query(args)
     buf = io.StringIO()
     rows = export_solution_space(layer, methods, buf, limit=args.limit,
                                  input_shape=shape)
@@ -246,9 +240,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_census(args) -> int:
-    layer = _layer_from_args(args)
-    shape = _input_shape(args, layer)
-    methods = _methods_for(layer, args.method)
+    layer, shape, methods = _layer_query(args)
     report = {}
     for method in methods:
         result = explore.census(layer, method, args.ratios,
@@ -290,7 +282,8 @@ def cmd_decompose(args) -> int:
         if args.weights or args.target or args.out_model:
             raise LowRankError("--weights, --target, --out-model and "
                                "--out-weights need --model")
-        layer = _layer_from_args(args)
+        layer = parse_layer_spec(args.layer, stride=args.stride,
+                                 padding=args.padding)
         rng = np.random.default_rng(args.seed)
         weight = rng.standard_normal(layer.weight_shape()).astype(np.float32)
         model = weights = None
@@ -330,18 +323,30 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _dse_config(args) -> DseConfig:
-    return DseConfig(objective=args.objective,
-                     accuracy_drop_limit=args.drop_limit,
-                     step_size=args.step_size, max_sol=args.max_sol,
-                     target_fraction=args.target_fraction,
-                     sample_count=args.samples, seed=args.seed, tol=args.tol)
-
-
 def _evaluator(args, dataset: WeightStore):
     if args.evaluator:
         return ExternalEvaluator(args.evaluator)
     return BuiltinEvaluator(dataset)
+
+
+def _search_inputs(args) -> tuple:
+    """The model, weights, dataset, config and evaluator of a search."""
+    model = ModelDesc.load(args.model)
+    weights = WeightStore.load(args.weights)
+    check_weights(model, weights)
+    dataset = WeightStore.load(args.dataset)
+    config = DseConfig(objective=args.objective,
+                       accuracy_drop_limit=args.drop_limit,
+                       step_size=args.step_size, max_sol=args.max_sol,
+                       target_fraction=args.target_fraction,
+                       sample_count=args.samples, seed=args.seed, tol=args.tol)
+    return model, weights, dataset, config, _evaluator(args, dataset)
+
+
+def _objective_total(result, objective: str):
+    """The objective summed over a result's target layers."""
+    return sum(result.layer_costs[name].get(objective)
+               for name in result.targets)
 
 
 def _audit_report(result) -> dict:
@@ -363,12 +368,7 @@ def _write_dse_outputs(args, model, weights, report: dict) -> None:
 
 
 def cmd_dse(args) -> int:
-    model = ModelDesc.load(args.model)
-    weights = WeightStore.load(args.weights)
-    check_weights(model, weights)
-    dataset = WeightStore.load(args.dataset)
-    config = _dse_config(args)
-    evaluator = _evaluator(args, dataset)
+    model, weights, dataset, config, evaluator = _search_inputs(args)
     try:
         result = run_dse(model, weights, dataset, config, evaluator,
                          conv_method=args.conv_method,
@@ -402,12 +402,7 @@ def _parse_pairs(text: str) -> list:
 
 
 def cmd_hybrid(args) -> int:
-    model = ModelDesc.load(args.model)
-    weights = WeightStore.load(args.weights)
-    check_weights(model, weights)
-    dataset = WeightStore.load(args.dataset)
-    config = _dse_config(args)
-    evaluator = _evaluator(args, dataset)
+    model, weights, dataset, config, evaluator = _search_inputs(args)
     runs, unreachable = {}, {}
     for conv, fc in _parse_pairs(args.pairs):
         label = f"{conv}+{fc}"
@@ -431,9 +426,7 @@ def cmd_hybrid(args) -> int:
         "runs": {label: {
             "success": run.success,
             "final_accuracy": run.final_accuracy,
-            "objective_total": sum(
-                run.layer_costs[n].get(args.objective)
-                for n in run.targets)}
+            "objective_total": _objective_total(run, args.objective)}
             for label, run in runs.items()},
         "unreachable": unreachable,
         "hybrid": {
@@ -441,9 +434,7 @@ def cmd_hybrid(args) -> int:
             "bound": bound,
             "within_bound": combined.final_accuracy >= bound,
             "sources": combined.audit[0]["hybrid"],
-            "objective_total": sum(
-                combined.layer_costs[n].get(args.objective)
-                for n in combined.targets)},
+            "objective_total": _objective_total(combined, args.objective)},
     }
     _emit(args, render_json(report),
           f"hybrid total {report['hybrid']['objective_total']} accuracy "
@@ -453,9 +444,7 @@ def cmd_hybrid(args) -> int:
 
 
 def cmd_score(args) -> int:
-    layer = _layer_from_args(args)
-    shape = _input_shape(args, layer)
-    methods = _methods_for(layer, args.method)
+    layer, shape, methods = _layer_query(args)
     table = score_mod.method_table(layer, methods, input_shape=shape,
                                    seed=args.seed,
                                    time_decomposition=args.timings)
@@ -511,12 +500,15 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _add_layer_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of the layer commands, which ``_layer_query`` reads."""
     parser.add_argument("--layer", type=_int_tuple, required=True,
                         help="dimensions, e.g. 3,3,256,512 or 400,120")
     parser.add_argument("--stride", type=_int_tuple, default=None)
     parser.add_argument("--padding", choices=("same", "valid"), default=None)
     parser.add_argument("--input-size", type=_int_tuple, default=None,
                         help="input shape, e.g. 16,16,256")
+    parser.add_argument("--method", type=_method, action="append",
+                        default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,19 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="summarize factorization options")
     _add_layer_flags(p)
-    p.add_argument("--method", type=_method, action="append", default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("enumerate", help="export valid solutions as CSV")
     _add_layer_flags(p)
-    p.add_argument("--method", type=_method, action="append", default=None)
     _add_common(p, "--limit")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("census", help="bucket solutions at target ratios")
     _add_layer_flags(p)
-    p.add_argument("--method", type=_method, action="append", default=None)
     p.add_argument("--ratios", type=_percent_tuple, default=(25, 60, 85),
                    help="compression percentages, e.g. 25,60,85")
     p.add_argument("--objective", choices=OBJECTIVES, default="params")
@@ -598,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("score", help="qualitative method scorecard")
     _add_layer_flags(p)
-    p.add_argument("--method", type=_method, action="append", default=None)
     _add_common(p, "--seed", "--timings")
     p.set_defaults(fn=cmd_score)
 

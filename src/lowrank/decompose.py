@@ -53,10 +53,6 @@ it depends on:
   the two initial unfoldings;
 - ``("cp", mode)``: the per-mode SVDs that start CP-ALS.
 
-A search's memo for a layer also holds that layer's rank families,
-which ``explore.solutions_at_ratio`` keeps under its own key
-``("families", method)``; no key here starts with ``"families"``.
-
 A kept basis is U alone, signed, with no S or V.  The truncations
 outside CP need no more: for the leading left singular vectors U_r of
 a matrix A = U S V', ``U_r.T @ A = S_r V_r'``, since U is

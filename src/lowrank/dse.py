@@ -18,10 +18,9 @@ A hybrid model combines several finished single-method runs by taking,
 for every layer, the solution from the run that minimizes the chosen
 objective on that layer.
 
-A search keeps one ``LayerSearchState`` per target layer.  Its memo is
-the one dict in which ``decompose_layer`` keeps the layer's full
-factorizations and ``explore.solutions_at_ratio`` its rank families, so
-each is computed once per search; separate searches share nothing.
+A search keeps one ``LayerSearchState`` per target layer, whose dicts
+keep the layer's full factorizations and its rank families, so each is
+computed once per search; separate searches share nothing.
 """
 
 from __future__ import annotations
@@ -89,18 +88,19 @@ class LayerSearchState:
     """One target layer of a search.
 
     Fixed once: the layer, the method that factors it, its input shape,
-    its similarity threshold and its memo, the one dict in which
-    ``decompose_layer`` and ``explore.solutions_at_ratio`` keep this
-    layer's work.  Moved by the search: the step, the frozen flag, and
-    the current solution with its similarity and its cost, set together
-    whenever the solution is chosen.  A reverted layer has no solution,
-    no similarity and its original cost."""
+    its similarity threshold, ``memo`` (``decompose_layer``'s) and
+    ``families`` (``explore.solutions_at_ratio``'s).  Moved by the
+    search: the step, the frozen flag, and the current solution with its
+    similarity and its cost, set together whenever the solution is
+    chosen.  A reverted layer has no solution, no similarity and its
+    original cost."""
 
     layer: LayerDesc
     method: str
     input_shape: tuple
     threshold: float
     memo: dict = field(default_factory=dict)
+    families: dict = field(default_factory=dict)
     step: float = 0.0
     frozen: bool = False
     solution: FactorizedLayer | None = None
@@ -358,7 +358,7 @@ def search(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
                 continue
             bucket = explore.solutions_at_ratio(
                 state.layer, state.method, state.step, config.objective,
-                config.tol, state.input_shape, memo=state.memo)
+                config.tol, state.input_shape, memo=state.families)
             candidates = explore.select_candidates(bucket, config.max_sol,
                                                    seed=config.seed)
             if not candidates:

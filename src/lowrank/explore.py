@@ -64,8 +64,8 @@ rank is more than r, and value(r + 1) >= v by the min.
 
 A search asks for one layer's buckets at many percents, so
 ``solutions_at_ratio`` keeps the families in the caller's ``memo``, a
-dict for one layer at one input shape (``decompose_layer``'s idiom),
-under the key ``("families", method)``.
+dict that holds only the rank families of one layer at one input
+shape, under the method's name.
 """
 
 from __future__ import annotations
@@ -440,7 +440,7 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
     """Min and max of each cost metric over the valid region.
 
     Returns ``{"params": (lo, hi), "flops": ..., "overall_mem": ...,
-    "valid_count": n}``; raises RankError when nothing is valid.
+    "valid_count": n}``, or ``{"valid_count": 0}`` when no rank is valid.
     """
     spans, total = {}, 0
     for fam in _families(layer, method, input_shape):
@@ -451,8 +451,6 @@ def valid_extremes(layer: LayerDesc, method: str, input_shape=None) -> dict:
                 spans[metric] = (min(lo, int((base + slope).min())),
                                  max(hi, int((base + slope * top).max())))
         total += int(top.sum())
-    if total == 0:
-        raise RankError(f"{method}: no valid solutions for {layer.name}")
     spans["valid_count"] = total
     return spans
 
@@ -564,9 +562,9 @@ def solutions_at_ratio(layer: LayerDesc, method: str, percent: float,
     """
     check_query(objective, tol, (percent,))
     memo = {} if memo is None else memo
-    if ("families", method) not in memo:
-        memo["families", method] = list(_families(layer, method, input_shape))
-    tables = [_valid_cells(fam, objective) for fam in memo["families", method]]
+    if method not in memo:
+        memo[method] = list(_families(layer, method, input_shape))
+    tables = [_valid_cells(fam, objective) for fam in memo[method]]
     original = cost_original(layer, input_shape or default_input_shape(layer))
     _, members = _bucket(tables, original, objective, percent, tol)
     out = []

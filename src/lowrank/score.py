@@ -117,34 +117,30 @@ def _representative_ranks(layer: LayerDesc, method: str):
 
 def measure_method(layer: LayerDesc, method: str, input_shape=None,
                    seed: int = 0, time_decomposition: bool = True) -> dict:
-    """Raw scorecard measurements of one method on one layer."""
+    """Raw scorecard measurements of one method on one layer; with no
+    valid rank, only those that need no valid span, so no reduction or
+    coverage."""
     if input_shape is None:
         input_shape = default_input_shape(layer)
     original = cost_original(layer, input_shape)
     spans = explore.valid_extremes(layer, method, input_shape)
-
-    def reduction(metric, value):
-        return 100.0 * compression_ratio(original.get(metric), value)
-
-    best_p = reduction("params", spans["params"][0])
-    worst_p = reduction("params", spans["params"][1])
-    best_f = reduction("flops", spans["flops"][0])
-    worst_f = reduction("flops", spans["flops"][1])
-    raw = {
-        "rank_configurations": rank_slot_count(layer, method),
-        "best_param_reduction": best_p,
-        "worst_param_reduction": worst_p,
-        "best_flops_reduction": best_f,
-        "worst_flops_reduction": worst_f,
-        "best_memory_improvement":
-            reduction("overall_mem", spans["overall_mem"][0]),
-        "worst_memory_increase":
-            -reduction("overall_mem", spans["overall_mem"][1]),
-        "exploration_space": spans["valid_count"],
-        "param_coverage": best_p - worst_p,
-        "flops_coverage": best_f - worst_f,
-        "flexibility": FLEXIBILITY_CLASSES[method],
-    }
+    count = spans["valid_count"]
+    raw = {"rank_configurations": rank_slot_count(layer, method)}
+    if count:
+        # percent reductions at the low and the high end of each span
+        best_p, worst_p, best_f, worst_f, best_m, worst_m = (
+            100.0 * compression_ratio(original.get(metric), value)
+            for metric in ("params", "flops", "overall_mem")
+            for value in spans[metric])
+        raw.update(best_param_reduction=best_p, worst_param_reduction=worst_p,
+                   best_flops_reduction=best_f, worst_flops_reduction=worst_f,
+                   best_memory_improvement=best_m,
+                   worst_memory_increase=-worst_m, exploration_space=count,
+                   param_coverage=best_p - worst_p,
+                   flops_coverage=best_f - worst_f)
+    else:
+        raw["exploration_space"] = count
+    raw["flexibility"] = FLEXIBILITY_CLASSES[method]
     if time_decomposition:
         ranks, plan = _representative_ranks(layer, method)
         rng = np.random.default_rng(seed)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lowrank import cli
+from lowrank import cli, explore
 from lowrank.cli import main, parse_layer_spec
 from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc,
                         ModelDesc, WeightStore)
@@ -268,6 +268,32 @@ class TestEnumerateCommand:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+class TestRepeatedMethods:
+    # a method named twice, or once by an alias, runs once, where the
+    # first naming put it
+    def test_enumerate_writes_each_method_once(self, capsys):
+        once = run_cli(capsys, "enumerate", "--layer", "8,6", "--method",
+                       "svd", "--method", "qr")
+        for again in (("svd", "svd", "qr"), ("svd", "qr", "svd", "qr")):
+            argv = [arg for method in again for arg in ("--method", method)]
+            assert run_cli(capsys, "enumerate", "--layer", "8,6",
+                           *argv) == once
+        assert once[1].count("\nsvd,") == once[1].count("\nqr,") == 3
+
+    def test_score_scores_each_method_once(self, capsys, tmp_path):
+        path = tmp_path / "score.json"
+        outs = [run_cli(capsys, "score", "--layer", "3,3,4,6", "--out",
+                        str(path), *argv)
+                for argv in (("--method", "tucker2", "--method", "tt"),
+                             ("--method", "tucker", "--method", "tt",
+                              "--method", "tucker-2", "--method", "tt"))]
+        assert outs[0] == outs[1]
+        code, summary, _ = outs[0]
+        assert code == 0
+        assert [line.split(":")[0] for line in summary.splitlines()] == \
+            ["tucker2", "tt"]
+
+
 class TestAnalyzeCommand:
     def test_extremes_present(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--layer", "512,256")
@@ -302,6 +328,21 @@ class TestAnalyzeCommand:
         assert code == 0 and methods["t3f"] == {"all": 4, "valid": 0}
         assert methods["svd"]["valid"] == methods["qr"]["valid"] == 1
         assert methods["svd"]["params"]["min"] == 8
+
+    @pytest.mark.parametrize("dims", ["3,3,8,12", "4,4", "2,2", "1,1,2,4"])
+    def test_builds_each_methods_families_once(self, capsys, monkeypatch,
+                                               dims):
+        built = []
+        build = explore._families
+
+        def families(layer, method, *args, **kwargs):
+            built.append(method)
+            return build(layer, method, *args, **kwargs)
+
+        monkeypatch.setattr(explore, "_families", families)
+        code, out, _ = run_cli(capsys, "analyze", "--layer", dims)
+        assert code == 0
+        assert sorted(built) == sorted(json.loads(out)["methods"])
 
     def test_a_space_past_exact_costing_still_raises(self, capsys):
         code, out, errtext = run_cli(capsys, "analyze", "--layer", "3,3,64,64",

@@ -16,6 +16,7 @@ from lowrank.costs import (CONV_METHODS, METHODS, OBJECTIVES, T3F_DEPTHS,
                            cost_factorized, cost_original,
                            default_input_shape, default_plan, method_applies)
 from lowrank.decompose import decompose_layer
+from lowrank.dse import LayerSearchState
 from lowrank.errors import RankError
 from lowrank.explore import (DEFAULT_TOL, Solution, census, count_all,
                              count_valid, cp_max_rank, iter_solutions,
@@ -385,8 +386,7 @@ class TestCounts:
                    for b in result.buckets)
         assert solutions_at_ratio(layer, "t3f", 60) == []
         assert list(iter_solutions(layer, "t3f")) == []
-        with pytest.raises(RankError):
-            valid_extremes(layer, "t3f")
+        assert valid_extremes(layer, "t3f") == {"valid_count": 0}
 
 
 class TestBounds:
@@ -454,6 +454,8 @@ class TestBounds:
                 count_all(layer, method)
             with pytest.raises(RankError):
                 count_valid(layer, method)
+            with pytest.raises(RankError):
+                valid_extremes(layer, method)
 
     @pytest.mark.parametrize("method", CONV_METHODS)
     def test_grouped_conv_raises_one_error_everywhere(self, method):
@@ -465,6 +467,7 @@ class TestBounds:
         calls = [lambda: rank_bounds(grouped, method),
                  lambda: count_all(grouped, method),
                  lambda: count_valid(grouped, method),
+                 lambda: valid_extremes(grouped, method),
                  lambda: census(grouped, method, (50,)),
                  lambda: iter_solutions(grouped, method),
                  lambda: decompose_layer(grouped, weight, method, ranks)]
@@ -958,6 +961,8 @@ class TestExactRange:
             next(iter_solutions(layer, "tt", shape))
         with pytest.raises(RankError, match=message):
             count_valid(layer, "tt", shape)
+        with pytest.raises(RankError, match=message):
+            valid_extremes(layer, "tt", shape)
 
     @pytest.mark.parametrize("method", CONV_METHODS)
     @pytest.mark.parametrize("stride", [None, (2, 2)])
@@ -1349,9 +1354,9 @@ def weight_bytes(fact) -> dict:
 
 
 class TestSharedMemo:
-    """A search holds one memo dict per layer and hands it to both
-    ``decompose_layer`` and ``solutions_at_ratio``; their keys must not
-    collide, and the dict must change no byte of either result."""
+    """A search's state for one layer hands ``decompose_layer`` its memo
+    and ``solutions_at_ratio`` its families, two dicts: each keeps only
+    its own callee's work, and neither changes a byte of a result."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_memo_serves_both_callees(self, method, monkeypatch):
@@ -1373,16 +1378,19 @@ class TestSharedMemo:
             return build(layer, method, input_shape)
 
         monkeypatch.setattr(explore, "_families", families)
-        memo = {}
+        state = LayerSearchState(layer, method, default_input_shape(layer),
+                                 threshold=1.0)
         # interleaved as a search interleaves them
         shared = [(decompose_layer(layer, weight, method, ranks, plan=plan,
-                                   memo=memo),
+                                   memo=state.memo),
                    [solutions_at_ratio(layer, method, percent, objective,
-                                       memo=memo)
+                                       memo=state.families)
                     for percent, objective in asks])
                   for ranks in ladder]
         assert built == [method]
-        assert ("families", method) in memo
+        assert list(state.families) == [method]
+        # every factorization key starts with the method's name
+        assert state.memo and all(key[0] == method for key in state.memo)
         assert any(members for _, buckets in shared for members in buckets)
         for ranks, (fact, buckets) in zip(ladder, shared):
             fresh = decompose_layer(layer, weight, method, ranks, plan=plan)
@@ -1422,36 +1430,61 @@ class TestSelectCandidates:
         assert select_candidates(sols, 5, seed=0) == sols
 
 
+def brute_force_extremes(layer, method, shape=None):
+    """``valid_extremes`` by definition: each metric's min and max over
+    the valid points, none when there is no valid point, and their
+    count."""
+    valid = [cost for *_, cost, ok in brute_force_points(layer, method,
+                                                          shape) if ok]
+    spans = {m: (min(c.get(m) for c in valid), max(c.get(m) for c in valid))
+             for m in OBJECTIVES if valid}
+    return {**spans, "valid_count": len(valid)}
+
+
 class TestValidExtremes:
     @pytest.mark.parametrize("geometry", sorted(SMALL_CONVS))
     @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
     def test_against_brute_force(self, method, geometry):
         layer, shape = SMALL_CONVS[geometry]
-        valid = [cost for *_, cost, ok in brute_force_points(layer, method,
-                                                              shape) if ok]
-        spans = valid_extremes(layer, method, shape)
-        for m in ("params", "flops", "overall_mem"):
-            values = [c.get(m) for c in valid]
-            assert spans[m] == (min(values), max(values))
-        assert spans["valid_count"] == len(valid)
+        assert valid_extremes(layer, method, shape) == brute_force_extremes(
+            layer, method, shape)
 
     @pytest.mark.parametrize("name", sorted(SMALL_FCS))
     def test_t3f_against_brute_force(self, name):
+        # 7x5 has no plan: no point, so no spans and a count of 0
         layer = SMALL_FCS[name]
-        valid = [cost for *_, cost, ok in brute_force_points(layer, "t3f")
-                 if ok]
-        if not valid:
-            with pytest.raises(RankError):
-                valid_extremes(layer, "t3f")
-            return
-        spans = valid_extremes(layer, "t3f")
-        for m in ("params", "flops", "overall_mem"):
-            values = [c.get(m) for c in valid]
-            assert spans[m] == (min(values), max(values))
-        assert spans["valid_count"] == len(valid)
+        assert valid_extremes(layer, "t3f") == brute_force_extremes(layer,
+                                                                    "t3f")
 
-    def test_raises_when_nothing_valid(self):
+    def test_empty_when_nothing_valid(self):
         # a 1x1 conv mapping 1->1 channel cannot be beaten by two factors
         layer = conv((1, 1), 1, 1)
-        with pytest.raises(RankError):
-            valid_extremes(layer, "tucker2")
+        assert brute_force_extremes(layer, "tucker2") == {"valid_count": 0}
+        assert valid_extremes(layer, "tucker2") == {"valid_count": 0}
+
+
+# an offered method that no rank makes cheaper, and t3f on an fc layer
+# without a plan: (layer, method)
+EMPTY_SPACES = {
+    "fc2x2-svd": (fc(2, 2), "svd"), "fc2x2-qr": (fc(2, 2), "qr"),
+    "fc4x4-t3f": (fc(4, 4), "t3f"),
+    "conv1x1-2to4-cp": (conv((1, 1), 2, 4), "cp"),
+    "conv1x1-2to4-tt": (conv((1, 1), 2, 4), "tt"),
+    "fc7x5-t3f": (fc(7, 5), "t3f"),
+}
+
+
+@pytest.mark.parametrize("space", sorted(EMPTY_SPACES))
+def test_every_query_answers_an_empty_valid_space(space):
+    layer, method = EMPTY_SPACES[space]
+    assert not any(ok for *_, ok in brute_force_points(layer, method))
+    assert count_valid(layer, method) == 0
+    assert valid_extremes(layer, method) == {"valid_count": 0}
+    for objective in OBJECTIVES:
+        result = census(layer, method, (0, 25, 60, 85, 99), objective)
+        assert result.valid_count == 0
+        assert all((b.value, b.count, b.best) == (None, 0, None)
+                   for b in result.buckets)
+        for percent in (-50, 0, 25, 60, 85, 99):
+            assert solutions_at_ratio(layer, method, percent, objective) == []
+    assert list(iter_solutions(layer, method, valid_only=True)) == []

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrank.cli import main
+from lowrank.cli import main, parse_layer_spec
+from lowrank.costs import applicable_methods
 from lowrank.errors import RankError
 from lowrank.ir import LayerDesc
 from lowrank.score import method_table, qualitative_score, rank_slot_count
@@ -76,6 +77,13 @@ SCORE_PINS = {
         "eeab7a6d963fc496e60c74a8f89d60db9231a3640a49277cbee86708b7756ed5",
     ("3,3,3,8,12",):
         "b77f7a3481a6ec68064bebe733bfe8e5e41548d3c716974f5fd5960ae32bcb17",
+    # offered methods with no valid rank: t3f; svd and qr; cp and tt
+    ("4,4",):
+        "f4f9deaf0cd3ac55fe5451800d441c754727458b577d3334bd65323db54bfd40",
+    ("2,2",):
+        "e9def31b5c37c29446b6061f1f49798d63f57d893bbfe701934216d9e7bc9765",
+    ("1,1,2,4",):
+        "5def707eb717b81cc2fb7a4b02177f641c7a2f7400cdc1da6bf83ef045bce580",
 }
 
 
@@ -140,6 +148,29 @@ class TestScoreCli:
         assert main(["score", "--layer", *layer]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == SCORE_PINS[layer]
+
+    @pytest.mark.parametrize("dims, empty", [
+        ((4, 4), {"t3f"}), ((2, 2), {"svd", "qr"}),
+        ((1, 1, 2, 4), {"cp", "tt"})])
+    def test_a_method_without_valid_rank_scores_what_exists(
+            self, dims, empty, capsys, tmp_path):
+        path = tmp_path / "score.json"
+        assert main(["score", "--layer", ",".join(map(str, dims)), "--out",
+                     str(path), "--timings"]) == 0
+        methods = applicable_methods(parse_layer_spec(dims))
+        summary = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in summary] == methods
+        table = json.loads(path.read_text())
+        assert sorted(table) == sorted(methods)
+        for method in empty:
+            assert set(table[method]) == {
+                "rank_configurations", "exploration_space", "flexibility",
+                "decomposition_time"}
+            assert table[method]["exploration_space"] == {"raw": 0,
+                                                          "level": 1}
+        for method in set(methods) - empty:
+            assert table[method]["exploration_space"]["raw"] >= 1
+            assert len(table[method]) == 12
 
 
 class TestRankSlotCount:

@@ -14,20 +14,25 @@ import numpy as np
 import pytest
 
 from lowrank import explore, similarity
+from lowrank.dse import DseConfig, run_dse
 from lowrank.costs import t3f_plans
 from lowrank.decompose import decompose_layer
 from lowrank.ir import LayerDesc
 
-from conftest import small_conv_net
+from conftest import labeled_dataset, small_conv_net
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _sites():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return [(module, attribute) for module, attribute, _ in spans.SITES]
+    return spans
+
+
+def _sites():
+    return [(module, attribute) for module, attribute, _ in _spans().SITES]
 
 
 @pytest.mark.parametrize("module, attribute", _sites())
@@ -93,3 +98,43 @@ def test_every_forward_path_calls_the_forward_site(monkeypatch):
         calls.clear()
         similarity.layer_similarity(fact, capture)
         assert calls == sub_names + list(layer.post_ops)
+
+
+def test_the_search_span_names_each_bucket_call_by_its_method(monkeypatch):
+    # the per-layer explore.solutions_at_ratio.<method> metrics name each
+    # call by its (layer, method) arguments: a search that called through
+    # another name or signature would read 0 there
+    (name_of,) = [name for module, attribute, name in _spans().SITES
+                  if (module, attribute) == ("lowrank.explore",
+                                             "solutions_at_ratio")]
+    calls, built = [], []
+    original, build = explore.solutions_at_ratio, explore._families
+
+    def recorded(*args, **kwargs):
+        calls.append((args[0].kind, name_of(args, kwargs)))
+        return original(*args, **kwargs)
+
+    def families(layer, method, *args, **kwargs):
+        built.append((layer.name, method))
+        return build(layer, method, *args, **kwargs)
+
+    monkeypatch.setattr(explore, "solutions_at_ratio", recorded)
+    monkeypatch.setattr(explore, "_families", families)
+    model, weights = small_conv_net()
+    accuracies = iter([1.0, 0.0, 0.0])  # the baseline, then two misses
+
+    def evaluator(model, weights):
+        return next(accuracies, 1.0)
+
+    config = DseConfig(target_fraction=1.0, sample_count=8, step_size=20.0,
+                       sim_threshold_sequential=1.0,
+                       sim_threshold_nonsequential=1.0)
+    run_dse(model, weights, labeled_dataset(model, weights, count=8), config,
+            evaluator, conv_method="tt", fc_method="t3f")
+    assert {kind for kind, _ in calls} == {"conv2d", "fc"}
+    for kind, name in calls:
+        method = "t3f" if kind == "fc" else "tt"
+        assert name == f"explore.solutions_at_ratio.{method}"
+    # one family build per target, however many steps it takes
+    assert sorted(built) == [("c1", "tt"), ("c2", "tt"), ("f1", "t3f")]
+    assert len(calls) > len(built)
