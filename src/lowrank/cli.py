@@ -25,9 +25,9 @@ import numpy as np
 
 from . import explore, score as score_mod
 from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES,
-                    applicable_methods, compression_ratio, cost_original,
-                    default_input_shape, default_plan, model_breakdown,
-                    require_method)
+                    applicable_methods, compression_ratio, cost_factorized,
+                    cost_original, default_input_shape, default_plan,
+                    model_breakdown, require_method)
 from .decompose import decompose_layer
 from .dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                   hybrid_combine, install_solutions, run_dse)
@@ -128,22 +128,10 @@ def _layer_query(args) -> tuple:
     return layer, shape, methods
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
-
-
 def render_json(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    """A report as sorted, indented JSON; reports hold Python scalars
+    only, so equal reports give equal bytes."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(args, text: str, summary: str | None = None) -> None:
@@ -171,11 +159,10 @@ def _ranks_text(solution: explore.Solution) -> str:
     return ranks
 
 
-def export_solution_space(layer: LayerDesc, methods, out, limit=None,
-                          input_shape=None) -> int:
-    """Write one CSV row per valid solution; returns the row count."""
-    if input_shape is None:
-        input_shape = default_input_shape(layer)
+def export_solution_space(layer: LayerDesc, methods, out, limit,
+                          input_shape) -> int:
+    """Write one CSV row per valid solution, at most ``limit`` (None for
+    all); returns the row count."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     original = cost_original(layer, input_shape)
@@ -233,8 +220,7 @@ def _analyze_summary(report: dict) -> str:
 def cmd_enumerate(args) -> int:
     layer, shape, methods = _layer_query(args)
     buf = io.StringIO()
-    rows = export_solution_space(layer, methods, buf, limit=args.limit,
-                                 input_shape=shape)
+    rows = export_solution_space(layer, methods, buf, args.limit, shape)
     _emit(args, buf.getvalue(), f"{rows} solutions\n")
     return 0
 
@@ -298,7 +284,7 @@ def cmd_decompose(args) -> int:
     fact = decompose_layer(layer, weight, method, ranks, plan=plan,
                            seed=args.seed)
     shape = _input_shape(args, layer)
-    new_cost = fact.cost(shape)
+    new_cost = cost_factorized(layer, method, fact.ranks, shape, plan)
     original = cost_original(layer, shape)
     err = relative_error(fact.reconstruct(), weight)
     report = {"layer": layer.name, "method": method,
@@ -389,22 +375,24 @@ def cmd_dse(args) -> int:
 
 
 def _parse_pairs(text: str) -> list:
+    """``--pairs``: at least two conv:fc method pairs."""
     pairs = []
     for part in text.split(","):
         conv, _, fc = part.partition(":")
         conv, fc = _method(conv), _method(fc)
         if conv not in CONV_METHODS or fc not in FC_METHODS:
-            raise LowRankError(f"bad method pair {part!r}")
+            raise argparse.ArgumentTypeError(f"bad method pair {part!r}")
         pairs.append((conv, fc))
     if len(pairs) < 2:
-        raise LowRankError("hybrid needs at least two method pairs")
+        raise argparse.ArgumentTypeError(
+            "hybrid needs at least two method pairs")
     return pairs
 
 
 def cmd_hybrid(args) -> int:
     model, weights, dataset, config, evaluator = _search_inputs(args)
     runs, unreachable = {}, {}
-    for conv, fc in _parse_pairs(args.pairs):
+    for conv, fc in args.pairs:
         label = f"{conv}+{fc}"
         try:
             runs[label] = run_dse(model, weights, dataset, config, evaluator,
@@ -462,7 +450,12 @@ def cmd_breakdown(args) -> int:
     if args.input_size is not None:
         shape = tuple(args.input_size)
     elif "input_shape" in model.metadata:
-        shape = tuple(model.metadata["input_shape"])
+        shape = model.metadata["input_shape"]
+        if not (isinstance(shape, list)
+                and all(type(d) is int for d in shape)):
+            raise LowRankError(f"model metadata input_shape {shape!r} is "
+                               "not a list of integers")
+        shape = tuple(shape)
     else:
         raise LowRankError("model metadata lacks input_shape; "
                            "pass --input-size")
@@ -577,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--conv-method", type=_method, default="tucker2")
             p.add_argument("--fc-method", type=_method, default="svd")
         else:
-            p.add_argument("--pairs", required=True,
+            p.add_argument("--pairs", type=_parse_pairs, required=True,
                            help="conv:fc method pairs, e.g. tucker2:svd,cp:qr")
         p.add_argument("--out-model", default=None)
         p.add_argument("--out-weights", default=None)

@@ -67,15 +67,14 @@ of one is read-only too, with or without the caller's memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import khatri_rao
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import linalg
-from .costs import (WHOLE_KERNEL, CostReport, chain_stages, check_ranks,
-                    cost_chain, cp_max_rank)
+from .costs import WHOLE_KERNEL, chain_stages, check_ranks, cp_max_rank
 from .errors import DecompositionError, ShapeError
 from .ir import LayerDesc
 
@@ -100,11 +99,6 @@ class FactorizedLayer:
     sub_layers: list
     weights: dict
     plan: tuple | None = None
-
-    def cost(self, input_shape: tuple) -> CostReport:
-        """Cost of the chain on the per-sample shape entering the
-        source layer."""
-        return cost_chain(self.sub_layers, input_shape)
 
     def reconstruct(self) -> np.ndarray:
         """Dense weight tensor this chain approximates.
@@ -270,36 +264,35 @@ def _tucker2(w: np.ndarray, ranks: tuple, memo: dict):
 
 
 class _DivergenceGuard:
-    """Abort an iterative fit after sustained regression.
+    """The stop rule of CP-ALS: one ``update`` per sweep, True once the
+    fit moved by less than ``CP_FIT_TOL`` or ``CP_STALL_PATIENCE``
+    sweeps in a row raised the best fit by less than that.
 
-    Tracks the best fit seen; raises DecompositionError once the fit
-    drops by more than ``drop_tol`` ``patience`` times in a row,
-    carrying whatever payload produced the best fit.  Drops smaller
-    than ``drop_tol`` count as a plateau, not a regression.
+    Keeps the best fit and its payload, which DecompositionError
+    carries once the fit drops by more than ``CP_DROP_TOL``
+    ``CP_DIVERGENCE_PATIENCE`` times in a row; a smaller drop is a
+    plateau, not a regression.
     """
 
-    def __init__(self, patience: int = CP_DIVERGENCE_PATIENCE,
-                 drop_tol: float = CP_DROP_TOL):
-        self.patience = patience
-        self.drop_tol = drop_tol
-        self.best_fit = -np.inf
+    def __init__(self):
+        self.best_fit = self.prev_fit = -np.inf
         self.best_payload = None
-        self.prev_fit = -np.inf
-        self.streak = 0
+        self.streak = self.stalled = 0
 
-    def update(self, fit: float, payload):
+    def update(self, fit: float, payload) -> bool:
+        self.stalled = (0 if fit - self.best_fit >= CP_FIT_TOL
+                        else self.stalled + 1)
         if fit > self.best_fit:
-            self.best_fit = fit
-            self.best_payload = payload
-        if fit < self.prev_fit - self.drop_tol:
-            self.streak += 1
-            if self.streak >= self.patience:
-                raise DecompositionError(
-                    f"fit decreased {self.streak} iterations in a row",
-                    best=self.best_payload)
-        else:
-            self.streak = 0
+            self.best_fit, self.best_payload = fit, payload
+        self.streak = (self.streak + 1 if fit < self.prev_fit - CP_DROP_TOL
+                       else 0)
+        if self.streak >= CP_DIVERGENCE_PATIENCE:
+            raise DecompositionError(
+                f"fit decreased {self.streak} iterations in a row",
+                best=self.best_payload)
+        settled = abs(fit - self.prev_fit) < CP_FIT_TOL
         self.prev_fit = fit
+        return settled or self.stalled >= CP_STALL_PATIENCE
 
 
 def _cp_init(tensor: np.ndarray, rank: int, rng: np.random.Generator,
@@ -409,10 +402,8 @@ def _cp(layer: LayerDesc, w: np.ndarray, ranks: tuple, seed: int,
 
     One shared rank ties together one factor per tensor mode (spatial
     axes, input channels, output channels).  Keeps the factors with the
-    best fit; stops when the fit change drops below tolerance or the
-    best fit stops improving; raises DecompositionError, with the best
-    sweep's factors in chain order, after five consecutive meaningful
-    fit regressions.
+    best fit; ``_DivergenceGuard`` decides when the fit stops, and its
+    DecompositionError carries the best sweep's factors in chain order.
 
     Each update solves the normal equations of one factor: the MTTKRP
     of ``_mttkrp`` against the Hadamard product of the other factors'
@@ -440,8 +431,6 @@ def _cp(layer: LayerDesc, w: np.ndarray, ranks: tuple, seed: int,
     bigs = [_contracted_mode(w.shape, mode) for mode in range(n_modes)]
     grams = [f.T @ f for f in factors]
     guard = _DivergenceGuard()
-    last_fit = -np.inf
-    stalled = 0
     parts = {}
     for _ in range(CP_MAX_ITER):
         inner = None
@@ -467,16 +456,12 @@ def _cp(layer: LayerDesc, w: np.ndarray, ranks: tuple, seed: int,
             gram *= g
         res_sq = max(norm_w**2 - 2.0 * inner + float(np.sum(gram)), 0.0)
         fit = 1.0 - math.sqrt(res_sq) / norm_w if norm_w else 1.0
-        prev_best = guard.best_fit
         try:
-            guard.update(fit, tuple(factors))
+            if guard.update(fit, tuple(factors)):
+                break
         except DecompositionError as exc:
             exc.best = _cp_chain(exc.best)
             raise
-        stalled = 0 if guard.best_fit - prev_best >= CP_FIT_TOL else stalled + 1
-        if abs(fit - last_fit) < CP_FIT_TOL or stalled >= CP_STALL_PATIENCE:
-            break
-        last_fit = fit
     return _cp_chain(guard.best_payload)
 
 

@@ -36,8 +36,8 @@ import numpy as np
 from . import explore
 from .costs import (CONV_METHODS, FC_METHODS, CostReport,
                     applicable_methods, check_integer, check_real,
-                    compression_ratio, cost_original, default_plan,
-                    method_applies)
+                    compression_ratio, cost_factorized, cost_original,
+                    default_plan, method_applies)
 from .decompose import FactorizedLayer, decompose_layer
 from .errors import (ConstraintUnreachableError, EvaluatorError, GraphError,
                      RankError)
@@ -134,27 +134,9 @@ class DseResult:
 # -- evaluators ---------------------------------------------------------------
 
 
-def builtin_eval_accuracy(model: ModelDesc, weights: WeightStore,
-                          inputs: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of the model's argmax output over a labeled batch."""
-    out = forward_model(model, weights, inputs)
-    if out.ndim != 2:
-        raise EvaluatorError(f"model output has shape {out.shape}, expected "
-                             "(batch, classes)")
-    pred = out.argmax(axis=1)
-    truth = np.asarray(labels).ravel()
-    if truth.shape != pred.shape:
-        raise EvaluatorError("label count does not match batch size")
-    # nan fails the floor test, and an infinite label the range
-    if not np.all((truth == np.floor(truth)) & (truth >= 0)
-                  & (truth < out.shape[1])):
-        raise EvaluatorError("labels must be whole class indices in "
-                             f"[0, {out.shape[1]})")
-    return float((pred == truth.astype(np.int64)).mean())
-
-
 class BuiltinEvaluator:
-    """Evaluator measuring raw forward accuracy on a labeled dataset."""
+    """Top-1 accuracy of a model's (batch, classes) argmax output on a
+    dataset with one whole class index per input as its label."""
 
     def __init__(self, dataset: WeightStore):
         for name in (DATASET_INPUTS, DATASET_LABELS):
@@ -166,7 +148,20 @@ class BuiltinEvaluator:
             raise EvaluatorError("dataset has no inputs")
 
     def __call__(self, model: ModelDesc, weights: WeightStore) -> float:
-        return builtin_eval_accuracy(model, weights, self.inputs, self.labels)
+        out = forward_model(model, weights, self.inputs)
+        if out.ndim != 2:
+            raise EvaluatorError(f"model output has shape {out.shape}, "
+                                 "expected (batch, classes)")
+        pred = out.argmax(axis=1)
+        truth = np.asarray(self.labels).ravel()
+        if truth.shape != pred.shape:
+            raise EvaluatorError("label count does not match batch size")
+        # nan fails the floor test, and an infinite label the range
+        if not np.all((truth == np.floor(truth)) & (truth >= 0)
+                      & (truth < out.shape[1])):
+            raise EvaluatorError("labels must be whole class indices in "
+                                 f"[0, {out.shape[1]})")
+        return float((pred == truth.astype(np.int64)).mean())
 
 
 class ExternalEvaluator:
@@ -309,7 +304,8 @@ def search(model: ModelDesc, weights: WeightStore, dataset: WeightStore,
         fact = _decompose_target(
             state, weights, explore.min_ranks(layer, state.method, plan),
             plan, config.seed)
-        cost = fact.cost(state.input_shape)
+        cost = cost_factorized(layer, state.method, fact.ranks,
+                               state.input_shape, plan)
         original = cost_original(layer, state.input_shape)
         state.step = 100.0 * compression_ratio(original.get(config.objective),
                                                cost.get(config.objective))

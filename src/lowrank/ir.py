@@ -385,6 +385,8 @@ class ModelDesc:
         for key in ("input", "output"):
             if not isinstance(doc[key], str):
                 raise FormatError(f"model JSON {key!r} is not a layer name")
+        if not isinstance(doc.get("metadata", {}), dict):
+            raise FormatError("model JSON 'metadata' is not an object")
         for edge in doc["edges"]:
             if not (isinstance(edge, list) and len(edge) == 2
                     and all(isinstance(end, str) for end in edge)):

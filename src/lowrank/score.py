@@ -99,11 +99,13 @@ def rank_slot_count(layer: LayerDesc, method: str) -> int:
     """Independently tunable rank choices the method exposes.
 
     These are the slots of the rank box of the deepest plan (the last
-    of ``t3f_plans``), plus the choice of plan when there are several.
+    of ``t3f_plans``), plus the choice of plan when there are several;
+    none for t3f on a layer with no plan.
     """
     plans = t3f_plans(layer) if method == "t3f" else [None]
-    deepest = plans[-1] if plans else default_plan(layer, method)  # RankError
-    slots = len(rank_bounds(layer, method, deepest))
+    if not plans:
+        return 0
+    slots = len(rank_bounds(layer, method, plans[-1]))
     return slots + (1 if len(plans) > 1 else 0)
 
 
@@ -119,7 +121,7 @@ def measure_method(layer: LayerDesc, method: str, input_shape=None,
                    seed: int = 0, time_decomposition: bool = True) -> dict:
     """Raw scorecard measurements of one method on one layer; with no
     valid rank, only those that need no valid span, so no reduction or
-    coverage."""
+    coverage, and with no rank slot no decomposition time."""
     if input_shape is None:
         input_shape = default_input_shape(layer)
     original = cost_original(layer, input_shape)
@@ -141,7 +143,7 @@ def measure_method(layer: LayerDesc, method: str, input_shape=None,
     else:
         raw["exploration_space"] = count
     raw["flexibility"] = FLEXIBILITY_CLASSES[method]
-    if time_decomposition:
+    if time_decomposition and raw["rank_configurations"]:
         ranks, plan = _representative_ranks(layer, method)
         rng = np.random.default_rng(seed)
         weight = rng.standard_normal(layer.weight_shape()).astype(np.float32)

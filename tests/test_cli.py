@@ -584,6 +584,25 @@ class TestSearchCommands:
             "cp+svd: accuracy 0.0000 never reached baseline 1.0000 - 0.015; "
             "frozen: c1; reverted: none\n")
 
+    @pytest.mark.parametrize("pairs,message", [
+        ("tt:foo,tucker2:svd", "unknown method 'foo'"),
+        ("tt:svd,bogus", "unknown method 'bogus'"),
+        ("svd:tt,tt:svd", "bad method pair 'svd:tt'"),
+        ("tt:svd", "hybrid needs at least two method pairs"),
+    ])
+    def test_hybrid_bad_pairs_are_usage_errors(self, capsys, saved_net,
+                                               pairs, message):
+        model_path, weight_path, data_path = saved_net
+        with pytest.raises(SystemExit) as err:
+            main(["hybrid", "--model", str(model_path),
+                  "--weights", str(weight_path), "--dataset", str(data_path),
+                  "--pairs", pairs])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"lowrank hybrid: error: argument --pairs: {message}\n")
+
 
 class TestScoreAndBreakdown:
     def test_scorecard_shape(self, capsys):
@@ -603,6 +622,37 @@ class TestScoreAndBreakdown:
                                "--method", "svd", "--timings")
         payload = json.loads(out)
         assert "decomposition_time" in payload["svd"]
+
+    def test_score_and_analyze_agree_on_a_layer_without_t3f_plan(
+            self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--layer", "7,5",
+                               "--method", "t3f")
+        assert code == 0
+        assert json.loads(out)["methods"] == {"t3f": {"all": 0, "valid": 0}}
+        for timings in ((), ("--timings",)):
+            code, out, errtext = run_cli(capsys, "score", "--layer", "7,5",
+                                         "--method", "t3f", *timings)
+            assert (code, errtext) == (0, "")
+            assert json.loads(out) == {"t3f": {
+                "exploration_space": {"level": 1, "raw": 0},
+                "flexibility": {"level": 5, "raw": "shape_and_ranks"},
+                "rank_configurations": {"level": 1, "raw": 0}}}
+
+    @pytest.mark.parametrize("shape", [5, None, "abc", ["a", 2], [8.5, 8, 3],
+                                       [8, True, 3]],
+                             ids=["int", "null", "text", "texts", "float",
+                                  "bool"])
+    def test_breakdown_rejects_an_input_shape_that_is_not_integers(
+            self, capsys, saved_net, shape):
+        model_path, _, _ = saved_net
+        doc = json.loads(model_path.read_text())
+        doc["metadata"]["input_shape"] = shape
+        model_path.write_text(json.dumps(doc))
+        code, out, errtext = run_cli(capsys, "breakdown", "--model",
+                                     str(model_path))
+        assert (code, out) == (1, "")
+        assert errtext == (f"error: model metadata input_shape {shape!r} is "
+                           "not a list of integers\n")
 
     def test_breakdown_totals(self, capsys, saved_net):
         model_path, _, _ = saved_net
@@ -630,3 +680,87 @@ class TestOutputPolicy:
         outs = [run_cli(capsys, "analyze", "--layer", "3,3,8,12")[1]
                 for _ in range(2)]
         assert outs[0] == outs[1]
+
+
+SEARCH = ("--model", "{model}", "--weights", "{weights}", "--dataset",
+          "{data}", "--samples", "4")
+
+# id: (argv, fields to set in the saved model's JSON)
+MALFORMED = {
+    "analyze layer": (("analyze", "--layer", "1,2,3,4,5,6"), {}),
+    "analyze layer text": (("analyze", "--layer", "abc"), {}),
+    "analyze input size": (("analyze", "--layer", "3,3,8,16",
+                            "--input-size", "16,16,5"), {}),
+    "analyze fc input size": (("analyze", "--layer", "18,15",
+                               "--input-size", "17"), {}),
+    "analyze stride": (("analyze", "--layer", "3,3,8,16", "--stride", "0"),
+                       {}),
+    "analyze method": (("analyze", "--layer", "18,15", "--method", "foo"),
+                       {}),
+    "enumerate layer": (("enumerate", "--layer", "18,-15"), {}),
+    "enumerate limit": (("enumerate", "--layer", "18,15", "--limit", "-1"),
+                        {}),
+    "census ratio": (("census", "--layer", "18,15", "--ratios", "nan"), {}),
+    "census ratio text": (("census", "--layer", "18,15", "--ratios", "abc"),
+                          {}),
+    "census tol": (("census", "--layer", "18,15", "--tol", "-1"), {}),
+    "census tol text": (("census", "--layer", "18,15", "--tol", "x"), {}),
+    "decompose rank": (("decompose", "--layer", "18,15", "--method", "svd",
+                        "--rank", "0"), {}),
+    "decompose rank count": (("decompose", "--layer", "18,15", "--method",
+                              "svd", "--rank", "1,2"), {}),
+    "decompose plan index": (("decompose", "--layer", "18,15", "--method",
+                              "t3f", "--rank", "2", "--plan-index", "99"),
+                             {}),
+    "decompose plan index text": (("decompose", "--layer", "18,15",
+                                   "--method", "t3f", "--rank", "2",
+                                   "--plan-index", "x"), {}),
+    "decompose input size": (("decompose", "--layer", "3,3,8,16", "--method",
+                              "tucker2", "--rank", "2,2", "--input-size",
+                              "4,4,5"), {}),
+    "decompose target": (("decompose", "--model", "{model}", "--weights",
+                          "{weights}", "--target", "nope", "--method", "svd",
+                          "--rank", "2"), {}),
+    "dse drop limit": (("dse", *SEARCH, "--drop-limit", "nan"), {}),
+    "dse tol": (("dse", *SEARCH, "--tol", "-1"), {}),
+    "dse method": (("dse", *SEARCH, "--conv-method", "svd"), {}),
+    "dse metadata list": (("dse", *SEARCH), {"metadata": [1]}),
+    "dse metadata text": (("dse", *SEARCH), {"metadata": "abc"}),
+    "hybrid pairs method": (("hybrid", *SEARCH, "--pairs",
+                             "tt:foo,tucker2:svd"), {}),
+    "hybrid pairs part": (("hybrid", *SEARCH, "--pairs", "tt:svd,bogus"),
+                          {}),
+    "hybrid pairs order": (("hybrid", *SEARCH, "--pairs", "svd:tt,tt:svd"),
+                           {}),
+    "hybrid one pair": (("hybrid", *SEARCH, "--pairs", "tt:svd"), {}),
+    "score layer": (("score", "--layer", "1,2,3,4,5,6"), {}),
+    "score input size": (("score", "--layer", "3,3,8,16", "--input-size",
+                          "16,16,5"), {}),
+    "breakdown input size": (("breakdown", "--model", "{model}",
+                              "--input-size", "8,8,5"), {}),
+    "breakdown metadata input shape": (("breakdown", "--model", "{model}"),
+                                       {"metadata": {"input_shape": 5}}),
+    "breakdown metadata list": (("breakdown", "--model", "{model}",
+                                 "--input-size", "8,8,3"), {"metadata": [1]}),
+}
+
+
+class TestMalformedInput:
+    """Every malformed value ends in an error message: exit 1, or exit 2
+    with a usage message, never a traceback."""
+
+    @pytest.mark.parametrize("argv,fields", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_exits_one_or_two(self, capsys, saved_net, argv, fields):
+        model_path, weight_path, data_path = saved_net
+        if fields:
+            doc = json.loads(model_path.read_text())
+            doc.update(fields)
+            model_path.write_text(json.dumps(doc))
+        paths = {"model": model_path, "weights": weight_path,
+                 "data": data_path}
+        try:
+            assert main([arg.format(**paths) for arg in argv]) == 1
+        except SystemExit as exc:
+            assert exc.code == 2
+        assert "error: " in capsys.readouterr().err

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, khatri_rao
 
-from lowrank.costs import (CONV_METHODS, METHODS, cost_factorized, rank_bounds,
-                           t3f_plans)
-from lowrank.decompose import (CP_DIVERGENCE_PATIENCE, TUCKER_FIT_TOL,
+from lowrank.costs import (CONV_METHODS, METHODS, cost_chain, cost_factorized,
+                           rank_bounds, t3f_plans)
+from lowrank.decompose import (CP_DIVERGENCE_PATIENCE, CP_DROP_TOL,
+                               CP_FIT_TOL, CP_STALL_PATIENCE, TUCKER_FIT_TOL,
                                TUCKER_MAX_ITER, FactorizedLayer,
                                _DivergenceGuard, _contracted_mode,
                                _mode_last, _mttkrp, _solve_gram,
@@ -69,7 +70,7 @@ def check_point(layer, weight, method, ranks, plan=None):
         shape = (layer.in_channels,)
     else:
         shape = tuple(k + 2 for k in layer.kernel) + (layer.in_channels,)
-    assert fact.cost(shape) == \
+    assert cost_chain(fact.sub_layers, shape) == \
         cost_factorized(layer, method, ranks, shape, plan=plan)
     x = rng.standard_normal((2,) + shape).astype(np.float32)
     dense = forward_layer(
@@ -492,24 +493,91 @@ class TestT3f:
 
 
 class TestDivergenceGuard:
+    """The CP-ALS stop rule, one ``update`` per sweep."""
+
+    @staticmethod
+    def rising(guard, fits):
+        # each fit a new best, far from the last: no stop, no drop
+        for fit in fits:
+            assert guard.update(fit, fit) is False
+
     def test_raises_after_patience(self):
-        guard = _DivergenceGuard(patience=3)
-        guard.update(0.5, "a")
-        guard.update(0.6, "b")
-        guard.update(0.55, "c")
-        guard.update(0.54, "d")
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.5, 0.6])
+        drop = 2 * CP_DROP_TOL
+        for i in range(1, CP_DIVERGENCE_PATIENCE):
+            assert guard.update(0.6 - i * drop, i) is False
         with pytest.raises(DecompositionError) as err:
-            guard.update(0.53, "e")
-        assert err.value.best == "b"
+            guard.update(0.6 - CP_DIVERGENCE_PATIENCE * drop, "last")
+        assert err.value.best == 0.6
 
     def test_recovery_resets(self):
-        guard = _DivergenceGuard(patience=2)
-        guard.update(0.5, "a")
-        guard.update(0.4, "b")   # drop 1
-        guard.update(0.45, "c")  # recovery resets the streak
-        guard.update(0.44, "d")  # drop 1 again, no raise
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.5])
+        drop = 2 * CP_DROP_TOL
+        fit = 0.5
+        for _ in range(CP_DIVERGENCE_PATIENCE - 1):
+            fit -= drop
+            assert guard.update(fit, fit) is False
+        fit = 0.6  # a recovery resets the streak
+        assert guard.update(fit, fit) is False
+        for _ in range(CP_DIVERGENCE_PATIENCE - 1):
+            fit -= drop
+            assert guard.update(fit, fit) is False
         with pytest.raises(DecompositionError):
-            guard.update(0.43, "e")  # drop 2
+            guard.update(fit - drop, "e")
+
+    def test_small_drops_are_a_plateau(self):
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.5])
+        fit = 0.5
+        for _ in range(CP_DIVERGENCE_PATIENCE):
+            fit -= CP_DROP_TOL / 2
+            assert guard.update(fit, fit) is False
+
+    def test_stops_once_the_fit_settles(self):
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.1, 0.2, 0.3])
+        assert guard.update(0.3 + CP_FIT_TOL / 2, "settled") is True
+        assert guard.best_payload == "settled"
+
+    def test_a_move_of_the_tolerance_does_not_settle(self):
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.25])
+        assert guard.update(0.25 + 2 * CP_FIT_TOL, "b") is False
+
+    def test_stops_after_stalled_sweeps(self):
+        # the fit swings by more than the tolerance, but the best fit
+        # gains nothing for CP_STALL_PATIENCE sweeps in a row
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.5])
+        for i in range(CP_STALL_PATIENCE - 1):
+            fit = 0.4 if i % 2 else 0.45
+            assert guard.update(fit, i) is False
+        assert guard.update(0.42, "last") is True
+        assert guard.best_payload == 0.5
+
+    def test_gains_below_the_tolerance_stall(self):
+        # every other sweep sets a new best, by less than the tolerance
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.5])
+        for i in range(1, CP_STALL_PATIENCE):
+            fit = 0.4 if i % 2 else 0.5 + i * CP_FIT_TOL / 4
+            assert guard.update(fit, i) is False
+        last = 0.5 + CP_STALL_PATIENCE * CP_FIT_TOL / 4
+        assert guard.update(last, "last") is True
+        assert guard.best_payload == "last"
+
+    def test_a_gain_resets_the_stall_count(self):
+        guard = _DivergenceGuard()
+        self.rising(guard, [0.5])
+        for i in range(CP_STALL_PATIENCE - 1):
+            assert guard.update(0.4 if i % 2 else 0.45, i) is False
+        assert guard.update(0.5 + 2 * CP_FIT_TOL, "gain") is False
+        for i in range(CP_STALL_PATIENCE - 1):
+            assert guard.update(0.4 if i % 2 else 0.45, i) is False
+        assert guard.update(0.42, "last") is True
+        assert guard.best_payload == "gain"
 
 
 # ranks just outside a rank box, built from the box
@@ -604,10 +672,8 @@ class TestDispatcher:
         weight = rng.standard_normal(layer.weight_shape())
         fact = decompose_layer(layer, weight, "tucker2", (2, 3))
         shape = (7, 7, 8)
-        assert fact.cost(shape) == cost_factorized(layer, "tucker2", (2, 3),
-                                                   shape)
-        with pytest.raises(TypeError):
-            fact.cost()
+        assert cost_chain(fact.sub_layers, shape) == \
+            cost_factorized(layer, "tucker2", (2, 3), shape)
 
     def test_chain_names_are_derived(self):
         fact = decompose_layer(CONV, conv_weight(), "tucker2", (2, 3))

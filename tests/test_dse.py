@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lowrank import dse, explore, linalg
-from lowrank.costs import CONV_METHODS, FC_METHODS, cost_original
+from lowrank.costs import CONV_METHODS, FC_METHODS, cost_chain, cost_original
 from lowrank.decompose import decompose_layer
 from lowrank.dse import (BuiltinEvaluator, DseConfig, ExternalEvaluator,
                          hybrid_combine, install_solutions, iteration_bound,
@@ -329,10 +329,12 @@ class TestEvaluators:
         model, weights = toy_net
         labels = np.array(toy_dataset[DATASET_LABELS])
         labels[0] = bad
+        evaluator = BuiltinEvaluator(WeightStore({
+            DATASET_INPUTS: toy_dataset[DATASET_INPUTS],
+            DATASET_LABELS: labels}))
         with warnings.catch_warnings(), pytest.raises(EvaluatorError):
             warnings.simplefilter("error")
-            dse.builtin_eval_accuracy(model, weights,
-                                      toy_dataset[DATASET_INPUTS], labels)
+            evaluator(model, weights)
 
     def _script(self, tmp_path, body):
         path = tmp_path / "eval.py"
@@ -508,7 +510,8 @@ class TestSearchLoop:
         assert result.solutions["c2"] is result.solutions["f1"] is None
         for name in result.targets:
             fact = result.solutions[name]
-            expect = (fact.cost(shapes[name]) if fact is not None else
+            expect = (cost_chain(fact.sub_layers, shapes[name])
+                      if fact is not None else
                       cost_original(model.layer(name), shapes[name]))
             assert result.layer_costs[name] == expect
 

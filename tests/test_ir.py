@@ -176,17 +176,28 @@ class TestModelDesc:
         (lambda d: d["edges"].append(["c1"]), "['c1']"),
         (lambda d: d["edges"].append("ab"), "'ab'"),
         (lambda d: d["edges"].append(["c1", 2]), "['c1', 2]"),
+        (lambda d: d.update(metadata=[1]), "'metadata'"),
+        (lambda d: d.update(metadata="abc"), "'metadata'"),
+        (lambda d: d.update(metadata=None), "'metadata'"),
     ], ids=["int kernel", "str channels", "zero groups", "zero stride",
             "negative channels", "bool channels",
             "str post_ops", "layer not an object", "layers not a list",
             "input not a name", "edge of one", "edge a string",
-            "edge to a number"])
+            "edge to a number", "metadata a list", "metadata a string",
+            "metadata null"])
     def test_from_json_rejects_malformed_fields(self, breaks, named):
         doc = json.loads(small_conv_net()[0].to_json())
         breaks(doc)
         with pytest.raises((FormatError, ShapeError)) as err:
             ModelDesc.from_json(json.dumps(doc))
         assert named in str(err.value)
+
+    def test_metadata_object_is_kept(self):
+        doc = json.loads(small_conv_net()[0].to_json())
+        doc["metadata"] = {"input_shape": [8, 8, 3], "note": "x"}
+        model = ModelDesc.from_json(json.dumps(doc))
+        assert model.metadata == doc["metadata"]
+        assert ModelDesc.from_json(model.to_json()) == model
 
     def test_from_json_rejects_a_document_that_is_not_an_object(self):
         with pytest.raises(FormatError):

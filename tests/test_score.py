@@ -189,9 +189,8 @@ class TestRankSlotCount:
             == [2, 1, 3]
 
     def test_fc_without_t3f_plan(self):
-        with pytest.raises(RankError, match=r"no factorization plan for "
-                                            r"\(7, 11\)"):
-            rank_slot_count(fc(7, 11), "t3f")
+        # no plan, so no rank to choose
+        assert rank_slot_count(fc(7, 11), "t3f") == 0
 
 
 class TestMethodTable:
