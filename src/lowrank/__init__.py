@@ -8,7 +8,8 @@ combination, and a reference inference engine for factorized models.
 
 from .costs import (CONV_METHODS, FC_METHODS, OBJECTIVES, CostReport,
                     compression_ratio, cost_chain, cost_factorized,
-                    cost_original, default_input_shape, model_breakdown)
+                    cost_original, cp_max_rank, default_input_shape,
+                    model_breakdown, rank_bounds, t3f_plans)
 from .decompose import FactorizedLayer, decompose_layer
 from .dse import (BuiltinEvaluator, DseConfig, DseResult, ExternalEvaluator,
                   hybrid_combine, install_solutions, iteration_bound, run_dse,
@@ -17,9 +18,8 @@ from .errors import (ConstraintUnreachableError, DecompositionError,
                      EvaluatorError, FormatError, GraphError, LowRankError,
                      RankError, ShapeError)
 from .explore import (BucketReport, Solution, SpaceCensus, census, count_all,
-                      count_valid, cp_max_rank, iter_solutions, rank_bounds,
-                      select_candidates, solutions_at_ratio, t3f_plans,
-                      valid_extremes)
+                      count_valid, iter_solutions, select_candidates,
+                      solutions_at_ratio, valid_extremes)
 from .ir import LayerDesc, ModelDesc, WeightStore, check_weights
 from .linalg import mode_n_product, qr_pivoted, relative_error, svd, unfold
 from .score import (measure_method, method_table, qualitative_score,

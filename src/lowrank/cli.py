@@ -49,28 +49,25 @@ def _method(name: str) -> str:
         raise argparse.ArgumentTypeError(f"unknown method {name!r}") from None
 
 
-def _int_tuple(text: str) -> tuple:
+def _numbers(text: str, number=int) -> tuple:
+    """A list of at least one number, split at commas or ``x``
+    (``3x3x8x16``), each parsed by ``number``."""
     try:
-        return tuple(int(p) for p in text.replace("x", ",").split(",") if p)
+        values = tuple(number(p) for p in text.replace("x", ",").split(",")
+                       if p)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") \
-            from None
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"not a number list: {text!r}")
+    return values
 
 
-def _percent_tuple(text: str) -> tuple:
-    """Comma-separated percents: ints where they parse as ints, so that
-    reports print them unchanged, floats otherwise."""
-    def number(part):
-        try:
-            return int(part)
-        except ValueError:
-            return float(part)
+def _percent(part: str):
+    """An int if ``part`` is one, so reports echo it as given; else a float."""
     try:
-        return tuple(number(p) for p in text.replace("x", ",").split(",")
-                     if p)
+        return int(part)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number list: {text!r}") \
-            from None
+        return float(part)
 
 
 def _count(text: str) -> int:
@@ -105,12 +102,9 @@ def parse_layer_spec(dims: tuple, stride: tuple | None = None,
 
 
 def _input_shape(args, layer: LayerDesc):
-    shape = getattr(args, "input_size", None)
-    if shape is None:
-        return default_input_shape(layer)
-    if layer.kind != "fc" and shape[-1] != layer.in_channels:
-        raise LowRankError(f"input shape {shape} does not end in "
-                           f"{layer.in_channels} channels")
+    """``--input-size`` or the layer's default input, checked by the layer."""
+    shape = args.input_size or default_input_shape(layer)
+    layer.out_shape([shape])
     return shape
 
 
@@ -202,11 +196,6 @@ def cmd_analyze(args) -> int:
                 "worst_reduction_percent":
                     100.0 * compression_ratio(original.get(metric), hi)}
         report["methods"][method] = entry
-    _emit(args, render_json(report), _analyze_summary(report))
-    return 0
-
-
-def _analyze_summary(report: dict) -> str:
     lines = [f"original params={report['original']['params']} "
              f"flops={report['original']['flops']}"]
     for method, entry in sorted(report["methods"].items()):
@@ -214,7 +203,8 @@ def _analyze_summary(report: dict) -> str:
                      + (f" best params -"
                         f"{entry['params']['best_reduction_percent']:.1f}%"
                         if entry["valid"] else ""))
-    return "\n".join(lines) + "\n"
+    _emit(args, render_json(report), "\n".join(lines) + "\n")
+    return 0
 
 
 def cmd_enumerate(args) -> int:
@@ -247,7 +237,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    ranks = args.rank
     if args.plan_index is not None and args.method != "t3f":
         raise LowRankError("--plan-index applies only to t3f")
     if (args.out_model is None) != (args.out_weights is None):
@@ -272,7 +261,6 @@ def cmd_decompose(args) -> int:
                                  padding=args.padding)
         rng = np.random.default_rng(args.seed)
         weight = rng.standard_normal(layer.weight_shape()).astype(np.float32)
-        model = weights = None
     method = args.method
     plan = default_plan(layer, method)
     if args.plan_index is not None:
@@ -281,9 +269,9 @@ def cmd_decompose(args) -> int:
             raise LowRankError(f"plan index {args.plan_index} out of range "
                                f"(0..{len(plans) - 1})")
         plan = plans[args.plan_index]
-    fact = decompose_layer(layer, weight, method, ranks, plan=plan,
-                           seed=args.seed)
     shape = _input_shape(args, layer)
+    fact = decompose_layer(layer, weight, method, args.rank, plan=plan,
+                           seed=args.seed)
     new_cost = cost_factorized(layer, method, fact.ranks, shape, plan)
     original = cost_original(layer, shape)
     err = relative_error(fact.reconstruct(), weight)
@@ -404,25 +392,27 @@ def cmd_hybrid(args) -> int:
             f"hybrid needs at least two finished pairs, {len(runs)} "
             "finished; " + "; ".join(f"{label}: {message}" for label, message
                                      in unreachable.items()))
-    combined = hybrid_combine(runs, objective=args.objective)
+    combined = hybrid_combine(runs, objective=config.objective)
     combined.final_accuracy = evaluator(combined.model, combined.weights)
+    bound = combined.baseline_accuracy - config.accuracy_drop_limit
+    combined.success = combined.final_accuracy >= bound
     _write_dse_outputs(args, combined.model, combined.weights,
                        _audit_report(combined))
-    bound = combined.baseline_accuracy - config.accuracy_drop_limit
     report = {
-        "objective": args.objective,
+        "objective": config.objective,
         "runs": {label: {
             "success": run.success,
             "final_accuracy": run.final_accuracy,
-            "objective_total": _objective_total(run, args.objective)}
+            "objective_total": _objective_total(run, config.objective)}
             for label, run in runs.items()},
         "unreachable": unreachable,
         "hybrid": {
             "accuracy": combined.final_accuracy,
             "bound": bound,
-            "within_bound": combined.final_accuracy >= bound,
+            "within_bound": combined.success,
             "sources": combined.audit[0]["hybrid"],
-            "objective_total": _objective_total(combined, args.objective)},
+            "objective_total": _objective_total(combined,
+                                                config.objective)},
     }
     _emit(args, render_json(report),
           f"hybrid total {report['hybrid']['objective_total']} accuracy "
@@ -492,14 +482,19 @@ def _add_common(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_FLAGS[flag])
 
 
+def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that shape a ``--layer`` and give its input."""
+    parser.add_argument("--stride", type=_numbers, default=None)
+    parser.add_argument("--padding", choices=("same", "valid"), default=None)
+    parser.add_argument("--input-size", type=_numbers, default=None,
+                        help="input shape, e.g. 16,16,256")
+
+
 def _add_layer_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of the layer commands, which ``_layer_query`` reads."""
-    parser.add_argument("--layer", type=_int_tuple, required=True,
+    parser.add_argument("--layer", type=_numbers, required=True,
                         help="dimensions, e.g. 3,3,256,512 or 400,120")
-    parser.add_argument("--stride", type=_int_tuple, default=None)
-    parser.add_argument("--padding", choices=("same", "valid"), default=None)
-    parser.add_argument("--input-size", type=_int_tuple, default=None,
-                        help="input shape, e.g. 16,16,256")
+    _add_shape_flags(parser)
     parser.add_argument("--method", type=_method, action="append",
                         default=None)
 
@@ -522,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="bucket solutions at target ratios")
     _add_layer_flags(p)
-    p.add_argument("--ratios", type=_percent_tuple, default=(25, 60, 85),
+    p.add_argument("--ratios", type=lambda text: _numbers(text, _percent),
+                   default=(25, 60, 85),
                    help="compression percentages, e.g. 25,60,85")
     p.add_argument("--objective", choices=OBJECTIVES, default="params")
     _add_common(p, "--tol", "--timings")
@@ -531,15 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="factorize one layer")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", default=None, help="model JSON path")
-    source.add_argument("--layer", type=_int_tuple, default=None,
+    source.add_argument("--layer", type=_numbers, default=None,
                         help="synthetic layer dimensions")
     p.add_argument("--weights", default=None, help="weight archive path")
     p.add_argument("--target", default=None, help="layer name in the model")
-    p.add_argument("--stride", type=_int_tuple, default=None)
-    p.add_argument("--padding", choices=("same", "valid"), default=None)
-    p.add_argument("--input-size", type=_int_tuple, default=None)
+    _add_shape_flags(p)
     p.add_argument("--method", type=_method, required=True)
-    p.add_argument("--rank", type=_int_tuple, required=True,
+    p.add_argument("--rank", type=_numbers, required=True,
                    help="rank vector, e.g. 60 or 30,60,40")
     p.add_argument("--plan-index", type=int, default=None,
                    help="reshape plan index for tt-matrix layers")
@@ -558,13 +552,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="archive with inputs and labels records")
         p.add_argument("--evaluator", nargs="+", default=None,
                        help="external command: cmd model.json weights.lrfw")
-        p.add_argument("--objective", choices=OBJECTIVES, default="params")
-        p.add_argument("--drop-limit", type=float, default=0.015,
+        p.add_argument("--objective", choices=OBJECTIVES,
+                       default=DseConfig.objective)
+        p.add_argument("--drop-limit", type=float,
+                       default=DseConfig.accuracy_drop_limit,
                        help="largest acceptable accuracy drop")
-        p.add_argument("--step-size", type=float, default=5.0)
-        p.add_argument("--max-sol", type=int, default=3)
-        p.add_argument("--target-fraction", type=float, default=0.9)
-        p.add_argument("--samples", type=int, default=1000,
+        p.add_argument("--step-size", type=float, default=DseConfig.step_size)
+        p.add_argument("--max-sol", type=int, default=DseConfig.max_sol)
+        p.add_argument("--target-fraction", type=float,
+                       default=DseConfig.target_fraction)
+        p.add_argument("--samples", type=int, default=DseConfig.sample_count,
                        help="feature-map sample count")
         if name == "dse":
             p.add_argument("--conv-method", type=_method, default="tucker2")
@@ -585,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("breakdown", help="model-level cost report")
     p.add_argument("--model", required=True)
-    p.add_argument("--input-size", type=_int_tuple, default=None)
+    p.add_argument("--input-size", type=_numbers, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_breakdown)
 
@@ -593,8 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (LowRankError, ValueError, KeyError, OSError) as exc:

@@ -80,8 +80,8 @@ import numpy as np
 
 from .costs import (OBJECTIVES, CostReport, check_integer, check_real,
                     closed_form, compression_ratio, cost_factorized,
-                    cost_original, cp_max_rank, default_input_shape,
-                    rank_bounds, require_method, t3f_plans, tt_link_bounds)
+                    cost_original, default_input_shape, rank_bounds,
+                    require_method, t3f_plans, tt_link_bounds)
 from .errors import RankError
 from .ir import LayerDesc
 

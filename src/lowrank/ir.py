@@ -43,8 +43,11 @@ DATASET_LABELS = "labels"
 
 
 def conv_out_length(x: int, k: int, stride: int, padding: str) -> int:
-    """Output extent of one spatial axis for a conv or pool window."""
+    """Output extent of one spatial axis for a conv or pool window;
+    ShapeError for an input extent ``x`` below 1 (below ``k`` if valid)."""
     if padding == "same":
+        if x < 1:
+            raise ShapeError(f"input extent {x} below 1")
         return -(-x // stride)  # ceil(x / stride)
     if padding == "valid":
         if x < k:
@@ -202,8 +205,8 @@ class LayerDesc:
     def out_shape(self, in_shapes: list) -> tuple:
         """Per-sample output shape given per-sample predecessor shapes.
 
-        The one statement of a layer's input check and output extents:
-        the forward engine and the cost model take theirs from here.
+        The one input check (extents via ``conv_out_length``) and output
+        extents of a layer: the engine, costs, explore and CLI use it.
         """
         k = self.kind
         if k in ("add", "concat"):

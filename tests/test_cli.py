@@ -7,6 +7,7 @@ import pytest
 
 from lowrank import cli, explore
 from lowrank.cli import main, parse_layer_spec
+from lowrank.dse import DseConfig
 from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc,
                         ModelDesc, WeightStore)
 
@@ -156,6 +157,34 @@ class TestParsing:
         assert code == 1 and out == ""
         assert errtext.startswith(f"error: layer: {named} ")
         assert errtext.endswith(" below 1\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--layer", "3,3,8,16"), ("census", "--layer", "3,3,8,16"),
+        ("enumerate", "--layer", "3,3,8,16"), ("score", "--layer", "3,3,8,16"),
+        ("decompose", "--layer", "3,3,8,16", "--method", "tucker2", "--rank",
+         "2,2")])
+    @pytest.mark.parametrize("size, extent", [
+        ("0,0,8", 0), ("-2,4,8", -2), ("4,0,8", 0)])
+    def test_input_extents_below_one_exit_one(self, capsys, argv, size,
+                                              extent):
+        code, out, errtext = run_cli(capsys, *argv, f"--input-size={size}")
+        assert (code, out) == (1, "")
+        assert errtext == f"error: input extent {extent} below 1\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("decompose", "--layer", "18,15", "--method", "svd", "--rank", "x"),
+         "--rank"),
+        (("census", "--layer", "18,15", "--ratios", "x"), "--ratios"),
+        (("analyze", "--layer", ",x,"), "--layer")])
+    def test_a_list_without_a_number_is_a_usage_error(self, capsys, argv,
+                                                      flag):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: not a number "
+                                     f"list: {argv[-1]!r}\n")
 
     @pytest.mark.parametrize("extra", [
         ("--plan-index", "0"),                   # svd has no plans
@@ -353,6 +382,23 @@ class TestAnalyzeCommand:
 
 
 class TestDecomposeCommand:
+    @pytest.mark.parametrize("size", ["4,4,5", "4,4", "0,4,8"])
+    def test_a_bad_input_size_fails_before_factorizing(self, capsys, saved_net,
+                                                       monkeypatch, size):
+        calls = []
+        monkeypatch.setattr(cli, "decompose_layer",
+                            lambda *args, **kwargs: calls.append(args))
+        model_path, weight_path, _ = saved_net
+        for source in (("--layer", "3,3,8,16"),
+                       ("--model", str(model_path), "--weights",
+                        str(weight_path), "--target", "c2")):
+            code, out, errtext = run_cli(
+                capsys, "decompose", *source, "--method", "tucker2",
+                "--rank", "2,2", "--input-size", size)
+            assert (code, out) == (1, ""), source
+            assert errtext.startswith("error: "), source
+        assert calls == []
+
     def test_synthetic_layer_report(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--layer", "3,3,8,12",
                                "--method", "tucker", "--rank", "4,6")
@@ -545,14 +591,35 @@ class TestSearchCommands:
         monkeypatch.setattr(cli, "_evaluator", lambda args, dataset: (
             lambda model, weights: 0.5 if combined else 1.0))
         model_path, weight_path, data_path = saved_net
+        audit_path = model_path.parent / "audit.json"
         code, out, _ = run_cli(
             capsys, "hybrid", "--model", str(model_path),
             "--weights", str(weight_path), "--dataset", str(data_path),
-            "--samples", "16", "--pairs", "tucker2:svd,tt:qr")
+            "--samples", "16", "--pairs", "tucker2:svd,tt:qr",
+            "--out-audit", str(audit_path))
         assert code == 0
         hybrid = json.loads(out)["hybrid"]
         assert (hybrid["accuracy"], hybrid["bound"],
                 hybrid["within_bound"]) == (0.5, 1.0 - 0.015, False)
+        # the audit's success is the report's within_bound
+        audit = json.loads(audit_path.read_text())
+        assert (audit["final_accuracy"], audit["success"]) == (0.5, False)
+
+    @pytest.mark.parametrize("command", ["dse", "hybrid"])
+    def test_search_flags_default_to_the_config(self, command):
+        argv = [command, "--model", "m.json", "--weights", "w.lrfw",
+                "--dataset", "d.lrfw"]
+        if command == "hybrid":
+            argv += ["--pairs", "tucker2:svd,tt:qr"]
+        args = cli.build_parser().parse_args(argv)
+        defaults = {"objective": "objective",
+                    "drop_limit": "accuracy_drop_limit",
+                    "step_size": "step_size", "max_sol": "max_sol",
+                    "target_fraction": "target_fraction",
+                    "samples": "sample_count", "seed": "seed", "tol": "tol"}
+        config = DseConfig()
+        for dest, field in defaults.items():
+            assert getattr(args, dest) == getattr(config, field), dest
 
     def test_hybrid_keeps_the_pairs_that_finish(self, capsys, tmp_path):
         # a rank-one weight: every method's rank-one start is exact; the
@@ -691,6 +758,10 @@ MALFORMED = {
     "analyze layer text": (("analyze", "--layer", "abc"), {}),
     "analyze input size": (("analyze", "--layer", "3,3,8,16",
                             "--input-size", "16,16,5"), {}),
+    "analyze zero input size": (("analyze", "--layer", "3,3,8,16",
+                                 "--input-size", "0,0,8"), {}),
+    "analyze negative input size": (("analyze", "--layer", "3,3,8,16",
+                                     "--input-size=-2,4,8"), {}),
     "analyze fc input size": (("analyze", "--layer", "18,15",
                                "--input-size", "17"), {}),
     "analyze stride": (("analyze", "--layer", "3,3,8,16", "--stride", "0"),
@@ -703,10 +774,14 @@ MALFORMED = {
     "census ratio": (("census", "--layer", "18,15", "--ratios", "nan"), {}),
     "census ratio text": (("census", "--layer", "18,15", "--ratios", "abc"),
                           {}),
+    "census ratio letter": (("census", "--layer", "18,15", "--ratios", "x"),
+                            {}),
     "census tol": (("census", "--layer", "18,15", "--tol", "-1"), {}),
     "census tol text": (("census", "--layer", "18,15", "--tol", "x"), {}),
     "decompose rank": (("decompose", "--layer", "18,15", "--method", "svd",
                         "--rank", "0"), {}),
+    "decompose rank letter": (("decompose", "--layer", "18,15", "--method",
+                               "svd", "--rank", "x"), {}),
     "decompose rank count": (("decompose", "--layer", "18,15", "--method",
                               "svd", "--rank", "1,2"), {}),
     "decompose plan index": (("decompose", "--layer", "18,15", "--method",
@@ -738,6 +813,8 @@ MALFORMED = {
                           "16,16,5"), {}),
     "breakdown input size": (("breakdown", "--model", "{model}",
                               "--input-size", "8,8,5"), {}),
+    "breakdown zero input size": (("breakdown", "--model", "{model}",
+                                   "--input-size", "0,0,3"), {}),
     "breakdown metadata input shape": (("breakdown", "--model", "{model}"),
                                        {"metadata": {"input_shape": 5}}),
     "breakdown metadata list": (("breakdown", "--model", "{model}",

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from lowrank import explore
 from lowrank.costs import (CONV_METHODS, METHODS, OBJECTIVES, T3F_DEPTHS,
                            CostReport, closed_form,
-                           cost_factorized, cost_original,
+                           cost_factorized, cost_original, cp_max_rank,
                            default_input_shape, default_plan, method_applies)
 from lowrank.decompose import decompose_layer
 from lowrank.dse import LayerSearchState
 from lowrank.errors import RankError
 from lowrank.explore import (DEFAULT_TOL, Solution, census, count_all,
-                             count_valid, cp_max_rank, iter_solutions,
+                             count_valid, iter_solutions,
                              min_ranks, rank_bounds, select_candidates,
                              solutions_at_ratio, t3f_plans, tt_link_bounds,
                              valid_extremes)

@@ -1,11 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from lowrank.costs import cost_factorized, cost_original
 from lowrank.errors import FormatError, GraphError, ShapeError
+from lowrank.explore import count_valid
 from lowrank.ir import (LayerDesc, ModelDesc, WeightStore, check_weights,
                         conv_out_length)
+from lowrank.similarity import forward_model
 
 from conftest import fc_into_batchnorm, small_conv_net
 
@@ -30,6 +34,55 @@ class TestConvOutLength:
         for (x, k, s), (same, valid) in cases.items():
             assert conv_out_length(x, k, s, "same") == same
             assert conv_out_length(x, k, s, "valid") == valid
+
+    @pytest.mark.parametrize("x", [0, -2])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_extent_below_one_raises(self, x, padding):
+        with pytest.raises(ShapeError):
+            conv_out_length(x, 3, 1, padding)
+
+
+class TestInputExtents:
+    """``out_shape`` is the one input check: an input extent below 1
+    raises ShapeError wherever a conv is costed, counted or run."""
+
+    CONV = LayerDesc(name="c", kind="conv2d", kernel=(3, 3), in_channels=8,
+                     out_channels=16)
+    SHAPES = pytest.mark.parametrize("shape", [(0, 0, 8), (-2, 4, 8)])
+
+    @SHAPES
+    def test_out_shape(self, shape):
+        with pytest.raises(ShapeError):
+            self.CONV.out_shape([shape])
+
+    @SHAPES
+    def test_cost_original(self, shape):
+        with pytest.raises(ShapeError):
+            cost_original(self.CONV, shape)
+
+    @SHAPES
+    @pytest.mark.parametrize("method, ranks", [
+        ("tucker2", (2, 2)), ("cp", (2,)), ("tt", (2, 2, 2))])
+    def test_cost_factorized(self, shape, method, ranks):
+        with pytest.raises(ShapeError):
+            cost_factorized(self.CONV, method, ranks, shape)
+
+    @SHAPES
+    @pytest.mark.parametrize("method", ["tucker2", "cp", "tt"])
+    def test_count_valid(self, shape, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError):
+                count_valid(self.CONV, method, shape)
+
+    @pytest.mark.parametrize("extents", [(0, 0), (0, 4)])
+    def test_forward_model(self, extents):
+        model = ModelDesc(layers=[self.CONV], edges=[], input="c",
+                          output="c")
+        weights = WeightStore({"c": np.ones((3, 3, 8, 16), np.float32)})
+        with pytest.raises(ShapeError):
+            forward_model(model, weights,
+                          np.ones((2, *extents, 8), np.float32))
 
 
 class TestLayerDesc:
