@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import khatri_rao
@@ -76,7 +77,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from . import linalg
 from .costs import WHOLE_KERNEL, chain_stages, check_ranks, cp_max_rank
 from .errors import DecompositionError, ShapeError
-from .ir import LayerDesc
+from .ir import LayerDesc, WeightStore
 
 CP_MAX_ITER = 500
 CP_FIT_TOL = 1e-8
@@ -91,7 +92,8 @@ TUCKER_FIT_TOL = 1e-7
 
 @dataclass
 class FactorizedLayer:
-    """A layer replaced by an equivalent low-rank chain."""
+    """A layer replaced by an equivalent low-rank chain: ``weights`` keeps
+    the float64 factors, ``shipped`` the float32 copy scored and installed."""
 
     source: str
     method: str
@@ -99,6 +101,11 @@ class FactorizedLayer:
     sub_layers: list
     weights: dict
     plan: tuple | None = None
+
+    @cached_property
+    def shipped(self) -> WeightStore:
+        """The read-only float32 ``weights``, cast on first use and kept."""
+        return WeightStore(self.weights)
 
     def reconstruct(self) -> np.ndarray:
         """Dense weight tensor this chain approximates.

@@ -220,7 +220,7 @@ def install_solutions(model: ModelDesc, weights: WeightStore,
         new_layers.extend(subs)
         chain_edges.extend((a.name, b.name) for a, b in zip(subs, subs[1:]))
         first[layer.name], last[layer.name] = subs[0].name, subs[-1].name
-        updates.update(fact.weights)
+        updates.update(fact.shipped.items())
     edges = [(last.get(src, src), first.get(dst, dst))
              for src, dst in model.edges]
     new_model = ModelDesc(layers=new_layers, edges=edges + chain_edges,

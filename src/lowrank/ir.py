@@ -44,7 +44,10 @@ DATASET_LABELS = "labels"
 
 def conv_out_length(x: int, k: int, stride: int, padding: str) -> int:
     """Output extent of one spatial axis for a conv or pool window;
-    ShapeError for an input extent ``x`` below 1 (below ``k`` if valid)."""
+    ShapeError for an input extent ``x`` that is not an integer or is
+    below 1 (below ``k`` if valid)."""
+    if not isinstance(x, (int, np.integer)):
+        raise ShapeError(f"input extent {x!r} is not an integer")
     if padding == "same":
         if x < 1:
             raise ShapeError(f"input extent {x} below 1")

@@ -42,7 +42,9 @@ Similarity of a factorized layer is the batch mean of the cosine
 between its flattened output and the original layer's output, both
 taken after the layer's post-ops (activation, pooling, normalization)
 so the comparison happens at the boundary the rest of the network
-actually sees.
+actually sees.  Candidates are scored on the float32 weights that ship
+(``FactorizedLayer.shipped``); decomposition, ``reconstruct`` and the
+relative errors stay float64.
 """
 
 from __future__ import annotations
@@ -249,10 +251,11 @@ def forward_model(model: ModelDesc, weights, x: np.ndarray,
 
 
 def forward_factorized(fact, inputs):
-    """Chain a factorized layer's sub-layers over a batch."""
+    """Chain a factorized layer's sub-layers over a batch, on the float32
+    weights that ship (``fact.shipped``)."""
     x = inputs
     for sub in fact.sub_layers:
-        x = forward_layer(sub, fact.weights, x)
+        x = forward_layer(sub, fact.shipped, x)
     return x
 
 
@@ -330,8 +333,8 @@ def capture_feature_maps(model: ModelDesc, weights: WeightStore,
 def layer_similarity(fact, capture: FeatureMapCapture) -> float:
     """Batch-mean cosine between a factorized layer and its reference.
 
-    The factorized output is passed through the same post-ops as the
-    original before comparison.
+    The chain runs on its float32 ``shipped`` weights, and its output
+    passes through the same post-ops as the original before comparison.
     """
     name = fact.source
     if name not in capture.inputs:

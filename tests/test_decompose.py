@@ -825,6 +825,35 @@ class TestChainLayout:
         assert _chain_digest(kind, method) == CHAIN_PINS[kind, method]
 
 
+SHIPPED_RANKS = {"tucker2": (4, 6), "cp": (6,), "tt": (4, 8, 6),
+                 "svd": (5,), "qr": (5,), "t3f": (4,)}
+
+
+class TestShipped:
+    """``shipped`` is a chain's one float32, read-only weight copy, made
+    on first use; ``weights`` keeps the float64 factors."""
+
+    @pytest.fixture(params=sorted(SHIPPED_RANKS))
+    def fact(self, request):
+        method = request.param
+        layer, make, _ = FULL_RANK[method]
+        return factorize(method, layer, make(), SHIPPED_RANKS[method])
+
+    def test_not_cast_by_decompose_layer(self, fact):
+        assert "shipped" not in vars(fact)
+
+    def test_float32_read_only_copy_of_the_factors(self, fact):
+        shipped = fact.shipped
+        assert shipped.names() == sorted(fact.weights)
+        for name, arr in shipped.items():
+            assert arr.dtype == np.float32 and not arr.flags.writeable
+            assert fact.weights[name].dtype == np.float64
+        assert shipped.to_bytes() == WeightStore(fact.weights).to_bytes()
+
+    def test_cast_once(self, fact):
+        assert fact.shipped is fact.shipped
+
+
 def _count_factorizations(monkeypatch):
     """Shapes of the matrices passed to ``linalg.svd``, ``qr_pivoted`` and
     ``left_basis``.  The ``svd`` that ``left_basis`` takes of a tall

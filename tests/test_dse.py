@@ -28,8 +28,10 @@ rng = np.random.default_rng(11)
 # or weight.  The tucker2 pins were re-recorded when its bases moved from
 # full SVDs to ``linalg.left_basis`` (signed Gram eigenvectors), and the
 # tt ones when the TT-SVD and fc SVD bases moved there too, each time with
-# AUDIT_DECISION_PINS unchanged.  The weights come from LAPACK, so the pins
-# belong to one numpy/BLAS build.
+# AUDIT_DECISION_PINS unchanged.  Candidates are scored on the float32
+# weights that ship (``FactorizedLayer.shipped``) while the factors stay
+# float64; that moved similarities alone, so these pins held.
+# The weights come from LAPACK, so the pins belong to one numpy/BLAS build.
 AUDIT_PINS = {
     ("cp", "qr"):
         "05dd511e0d9174693d48f3a2b75c8210e02ba8749bf3b42d3e7ca263f5d48886",
@@ -294,6 +296,14 @@ class TestInstallSolutions:
         assert new_model.input == "c1.lrf0"
         assert new_model.output == "f1.lrf1"
         new_model.validate()
+
+    def test_installs_the_shipped_arrays(self):
+        model, weights = conv_chain_net()
+        sols = rank_one_chains(model, weights, ["c1", "c2", "f1"])
+        _, new_weights = install_solutions(model, weights, sols)
+        for fact in sols.values():
+            for name, arr in fact.shipped.items():
+                assert new_weights[name] is arr, name
 
     def test_none_keeps_layer(self):
         model, weights = conv_chain_net()

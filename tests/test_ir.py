@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lowrank.costs import cost_factorized, cost_original
+from lowrank.costs import cost_factorized, cost_original, model_breakdown
 from lowrank.errors import FormatError, GraphError, ShapeError
 from lowrank.explore import count_valid
 from lowrank.ir import (LayerDesc, ModelDesc, WeightStore, check_weights,
@@ -41,6 +41,15 @@ class TestConvOutLength:
         with pytest.raises(ShapeError):
             conv_out_length(x, 3, 1, padding)
 
+    @pytest.mark.parametrize("x", [8.5, 8.0, "8", None])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_extent_not_an_integer_raises(self, x, padding):
+        with pytest.raises(ShapeError, match="is not an integer"):
+            conv_out_length(x, 3, 1, padding)
+
+    def test_numpy_integer_extent(self):
+        assert conv_out_length(np.int64(15), 3, 2, "same") == 8
+
 
 class TestInputExtents:
     """``out_shape`` is the one input check: an input extent below 1
@@ -74,6 +83,15 @@ class TestInputExtents:
             warnings.simplefilter("error")
             with pytest.raises(ShapeError):
                 count_valid(self.CONV, method, shape)
+
+    @pytest.mark.parametrize("shape", [(8.5, 8, 8), ("8", 8, 8)])
+    def test_non_integer_extent(self, shape):
+        with pytest.raises(ShapeError, match="is not an integer"):
+            self.CONV.out_shape([shape])
+        with pytest.raises(ShapeError, match="is not an integer"):
+            cost_original(self.CONV, shape)
+        with pytest.raises(ShapeError, match="is not an integer"):
+            model_breakdown(small_conv_net()[0], shape[:2] + (3,))
 
     @pytest.mark.parametrize("extents", [(0, 0), (0, 4)])
     def test_forward_model(self, extents):

@@ -151,6 +151,12 @@ def check_result(result, model, weights, dataset, evaluator):
         assert chain.shape == dense.shape
         scale = max(1.0, float(np.abs(dense).max()))
         assert float(np.abs(chain - dense).max()) <= 1e-4 * scale, name
+        # the scored chain is the shipped chain
+        shipped = x
+        for sub in fact.sub_layers:
+            shipped = forward_layer(result.model.layer(sub.name),
+                                    result.weights, shipped)
+        assert chain.tobytes() == shipped.tobytes(), name
 
     loaded = (ModelDesc.from_json(result.model.to_json()),
               WeightStore.from_bytes(result.weights.to_bytes()))

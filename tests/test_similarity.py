@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lowrank.costs import default_plan
 from lowrank.decompose import decompose_layer
 from lowrank.errors import GraphError, ShapeError
 from lowrank.ir import DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc, \
@@ -568,6 +569,44 @@ class TestForwardFactorized:
             got = forward_factorized(fact, [x])
             scale = max(float(np.abs(dense).max()), 1e-12)
             assert float(np.abs(got - dense).max()) / scale <= 1e-4, method
+
+
+class TestShippedScoring:
+    """Candidates are scored on the float32 weights that ship."""
+
+    CASES = {"tucker2": ("c2", (4, 6)), "cp": ("c2", (6,)),
+             "tt": ("c2", (4, 8, 6)), "svd": ("f1", (5,)),
+             "qr": ("f1", (5,)), "t3f": ("f1", (4,))}
+
+    @pytest.fixture(params=sorted(CASES))
+    def scored(self, request, toy_net):
+        """The toy net's capture and one chain of a target layer."""
+        model, weights = toy_net
+        name, ranks = self.CASES[request.param]
+        layer = model.layer(name)
+        x = rng.standard_normal((4, 8, 8, 3)).astype(np.float32)
+        fact = decompose_layer(layer, np.asarray(weights[name]),
+                               request.param, ranks,
+                               plan=default_plan(layer, request.param))
+        return capture_feature_maps(model, weights, x), fact
+
+    def test_a_float32_batch_stays_float32(self, scored):
+        cap, fact = scored
+        assert forward_factorized(fact, cap.inputs[fact.source]).dtype \
+            == np.float32
+
+    def test_within_1e6_of_float64_scoring(self, scored):
+        cap, fact = scored
+        layer = cap.model.layer(fact.source)
+        out = cap.inputs[fact.source].astype(np.float64)
+        for sub in fact.sub_layers:
+            out = forward_layer(sub, fact.weights, out)
+        assert out.dtype == np.float64
+        for op_name in layer.post_ops:
+            out = forward_layer(cap.model.layer(op_name), cap.weights, out)
+        want = float(np.mean([cosine(o, r) for o, r in
+                              zip(out, cap.references[fact.source])]))
+        assert abs(layer_similarity(fact, cap) - want) <= 1e-6
 
 
 class TestSampleDataset:
