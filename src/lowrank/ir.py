@@ -44,9 +44,9 @@ DATASET_LABELS = "labels"
 
 def conv_out_length(x: int, k: int, stride: int, padding: str) -> int:
     """Output extent of one spatial axis for a conv or pool window;
-    ShapeError for an input extent ``x`` that is not an integer or is
-    below 1 (below ``k`` if valid)."""
-    if not isinstance(x, (int, np.integer)):
+    ShapeError for an input extent ``x`` that is not an integer (a bool
+    is not) or is below 1 (below ``k`` if valid)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ShapeError(f"input extent {x!r} is not an integer")
     if padding == "same":
         if x < 1:
@@ -208,8 +208,10 @@ class LayerDesc:
     def out_shape(self, in_shapes: list) -> tuple:
         """Per-sample output shape given per-sample predecessor shapes.
 
-        The one input check (extents via ``conv_out_length``) and output
-        extents of a layer: the engine, costs, explore and CLI use it.
+        The one input check (extents via ``conv_out_length``, whose
+        errors get the layer name in front, as every other error here)
+        and output extents of a layer: the engine, costs, explore and CLI
+        use it.
         """
         k = self.kind
         if k in ("add", "concat"):
@@ -224,8 +226,11 @@ class LayerDesc:
             if len(x) != len(self.kernel) + 1 or (
                     not pool and x[-1] != self.in_channels):
                 raise ShapeError(f"{self.name}: input {x} does not match layer")
-            spatial = tuple(map(conv_out_length, x, self.kernel, self.stride,
-                                repeat(self.padding)))
+            try:
+                spatial = tuple(map(conv_out_length, x, self.kernel,
+                                    self.stride, repeat(self.padding)))
+            except ShapeError as err:
+                raise ShapeError(f"{self.name}: {err}") from None
             return spatial + (x[-1] if pool else self.out_channels,)
         if k == "fc":
             if len(x) != 1 or x[0] != self.in_channels:

@@ -38,6 +38,15 @@ the only dispatch point: the model, factorized-chain, capture and
 similarity passes all call it through this module's attribute
 (``tests/test_trace_sites.py``).
 
+The engine reuses the buffers it owns.  ``forward_model`` drops each
+layer's output after its last consumer runs, and hands an output with
+one consumer to it with ``consume``, so a relu or tanh runs in place;
+``layer_similarity`` does the same along a candidate's post-ops.  The
+caller's arrays, view outputs (reshape, flatten) and the model output
+are never written, and ``keep_all`` turns reuse off (see
+``forward_model`` for the rule).  The same ufuncs run on the same
+values, so no output byte depends on it.
+
 Similarity of a factorized layer is the batch mean of the cosine
 between its flattened output and the original layer's output, both
 taken after the layer's post-ops (activation, pooling, normalization)
@@ -49,6 +58,7 @@ relative errors stay float64.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import warnings
@@ -103,17 +113,21 @@ def _shifted(x: np.ndarray, kernel, stride, lengths):
 
 def _window_fold(layer: LayerDesc, x, lengths, op, fill=0.0, w=None):
     """Fold ``op`` over the shifted views of ``x`` padded with ``fill``,
-    in offset order, into a copy of the first view; with a (K.., C)
-    weight ``w``, view k is first scaled by ``w[offset_k]``.
+    in offset order, into the first term; with a (K.., C) weight ``w``,
+    view k is first scaled by ``w[offset_k]``.  The first weighted term
+    is a new array and is the accumulator itself; an unweighted first
+    term is a view of the input and is copied.
 
     For two or more channels this is the order in which numpy sums the
     window view's K axes, so the bytes equal that reduction's.
     """
     terms = _shifted(_pad_input(x, layer.kernel, layer.stride, lengths, fill),
                      layer.kernel, layer.stride, lengths)
-    if w is not None:
+    if w is None:
+        out = np.array(next(terms))
+    else:
         terms = map(np.multiply, terms, w.reshape(-1, w.shape[-1]))
-    out = np.array(next(terms))
+        out = next(terms)
     for term in terms:
         op(out, term, out=out)
     return out
@@ -163,11 +177,12 @@ def _pool_nd(layer: LayerDesc, x, lengths):
             / _window_fold(layer, ones, lengths, np.add))
 
 
-def _activation(x, fn):
+def _activation(x, fn, out=None):
+    """``fn`` on ``x``; relu and tanh write into ``out`` when given."""
     if fn == "relu":
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=out)
     if fn == "tanh":
-        return np.tanh(x)
+        return np.tanh(x, out=out)
     if fn == "sigmoid":
         return 1.0 / (1.0 + np.exp(-x))
     if fn == "softmax":
@@ -185,12 +200,16 @@ def _weight(layer: LayerDesc, weights) -> np.ndarray:
     return w
 
 
-def forward_layer(layer: LayerDesc, weights, inputs):
+def forward_layer(layer: LayerDesc, weights, inputs, *, consume=False):
     """Run one layer on a batch.
 
     ``inputs`` is a single (batch, ...) array, or a list of them for
     layers with several predecessors.  ``weights`` is any mapping from
-    record name to array (a WeightStore works).
+    record name to array (a WeightStore works).  With ``consume`` the
+    caller hands its input arrays over: a relu or tanh activation then
+    writes its result over its input and returns that array.  Every
+    other kind ignores the flag.  The same ufunc runs on the same
+    values either way, so the output bytes do not change.
     """
     xs = inputs if isinstance(inputs, (list, tuple)) else [inputs]
     # checks the inputs; the per-sample output shape
@@ -206,7 +225,7 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     if k == "fc":
         return x @ _weight(layer, weights)
     if k == "activation":
-        return _activation(x, layer.fn)
+        return _activation(x, layer.fn, out=x if consume else None)
     if k == "pool":
         return _pool_nd(layer, x, shape[:-1])
     if k == "batchnorm":
@@ -235,16 +254,56 @@ def forward_layer(layer: LayerDesc, weights, inputs):
     raise ShapeError(f"{layer.name}: unsupported kind {k!r}")
 
 
+# Kinds whose output is a view of their input, never an array of its own.
+_VIEW_KINDS = ("reshape", "flatten")
+
+
 def forward_model(model: ModelDesc, weights, x: np.ndarray,
                   keep_all: bool = False):
-    """Run the whole model; optionally return every layer's output."""
+    """Run the whole model; optionally return every layer's output.
+
+    Without ``keep_all`` the pass reuses the arrays it owns: it drops
+    each layer's output right after that output's last consumer runs,
+    and a layer that is the only consumer of an owned output in the
+    graph gets it with ``consume`` (``forward_layer``), so a relu or
+    tanh writes over it.  The handover is read from the graph, not from
+    the consumers still to run: a view's consumers read its input's
+    array after the view layer has run, so an output with a view among
+    its consumers is never handed over.  The outputs are the same bytes
+    either way; only the peak memory of a pass falls to the arrays
+    still in use.
+
+    * Never owned: the caller's arrays (``x``, and so whatever the
+      input layer reads) and the outputs of ``reshape`` and
+      ``flatten``, which are views of their input.
+    * Owned: the output of every other kind, a new array (``add`` and
+      ``concat`` take at least 2 inputs; conv, fc, pool, ``tt_core``,
+      batchnorm and depthwise allocate their output).
+    * ``model.output`` is never released or overwritten, and with
+      ``keep_all`` nothing is: the returned dict holds each layer's own
+      output, each conv's before its activation.
+    """
     outputs = {}
+    fanout = collections.Counter(src for src, _ in model.edges)
+    # owned outputs with one consumer and no other use, handed to it
+    handover = set() if keep_all else {
+        l.name for l in model.layers if l.kind not in _VIEW_KINDS
+        and fanout[l.name] == 1 and l.name != model.output}
+    # consumers still to run per output; the caller is the last one of
+    # the model output
+    pending = fanout.copy()
+    pending[model.output] += 1
     for layer in model.layers:
-        if layer.name == model.input:
-            ins = [x]
-        else:
-            ins = [outputs[p] for p in model.predecessors(layer.name)]
-        outputs[layer.name] = forward_layer(layer, weights, ins)
+        preds = model.predecessors(layer.name)   # none for the input layer
+        ins = [outputs[p] for p in preds] or [x]
+        consume = len(preds) == 1 and preds[0] in handover
+        outputs[layer.name] = forward_layer(layer, weights, ins,
+                                            consume=consume)
+        if not keep_all:
+            for p in preds:
+                pending[p] -= 1
+                if not pending[p]:
+                    del outputs[p]
     if keep_all:
         return outputs[model.output], outputs
     return outputs[model.output]
@@ -340,10 +399,13 @@ def layer_similarity(fact, capture: FeatureMapCapture) -> float:
     if name not in capture.inputs:
         raise ShapeError(f"capture has no entry for layer {name!r}")
     layer = capture.model.layer(name)
+    # every chain ends in a weighted stage (then a reshape view of it,
+    # for t3f), so ``out`` never aliases the capture and the post-ops
+    # may write over it
     out = forward_factorized(fact, capture.inputs[name])
     for op_name in layer.post_ops:
         op = capture.model.layer(op_name)
-        out = forward_layer(op, capture.weights, out)
+        out = forward_layer(op, capture.weights, out, consume=True)
     ref = capture.references[name]
     if out.shape != ref.shape:
         raise ShapeError(f"{name}: factorized output {out.shape} does not "

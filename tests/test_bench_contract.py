@@ -12,12 +12,16 @@ the benchmark counts and buckets.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
 def _load(name):
@@ -79,3 +83,44 @@ def test_a_tiny_unreachable_search_passes_its_checks(workloads):
     op = workload.run_once()
     _check(op)
     assert op.counts["dse.unreachable"] == len(workloads.SEARCH_FC_METHODS)
+
+
+# The tiny search's decisions, printed by a fresh interpreter: each
+# tt+fc run's audit without its similarities, the form of
+# tests/test_dse.py's AUDIT_DECISION_PINS.  argv: the source and
+# benchmark directories.
+DECISIONS = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import workloads
+from workloads import dse
+search = workloads.Search(0, tiny=True)
+decisions = {}
+for fc in workloads.SEARCH_FC_METHODS:
+    try:
+        audit = dse.run_dse(search.model, search.weights, search.dataset,
+                            search.config, dse.BuiltinEvaluator(search.dataset),
+                            conv_method="tt", fc_method=fc).audit
+    except workloads.ConstraintUnreachableError as exc:
+        audit = exc.best[2]
+    decisions[fc] = [{**entry, "layers": {
+        name: {k: v for k, v in layer.items() if k != "similarity"}
+        for name, layer in entry["layers"].items()}} for entry in audit]
+print(json.dumps(decisions, sort_keys=True))
+"""
+
+
+def test_search_decisions_hold_across_blas_thread_counts():
+    # bytes are fixed per BLAS build and thread count; the decisions
+    # hold across thread counts, which set before numpy loads
+    def decisions(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        done = subprocess.run(
+            [sys.executable, "-c", DECISIONS, str(ROOT / "src"), str(BENCH)],
+            env=env, capture_output=True, text=True, check=True, timeout=300)
+        return json.loads(done.stdout)
+
+    one = decisions("1")
+    assert sorted(one) == ["qr", "svd", "t3f"] and all(one.values())
+    assert decisions("2") == one

@@ -169,7 +169,7 @@ class TestParsing:
                                               extent):
         code, out, errtext = run_cli(capsys, *argv, f"--input-size={size}")
         assert (code, out) == (1, "")
-        assert errtext == f"error: input extent {extent} below 1\n"
+        assert errtext == f"error: layer: input extent {extent} below 1\n"
 
     @pytest.mark.parametrize("argv, flag", [
         (("decompose", "--layer", "18,15", "--method", "svd", "--rank", "x"),

@@ -50,6 +50,19 @@ class TestConvOutLength:
     def test_numpy_integer_extent(self):
         assert conv_out_length(np.int64(15), 3, 2, "same") == 8
 
+    @pytest.mark.parametrize("x", [True, False])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_bool_extent_raises(self, x, padding):
+        # a bool is an int to Python, but not an extent
+        with pytest.raises(ShapeError,
+                           match=f"^input extent {x} is not an integer$"):
+            conv_out_length(x, 1, 1, padding)
+        layer = LayerDesc(name="c1", kind="conv2d", kernel=(1, 1),
+                          padding=padding, in_channels=8, out_channels=16)
+        with pytest.raises(ShapeError,
+                           match=f"^c1: input extent {x} is not an integer$"):
+            layer.out_shape([(x, x, 8)])
+
 
 class TestInputExtents:
     """``out_shape`` is the one input check: an input extent below 1
@@ -63,6 +76,17 @@ class TestInputExtents:
     def test_out_shape(self, shape):
         with pytest.raises(ShapeError):
             self.CONV.out_shape([shape])
+
+    @pytest.mark.parametrize("padding, shape, message", [
+        ("same", (0, 4, 8), "c1: input extent 0 below 1"),
+        ("valid", (2, 4, 8), "c1: window 3 larger than input extent 2"),
+        ("same", (8.5, 4, 8), "c1: input extent 8.5 is not an integer")])
+    def test_extent_errors_name_the_layer(self, padding, shape, message):
+        layer = LayerDesc(name="c1", kind="conv2d", kernel=(3, 3),
+                          padding=padding, in_channels=8, out_channels=16)
+        with pytest.raises(ShapeError) as err:
+            layer.out_shape([shape])
+        assert str(err.value) == message
 
     @SHAPES
     def test_cost_original(self, shape):

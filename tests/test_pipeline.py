@@ -207,3 +207,22 @@ def test_every_method_pair_keeps_the_pipeline_invariants(seed):
         for name in targets:
             assert hybrid.layer_costs[name].params == min(
                 run.layer_costs[name].params for run in runs.values())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_forward_reuses_only_the_buffers_it_owns(seed):
+    # add and concat branches, a flatten view and a layer feeding two
+    # convs: the pass that releases and writes over its own outputs gives
+    # the bytes of the pass that keeps them all, and never writes ``x``.
+    # No drawn net gives an activation an input with a second consumer;
+    # TestBufferOwnership in test_similarity.py builds those by hand.
+    model, weights, dataset = random_net(seed)
+    x = np.array(dataset[DATASET_INPUTS])   # writable, unlike the store's
+    before = x.tobytes()
+    kept, outputs = forward_model(model, weights, x, keep_all=True)
+    assert forward_model(model, weights, x).tobytes() == kept.tobytes()
+    assert x.tobytes() == before
+    for layer in model.layers:
+        ins = [outputs[p] for p in model.predecessors(layer.name)] or [x]
+        assert outputs[layer.name].tobytes() == \
+            forward_layer(layer, weights, ins).tobytes(), layer.name

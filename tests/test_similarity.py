@@ -1,9 +1,11 @@
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from lowrank import similarity
 from lowrank.costs import default_plan
 from lowrank.decompose import decompose_layer
 from lowrank.errors import GraphError, ShapeError
@@ -607,6 +609,202 @@ class TestShippedScoring:
         want = float(np.mean([cosine(o, r) for o, r in
                               zip(out, cap.references[fact.source])]))
         assert abs(layer_similarity(fact, cap) - want) <= 1e-6
+
+
+def post_op_net(seed=5):
+    """small_conv_net with a tanh after c2 and a relu after f1, then f2,
+    so every target's post-ops run in place under ``layer_similarity``."""
+    r = np.random.default_rng(seed)
+    layers = [
+        LayerDesc(name="c1", kind="conv2d", kernel=(3, 3), in_channels=3,
+                  out_channels=8, post_ops=("a1",)),
+        LayerDesc(name="a1", kind="activation", fn="relu"),
+        LayerDesc(name="p1", kind="pool", mode="max", kernel=(2, 2)),
+        LayerDesc(name="c2", kind="conv2d", kernel=(3, 3), in_channels=8,
+                  out_channels=12, post_ops=("a2",)),
+        LayerDesc(name="a2", kind="activation", fn="tanh"),
+        LayerDesc(name="fl", kind="flatten"),
+        LayerDesc(name="f1", kind="fc", in_channels=192, out_channels=10,
+                  post_ops=("a3",)),
+        LayerDesc(name="a3", kind="activation", fn="relu"),
+        LayerDesc(name="f2", kind="fc", in_channels=10, out_channels=4)]
+    names = [l.name for l in layers]
+    model = ModelDesc(layers=layers, edges=list(zip(names, names[1:])),
+                      input="c1", output="f2")
+    weights = WeightStore({l.name: r.standard_normal(l.weight_shape()) * 0.3
+                           for l in layers if l.weight_shape() is not None})
+    return model, weights
+
+
+class TestBufferOwnership:
+    """The engine writes over and releases only the arrays it owns."""
+
+    @pytest.mark.parametrize("fn", ["relu", "tanh"])
+    def test_consume_writes_over_the_input(self, fn):
+        layer = LayerDesc(name="a", kind="activation", fn=fn)
+        x = rng.standard_normal((3, 5)).astype(np.float32)
+        want = forward_layer(layer, WeightStore({}), x)
+        assert x.tobytes() != want.tobytes()
+        got = forward_layer(layer, WeightStore({}), [x], consume=True)
+        assert got is x and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layer", [
+        LayerDesc(name="a", kind="activation", fn="sigmoid"),
+        LayerDesc(name="a", kind="activation", fn="softmax"),
+        LayerDesc(name="p", kind="pool", mode="max", kernel=(2,)),
+        LayerDesc(name="fl", kind="flatten")])
+    def test_other_kinds_ignore_consume(self, layer):
+        x = rng.standard_normal((3, 4, 2)).astype(np.float32)
+        before = x.tobytes()
+        out = forward_layer(layer, WeightStore({}), [x], consume=True)
+        assert x.tobytes() == before
+        assert out.tobytes() == forward_layer(layer, WeightStore({}),
+                                              [x]).tobytes()
+
+    def test_flatten_then_relu_never_writes_x(self):
+        model = ModelDesc(layers=[
+            LayerDesc(name="fl", kind="flatten"),
+            LayerDesc(name="a", kind="activation", fn="relu")],
+            edges=[("fl", "a")], input="fl", output="a")
+        x = rng.standard_normal((4, 3, 2)).astype(np.float32)
+        before = x.tobytes()
+        out = forward_model(model, WeightStore({}), x)
+        assert x.tobytes() == before
+        assert out.tobytes() == np.maximum(x, 0).reshape(4, 6).tobytes()
+
+    def test_an_output_with_two_consumers_is_never_written(self):
+        # f feeds its relu and the residual add, which must see f itself
+        model = ModelDesc(layers=[
+            LayerDesc(name="f", kind="fc", in_channels=4, out_channels=6),
+            LayerDesc(name="a", kind="activation", fn="relu"),
+            LayerDesc(name="m", kind="add")],
+            edges=[("f", "a"), ("f", "m"), ("a", "m")], input="f",
+            output="m")
+        weights = WeightStore({"f": rng.standard_normal((4, 6))})
+        x = rng.standard_normal((3, 4)).astype(np.float32)
+        f = x @ weights["f"]
+        assert (f < 0).any()
+        assert forward_model(model, weights, x).tobytes() == \
+            (f + np.maximum(f, 0)).tobytes()
+
+    def test_the_model_output_is_never_written(self):
+        # the output fc also feeds a relu, its only consumer in the graph
+        model = ModelDesc(layers=[
+            LayerDesc(name="f", kind="fc", in_channels=4, out_channels=6),
+            LayerDesc(name="a", kind="activation", fn="relu")],
+            edges=[("f", "a")], input="f", output="f")
+        weights = WeightStore({"f": rng.standard_normal((4, 6))})
+        x = rng.standard_normal((3, 4)).astype(np.float32)
+        out = forward_model(model, weights, x)
+        assert out.tobytes() == (x @ weights["f"]).tobytes()
+        assert (out < 0).any()
+
+    @pytest.mark.parametrize("order, edges, output", [
+        # a view of f and f's relu meet in an add, in either order
+        ("f v a m", "f-v f-a v-m a-m", "m"),
+        ("f a v m", "f-v f-a v-m a-m", "m"),
+        # a chain of views, reshape then flatten
+        ("f r v a m", "f-r r-v f-a v-m a-m", "m"),
+        # a view as the model output, its relu sibling run after it
+        ("f v a", "f-v f-a", "v"),
+        ("f r v a", "f-r r-v f-a", "v")])
+    def test_a_view_keeps_the_array_it_reads(self, order, edges, output):
+        # the relu runs after the view layer, once f has one consumer
+        # still to run; the view's consumers read f after that
+        layers = {
+            "f": LayerDesc(name="f", kind="fc", in_channels=4,
+                           out_channels=6),
+            "r": LayerDesc(name="r", kind="reshape", shape=(2, 3)),
+            "v": LayerDesc(name="v", kind="flatten"),
+            "a": LayerDesc(name="a", kind="activation", fn="relu"),
+            "m": LayerDesc(name="m", kind="add")}
+        model = ModelDesc(layers=[layers[n] for n in order.split()],
+                          edges=[tuple(e.split("-")) for e in edges.split()],
+                          input="f", output=output)
+        weights = WeightStore({"f": rng.standard_normal((4, 6))})
+        x = rng.standard_normal((3, 4)).astype(np.float32)
+        f = x @ weights["f"]
+        assert (f < 0).any()
+        want = f + np.maximum(f, 0) if output == "m" else f
+        kept, _ = forward_model(model, weights, x, keep_all=True)
+        assert kept.tobytes() == want.tobytes()
+        assert forward_model(model, weights, x).tobytes() == want.tobytes()
+
+    def test_outputs_live_until_their_last_consumer(self, monkeypatch):
+        # c1 -> a1 -> p1 -> c2 -> a2 -> fl -> f1: each relu runs over the
+        # conv before it, an output's memory is freed once its consumer
+        # has run, and the flatten view keeps a2's until f1
+        model, weights = small_conv_net()
+        original = similarity.forward_layer
+        refs, live, consumed = {}, {}, {}
+
+        def recording(layer, weights, inputs, *, consume=False):
+            live[layer.name] = {name for name, ref in refs.items()
+                                if ref() is not None}
+            consumed[layer.name] = consume
+            out = original(layer, weights, inputs, consume=consume)
+            # the array that owns the memory: numpy points every view at it
+            refs[layer.name] = weakref.ref(out if out.base is None
+                                           else out.base)
+            return out
+
+        monkeypatch.setattr(similarity, "forward_layer", recording)
+        x = rng.standard_normal((2, 8, 8, 3)).astype(np.float32)
+        out = forward_model(model, weights, x)
+        assert refs["a1"]() is None and refs["f1"]() is out
+        assert live == {"c1": set(), "a1": {"c1"}, "p1": {"c1", "a1"},
+                        "c2": {"p1"}, "a2": {"c2"}, "fl": {"c2", "a2"},
+                        "f1": {"c2", "a2", "fl"}}
+        assert consumed == {"c1": False, "a1": True, "p1": True, "c2": True,
+                            "a2": True, "fl": True, "f1": False}
+
+        refs.clear()
+        live.clear()
+        forward_model(model, weights, x, keep_all=True)
+        assert not any(consumed.values())
+        assert live["f1"] == {"c1", "a1", "p1", "c2", "a2", "fl"}
+
+    def test_keep_all_holds_each_layers_own_output(self):
+        model, weights = post_op_net()
+        x = rng.standard_normal((3, 8, 8, 3)).astype(np.float32)
+        out, outputs = forward_model(model, weights, x, keep_all=True)
+        assert out.tobytes() == forward_model(model, weights, x).tobytes()
+        for layer in model.layers:
+            ins = [outputs[p] for p in model.predecessors(layer.name)] or [x]
+            want = forward_layer(layer, weights, ins)
+            assert outputs[layer.name].tobytes() == want.tobytes(), layer.name
+        # the pre-activation conv outputs are there, negatives and all
+        assert (outputs["c1"] < 0).any() and (outputs["a1"] >= 0).all()
+        assert not np.array_equal(outputs["c2"], outputs["a2"])
+
+    @pytest.mark.parametrize("method, target, ranks", [
+        ("tucker2", "c1", (2, 3)), ("cp", "c1", (4,)), ("tt", "c1", (2, 3, 4)),
+        ("tucker2", "c2", (4, 6)), ("cp", "c2", (6,)), ("tt", "c2", (4, 8, 6)),
+        ("svd", "f1", (5,)), ("qr", "f1", (5,)), ("t3f", "f1", (4,))])
+    def test_layer_similarity_leaves_the_capture_intact(self, method, target,
+                                                        ranks):
+        # c1 reads the caller's samples; f1 a flatten view, which t3f's
+        # first stage reshapes again
+        model, weights = post_op_net()
+        x = rng.standard_normal((3, 8, 8, 3)).astype(np.float32)
+        cap = capture_feature_maps(model, weights, x)
+        layer = model.layer(target)
+        fact = decompose_layer(layer, np.asarray(weights[target]), method,
+                               ranks, plan=default_plan(layer, method))
+
+        def snapshot():   # the capture's inputs hold the samples ``x``
+            return {(part, name): a.tobytes()
+                    for part in ("inputs", "references")
+                    for name, a in getattr(cap, part).items()}
+
+        before = snapshot()
+        want = forward_factorized(fact, cap.inputs[target])
+        for op_name in layer.post_ops:
+            want = forward_layer(model.layer(op_name), weights, want)
+        score = layer_similarity(fact, cap)
+        assert snapshot() == before
+        assert score == float(np.mean(
+            similarity._row_cosines(want, cap.references[target])))
 
 
 class TestSampleDataset:
