@@ -45,20 +45,24 @@ it depends on:
   side (of ``w`` when it is wide, of ``w.T`` when it is tall);
 - ``("qr",)``: the pivoted QR of the weight matrix;
 - ``("tt", None, prefix)`` and ``("t3f", plan, prefix)``: the full
-  ``linalg.left_basis`` of step ``i`` of the sequential TT-SVD, which
-  unfolds what the ranks ``prefix = ranks[:i]`` left over, so step 0
-  is shared by every rank vector and a later step by those with the
-  same leading ranks;
+  ``linalg.left_basis`` of the short side of step ``i`` of the
+  sequential TT-SVD (of the unfolding when it is wide or square, of
+  its transpose when it is tall), which unfolds what the ranks
+  ``prefix = ranks[:i]`` left over, so step 0 is shared by every rank
+  vector and a later step by those with the same leading ranks;
 - ``("tucker2", mode)``: the full ``linalg.left_basis`` of each of
   the two initial unfoldings;
 - ``("cp", mode)``: the per-mode SVDs that start CP-ALS.
 
-A kept basis is U alone, signed, with no S or V.  The truncations
-outside CP need no more: for the leading left singular vectors U_r of
-a matrix A = U S V', ``U_r.T @ A = S_r V_r'``, since U is
-orthonormal, so one gemm recovers the scaled right vectors, and its
-row norms are the singular values.  ``left_basis`` takes a wide
-matrix's basis from the eigenvectors of its small Gram, with no SVD.
+A kept basis is one side's singular vectors alone, signed, with no S
+and no other side.  The truncations outside CP need no more: for the
+leading left singular vectors U_r of a matrix A = U S V',
+``U_r.T @ A = S_r V_r'``, since U is orthonormal, so one gemm recovers
+the scaled right vectors, and its row norms are the singular values;
+likewise ``A @ V_r = U_r S_r`` for the leading right vectors.
+``left_basis`` takes a wide matrix's basis from the eigenvectors of its
+small Gram, so ``svd`` and the TT-SVD steps hand it their short side
+and run no SVD.
 
 Kept factorizations are read-only, so a returned factor that is a view
 of one is read-only too, with or without the caller's memo.
@@ -475,17 +479,30 @@ def _cp(layer: LayerDesc, w: np.ndarray, ranks: tuple, seed: int,
 def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict, key: tuple):
     """Sequential-SVD tensor train with prescribed internal ranks.
 
-    Step ``i`` keeps the leading left singular vectors U_r of the
-    running unfolding as its core and passes on the remainder
-    ``U_r.T @ mat``, which equals S_r V_r' of the truncated SVD, so
-    the step needs only ``linalg.left_basis``: the small Gram of a
-    wide unfolding, no full SVD.  A requested rank above what the
-    running unfolding can supply gets zero core slices (see
-    ``_leading``), so any rank vector inside the per-link box bounds
-    min(prod(left), prod(right)) is constructible without changing the
-    reconstruction.  Step ``i`` unfolds what the first ``i`` ranks
-    left over, so its basis goes into ``memo`` under ``key`` plus
-    ``ranks[:i]``.
+    Step ``i`` keeps an orthonormal basis Q of the leading singular
+    subspace of the running unfolding A as its core and passes on the
+    remainder ``Q.T @ A``.  Like ``_svd``, it factors A by its short
+    side, so its basis is the eigenvectors of the small Gram, never a
+    full SVD:
+
+    - a wide or square A takes its leading left singular vectors U_r
+      from ``linalg.left_basis(A)``, and ``U_r.T @ A`` equals S_r V_r'
+      of the truncated SVD;
+    - a tall A takes its leading right singular vectors V_r from
+      ``linalg.left_basis(A.T)``, and Q from the thin QR of the
+      projection ``A @ V_r``.  ``Q @ Q.T @ A`` is then the closest
+      matrix to A whose columns lie in the span of ``A @ V_r``, so it
+      is at least as close as ``A @ V_r @ V_r.T``, and the core is
+      orthonormal however small the trailing singular values are.
+
+    A requested rank above what a wide unfolding can supply gets zero
+    core slices (see ``_leading``); a tall unfolding has at least as
+    many columns as the rank box allows.  So any rank vector inside the
+    per-link box bounds min(prod(left), prod(right)) is constructible
+    without changing the reconstruction.  Step ``i`` unfolds what the
+    first ``i`` ranks left over, so its basis goes into ``memo`` under
+    ``key`` plus ``ranks[:i]``; the QR depends on the step's own rank
+    and is not kept.
     """
     shape = tensor.shape
     full = (1,) + tuple(ranks) + (1,)
@@ -493,10 +510,12 @@ def _tt_svd(tensor: np.ndarray, ranks: tuple, memo: dict, key: tuple):
     rest = tensor.reshape(shape[0], -1)
     for i in range(len(shape) - 1):
         mat = rest.reshape(full[i] * shape[i], -1)
-        u = _leading(_full(linalg.left_basis, mat, memo,
-                           key + (full[1:i + 1],)), full[i + 1])
-        cores.append(u.reshape(full[i], shape[i], full[i + 1]))
-        rest = u.T @ mat
+        tall = mat.shape[0] > mat.shape[1]
+        basis = _leading(_full(linalg.left_basis, mat.T if tall else mat,
+                               memo, key + (full[1:i + 1],)), full[i + 1])
+        core = np.linalg.qr(mat @ basis)[0] if tall else basis
+        cores.append(core.reshape(full[i], shape[i], full[i + 1]))
+        rest = core.T @ mat
     cores.append(rest.reshape(full[-2], shape[-1], 1))
     return cores
 

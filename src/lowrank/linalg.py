@@ -33,9 +33,12 @@ def left_basis(a: np.ndarray) -> np.ndarray:
     of singular value.  A wide or square ``a`` (``N >= M``) takes the
     eigenvectors of its small ``M x M`` Gram ``a @ a.T``, which is
     several times cheaper than an SVD there; a tall ``a`` takes
-    :func:`svd`'s ``U``, which is cheaper on that side.  Each column is
-    signed so that its largest-magnitude entry is positive, so the
-    basis does not depend on which solver produced it.
+    :func:`svd`'s ``U``, which is cheaper on that side.  The fc SVD and
+    the TT-SVD steps pass their short side, so only tucker2's tall
+    unfoldings (mostly in HOOI, once the other channel mode is cut to
+    its rank) reach that SVD.  Each column is signed so that its
+    largest-magnitude entry is positive, so the basis does not depend
+    on which solver produced it.
     """
     if a.ndim != 2:
         raise RankError(f"left_basis expects a matrix, got shape {a.shape}")

@@ -771,6 +771,9 @@ CHAIN_T3F_PLAN = ((2, 3, 4), (3, 3, 2))
 # built its weight dict by hand.  The tucker2 pins were re-recorded when
 # its bases moved to ``linalg.left_basis``, and the tt, svd and t3f pins
 # when theirs did: the factors changed sign and rounding only.  The
+# conv2d and conv3d tt and the fc t3f pins were re-recorded again when a
+# tall TT-SVD step took its basis from its short side (its core the QR
+# of the projection, no SVD); conv1d's tt chain has no tall step.  The
 # factors come from LAPACK, so the pins belong to one numpy/BLAS build.
 CHAIN_PINS = {
     ("conv1d", "tucker2"):
@@ -784,19 +787,19 @@ CHAIN_PINS = {
     ("conv2d", "cp"):
         "2cae15d6afb459adb1f713b0bc4db60e13815216fe645b6ad8f87e42be676f69",
     ("conv2d", "tt"):
-        "114718d3fd28a2008c25cf918245a49d56839fcf72294ed1ee41d166e7b6649d",
+        "2929eb1a4274e8a70314b07a1d44d0f32219b81002ef33942c9dbe67c5b5facb",
     ("conv3d", "tucker2"):
         "4e0c8321fbaf4d41e8b0fb96a1124928b62df9a60b9d55c308f1ddf0786aea3a",
     ("conv3d", "cp"):
         "7da7791597cc3af581d323a200172a2ba080a094c72057249b2b9d8d339ba0cf",
     ("conv3d", "tt"):
-        "629fbbe4db4765067d41c34588540e5489ce1983ae2caa7cccb6a974b616d264",
+        "d972dca6b120e445364188ba38a0549e0071e61a5c6a33931e60d845674806c4",
     ("fc", "svd"):
         "910233e25862a7b725da28dc84ed9bc543637d28febd2c0d781a27f2f789b4b9",
     ("fc", "qr"):
         "fbe167ac51a33347eaadc7e370e5b7fab03ff1ad2226f2f69d713bb6bf31a467",
     ("fc", "t3f"):
-        "6798ffe07c52cb2b3793381661e323f1ffa58922c30926529ac8f59d7b55c328",
+        "fb0844b72fe427dc608409fe9a018b47be088f9dd8736ed4129e075489a4e0c7",
 }
 
 
@@ -943,7 +946,8 @@ class TestMemo:
 
     def test_tt_steps_rerun_from_the_first_changed_rank(self, monkeypatch):
         # the (8, 3, 3, 12) tensor unfolds to 8 x 108 at step 0, to
-        # 3 r0 x 36 at step 1 and to 3 r1 x 12 at step 2
+        # 3 r0 x 36 at step 1 and to 3 r1 x 12 at step 2; a tall step
+        # factors its transpose, so 15 x 12 is counted as 12 x 15
         calls = _count_factorizations(monkeypatch)
         weight = conv_weight()
         memo = {}
@@ -954,7 +958,7 @@ class TestMemo:
             return list(calls)
 
         assert steps((2, 3, 4)) == [(8, 108), (6, 36), (9, 12)]
-        assert steps((2, 5, 4)) == [(15, 12)]
+        assert steps((2, 5, 4)) == [(12, 15)]
         assert steps((3, 3, 4)) == [(9, 36), (9, 12)]
         assert steps((2, 5, 7)) == []
 
@@ -1025,8 +1029,9 @@ def _graded_fc(m, n, smallest, seed=0):
 
 
 class TestGramPath:
-    """tt, t3f and svd take their bases from ``linalg.left_basis``: the
-    small Gram of a wide matrix, never a full SVD of one."""
+    """tt, t3f and svd take their bases from ``linalg.left_basis`` of the
+    short side of each matrix they factor: the small Gram, never a full
+    SVD."""
 
     @pytest.mark.parametrize("kind,method", [
         ("conv1d", "tt"), ("conv2d", "tt"), ("conv3d", "tt"),
@@ -1104,7 +1109,7 @@ class TestGramPath:
             assert cols ** 2 == pytest.approx(s[:rank], rel=1e-10)
 
     @pytest.mark.parametrize("method", ["tt", "svd", "t3f"])
-    def test_no_svd_of_a_wide_matrix(self, method, monkeypatch):
+    def test_never_calls_linalg_svd(self, method, monkeypatch):
         # the benchmark's layers: a 3x3x64x128 conv and a 512x256 fc
         if method == "tt":
             layer = LayerDesc(name="c", kind="conv2d", kernel=(3, 3),
@@ -1122,14 +1127,53 @@ class TestGramPath:
         monkeypatch.setattr(linalg, "svd", counted)
         weight = np.random.default_rng(9).standard_normal(
             layer.weight_shape())
-        plans = t3f_plans(layer)[:4] if method == "t3f" else [None]
+        # the first plans' steps are all wide, the last plans' first
+        # steps tall (8192 x 16, say)
+        plans = t3f_plans(layer)[:2] + t3f_plans(layer)[-2:] \
+            if method == "t3f" else [None]
         for plan in plans:
             box = rank_bounds(layer, method, plan)
             for ranks in ([lo for lo, _ in box], [max(lo, hi // 2)
                                                    for lo, hi in box]):
                 decompose_layer(layer, weight, method, tuple(ranks),
                                 plan=plan)
-        # a tall TT-SVD step takes the SVD that left_basis runs there;
-        # svd diagonalizes the Gram of the weight's short side alone
-        assert all(m > n for m, n in shapes), shapes
-        assert method != "svd" or not shapes
+        # a tall TT-SVD step, like svd, diagonalizes the Gram of its
+        # short side, so left_basis never reaches its tall SVD branch
+        assert not shapes, shapes
+
+    @pytest.mark.parametrize("method", ["tt", "t3f"])
+    def test_rank_deficient_tall_step(self, method):
+        # tt: rank 8 past the width 3 of step 1's 3 x 36 unfolding leaves
+        # step 2's 24 x 12 unfolding with 15 zero rows, so its rank 9 is
+        # below the step's rank 12.  A t3f plan has at most three modes,
+        # whose rank box never outruns a width, so its weight is a
+        # Kronecker product of TT rank 1 instead: at the box's top ranks,
+        # the tall 54 x 8 step 1 has rank 1 and seven columns of noise.
+        gen = np.random.default_rng(12)
+        if method == "tt":
+            layer, plan, ranks = CONV, None, (1, 8, 12)
+            weight = gen.standard_normal(layer.weight_shape())
+            tensor = np.moveaxis(weight, len(layer.kernel), 0)
+            step, rows = "c.lrf2", 24
+        else:
+            layer, plan, ranks = CHAIN_LAYERS["fc"], CHAIN_T3F_PLAN, (6, 8)
+            weight = np.einsum("a,b,c,x,y,z->abcxyz",
+                               *(gen.standard_normal(k)
+                                 for k in plan[0] + plan[1]))
+            weight = weight.reshape(layer.weight_shape())
+            tensor = _t3f_tensor(weight, plan)
+            step, rows = "d.lrf2", 54
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fact = decompose_layer(layer, weight, method, ranks, plan=plan)
+        assert all(np.isfinite(w).all() for w in fact.weights.values())
+        # the tall step's core is orthonormal however small its trailing
+        # singular values are
+        core = fact.weights[step].reshape(rows, -1)
+        assert core.T @ core == pytest.approx(np.eye(core.shape[1]),
+                                              abs=1e-12)
+        if method == "tt":   # step 1's core past its width is zero
+            first = fact.weights["c.lrf1"].reshape(-1, 8)
+            assert not first[:, 3:].any()
+        assert relative_error(fact.reconstruct(), weight) \
+            <= _oracle_tt_error(tensor, ranks, {}) + 1e-7

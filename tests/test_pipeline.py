@@ -23,7 +23,7 @@ from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc,
 from lowrank.similarity import (forward_factorized, forward_layer,
                                 forward_model)
 
-SEEDS = range(8)
+SEEDS = range(10)   # 2 and 4 draw the residual add, 9 the plain chain
 CONFIG = dict(step_size=20.0, max_sol=2, sample_count=8,
               accuracy_drop_limit=0.35)
 
@@ -76,8 +76,10 @@ def random_net(seed: int):
                              kernel=(2,) * dims), last)
     width = shapes[last][-1]
     branch = choice(("add", "concat", "plain"))
+    if branch == "plain" and rng.random() < 0.5:
+        branch = "residual"   # the plain chain with a residual add
     outs = []
-    for name in ("c2", "c3") if branch != "plain" else ("c2",):
+    for name in ("c2", "c3") if branch in ("add", "concat") else ("c2",):
         channels = width if branch == "add" or not outs else \
             int(rng.integers(3, 7))
         conv = add(LayerDesc(name=name, kind=kind,
@@ -86,7 +88,11 @@ def random_net(seed: int):
                              post_ops=(f"r{name[1]}",)), last)
         outs.append(add(LayerDesc(name=f"r{name[1]}", kind="activation",
                                   fn=choice(("relu", "tanh"))), conv))
-    if branch != "plain":
+    if branch == "residual":
+        # the add reads c2 beside its activation r2: an activation's
+        # input with a second consumer
+        outs = [add(LayerDesc(name="m", kind="add"), *outs, "c2")]
+    elif branch != "plain":
         outs = [add(LayerDesc(name="m", kind=branch), *outs)]
     last = add(LayerDesc(name="fl", kind="flatten"), *outs)
     hidden = choice((6, 8, 9, 10, 12))
@@ -211,11 +217,10 @@ def test_every_method_pair_keeps_the_pipeline_invariants(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_forward_reuses_only_the_buffers_it_owns(seed):
-    # add and concat branches, a flatten view and a layer feeding two
-    # convs: the pass that releases and writes over its own outputs gives
-    # the bytes of the pass that keeps them all, and never writes ``x``.
-    # No drawn net gives an activation an input with a second consumer;
-    # TestBufferOwnership in test_similarity.py builds those by hand.
+    # add and concat branches, a flatten view, a layer feeding two convs
+    # and a residual add that reads c2 beside its activation r2: the pass
+    # that releases and writes over its own outputs gives the bytes of
+    # the pass that keeps them all, and never writes ``x``.
     model, weights, dataset = random_net(seed)
     x = np.array(dataset[DATASET_INPUTS])   # writable, unlike the store's
     before = x.tobytes()
