@@ -65,6 +65,8 @@ config = DseConfig(objective="params", accuracy_drop_limit=0.02,
                    step_size=25.0, sample_count=16, seed=0, tol=0.05,
                    sim_threshold_sequential=0.9999,
                    sim_threshold_nonsequential=0.9999)
+# one evaluator for every run: it scores each distinct model once, the
+# original included
 evaluator = BuiltinEvaluator(dataset)
 base = model_breakdown(model, shape)["total"].params
 

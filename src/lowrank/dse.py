@@ -20,7 +20,9 @@ objective on that layer.
 
 A search keeps one ``LayerSearchState`` per target layer, whose dicts
 keep the layer's full factorizations and its rank families, so each is
-computed once per search; separate searches share nothing.
+computed once per search.  Separate searches share only what the
+caller passes them: an evaluator shared across runs, whose
+``BuiltinEvaluator`` keeps the score of every model it has evaluated.
 """
 
 from __future__ import annotations
@@ -136,7 +138,20 @@ class DseResult:
 
 class BuiltinEvaluator:
     """Top-1 accuracy of a model's (batch, classes) argmax output on a
-    dataset with one whole class index per input as its label."""
+    dataset with one whole class index per input as its label.
+
+    An evaluator scores each distinct (model, weights) pair once and
+    answers a repeat from ``scores`` without a forward pass.  The key is
+    the model's JSON with ``(name, id(array))`` for every weight record:
+    a ``WeightStore``'s arrays are read-only float32, and
+    ``install_solutions`` installs the same array objects again for a
+    layer whose solution did not change, so equal ids mean equal bytes
+    (as long as no one writes an array through a writable view of its
+    memory).  Each entry holds its store, which keeps every keyed array
+    alive, so no id is reused while the evaluator lives.  A call that
+    raises stores nothing.  Share one evaluator across the searches of a
+    hybrid to score the original model once; the scores go with it.
+    """
 
     def __init__(self, dataset: WeightStore):
         for name in (DATASET_INPUTS, DATASET_LABELS):
@@ -146,8 +161,16 @@ class BuiltinEvaluator:
         self.labels = dataset[DATASET_LABELS]
         if not len(self.inputs):
             raise EvaluatorError("dataset has no inputs")
+        self.scores = {}   # key -> (accuracy, the WeightStore keyed)
 
     def __call__(self, model: ModelDesc, weights: WeightStore) -> float:
+        key = (model.to_json(),
+               tuple((name, id(arr)) for name, arr in weights.items()))
+        if key not in self.scores:
+            self.scores[key] = (self._accuracy(model, weights), weights)
+        return self.scores[key][0]
+
+    def _accuracy(self, model: ModelDesc, weights: WeightStore) -> float:
         out = forward_model(model, weights, self.inputs)
         if out.ndim != 2:
             raise EvaluatorError(f"model output has shape {out.shape}, "

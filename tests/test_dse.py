@@ -19,6 +19,8 @@ from lowrank.ir import (DATASET_INPUTS, DATASET_LABELS, LayerDesc, ModelDesc,
                         WeightStore)
 from lowrank.similarity import capture_feature_maps, forward_model
 
+from conftest import labeled_dataset
+
 rng = np.random.default_rng(11)
 
 # sha256 of each pair's audit without its similarities, followed by its
@@ -158,6 +160,18 @@ class RevertDetector:
             except KeyError:
                 return 0.0
         return 1.0
+
+
+def count_forward_passes(monkeypatch) -> list:
+    """A one-item list counting the evaluator's calls of forward_model."""
+    passes = [0]
+
+    def counted(*args, **kwargs):
+        passes[0] += 1
+        return forward_model(*args, **kwargs)
+
+    monkeypatch.setattr(dse, "forward_model", counted)
+    return passes
 
 
 class Scripted:
@@ -348,6 +362,67 @@ class TestEvaluators:
         with warnings.catch_warnings(), pytest.raises(EvaluatorError):
             warnings.simplefilter("error")
             evaluator(model, weights)
+
+    def test_builtin_scores_a_repeated_pair_once(self, toy_net, toy_dataset,
+                                                 monkeypatch):
+        passes = count_forward_passes(monkeypatch)
+        model, weights = toy_net
+        evaluator = BuiltinEvaluator(toy_dataset)
+        first = evaluator(model, weights)
+        # an equal model description and a store of the same arrays
+        again = evaluator(ModelDesc.from_json(model.to_json()),
+                          weights.replace({}))
+        assert passes == [1]
+        assert type(again) is float and again == first
+
+    def test_builtin_forwards_a_swapped_record_again(self, toy_net,
+                                                     toy_dataset, monkeypatch):
+        passes = count_forward_passes(monkeypatch)
+        model, weights = toy_net
+        evaluator = BuiltinEvaluator(toy_dataset)
+        evaluator(model, weights)
+        swapped = weights.replace({"c2": np.array(weights["c2"])})
+        assert swapped.to_bytes() == weights.to_bytes()
+        evaluator(model, swapped)
+        assert passes == [2]
+        text = model.to_json()
+        assert '"relu"' in text
+        evaluator(ModelDesc.from_json(text.replace('"relu"', '"tanh"')),
+                  weights)
+        assert passes == [3]
+
+    def test_builtin_raises_again_on_a_repeated_error(self, toy_net,
+                                                      toy_dataset,
+                                                      monkeypatch):
+        passes = count_forward_passes(monkeypatch)
+        model, weights = toy_net
+        # the 4-d output of the first conv has no class axis
+        conv = LayerDesc(name="c1", kind="conv2d", kernel=(3, 3),
+                         in_channels=3, out_channels=8, padding="same")
+        head = ModelDesc(layers=[conv], edges=[], input="c1", output="c1",
+                         metadata=dict(model.metadata))
+        labels = np.array(toy_dataset[DATASET_LABELS])
+        labels[0] = 0.5
+        bad_labels = BuiltinEvaluator(WeightStore({
+            DATASET_INPUTS: toy_dataset[DATASET_INPUTS],
+            DATASET_LABELS: labels}))
+        for evaluator, m, match in (
+                (BuiltinEvaluator(toy_dataset), head, "expected"),
+                (bad_labels, model, "whole class indices")):
+            for _ in range(2):
+                with pytest.raises(EvaluatorError, match=match):
+                    evaluator(m, weights)
+            assert evaluator.scores == {}
+        assert passes == [4]
+
+    def test_external_runs_its_command_on_every_call(self, tmp_path,
+                                                     toy_net):
+        model, weights = toy_net
+        log = tmp_path / "calls.log"
+        ev = self._script(tmp_path, f"open({str(log)!r}, 'a').write('x\\n')\n"
+                                    "print(0.5)")
+        assert ev(model, weights) == ev(model, weights) == 0.5
+        assert log.read_text() == "x\nx\n"
 
     def _script(self, tmp_path, body):
         path = tmp_path / "eval.py"
@@ -664,6 +739,31 @@ class TestSearchLoop:
             assert result.audit == runs[0].audit[:i + 1]
             assert result.success == (result is results[-1])
         assert results[-1].weights.to_bytes() == runs[0].weights.to_bytes()
+
+    def test_a_shared_evaluator_changes_no_result(self, monkeypatch):
+        # both searches score the original model, and each evaluates some
+        # unchanged model again within its own run (14 calls, 9 distinct)
+        passes = count_forward_passes(monkeypatch)
+        model, weights = conv_chain_net(rank_one_first=True)
+        dataset = labeled_dataset(model, weights, count=32)
+        config = DseConfig(target_fraction=1.0, sample_count=4, seed=0,
+                           step_size=20.0, accuracy_drop_limit=0.1)
+        shared = BuiltinEvaluator(dataset)
+        outcomes = {}
+        for label, evaluator in (
+                ("shared", shared),
+                ("fresh", lambda m, w: BuiltinEvaluator(dataset)(m, w))):
+            passes[0] = 0
+            runs = [run_dse(model, weights, dataset, config, evaluator,
+                            conv_method=conv, fc_method=fc)
+                    for conv, fc in (("tucker2", "qr"), ("cp", "svd"))]
+            outcomes[label] = passes[0], [
+                (r.audit, r.final_accuracy, r.baseline_accuracy,
+                 r.model.to_json(), r.weights.to_bytes()) for r in runs]
+        assert outcomes["shared"][1] == outcomes["fresh"][1]
+        calls = sum(len(r[0]) + 1 for r in outcomes["fresh"][1])
+        assert outcomes["fresh"][0] == calls
+        assert outcomes["shared"][0] == len(shared.scores) < calls
 
 
 class TestHybrid:
